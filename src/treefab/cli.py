@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -50,6 +51,7 @@ from .errors import (
     TreefabError,
     ValidationError,
 )
+from .memory import random_layer_data
 from .oracle import compare, conv_reference
 from .tiler import enumerate_tiles, rank_by_simulation
 
@@ -70,16 +72,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _random_tensors(layer: cfg.LayerConfig, rng: np.random.Generator):
-    inputs = rng.integers(
-        -8, 9, size=(layer.n, layer.g, layer.c, layer.x, layer.y),
-        dtype=np.int32,
-    )
-    weights = rng.integers(
-        -8, 9, size=(layer.g, layer.k, layer.c, layer.r, layer.s),
-        dtype=np.int32,
-    )
-    return inputs, weights
+def _hardware(args) -> cfg.HardwareConfig:
+    """The ``--hw`` document with the ``--strategy`` override applied."""
+    hw = cfg.parse_hardware_config(_read(args.hw))
+    if args.strategy is not None:
+        hw = replace(hw, folding=cfg.FoldingStrategy(args.strategy))
+    return hw
 
 
 def _maybe_inject_fault(output: np.ndarray) -> np.ndarray:
@@ -105,12 +103,6 @@ def _stats_doc(stats) -> dict:
     return doc
 
 
-def _strategy(args) -> cfg.FoldingStrategy | None:
-    if args.strategy is None:
-        return None
-    return cfg.FoldingStrategy(args.strategy)
-
-
 def _trace_printer(enabled: bool):
     if not enabled:
         return None
@@ -126,13 +118,11 @@ def _trace_printer(enabled: bool):
 
 
 def _cmd_run_layer(args) -> int:
-    hw = cfg.parse_hardware_config(_read(args.hw))
+    hw = _hardware(args)
     layer = cfg.parse_layer_config(_read(args.layer))
     tile = cfg.parse_tile_config(_read(args.tile))
-    rng = np.random.default_rng(args.seed)
-    inputs, weights = _random_tensors(layer, rng)
+    inputs, weights = random_layer_data(layer, args.seed)
     result = simulate_layer(hw, layer, tile, inputs, weights,
-                            strategy=_strategy(args),
                             trace=_trace_printer(args.trace))
     _emit(_stats_doc(result.stats), args.stats_out)
     if not args.no_verify:
@@ -186,7 +176,7 @@ def _chain_input(prev_name: str, prev_out: np.ndarray, name: str,
 
 
 def _cmd_run_model(args) -> int:
-    hw = cfg.parse_hardware_config(_read(args.hw))
+    hw = _hardware(args)
     entries = _parse_model(_read(args.model))
     if not entries:
         raise ValidationError("model has no layers")
@@ -197,15 +187,14 @@ def _cmd_run_model(args) -> int:
     prev_name = None
     for name, layer, tile in entries:
         if current is None:
-            current, weights = _random_tensors(layer, rng)
+            current, weights = random_layer_data(layer, rng)
         else:
             current = _chain_input(prev_name, current, name, layer)
-            _, weights = _random_tensors(layer, rng)
+            _, weights = random_layer_data(layer, rng)
         if tile is None:
             tile = enumerate_tiles(hw, layer, limit=1)[0].tile
         try:
-            result = simulate_layer(hw, layer, tile, current, weights,
-                                    strategy=_strategy(args))
+            result = simulate_layer(hw, layer, tile, current, weights)
         except MappingError as exc:
             print(f"mapping error in layer {name!r}: {exc}", file=sys.stderr)
             return EXIT_MAPPING
@@ -238,7 +227,7 @@ def _cmd_run_model(args) -> int:
 
 
 def _cmd_search_tile(args) -> int:
-    hw = cfg.parse_hardware_config(_read(args.hw))
+    hw = _hardware(args)
     layer = cfg.parse_layer_config(_read(args.layer))
     candidates = enumerate_tiles(hw, layer)
     top = rank_by_simulation(candidates[:max(args.top_k * 4, args.top_k)],
@@ -258,7 +247,7 @@ def _cmd_search_tile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    hw = cfg.parse_hardware_config(_read(args.hw))
+    hw = _hardware(args)
     layer = cfg.parse_layer_config(_read(args.layer))
     tile = cfg.parse_tile_config(_read(args.tile))
     if args.trials == 0:
@@ -267,9 +256,8 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = []
     for trial in range(args.trials):
-        inputs, weights = _random_tensors(layer, rng)
-        result = simulate_layer(hw, layer, tile, inputs, weights,
-                                strategy=_strategy(args))
+        inputs, weights = random_layer_data(layer, rng)
+        result = simulate_layer(hw, layer, tile, inputs, weights)
         reference = conv_reference(layer, inputs, weights)
         outcome = compare(_maybe_inject_fault(result.output),
                           reference.output)

@@ -19,7 +19,7 @@ With a single fold the two strategies execute identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,18 +39,13 @@ from .fabric import (
     ReductionNetwork,
 )
 from .mapper import MappingPlan, build_mapping, theoretical_utilization
-from .memory import INPUT_ORDER, WEIGHT_ORDER, PrefetchBuffer, Tensor
-
-
-def _num(value):
-    """Unwrap numpy scalars so wave arithmetic is exact python numbers."""
-    return value.item() if hasattr(value, "item") else value
+from .memory import PrefetchBuffer
 
 
 @dataclass
 class SimStats:
     total_cycles: int
-    busy_ms_cycles: int
+    busy_ms_cycles: int  # ms_multiplications + forwarder_injections
     effective_ms_utilization: float
     theoretical_utilization: float
     ms_multiplications: int
@@ -60,7 +55,7 @@ class SimStats:
     ds_traversals: int
     as_additions: int
     fifo_pushes: int
-    fifo_pops: int
+    fifo_pops: int  # == fifo_pushes: each FIFO drains within its wave
     cb_grants: int
     cb_conflicts: int
     fold_roundtrips: int
@@ -84,20 +79,13 @@ class SimResult:
 
 def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                    inputs: np.ndarray, weights: np.ndarray,
-                   strategy: FoldingStrategy | None = None,
                    trace=None) -> SimResult:
     """Run one layer through the fabric; deterministic for fixed inputs."""
-    if strategy is not None:
-        hw = replace(hw, folding=strategy)
     mapping = build_mapping(hw, layer, tile)
     roundtrip = hw.folding is FoldingStrategy.ROUNDTRIP
 
     pb = PrefetchBuffer(read_ports=hw.dn_bw, write_ports=hw.rn_bw)
-    pb.load_layer_data(
-        layer,
-        Tensor.from_array(np.asarray(inputs), INPUT_ORDER),
-        Tensor.from_array(np.asarray(weights), WEIGHT_ORDER),
-    )
+    pb.load_layer_data(layer, inputs, weights)
     dn = DistributionNetwork(hw.num_ms, hw.dn_bw)
     ms = MultiplierArray(hw.num_ms)
     rn = ReductionNetwork(hw.num_ms)
@@ -125,8 +113,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                         mapping.element_leaf(slot, e)
                     )
             wc, leaf_w = dn.deliver(
-                [Payload(a, pb.peek(a), frozenset(d))
-                 for a, d in w_payloads.items()],
+                [Payload(a, frozenset(d)) for a, d in w_payloads.items()],
                 pb, cycle,
             )
             cycle += wc
@@ -150,8 +137,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                         mapping.forwarder_leaf(slot)
                     )
             ic, leaf_i = dn.deliver(
-                [Payload(a, pb.peek(a), frozenset(d))
-                 for a, d in i_payloads.items()],
+                [Payload(a, frozenset(d)) for a, d in i_payloads.items()],
                 pb, cycle,
             )
             cycle += ic
@@ -159,15 +145,12 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                 leaf_i[leaf] = 0
 
             # -- multiply (one cycle) -------------------------------------
-            leaf_vals = ms.multiply(
-                {leaf: _num(v) for leaf, v in leaf_w.items()},
-                {leaf: _num(v) for leaf, v in leaf_i.items()},
-            )
+            leaf_vals = ms.multiply(leaf_w, leaf_i)
             if mapping.has_forwarder:
                 for slot in range(n_occ):
                     fwd = mapping.forwarder_leaf(slot)
                     if f > 0:
-                        leaf_vals.update(ms.forward(fwd, _num(leaf_i[fwd])))
+                        leaf_vals.update(ms.forward(fwd, leaf_i[fwd]))
                     else:
                         leaf_vals[fwd] = 0
             cycle += 1
@@ -211,10 +194,11 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                 })
 
     util = theoretical_utilization(hw, mapping)
+    busy = ms.counters.multiplications + ms.counters.forwarder_injections
     stats = SimStats(
         total_cycles=cycle,
-        busy_ms_cycles=ms.counters.busy_cycles,
-        effective_ms_utilization=ms.counters.busy_cycles / (hw.num_ms * cycle),
+        busy_ms_cycles=busy,
+        effective_ms_utilization=busy / (hw.num_ms * cycle),
         theoretical_utilization=util.fraction,
         ms_multiplications=ms.counters.multiplications,
         forwarder_injections=ms.counters.forwarder_injections,
@@ -223,7 +207,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         ds_traversals=dn.counters.traversals,
         as_additions=rn.counters.additions,
         fifo_pushes=rn.counters.fifo_pushes,
-        fifo_pops=rn.counters.fifo_pops,
+        fifo_pops=rn.counters.fifo_pushes,
         cb_grants=cb.counters.grants,
         cb_conflicts=cb.counters.conflicts,
         fold_roundtrips=fold_roundtrips,

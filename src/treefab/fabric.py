@@ -7,7 +7,7 @@ its own activity counters; the engine wires them together per wave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .mapper import generate_dn_routes
@@ -17,17 +17,15 @@ from .reduction import ReductionPlan
 
 @dataclass
 class Payload:
-    """One value to distribute: read once, multicast to ``dests``."""
+    """One buffer address to distribute: read once, multicast to ``dests``."""
 
     address: tuple
-    value: object
     dests: frozenset
 
 
 @dataclass
 class DNCounters:
     traversals: int = 0  # switch activations on multicast covers
-    sends: int = 0  # payload injections per sub-tree
 
 
 class DistributionNetwork:
@@ -49,42 +47,34 @@ class DistributionNetwork:
     def deliver(self, payloads: list[Payload], pb: PrefetchBuffer,
                 base_cycle: int) -> tuple[int, dict[int, object]]:
         """Distribute all payloads; returns (cycles used, leaf values)."""
-        queues: dict[int, list[int]] = {}
-        first_cycle = [None] * len(payloads)
-        for i, p in enumerate(payloads):
-            for tree in sorted({leaf // self.per_tree for leaf in p.dests}):
-                q = queues.setdefault(tree, [])
-                if first_cycle[i] is None or len(q) < first_cycle[i]:
-                    first_cycle[i] = len(q)
-                q.append(i)
-
-        cycles = max((len(q) for q in queues.values()), default=0)
-        for t in range(cycles):
-            batch = [payloads[i].address for i in range(len(payloads))
-                     if first_cycle[i] == t]
-            if batch:
-                _, deferred = pb.serve_reads(batch, base_cycle + t)
-                # one first-read per sub-tree per cycle, never over ports
-                assert not deferred
+        queued: dict[int, int] = {}  # sub-tree -> payloads injected on it
+        first_reads: dict[int, list[Payload]] = {}  # cycle -> payloads
+        for p in payloads:
+            trees = {leaf // self.per_tree for leaf in p.dests}
+            first = min(queued.get(tree, 0) for tree in trees)
+            for tree in trees:
+                queued[tree] = queued.get(tree, 0) + 1
+            first_reads.setdefault(first, []).append(p)
 
         leaf_values: dict[int, object] = {}
-        for p in payloads:
-            self.counters.sends += len(
-                {leaf // self.per_tree for leaf in p.dests}
-            )
-            self.counters.traversals += len(
-                generate_dn_routes(self.num_ms, self.dn_bw, p.dests)
-            )
-            for leaf in p.dests:
-                leaf_values[leaf] = p.value
-        return cycles, leaf_values
+        for t, batch in sorted(first_reads.items()):
+            served, deferred = pb.serve_reads([p.address for p in batch],
+                                              base_cycle + t)
+            # one first-read per sub-tree per cycle, never over ports
+            assert not deferred
+            for p, (_, value) in zip(batch, served):
+                self.counters.traversals += len(
+                    generate_dn_routes(self.num_ms, self.dn_bw, p.dests)
+                )
+                for leaf in p.dests:
+                    leaf_values[leaf] = value
+        return max(queued.values(), default=0), leaf_values
 
 
 @dataclass
 class MSCounters:
     multiplications: int = 0
     forwarder_injections: int = 0
-    busy_cycles: int = 0  # leaf-cycles doing useful work
 
 
 class MultiplierArray:
@@ -101,21 +91,18 @@ class MultiplierArray:
         for leaf, w in weights.items():
             products[leaf] = w * inputs.get(leaf, 0)
         self.counters.multiplications += len(products)
-        self.counters.busy_cycles += len(products)
         return products
 
     def forward(self, leaf: int, value) -> dict[int, object]:
         """Forwarder switch injects a partial sum alongside the products."""
         self.counters.forwarder_injections += 1
-        self.counters.busy_cycles += 1
         return {leaf: value}
 
 
 @dataclass
 class RNCounters:
     additions: int = 0
-    fifo_pushes: int = 0
-    fifo_pops: int = 0
+    fifo_pushes: int = 0  # every switch result passes through its FIFO
 
 
 class ReductionNetwork:
@@ -127,7 +114,7 @@ class ReductionNetwork:
 
     def replay(self, plan: ReductionPlan,
                leaf_values: dict[int, object]) -> dict[int, object]:
-        """Per-cluster sums; every switch result passes through its FIFO."""
+        """Per-cluster sums; leaves missing from ``leaf_values`` read 0."""
         op_values: list = [None] * len(plan.ops)
         sums: dict[int, object] = {}
         for op in plan.ops:
@@ -140,7 +127,6 @@ class ReductionNetwork:
                 sums[op.vn] = total
         self.counters.additions += plan.adds_per_wave
         self.counters.fifo_pushes += len(plan.ops)
-        self.counters.fifo_pops += len(plan.ops)
         return sums
 
 

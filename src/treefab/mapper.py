@@ -42,11 +42,14 @@ class MappingPlan:
     has_forwarder: bool
     # (c, r, s) weight coordinates of each fold iteration, in issue order
     fold_blocks: list[list[tuple[int, int, int]]]
-    # batches of output coordinates (n, g, k, ox, oy); each batch maps one
-    # output per cluster slot and runs through every fold before the next
-    # batch starts
-    schedule: list[list[tuple[int, int, int, int, int]]]
     _rn_plans: dict[int, ReductionPlan] = field(default_factory=dict)
+
+    @property
+    def schedule(self):
+        """Batches of output coordinates (n, g, k, ox, oy), built as they
+        are iterated.  Each batch maps one output per cluster slot and runs
+        through every fold before the next batch starts."""
+        return _schedule(self.layer, self.tile, self.n_vns_mapped)
 
     def slot_start(self, slot: int) -> int:
         return slot * self.real_vn_size
@@ -90,7 +93,7 @@ class MappingPlan:
             "real_vn_size": self.real_vn_size,
             "folds": self.folds,
             "n_vns_mapped": self.n_vns_mapped,
-            "batches": len(self.schedule),
+            "batches": sum(1 for _ in self.schedule),
             "ms_assignment": [
                 {"leaf": i, "vn": slot, "role": role}
                 for i, (slot, role) in enumerate(self.ms_assignment())
@@ -133,7 +136,6 @@ def _fold_blocks(layer: LayerConfig, tile: TileConfig):
 
 def _schedule(layer: LayerConfig, tile: TileConfig, n_vns_mapped: int):
     ox, oy = derive_output_dims(layer)
-    batches = []
     for n0 in range(0, layer.n, tile.t_n):
         for g0 in range(0, layer.g, tile.t_g):
             for k0 in range(0, layer.k, tile.t_k):
@@ -148,8 +150,7 @@ def _schedule(layer: LayerConfig, tile: TileConfig, n_vns_mapped: int):
                             for y in range(y0, min(y0 + tile.t_y, oy))
                         ]
                         for i in range(0, len(step), n_vns_mapped):
-                            batches.append(step[i:i + n_vns_mapped])
-    return batches
+                            yield step[i:i + n_vns_mapped]
 
 
 def build_mapping(hw: HardwareConfig, layer: LayerConfig,
@@ -179,7 +180,6 @@ def build_mapping(hw: HardwareConfig, layer: LayerConfig,
         n_vns_mapped=n_vns_mapped,
         has_forwarder=has_forwarder,
         fold_blocks=_fold_blocks(layer, tile),
-        schedule=_schedule(layer, tile, n_vns_mapped),
     )
 
 
@@ -221,11 +221,3 @@ def generate_dn_routes(num_ms: int, dn_bw: int, dest_leaves) -> dict:
                 right = any(mid <= leaf < lo + span for leaf in local_set)
                 routes[(tree, depth, idx)] = (left, right)
     return routes
-
-
-def generate_rn_config(plan: MappingPlan,
-                       n_occupied: int | None = None) -> ReductionPlan:
-    """Reduction-tree configuration for the (possibly partial) batch."""
-    if n_occupied is None:
-        n_occupied = plan.n_vns_mapped
-    return plan.reduction_plan(n_occupied)

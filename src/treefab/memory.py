@@ -1,9 +1,10 @@
-"""Prefetch buffer and tensor storage.
+"""Prefetch buffer.
 
 The prefetch buffer (PB) holds the input, weight and output regions of
-the layer currently being simulated plus a keyed store of partial sums.
-Reads and writes are served through a bounded number of ports per cycle;
-excess requests are deferred to later cycles and counted as stalls.
+the layer currently being simulated, as plain numpy arrays, plus a keyed
+store of partial sums.  Reads and writes are served through a bounded
+number of ports per cycle; excess requests are deferred to later cycles
+and counted as stalls.
 
 Addresses are ``(region, key)`` pairs where region is one of
 ``"inputs"`` (key ``(n, g, c, x, y)``), ``"weights"`` (``(g, k, c, r, s)``),
@@ -12,53 +13,12 @@ Addresses are ``(region, key)`` pairs where region is one of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import LayerConfig, derive_output_dims
 from .errors import AddressOutOfRange, ShapeMismatch
-
-DEFAULT_DTYPE = np.int32
-
-INPUT_ORDER = ("n", "g", "c", "x", "y")
-WEIGHT_ORDER = ("g", "k", "c", "r", "s")
-OUTPUT_ORDER = ("n", "g", "k", "ox", "oy")
-
-
-@dataclass
-class Tensor:
-    """Row-major tensor with an explicit dimension order."""
-
-    dims: tuple[int, ...]
-    data: np.ndarray
-    dim_order: tuple[str, ...]
-
-    @classmethod
-    def zeros(cls, dims, dim_order, dtype=DEFAULT_DTYPE) -> "Tensor":
-        dims = tuple(int(d) for d in dims)
-        return cls(dims, np.zeros(dims, dtype=dtype), tuple(dim_order))
-
-    @classmethod
-    def from_array(cls, array: np.ndarray, dim_order) -> "Tensor":
-        return cls(tuple(array.shape), np.asarray(array), tuple(dim_order))
-
-    def flat_index(self, index: tuple[int, ...]) -> int:
-        if len(index) != len(self.dims):
-            raise AddressOutOfRange(
-                f"index {index} has rank {len(index)}, tensor has "
-                f"rank {len(self.dims)}"
-            )
-        flat = 0
-        for i, d in zip(index, self.dims):
-            if not 0 <= i < d:
-                raise AddressOutOfRange(f"index {index} out of dims {self.dims}")
-            flat = flat * d + i
-        return flat
-
-    def at(self, index: tuple[int, ...]):
-        self.flat_index(index)  # bounds check
-        return self.data[index]
 
 
 @dataclass
@@ -82,6 +42,28 @@ def output_dims(layer: LayerConfig) -> tuple[int, ...]:
     return (layer.n, layer.g, layer.k, ox, oy)
 
 
+def random_layer_data(layer: LayerConfig, seed):
+    """Seeded int32 inputs and weights in [-8, 8], inputs drawn first.
+
+    ``seed`` is an int or a ``numpy.random.Generator``; a generator is
+    drawn from in place, so successive calls continue its stream.
+    """
+    rng = np.random.default_rng(seed)
+    inputs = rng.integers(-8, 9, size=input_dims(layer), dtype=np.int32)
+    weights = rng.integers(-8, 9, size=weight_dims(layer), dtype=np.int32)
+    return inputs, weights
+
+
+def _check_key(key, dims, what) -> None:
+    if len(key) != len(dims):
+        raise AddressOutOfRange(
+            f"{what} key {key} has rank {len(key)}, expected {len(dims)}"
+        )
+    for i, d in zip(key, dims):
+        if not 0 <= i < d:
+            raise AddressOutOfRange(f"{what} key {key} out of range {dims}")
+
+
 class PrefetchBuffer:
     """On-chip global buffer with bounded read/write ports.
 
@@ -95,61 +77,50 @@ class PrefetchBuffer:
             raise ShapeMismatch("port counts must be >= 1")
         self.read_ports = read_ports
         self.write_ports = write_ports
-        self.inputs: Tensor | None = None
-        self.weights: Tensor | None = None
-        self.outputs: Tensor | None = None
+        self.inputs: np.ndarray | None = None
+        self.weights: np.ndarray | None = None
+        self.outputs: np.ndarray | None = None
         self.psums: dict[tuple[int, ...], int] = {}
         self.counters = MemCounters()
-        self._layer: LayerConfig | None = None
 
-    def load_layer_data(self, layer: LayerConfig, inputs: Tensor,
-                        weights: Tensor) -> None:
+    def load_layer_data(self, layer: LayerConfig, inputs, weights) -> None:
         """Populate the PB for one layer; zeroes outputs, resets counters."""
-        if inputs.dims != input_dims(layer):
+        inputs, weights = np.asarray(inputs), np.asarray(weights)
+        if inputs.shape != input_dims(layer):
             raise ShapeMismatch(
-                f"input dims {inputs.dims} do not match layer "
+                f"input dims {inputs.shape} do not match layer "
                 f"{input_dims(layer)}"
             )
-        if weights.dims != weight_dims(layer):
+        if weights.shape != weight_dims(layer):
             raise ShapeMismatch(
-                f"weight dims {weights.dims} do not match layer "
+                f"weight dims {weights.shape} do not match layer "
                 f"{weight_dims(layer)}"
             )
         self.inputs = inputs
         self.weights = weights
-        self.outputs = Tensor.zeros(output_dims(layer), OUTPUT_ORDER,
-                                    dtype=inputs.data.dtype)
+        self.outputs = np.zeros(output_dims(layer), dtype=inputs.dtype)
         self.psums = {}
         self.counters = MemCounters()
-        self._layer = layer
 
     # -- port-limited access ---------------------------------------------
 
-    def _region(self, name: str) -> Tensor:
-        region = {"inputs": self.inputs, "weights": self.weights,
-                  "outputs": self.outputs}.get(name)
-        if name not in ("inputs", "weights", "outputs", "psum"):
+    def _region(self, name: str) -> np.ndarray:
+        if name not in ("inputs", "weights", "outputs"):
             raise AddressOutOfRange(f"unknown region {name!r}")
-        if name != "psum" and region is None:
+        region = getattr(self, name)
+        if region is None:
             raise AddressOutOfRange(f"region {name!r} not loaded")
         return region
 
     def peek(self, address):
-        """Read without consuming a port (verification/export only)."""
+        """Read without consuming a port; returns a Python scalar."""
         region, key = address
         if region == "psum":
-            self._check_psum_key(key)
+            _check_key(key, self._region("outputs").shape, "psum")
             return self.psums.get(key, 0)
-        return self._region(region).at(key)
-
-    def _check_psum_key(self, key) -> None:
-        if self._layer is None:
-            raise AddressOutOfRange("no layer loaded")
-        dims = output_dims(self._layer)
-        if len(key) != len(dims) or any(
-            not 0 <= i < d for i, d in zip(key, dims)
-        ):
-            raise AddressOutOfRange(f"psum key {key} out of range {dims}")
+        array = self._region(region)
+        _check_key(key, array.shape, region)
+        return array.item(key)
 
     def serve_reads(self, requests, cycle: int):
         """Serve up to ``read_ports`` element reads, in request order.
@@ -181,12 +152,12 @@ class PrefetchBuffer:
                 deferred.append((address, value))
                 continue
             if region == "psum":
-                self._check_psum_key(key)
+                _check_key(key, self._region("outputs").shape, "psum")
                 self.psums[key] = value
             elif region == "outputs":
-                tensor = self._region(region)
-                tensor.flat_index(key)
-                tensor.data[key] = value
+                array = self._region(region)
+                _check_key(key, array.shape, region)
+                array[key] = value
             else:
                 raise AddressOutOfRange(
                     f"region {region!r} is not writable during simulation"
@@ -198,6 +169,4 @@ class PrefetchBuffer:
         return served, deferred
 
     def output_array(self) -> np.ndarray:
-        if self.outputs is None:
-            raise AddressOutOfRange("no layer loaded")
-        return self.outputs.data
+        return self._region("outputs")

@@ -10,8 +10,8 @@ without blocking each other.
 ``plan_reduction`` turns a leaf-to-cluster assignment into a static plan:
 a time-ordered list of add/forward micro-ops, a per-switch mode map, and
 the egress switch plus completion latency of every cluster.  The plan is
-replayed with concrete values during simulation and is independently
-checkable against a direct per-cluster sum.
+replayed with concrete values by ``fabric.ReductionNetwork`` and is
+independently checkable against a direct per-cluster sum.
 
 Timing: values advance one tree level per cycle; a lateral hop costs one
 extra cycle (``AUG_HOP_EXTRA_CYCLES``).
@@ -62,19 +62,12 @@ class ReductionPlan:
     egress: dict[int, tuple[int, int]]  # vn -> (as_index, completion time)
     latency: dict[int, int]  # vn -> completion time
     adds_per_wave: int
-    max_time: int
     # (level, node, port) -> [(vn, cycle), ...]; at most one vn per cycle
     port_uses: dict[tuple, list[tuple[int, int]]]
 
     def as_index(self, level: int, node: int) -> int:
         """Level-major global numbering of adder switches."""
         return self.num_leaves - (self.num_leaves >> (level - 1)) + node
-
-    def ops_by_time(self) -> dict[int, list[ReduceOp]]:
-        buckets: dict[int, list[ReduceOp]] = {}
-        for op in self.ops:
-            buckets.setdefault(op.time, []).append(op)
-        return buckets
 
 
 @dataclass
@@ -286,7 +279,6 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
         egress={},
         latency={},
         adds_per_wave=sum(len(op.sources) - 1 for op in ops),
-        max_time=max((op.time for op in ops), default=0),
         port_uses=port_uses,
     )
     for vn, (level, j, time) in egress.items():
@@ -319,24 +311,3 @@ def _derive_modes(n, levels, ops) -> dict[tuple[int, int], ASMode]:
                 mode = ASMode.FWD_2_2
             modes[(level, j)] = mode
     return modes
-
-
-def execute_plan(plan: ReductionPlan, leaf_values) -> dict[int, int]:
-    """Replay the plan on concrete leaf values; returns per-cluster sums.
-
-    Reference implementation of what the fabric does cycle by cycle;
-    handy for direct verification in tests.
-    """
-    op_values: list = [None] * len(plan.ops)
-
-    def value(ref):
-        kind, idx = ref
-        return leaf_values[idx] if kind == "leaf" else op_values[idx]
-
-    sums: dict[int, int] = {}
-    for op in plan.ops:
-        total = sum(value(ref) for ref in op.sources)
-        op_values[op.index] = total
-        if op.route == "egress":
-            sums[op.vn] = total
-    return sums

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
+from . import engine
 from .config import HardwareConfig, LayerConfig, TileConfig, derive_output_dims
 from .errors import MappingError, NoFeasibleTile
 from .mapper import build_mapping, theoretical_utilization
+from .memory import random_layer_data
 
 ENUMERATION_CAP = 4096
 
@@ -45,8 +45,10 @@ def enumerate_tiles(hw: HardwareConfig, layer: LayerConfig,
                     limit: int = ENUMERATION_CAP) -> list[TileCandidate]:
     """Feasible divisor tiles ranked by (utilization desc, folds asc).
 
-    Enumeration stops at ``ENUMERATION_CAP`` raw combinations; the
-    returned list is truncated to ``limit``.
+    Enumeration walks the divisor combinations in product order (``T_R``
+    outermost) and stops after ``ENUMERATION_CAP`` feasible candidates, so
+    a capped search favours small ``T_R``; the returned list is truncated
+    to ``limit``.
     """
     ox, oy = derive_output_dims(layer)
     axes = [
@@ -87,22 +89,15 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     Ties break by utilization (desc) then lexicographic tile order, so
     the result is a total deterministic order.
     """
-    from .engine import simulate_layer  # deferred, engine imports mapper
-
     if top_k <= 0:
         return []
-    rng = np.random.default_rng(seed)
-    inputs = rng.integers(
-        -8, 9, size=(layer.n, layer.g, layer.c, layer.x, layer.y),
-        dtype=np.int32,
-    )
-    weights = rng.integers(
-        -8, 9, size=(layer.g, layer.k, layer.c, layer.r, layer.s),
-        dtype=np.int32,
-    )
+    inputs, weights = random_layer_data(layer, seed)
     ranked = []
     for cand in candidates:
-        result = simulate_layer(hw, layer, cand.tile, inputs, weights)
+        # looked up at call time, so a wrapper installed on
+        # treefab.engine.simulate_layer (perfbench counts MACs this way)
+        # sees every simulation
+        result = engine.simulate_layer(hw, layer, cand.tile, inputs, weights)
         predicted = dict(cand.predicted)
         predicted["estimated_cycles"] = result.stats.total_cycles
         ranked.append(TileCandidate(tile=cand.tile, predicted=predicted))

@@ -1,6 +1,4 @@
-"""Shared fixtures for the test suite: reference layers and data makers."""
-
-import numpy as np
+"""Shared fixtures for the test suite: reference layers and partitions."""
 
 from treefab import HardwareConfig, LayerConfig, LayerKind, TileConfig
 
@@ -11,20 +9,6 @@ EARLY_SYNTHETIC = LayerConfig(LayerKind.CONV, r=3, s=3, c=6, g=1, k=6, n=1,
                               x=20, y=20)
 VALIDATION_TILE = TileConfig(3, 3, 1, 1, 1, 1, 3, 1)
 HW32 = HardwareConfig(num_ms=32, dn_bw=4, rn_bw=4)
-
-
-def random_data(layer, seed=0, lo=-8, hi=8):
-    """Seeded integer tensors in [lo, hi] shaped for the layer."""
-    rng = np.random.default_rng(seed)
-    inputs = rng.integers(
-        lo, hi + 1, size=(layer.n, layer.g, layer.c, layer.x, layer.y),
-        dtype=np.int32,
-    )
-    weights = rng.integers(
-        lo, hi + 1, size=(layer.g, layer.k, layer.c, layer.r, layer.s),
-        dtype=np.int32,
-    )
-    return inputs, weights
 
 
 def contiguous_partition(num_leaves, rng, allow_idle_tail=True):

@@ -6,6 +6,7 @@ the fail line.  Budgeted criteria assert their own wall-clock limits.
 
 import pathlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from treefab import (
     simulate_layer,
     theoretical_utilization,
 )
-from treefab.reduction import execute_plan
+from treefab.fabric import ReductionNetwork
+from treefab.memory import random_layer_data
 
 from common import (
     EARLY_SYNTHETIC,
@@ -33,7 +35,6 @@ from common import (
     TINY,
     VALIDATION_TILE,
     contiguous_partition,
-    random_data,
 )
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_cycles.yaml"
@@ -89,7 +90,7 @@ def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
     for i in range(200):
         hw, layer, tile = _random_triple(rng)
-        inputs, weights = random_data(layer, seed=i)
+        inputs, weights = random_layer_data(layer, seed=i)
         result = simulate_layer(hw, layer, tile, inputs, weights)
         reference = conv_reference(layer, inputs, weights)
         verdict = compare(result.output, reference.output)
@@ -154,7 +155,7 @@ def test_criterion_4_reduction_nonblocking():
         vn_of_leaf = contiguous_partition(64, rng)
         values = [int(v) for v in rng.integers(-50, 51, size=64)]
         plan = plan_reduction(vn_of_leaf)
-        sums = execute_plan(plan, values)
+        sums = ReductionNetwork(64).replay(plan, dict(enumerate(values)))
         brute = {}
         for leaf, vn in enumerate(vn_of_leaf):
             if vn is not None:
@@ -173,13 +174,13 @@ def test_criterion_4_reduction_nonblocking():
 
 def test_criterion_5_folding_and_scaling():
     # fold-heavy layer: local accumulation at least halves the cycles
-    inputs, weights = random_data(LATE_SYNTHETIC, seed=5)
+    inputs, weights = random_layer_data(LATE_SYNTHETIC, seed=5)
     hw = HardwareConfig(64, 64, 64)
-    rt = simulate_layer(hw, LATE_SYNTHETIC, VALIDATION_TILE, inputs, weights,
-                        strategy=FoldingStrategy.ROUNDTRIP).stats
-    ideal = simulate_layer(hw, LATE_SYNTHETIC, VALIDATION_TILE, inputs,
-                           weights,
-                           strategy=FoldingStrategy.IDEAL).stats
+    rt = simulate_layer(hw, LATE_SYNTHETIC, VALIDATION_TILE, inputs,
+                        weights).stats
+    ideal = simulate_layer(replace(hw, folding=FoldingStrategy.IDEAL),
+                           LATE_SYNTHETIC, VALIDATION_TILE, inputs,
+                           weights).stats
     assert rt.folds == 20
     ratio = rt.total_cycles / ideal.total_cycles
     assert ratio >= 2.0, f"ideal speedup only {ratio:.2f}x"
@@ -189,7 +190,7 @@ def test_criterion_5_folding_and_scaling():
     layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=4, g=1, k=112, n=1,
                         x=4, y=4)
     tile = TileConfig(1, 1, 4, 1, 112, 1, 1, 1)
-    inputs, weights = random_data(layer, seed=6)
+    inputs, weights = random_layer_data(layer, seed=6)
     c64 = simulate_layer(HardwareConfig(64, 64, 64), layer, tile, inputs,
                          weights).stats.total_cycles
     c128 = simulate_layer(HardwareConfig(128, 128, 128), layer, tile, inputs,
@@ -203,7 +204,7 @@ def test_criterion_5_folding_and_scaling():
 def test_criterion_6_utilization_vs_bandwidth():
     for name, layer in [("TINY", TINY), ("LATE_SYNTHETIC", LATE_SYNTHETIC),
                         ("EARLY_SYNTHETIC", EARLY_SYNTHETIC)]:
-        inputs, weights = random_data(layer, seed=7)
+        inputs, weights = random_layer_data(layer, seed=7)
         utils = []
         for bw in (64, 32, 16, 8, 4):
             hw = HardwareConfig(64, bw, bw)
@@ -225,19 +226,26 @@ def test_criterion_7_golden_cycle_counts():
     layers = {"TINY": TINY, "LATE_SYNTHETIC": LATE_SYNTHETIC,
               "EARLY_SYNTHETIC": EARLY_SYNTHETIC}
     got = {}
-    for name, layer in layers.items():
-        counts = set()
-        for seed in (0, 123):
-            inputs, weights = random_data(layer, seed=seed)
-            counts.add(simulate_layer(HW32, layer, VALIDATION_TILE, inputs,
-                                      weights).stats.total_cycles)
-        assert len(counts) == 1, f"{name}: cycle count varies across runs"
-        got[name] = counts.pop()
-        assert got[name] == golden["cycles"][name], (
-            f"{name}: {got[name]} cycles vs golden {golden['cycles'][name]}"
-        )
-    print(f"\n[PASS] criterion 7: golden cycle counts reproduced "
-          f"bit-stably: {got}")
+    for strategy, names in golden["stats"].items():
+        hw = replace(HW32, folding=FoldingStrategy(strategy))
+        for name in names:
+            docs = []
+            for seed in (0, 123):
+                inputs, weights = random_layer_data(layers[name], seed=seed)
+                docs.append(simulate_layer(hw, layers[name], VALIDATION_TILE,
+                                           inputs, weights).stats.as_dict())
+            assert docs[0] == docs[1], (
+                f"{name} {strategy}: stats vary across runs"
+            )
+            assert docs[0] == golden["stats"][strategy][name], (
+                f"{name} {strategy}: {docs[0]} vs golden "
+                f"{golden['stats'][strategy][name]}"
+            )
+            if hw == HW32:
+                got[name] = docs[0]["total_cycles"]
+    assert got == golden["cycles"], f"{got} vs golden {golden['cycles']}"
+    print(f"\n[PASS] criterion 7: golden stats documents reproduced "
+          f"bit-stably; cycles {got}")
 
 
 def test_criterion_8_model_chaining(tmp_path, capsys):

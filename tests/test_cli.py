@@ -156,6 +156,24 @@ layers:
         assert cli.main(["run-model", "--hw", hw, "--model", model]) == \
             cli.EXIT_CONFIG
 
+    def test_strategy_override_reaches_tile_search(self, tmp_path, capsys):
+        model = write(tmp_path, "model.yaml", """\
+layers:
+  - name: conv1
+    layer: {kind: conv, R: 3, S: 3, C: 2, K: 2, X: 5, Y: 5}
+    tile: search
+""")
+        ideal_hw = write(tmp_path, "ideal.yaml",
+                         HW32_DOC.replace("roundtrip", "ideal"))
+        roundtrip_hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        outputs = []
+        for argv in (["--hw", ideal_hw],
+                     ["--hw", roundtrip_hw, "--strategy", "ideal"]):
+            assert cli.main(["run-model", "--model", model] + argv) == \
+                cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestVerify:
     def test_all_trials_pass(self, tmp_path, capsys):
@@ -195,3 +213,19 @@ class TestSearchTile:
         cycles = [c["predicted"]["estimated_cycles"]
                   for c in doc["candidates"]]
         assert cycles == sorted(cycles)
+
+    def test_strategy_override_reaches_the_search(self, tmp_path, capsys):
+        layer = write(tmp_path, "layer.yaml",
+                      "kind: conv\nR: 3\nS: 3\nC: 2\nK: 2\nX: 5\nY: 5\n")
+        ideal_hw = write(tmp_path, "ideal.yaml",
+                         HW32_DOC.replace("roundtrip", "ideal"))
+        roundtrip_hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        outputs = []
+        for argv in (["--hw", ideal_hw],
+                     ["--hw", roundtrip_hw, "--strategy", "ideal"],
+                     ["--hw", roundtrip_hw]):
+            assert cli.main(["search-tile", "--layer", layer] + argv) == \
+                cli.EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]

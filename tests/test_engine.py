@@ -1,5 +1,7 @@
 """Whole-layer simulation: correctness, counters, timing properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,17 @@ from treefab import (
     simulate_layer,
     total_macs,
 )
+from treefab.memory import random_layer_data
 
-from common import HW32, TINY, VALIDATION_TILE, random_data
+from common import HW32, TINY, VALIDATION_TILE
 
 
 def run(hw, layer, tile, seed=0, strategy=None, trace=None):
-    inputs, weights = random_data(layer, seed=seed)
+    inputs, weights = random_layer_data(layer, seed=seed)
+    if strategy is not None:
+        hw = replace(hw, folding=strategy)
     return simulate_layer(hw, layer, tile, inputs, weights,
-                          strategy=strategy, trace=trace), inputs, weights
+                          trace=trace), inputs, weights
 
 
 class TestCorrectness:
@@ -98,6 +103,13 @@ class TestCounters:
         assert st.cb_grants == st.folds * outputs
         assert st.pb_writes == st.cb_grants
 
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_derived_counters(self, strategy):
+        st = run(HW32, TINY, VALIDATION_TILE, strategy=strategy)[0].stats
+        assert st.busy_ms_cycles == (st.ms_multiplications
+                                     + st.forwarder_injections)
+        assert st.fifo_pops == st.fifo_pushes > 0
+
     def test_structural_additions(self):
         result, _, _ = run(HW32, TINY, VALIDATION_TILE)
         st = result.stats
@@ -123,7 +135,7 @@ class TestTimingProperties:
         layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
                             x=6, y=6)
         tile = TileConfig(3, 3, 1, 1, 1, 1, 2, 2)
-        inputs, weights = random_data(layer, seed=6)
+        inputs, weights = random_layer_data(layer, seed=6)
         cycles = []
         for bw in (4, 8, 16, 32):
             hw = HardwareConfig(32, bw, bw)

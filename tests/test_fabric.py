@@ -12,63 +12,56 @@ from treefab.fabric import (
     Payload,
     ReductionNetwork,
 )
-from treefab.memory import INPUT_ORDER, WEIGHT_ORDER, PrefetchBuffer, Tensor
-from treefab.reduction import execute_plan
+from treefab.memory import PrefetchBuffer, random_layer_data
 
-from common import TINY, random_data
+from common import TINY
 
 
 def tiny_pb(read_ports=4, write_ports=4):
     pb = PrefetchBuffer(read_ports, write_ports)
-    inputs, weights = random_data(TINY, seed=21)
-    pb.load_layer_data(
-        TINY,
-        Tensor.from_array(inputs, INPUT_ORDER),
-        Tensor.from_array(weights, WEIGHT_ORDER),
-    )
+    pb.load_layer_data(TINY, *random_layer_data(TINY, seed=21))
     return pb
+
+
+def input_payload(y, dests):
+    return Payload(("inputs", (0, 0, 0, 0, y)), frozenset(dests))
 
 
 class TestDistribution:
     def test_parallel_subtrees_one_cycle(self):
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=32, dn_bw=4)
-        payloads = [
-            Payload(("inputs", (0, 0, 0, 0, i)), i + 1,
-                    frozenset({i * 8}))  # one leaf per sub-tree
-            for i in range(4)
-        ]
+        # one leaf per sub-tree
+        payloads = [input_payload(i, {i * 8}) for i in range(4)]
         cycles, leaves = dn.deliver(payloads, pb, base_cycle=0)
         assert cycles == 1
-        assert leaves == {0: 1, 8: 2, 16: 3, 24: 4}
+        assert leaves == {i * 8: pb.peek(p.address)
+                          for i, p in enumerate(payloads)}
         assert pb.counters.reads == 4
 
     def test_queueing_within_one_subtree(self):
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=32, dn_bw=4)
-        payloads = [
-            Payload(("inputs", (0, 0, 0, 0, i)), i, frozenset({i}))
-            for i in range(5)  # all five leaves in sub-tree 0
-        ]
+        # all five leaves in sub-tree 0
+        payloads = [input_payload(i, {i}) for i in range(5)]
         cycles, _ = dn.deliver(payloads, pb, base_cycle=0)
         assert cycles == 5
+        assert pb.counters.reads == 5
 
     def test_broadcast_counts_every_switch(self):
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=8, dn_bw=1)
-        cycles, leaves = dn.deliver(
-            [Payload(("inputs", (0, 0, 0, 0, 0)), 9, frozenset(range(8)))],
-            pb, base_cycle=0)
+        payload = input_payload(0, range(8))
+        cycles, leaves = dn.deliver([payload], pb, base_cycle=0)
         assert cycles == 1
-        assert leaves == {i: 9 for i in range(8)}
+        assert leaves == {i: pb.peek(payload.address) for i in range(8)}
         assert dn.counters.traversals == 7
         assert pb.counters.reads == 1  # one read, multicast delivery
 
     def test_unicast_traversal_count(self):
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=8, dn_bw=1)
-        dn.deliver([Payload(("inputs", (0, 0, 0, 0, 0)), 1, frozenset({3}))],
-                   pb, base_cycle=0)
+        dn.deliver([input_payload(0, {3})], pb, base_cycle=0)
         assert dn.counters.traversals == 3
 
     def test_no_payloads(self):
@@ -78,13 +71,28 @@ class TestDistribution:
     def test_cross_subtree_payload_read_once(self):
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=32, dn_bw=4)
-        payload = Payload(("inputs", (0, 0, 0, 0, 0)), 5,
-                          frozenset({0, 8, 16}))
+        payload = input_payload(0, {0, 8, 16})
         cycles, leaves = dn.deliver([payload], pb, base_cycle=0)
         assert cycles == 1
         assert set(leaves) == {0, 8, 16}
         assert pb.counters.reads == 1
-        assert dn.counters.sends == 3
+
+    def test_payload_read_on_first_free_subtree_cycle(self):
+        pb = tiny_pb()
+        dn = DistributionNetwork(num_ms=32, dn_bw=4)
+        reads = []
+        serve_reads = pb.serve_reads
+        pb.serve_reads = lambda reqs, cycle: (
+            reads.append((cycle, list(reqs))) or serve_reads(reqs, cycle))
+        # sub-tree 0 is busy for two cycles; the shared payload is read
+        # in cycle 0 anyway, on its free sub-tree 1
+        payloads = [input_payload(0, {0}), input_payload(1, {1}),
+                    input_payload(2, {2, 8})]
+        cycles, leaves = dn.deliver(payloads, pb, base_cycle=10)
+        assert cycles == 3
+        assert reads == [(10, [payloads[0].address, payloads[2].address]),
+                         (11, [payloads[1].address])]
+        assert leaves[2] == leaves[8] == pb.peek(payloads[2].address)
 
 
 class TestMultipliers:
@@ -93,7 +101,6 @@ class TestMultipliers:
         out = ms.multiply({0: 3}, {0: 4})
         assert out == {0: 12}
         assert ms.counters.multiplications == 1
-        assert ms.counters.busy_cycles == 1
 
     def test_forwarder_passthrough(self):
         ms = MultiplierArray(8)
@@ -105,19 +112,17 @@ class TestMultipliers:
         ms = MultiplierArray(8)
         out = ms.multiply({1: 2, 3: 5}, {1: 10, 3: 1, 6: 99})
         assert out == {1: 20, 3: 5}
-        assert ms.counters.busy_cycles == 2
+        assert ms.counters.multiplications == 2
 
 
 class TestReductionReplay:
-    def test_matches_execute_plan(self):
+    def test_per_cluster_sums(self):
         plan = plan_reduction([0, 0, 0, 1, 1, 1, 1, 1])
         rn = ReductionNetwork(8)
         values = {i: v for i, v in enumerate(range(1, 9))}
-        assert rn.replay(plan, values) == execute_plan(plan,
-                                                       list(range(1, 9)))
+        assert rn.replay(plan, values) == {0: 1 + 2 + 3, 1: 4 + 5 + 6 + 7 + 8}
         assert rn.counters.additions == plan.adds_per_wave
         assert rn.counters.fifo_pushes == len(plan.ops)
-        assert rn.counters.fifo_pops == len(plan.ops)
 
     def test_missing_leaves_read_as_zero(self):
         plan = plan_reduction([0, 0, 0, 0])

@@ -16,8 +16,8 @@ from treefab import (
     derive_output_dims,
     theoretical_utilization,
 )
-from treefab.mapper import generate_dn_routes, generate_rn_config
-from treefab.reduction import execute_plan
+from treefab.fabric import ReductionNetwork
+from treefab.mapper import generate_dn_routes
 
 from common import HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE
 
@@ -96,6 +96,10 @@ class TestBuildMapping:
         ox, oy = derive_output_dims(TINY)
         assert len(seen) == len(set(seen)) == TINY.k * ox * oy
         assert all(len(batch) <= plan.n_vns_mapped for batch in plan.schedule)
+        # built afresh on every iteration, in the same order
+        assert [coord for batch in plan.schedule for coord in batch] == seen
+        assert plan.describe()["batches"] == -(-len(seen)
+                                               // plan.n_vns_mapped)
 
     def test_fold_blocks_cover_filter_volume(self):
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
@@ -176,16 +180,17 @@ class TestDnRoutes:
 class TestRnConfig:
     def test_reduces_each_cluster(self):
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
-        rn = generate_rn_config(plan)
+        rn = plan.reduction_plan(plan.n_vns_mapped)
         leaves = plan.vn_of_leaf()
         values = [i + 1 if leaves[i] is not None else 0
                   for i in range(len(leaves))]
-        sums = execute_plan(rn, values)
+        sums = ReductionNetwork(HW32.num_ms).replay(rn,
+                                                    dict(enumerate(values)))
         for vn in range(plan.n_vns_mapped):
             want = sum(values[i] for i, v in enumerate(leaves) if v == vn)
             assert sums[vn] == want
 
     def test_partial_batch_occupancy(self):
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
-        rn = generate_rn_config(plan, n_occupied=2)
+        rn = plan.reduction_plan(2)
         assert set(rn.egress) == {0, 1}

@@ -5,61 +5,53 @@ import pytest
 
 from treefab.errors import AddressOutOfRange, ShapeMismatch
 from treefab.memory import (
-    INPUT_ORDER,
-    OUTPUT_ORDER,
-    WEIGHT_ORDER,
     PrefetchBuffer,
-    Tensor,
     input_dims,
     output_dims,
+    random_layer_data,
     weight_dims,
 )
 
-from common import TINY, random_data
+from common import TINY
 
 
 def loaded_pb(read_ports=4, write_ports=4):
     pb = PrefetchBuffer(read_ports, write_ports)
-    inputs, weights = random_data(TINY, seed=11)
-    pb.load_layer_data(
-        TINY,
-        Tensor.from_array(inputs, INPUT_ORDER),
-        Tensor.from_array(weights, WEIGHT_ORDER),
-    )
+    inputs, weights = random_layer_data(TINY, seed=11)
+    pb.load_layer_data(TINY, inputs, weights)
     return pb
-
-
-class TestTensor:
-    def test_flat_index_row_major(self):
-        t = Tensor.zeros((2, 3, 4), ("a", "b", "c"))
-        assert t.flat_index((0, 0, 0)) == 0
-        assert t.flat_index((1, 2, 3)) == 23
-        assert t.flat_index((0, 1, 2)) == 6
-
-    def test_bounds_checked(self):
-        t = Tensor.zeros((2, 3), ("a", "b"))
-        with pytest.raises(AddressOutOfRange):
-            t.flat_index((2, 0))
-        with pytest.raises(AddressOutOfRange):
-            t.flat_index((0, 0, 0))
 
 
 class TestLoad:
     def test_tiny_regions(self):
         pb = loaded_pb()
-        assert pb.inputs.dims == input_dims(TINY) == (1, 1, 6, 5, 5)
-        assert pb.weights.dims == weight_dims(TINY) == (1, 6, 6, 3, 3)
-        assert pb.outputs.dims == output_dims(TINY) == (1, 1, 6, 3, 3)
-        assert not pb.outputs.data.any()
+        assert pb.inputs.shape == input_dims(TINY) == (1, 1, 6, 5, 5)
+        assert pb.weights.shape == weight_dims(TINY) == (1, 6, 6, 3, 3)
+        assert pb.outputs.shape == output_dims(TINY) == (1, 1, 6, 3, 3)
+        assert pb.outputs.dtype == pb.inputs.dtype == np.int32
+        assert not pb.outputs.any()
         assert pb.counters.reads == pb.counters.writes == 0
 
     def test_shape_mismatch(self):
         pb = PrefetchBuffer(4, 4)
-        inputs, weights = random_data(TINY, seed=1)
-        bad = Tensor.from_array(weights[:, :, :5], WEIGHT_ORDER)
+        inputs, weights = random_layer_data(TINY, seed=1)
         with pytest.raises(ShapeMismatch):
-            pb.load_layer_data(TINY, Tensor.from_array(inputs, INPUT_ORDER),
-                               bad)
+            pb.load_layer_data(TINY, inputs, weights[:, :, :5])
+
+
+class TestRandomData:
+    def test_seed_and_generator_agree(self):
+        a = random_layer_data(TINY, seed=3)
+        b = random_layer_data(TINY, np.random.default_rng(3))
+        assert all((x == y).all() for x, y in zip(a, b))
+        assert a[0].dtype == a[1].dtype == np.int32
+        assert a[0].min() >= -8 and a[0].max() <= 8
+
+    def test_generator_stream_continues(self):
+        rng = np.random.default_rng(3)
+        first = random_layer_data(TINY, rng)
+        second = random_layer_data(TINY, rng)
+        assert not (first[0] == second[0]).all()
 
 
 class TestReads:
@@ -86,7 +78,37 @@ class TestReads:
         pb = loaded_pb()
         addr = ("inputs", (0, 0, 2, 3, 1))
         (_, value), = pb.serve_reads([addr], cycle=0)[0]
-        assert value == pb.inputs.at((0, 0, 2, 3, 1))
+        assert value == pb.inputs[0, 0, 2, 3, 1]
+        assert type(value) is int
+
+    def test_peek_returns_python_scalars(self):
+        pb = loaded_pb()
+        assert type(pb.peek(("weights", (0, 1, 2, 0, 1)))) is int
+        assert type(pb.peek(("psum", (0, 0, 1, 0, 0)))) is int
+
+    def test_negative_index_does_not_wrap(self):
+        pb = loaded_pb()
+        for address in [("inputs", (0, 0, 0, -1, 0)),
+                        ("weights", (0, 0, 0, 0, -1)),
+                        ("psum", (0, 0, -1, 0, 0))]:
+            with pytest.raises(AddressOutOfRange):
+                pb.peek(address)
+        with pytest.raises(AddressOutOfRange):
+            pb.serve_writes([(("outputs", (0, 0, 0, -1, 0)), 1)], cycle=0)
+
+    def test_wrong_rank(self):
+        pb = loaded_pb()
+        with pytest.raises(AddressOutOfRange):
+            pb.peek(("inputs", (0, 0, 0)))
+        with pytest.raises(AddressOutOfRange):
+            pb.peek(("outputs", (0, 0, 0, 0, 0, 0)))
+
+    def test_unloaded_regions(self):
+        pb = PrefetchBuffer(4, 4)
+        for address in [("inputs", (0, 0, 0, 0, 0)),
+                        ("psum", (0, 0, 0, 0, 0))]:
+            with pytest.raises(AddressOutOfRange):
+                pb.peek(address)
 
     def test_bad_address(self):
         pb = loaded_pb()
@@ -109,7 +131,12 @@ class TestWrites:
         served, deferred = pb.serve_writes(
             [(("outputs", (0, 0, 1, 2, 2)), 42)], cycle=0)
         assert not deferred
-        assert pb.outputs.at((0, 0, 1, 2, 2)) == 42
+        assert pb.outputs[0, 0, 1, 2, 2] == 42
+
+    def test_output_value_out_of_dtype_range_raises(self):
+        pb = loaded_pb()
+        with pytest.raises(OverflowError):
+            pb.serve_writes([(("outputs", (0, 0, 0, 0, 0)), 2**40)], cycle=0)
 
     def test_same_cycle_duplicate_address_serializes(self):
         pb = loaded_pb()

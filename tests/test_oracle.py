@@ -12,8 +12,9 @@ from treefab import (
     total_macs,
 )
 from treefab.errors import ShapeMismatch
+from treefab.memory import random_layer_data
 
-from common import TINY, random_data
+from common import TINY
 
 
 def test_unit_filter():
@@ -36,7 +37,7 @@ def test_tiny_all_ones():
 
 def test_group_independence():
     layer = LayerConfig(LayerKind.CONV, r=2, s=2, c=3, g=2, k=4, n=1, x=4, y=4)
-    inputs, weights = random_data(layer, seed=3)
+    inputs, weights = random_layer_data(layer, seed=3)
     base = conv_reference(layer, inputs, weights).output
     zeroed = inputs.copy()
     zeroed[:, 1] = 0
@@ -46,14 +47,14 @@ def test_group_independence():
 
 
 def test_linearity():
-    inputs, weights = random_data(TINY, seed=4)
+    inputs, weights = random_layer_data(TINY, seed=4)
     base = conv_reference(TINY, inputs, weights).output
     scaled = conv_reference(TINY, 3 * inputs, weights).output
     assert (scaled == 3 * base).all()
 
 
 def test_zero_weights():
-    inputs, weights = random_data(TINY, seed=5)
+    inputs, weights = random_layer_data(TINY, seed=5)
     out = conv_reference(TINY, inputs, np.zeros_like(weights)).output
     assert not out.any()
 
@@ -61,7 +62,7 @@ def test_zero_weights():
 def test_padding_and_stride():
     layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=2, g=1, k=2, n=2,
                         x=7, y=7, stride=2, padding=1)
-    inputs, weights = random_data(layer, seed=6)
+    inputs, weights = random_layer_data(layer, seed=6)
     out = conv_reference(layer, inputs, weights)
     assert out.output.shape == (2, 1, 2, 4, 4)
     # corner output only sees the in-bounds 2x2 window
@@ -77,12 +78,12 @@ def test_padding_and_stride():
 
 
 def test_mac_count_matches_layer():
-    out = conv_reference(TINY, *random_data(TINY, seed=7))
+    out = conv_reference(TINY, *random_layer_data(TINY, seed=7))
     assert out.mac_count == total_macs(TINY) == 2916
 
 
 def test_shape_rejection():
-    inputs, weights = random_data(TINY, seed=8)
+    inputs, weights = random_layer_data(TINY, seed=8)
     with pytest.raises(ShapeMismatch):
         conv_reference(TINY, inputs[:, :, :5], weights)
 

@@ -11,9 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treefab import ValidationError, plan_reduction
-from treefab.reduction import ASMode, execute_plan
+from treefab.fabric import ReductionNetwork
+from treefab.reduction import ASMode
 
 from common import contiguous_partition
+
+
+def replay(plan, values):
+    """Per-cluster sums of one replay of the plan on ``values``."""
+    return ReductionNetwork(len(values)).replay(plan, dict(enumerate(values)))
 
 
 def brute_sums(vn_of_leaf, values):
@@ -27,7 +33,7 @@ def brute_sums(vn_of_leaf, values):
 def check_partition(vn_of_leaf, rng):
     values = [int(v) for v in rng.integers(-50, 51, size=len(vn_of_leaf))]
     plan = plan_reduction(vn_of_leaf)
-    assert execute_plan(plan, values) == brute_sums(vn_of_leaf, values)
+    assert replay(plan, values) == brute_sums(vn_of_leaf, values)
     # a port may serve several clusters in a wave but only one per cycle
     for users in plan.port_uses.values():
         cycles = [t for _, t in users]
@@ -39,7 +45,7 @@ class TestKnownShapes:
     def test_three_five_split(self):
         # clusters of 3 and 5 over 8 leaves need one lateral hop
         plan = plan_reduction([0, 0, 0, 1, 1, 1, 1, 1])
-        sums = execute_plan(plan, list(range(1, 9)))
+        sums = replay(plan, list(range(1, 9)))
         assert sums == {0: 6, 1: 30}
         assert any(op.route == "aug" for op in plan.ops)
         assert any(len(op.sources) == 3 for op in plan.ops)
@@ -47,7 +53,7 @@ class TestKnownShapes:
 
     def test_quad_cluster(self):
         plan = plan_reduction([0, 0, 0, 0, None, None, None, None])
-        sums = execute_plan(plan, [1, 2, 3, 4, 0, 0, 0, 0])
+        sums = replay(plan, [1, 2, 3, 4, 0, 0, 0, 0])
         assert sums == {0: 10}
         as_index, time = plan.egress[0]
         assert time == 2  # two tree levels
@@ -55,24 +61,24 @@ class TestKnownShapes:
 
     def test_full_tree(self):
         plan = plan_reduction([0] * 8)
-        assert execute_plan(plan, list(range(1, 9))) == {0: 36}
+        assert replay(plan, list(range(1, 9))) == {0: 36}
         assert plan.latency[0] == 3
         assert plan.egress[0][0] == plan.as_index(3, 0)
         assert all(m in (ASMode.ADD_2_1,) for m in plan.modes.values())
 
     def test_two_even_clusters(self):
         plan = plan_reduction([0, 0, 0, 0, 1, 1, 1, 1])
-        assert execute_plan(plan, [1] * 8) == {0: 4, 1: 4}
+        assert replay(plan, [1] * 8) == {0: 4, 1: 4}
         assert plan.modes[(1, 0)] == ASMode.ADD_2_1
         assert plan.modes[(3, 0)] == ASMode.IDLE  # root never used
 
     def test_single_leaf_cluster(self):
         plan = plan_reduction([0, None])
-        assert execute_plan(plan, [7, 0]) == {0: 7}
+        assert replay(plan, [7, 0]) == {0: 7}
 
     def test_adjacent_singles_serialize_on_egress(self):
         plan = plan_reduction([0, 1, 2, 3])
-        assert execute_plan(plan, [1, 2, 3, 4]) == {0: 1, 1: 2, 2: 3, 3: 4}
+        assert replay(plan, [1, 2, 3, 4]) == {0: 1, 1: 2, 2: 3, 3: 4}
         for node in (0, 1):
             times = sorted(
                 t for (lvl, n, port), users in plan.port_uses.items()
