@@ -17,6 +17,7 @@ from .errors import (
     InfeasibleTile,
     MappingError,
     NoFeasibleTile,
+    OutputOverflow,
     ParseError,
     ShapeMismatch,
     TileExceedsLayer,
@@ -45,6 +46,7 @@ __all__ = [
     "MappingPlan",
     "NoFeasibleTile",
     "OracleResult",
+    "OutputOverflow",
     "ParseError",
     "ReductionPlan",
     "ShapeMismatch",

@@ -13,8 +13,9 @@ All documents (hardware, layer, tile, model, stats) are YAML with a
 ``version`` field.  Identical command lines and seeds produce
 byte-identical stats output.
 
-Exit codes: 0 success, 2 parse error, 3 invalid configuration,
-4 mapping error, 5 verification failure.
+Exit codes: 0 success, 2 parse error, 3 invalid configuration or a
+simulated output that overflows the output's integer type, 4 mapping
+error, 5 verification failure.
 
 A model file looks like::
 

@@ -119,19 +119,18 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
             cycle += wc
 
             # -- input (and partial-sum) distribution ---------------------
+            # padding taps get no payload; the multipliers read them as 0
             i_payloads: dict[tuple, set[int]] = {}
-            leaf_zero: set[int] = set()  # padding taps, no buffer traffic
             for slot, (n, g, k, ox, oy) in enumerate(batch):
                 for e, (c, r, s) in enumerate(block):
                     ix = ox * layer.stride + r - layer.padding
                     iy = oy * layer.stride + s - layer.padding
-                    leaf = mapping.element_leaf(slot, e)
                     if 0 <= ix < layer.x and 0 <= iy < layer.y:
                         addr = ("inputs", (n, g, c, ix, iy))
-                        i_payloads.setdefault(addr, set()).add(leaf)
-                    else:
-                        leaf_zero.add(leaf)
-                if roundtrip and mapping.has_forwarder and f > 0:
+                        i_payloads.setdefault(addr, set()).add(
+                            mapping.element_leaf(slot, e)
+                        )
+                if mapping.has_forwarder and f > 0:
                     addr = ("psum", (n, g, k, ox, oy))
                     i_payloads.setdefault(addr, set()).add(
                         mapping.forwarder_leaf(slot)
@@ -141,51 +140,35 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                 pb, cycle,
             )
             cycle += ic
-            for leaf in leaf_zero:
-                leaf_i[leaf] = 0
 
             # -- multiply (one cycle) -------------------------------------
+            # a forwarder has nothing to inject on the first fold, so the
+            # reduction reads its leaf as 0
             leaf_vals = ms.multiply(leaf_w, leaf_i)
-            if mapping.has_forwarder:
+            if mapping.has_forwarder and f > 0:
                 for slot in range(n_occ):
                     fwd = mapping.forwarder_leaf(slot)
-                    if f > 0:
-                        leaf_vals.update(ms.forward(fwd, leaf_i[fwd]))
-                    else:
-                        leaf_vals[fwd] = 0
+                    leaf_vals.update(ms.forward(fwd, leaf_i[fwd]))
             cycle += 1
 
             # -- reduce and collect ---------------------------------------
             sums = rn.replay(plan, leaf_vals)
-            if roundtrip:
-                events = []
-                for slot, coord in enumerate(batch):
-                    region = "outputs" if f == last_fold else "psum"
-                    events.append(BusEvent(
-                        arrival=plan.latency[slot],
-                        as_index=plan.egress[slot][0],
-                        address=(region, coord),
-                        value=sums[slot],
-                    ))
-                    if f != last_fold:
-                        fold_roundtrips += 1
-                cycle += cb.drain(events, pb, cycle) + 1
-            else:
+            if not roundtrip:
                 for slot in range(n_occ):
                     accum[slot] += sums[slot]
-                    if f > 0:
-                        rn.counters.additions += 1
-                if f == last_fold:
-                    events = [
-                        BusEvent(
-                            arrival=plan.latency[slot],
-                            as_index=plan.egress[slot][0],
-                            address=("outputs", coord),
-                            value=accum[slot],
-                        )
-                        for slot, coord in enumerate(batch)
-                    ]
-                    cycle += cb.drain(events, pb, cycle) + 1
+                if f > 0:
+                    rn.counters.additions += n_occ
+                sums = accum
+            if roundtrip or f == last_fold:
+                region = "outputs" if f == last_fold else "psum"
+                events = []
+                for slot, coord in enumerate(batch):
+                    as_index, arrival = plan.egress[slot]
+                    events.append(BusEvent(arrival, as_index, (region, coord),
+                                           sums[slot]))
+                if region == "psum":
+                    fold_roundtrips += n_occ
+                cycle += cb.drain(events, pb, cycle) + 1
 
             if trace is not None:
                 trace({

@@ -34,6 +34,10 @@ class AddressOutOfRange(TreefabError):
     """A memory request addresses an element outside its region."""
 
 
+class OutputOverflow(TreefabError, OverflowError):
+    """A simulated output does not fit the output region's integer type."""
+
+
 class DimsMismatch(TreefabError):
     """Two tensors being compared have different dimensions."""
 

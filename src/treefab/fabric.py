@@ -3,6 +3,8 @@ replay and collector buses.
 
 Each component models one bandwidth constraint of the fabric and keeps
 its own activity counters; the engine wires them together per wave.
+The distribution network is modelled here whole: payload injection and
+the bit-vector routing of its switches (``generate_dn_routes``).
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .mapper import generate_dn_routes
 from .memory import PrefetchBuffer
 from .reduction import ReductionPlan
 
@@ -21,6 +22,33 @@ class Payload:
 
     address: tuple
     dests: frozenset
+
+
+def generate_dn_routes(num_ms: int, dn_bw: int, dest_leaves) -> dict:
+    """Bit-vector routing tables for one distribution delivery.
+
+    The distribution network is ``dn_bw`` binary sub-trees over
+    ``num_ms // dn_bw`` leaves each.  Returns
+    ``{(subtree, depth, idx): (left, right)}`` where a bit is set iff a
+    destination leaf lies under that child; only switches on the
+    multicast cover appear.  Sub-trees with a single leaf have no
+    switches (direct wire).
+    """
+    per_tree = num_ms // dn_bw
+    depth_max = per_tree.bit_length() - 1  # switches at depths 0..depth_max-1
+    routes: dict[tuple[int, int, int], tuple[bool, bool]] = {}
+    for leaf in dest_leaves:
+        # walk up from the leaf, setting the bit of the child it came from
+        tree, node = divmod(leaf, per_tree)
+        for depth in range(depth_max - 1, -1, -1):
+            node, bit = divmod(node, 2)
+            key = (tree, depth, node)
+            seen = key in routes
+            left, right = routes.get(key, (False, False))
+            routes[key] = (left or bit == 0, right or bit == 1)
+            if seen:
+                break  # its ancestors already route towards this switch
+    return routes
 
 
 @dataclass

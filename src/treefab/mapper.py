@@ -2,7 +2,9 @@
 
 Translates (hardware, layer, tile) into a mapping plan: cluster (VN)
 geometry, fold schedule, the leaf assignment of every multiplier switch,
-and the control configuration of the distribution and reduction networks.
+and the switch configuration of the reduction network.  Distribution
+routes depend only on each payload's destinations and are generated by
+``fabric.generate_dn_routes`` as payloads are injected.
 """
 
 from __future__ import annotations
@@ -188,36 +190,3 @@ def theoretical_utilization(hw: HardwareConfig,
     mapped = plan.n_vns_mapped * plan.real_vn_size
     return TheoreticalUtilization(mapped_ms=mapped,
                                   fraction=mapped / hw.num_ms)
-
-
-def generate_dn_routes(num_ms: int, dn_bw: int, dest_leaves) -> dict:
-    """Bit-vector routing tables for one distribution delivery.
-
-    The distribution network is ``dn_bw`` binary sub-trees over
-    ``num_ms // dn_bw`` leaves each.  Returns
-    ``{(subtree, depth, idx): (left, right)}`` where a bit is set iff a
-    destination leaf lies under that child; only switches on the
-    multicast cover appear.  Sub-trees with a single leaf have no
-    switches (direct wire).
-    """
-    per_tree = num_ms // dn_bw
-    routes = {}
-    if per_tree == 1:
-        return routes
-    depth_max = per_tree.bit_length() - 1  # switches at depths 0..depth_max-1
-    dests = sorted(set(dest_leaves))
-    by_tree: dict[int, list[int]] = {}
-    for leaf in dests:
-        by_tree.setdefault(leaf // per_tree, []).append(leaf % per_tree)
-    for tree, local in by_tree.items():
-        local_set = set(local)
-        for depth in range(depth_max):
-            span = per_tree >> depth
-            nodes = {leaf // span for leaf in local_set}
-            for idx in nodes:
-                lo = idx * span
-                mid = lo + span // 2
-                left = any(lo <= leaf < mid for leaf in local_set)
-                right = any(mid <= leaf < lo + span for leaf in local_set)
-                routes[(tree, depth, idx)] = (left, right)
-    return routes

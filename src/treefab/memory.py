@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LayerConfig, derive_output_dims
-from .errors import AddressOutOfRange, ShapeMismatch
+from .errors import AddressOutOfRange, OutputOverflow, ShapeMismatch
 
 
 @dataclass
@@ -157,7 +157,12 @@ class PrefetchBuffer:
             elif region == "outputs":
                 array = self._region(region)
                 _check_key(key, array.shape, region)
-                array[key] = value
+                try:
+                    array[key] = value
+                except OverflowError as exc:
+                    raise OutputOverflow(
+                        f"output {key} = {value} does not fit {array.dtype}"
+                    ) from exc
             else:
                 raise AddressOutOfRange(
                     f"region {region!r} is not writable during simulation"

@@ -60,7 +60,6 @@ class ReductionPlan:
     ops: list[ReduceOp]
     modes: dict[tuple[int, int], ASMode]  # (level, node) -> mode
     egress: dict[int, tuple[int, int]]  # vn -> (as_index, completion time)
-    latency: dict[int, int]  # vn -> completion time
     adds_per_wave: int
     # (level, node, port) -> [(vn, cycle), ...]; at most one vn per cycle
     port_uses: dict[tuple, list[tuple[int, int]]]
@@ -277,13 +276,11 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
         ops=ops,
         modes={},
         egress={},
-        latency={},
         adds_per_wave=sum(len(op.sources) - 1 for op in ops),
         port_uses=port_uses,
     )
     for vn, (level, j, time) in egress.items():
         plan.egress[vn] = (plan.as_index(level, j), time)
-        plan.latency[vn] = time
     plan.modes = _derive_modes(n, levels, ops)
     return plan
 

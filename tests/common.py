@@ -7,6 +7,9 @@ LATE_SYNTHETIC = LayerConfig(LayerKind.CONV, r=3, s=3, c=20, g=1, k=20, n=1,
                              x=5, y=5)
 EARLY_SYNTHETIC = LayerConfig(LayerKind.CONV, r=3, s=3, c=6, g=1, k=6, n=1,
                               x=20, y=20)
+# stride 2 and padding 1: some input taps of every fold fall in the padding
+PADDED_STRIDED = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
+                             x=7, y=7, stride=2, padding=1)
 VALIDATION_TILE = TileConfig(3, 3, 1, 1, 1, 1, 3, 1)
 HW32 = HardwareConfig(num_ms=32, dn_bw=4, rn_bw=4)
 

@@ -32,6 +32,7 @@ from common import (
     EARLY_SYNTHETIC,
     HW32,
     LATE_SYNTHETIC,
+    PADDED_STRIDED,
     TINY,
     VALIDATION_TILE,
     contiguous_partition,
@@ -224,7 +225,8 @@ def test_criterion_6_utilization_vs_bandwidth():
 def test_criterion_7_golden_cycle_counts():
     golden = yaml.safe_load(GOLDEN_PATH.read_text())
     layers = {"TINY": TINY, "LATE_SYNTHETIC": LATE_SYNTHETIC,
-              "EARLY_SYNTHETIC": EARLY_SYNTHETIC}
+              "EARLY_SYNTHETIC": EARLY_SYNTHETIC,
+              "PADDED_STRIDED": PADDED_STRIDED}
     got = {}
     for strategy, names in golden["stats"].items():
         hw = replace(HW32, folding=FoldingStrategy(strategy))

@@ -156,6 +156,21 @@ layers:
         assert cli.main(["run-model", "--hw", hw, "--model", model]) == \
             cli.EXIT_CONFIG
 
+    def test_overflow_reports_the_layer(self, tmp_path, capsys):
+        hw = write(tmp_path, "hw.yaml",
+                   "num_ms: 64\ndn_bw: 8\nrn_bw: 8\nfolding: roundtrip\n")
+        layer = ("{kind: conv, R: 3, S: 3, C: 8, K: 8, X: 6, Y: 6, "
+                 "padding: 1}")
+        model = write(tmp_path, "model.yaml", "layers:\n" + "".join(
+            f"  - name: conv{i}\n    layer: {layer}\n"
+            f"    tile: {{T_R: 3, T_S: 3, T_C: 4}}\n" for i in range(1, 9)
+        ))
+        code = cli.main(["run-model", "--hw", hw, "--model", model,
+                         "--seed", "0"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "conv6" in err and "int32" in err
+
     def test_strategy_override_reaches_tile_search(self, tmp_path, capsys):
         model = write(tmp_path, "model.yaml", """\
 layers:

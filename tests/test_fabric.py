@@ -2,6 +2,9 @@
 collect."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefab import plan_reduction
 from treefab.fabric import (
@@ -11,6 +14,7 @@ from treefab.fabric import (
     MultiplierArray,
     Payload,
     ReductionNetwork,
+    generate_dn_routes,
 )
 from treefab.memory import PrefetchBuffer, random_layer_data
 
@@ -93,6 +97,47 @@ class TestDistribution:
         assert reads == [(10, [payloads[0].address, payloads[2].address]),
                          (11, [payloads[1].address])]
         assert leaves[2] == leaves[8] == pb.peek(payloads[2].address)
+
+
+def per_switch_dn_routes(num_ms, dn_bw, dest_leaves):
+    """Reference definition of the DN routes, switch by switch: a switch
+    is on the cover iff a destination lies under it, and each of its bits
+    is set iff a destination lies under that child."""
+    per_tree = num_ms // dn_bw
+    routes = {}
+    if per_tree == 1:
+        return routes
+    depth_max = per_tree.bit_length() - 1
+    by_tree = {}
+    for leaf in sorted(set(dest_leaves)):
+        by_tree.setdefault(leaf // per_tree, []).append(leaf % per_tree)
+    for tree, local in by_tree.items():
+        for depth in range(depth_max):
+            span = per_tree >> depth
+            for idx in {leaf // span for leaf in local}:
+                lo = idx * span
+                mid = lo + span // 2
+                left = any(lo <= leaf < mid for leaf in local)
+                right = any(mid <= leaf < lo + span for leaf in local)
+                routes[(tree, depth, idx)] = (left, right)
+    return routes
+
+
+DN_SHAPES = [(1 << m, 1 << b) for m in range(7) for b in range(m + 1)]
+
+
+class TestDnRouteWalk:
+    @pytest.mark.parametrize("num_ms,dn_bw", DN_SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_switch_definition(self, num_ms, dn_bw, data):
+        dests = data.draw(st.frozensets(st.integers(0, num_ms - 1),
+                                        min_size=1))
+        routes = generate_dn_routes(num_ms, dn_bw, dests)
+        assert routes == per_switch_dn_routes(num_ms, dn_bw, dests)
+        dn = DistributionNetwork(num_ms, dn_bw)
+        dn.deliver([input_payload(0, dests)], tiny_pb(), base_cycle=0)
+        assert dn.counters.traversals == len(routes)
 
 
 class TestMultipliers:

@@ -16,8 +16,7 @@ from treefab import (
     derive_output_dims,
     theoretical_utilization,
 )
-from treefab.fabric import ReductionNetwork
-from treefab.mapper import generate_dn_routes
+from treefab.fabric import ReductionNetwork, generate_dn_routes
 
 from common import HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE
 

@@ -62,8 +62,7 @@ class TestKnownShapes:
     def test_full_tree(self):
         plan = plan_reduction([0] * 8)
         assert replay(plan, list(range(1, 9))) == {0: 36}
-        assert plan.latency[0] == 3
-        assert plan.egress[0][0] == plan.as_index(3, 0)
+        assert plan.egress[0] == (plan.as_index(3, 0), 3)  # three levels
         assert all(m in (ASMode.ADD_2_1,) for m in plan.modes.values())
 
     def test_two_even_clusters(self):
