@@ -274,6 +274,14 @@ def _cmd_verify(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; argparse exits 2 on anything else."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treefab",
@@ -310,12 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-tile", help="enumerate and rank tiles")
     common(p)
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--top-k", type=_count, default=5)
     p.set_defaults(func=_cmd_search_tile)
 
     p = sub.add_parser("verify", help="randomized verification runs")
     common(p, tile=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_count, default=50)
     p.set_defaults(func=_cmd_verify)
 
     return parser

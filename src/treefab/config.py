@@ -39,7 +39,7 @@ flattened input lives in the R*S*C filter volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import yaml
@@ -196,20 +196,20 @@ class TileConfig:
         return self.t_g * self.t_k * self.t_n * self.t_x * self.t_y
 
 
+# tile axes in TileConfig field order, and their tile-document keys
+TILE_AXES = ("R", "S", "C", "G", "K", "N", "X'", "Y'")
+_TILE_DOC_KEYS = tuple("T_" + axis.rstrip("'") for axis in TILE_AXES)
+
+
+def tile_extents(layer: LayerConfig) -> tuple[int, ...]:
+    """Layer extent of each tile axis, in TileConfig field order."""
+    ox, oy = derive_output_dims(layer)
+    return (layer.r, layer.s, layer.c, layer.g, layer.k, layer.n, ox, oy)
+
+
 def validate_tile(layer: LayerConfig, tile: TileConfig) -> None:
     """Check every tile dimension against the layer it partitions."""
-    ox, oy = derive_output_dims(layer)
-    bounds = [
-        ("R", tile.t_r, layer.r),
-        ("S", tile.t_s, layer.s),
-        ("C", tile.t_c, layer.c),
-        ("G", tile.t_g, layer.g),
-        ("K", tile.t_k, layer.k),
-        ("N", tile.t_n, layer.n),
-        ("X'", tile.t_x, ox),
-        ("Y'", tile.t_y, oy),
-    ]
-    for name, t, d in bounds:
+    for name, t, d in zip(TILE_AXES, astuple(tile), tile_extents(layer)):
         if t > d:
             raise TileExceedsLayer(name, t, d)
 
@@ -221,9 +221,7 @@ _LAYER_KEYS = {
     "version", "kind", "R", "S", "C", "G", "K", "N", "X", "Y",
     "stride", "padding",
 }
-_TILE_KEYS = {
-    "version", "T_R", "T_S", "T_C", "T_G", "T_K", "T_N", "T_X", "T_Y",
-}
+_TILE_KEYS = {"version", *_TILE_DOC_KEYS}
 
 
 def _load_mapping(text: str, allowed: set[str], what: str) -> dict:
@@ -300,16 +298,11 @@ def parse_layer_config(text: str) -> LayerConfig:
 
 def parse_tile_config(text: str) -> TileConfig:
     doc = _load_mapping(text, _TILE_KEYS, "tile")
-    return TileConfig(
-        t_r=_require_int(doc, "T_R", "tile"),
-        t_s=_require_int(doc, "T_S", "tile"),
-        t_c=_require_int(doc, "T_C", "tile"),
-        t_g=_require_int(doc, "T_G", "tile", default=1),
-        t_k=_require_int(doc, "T_K", "tile", default=1),
-        t_n=_require_int(doc, "T_N", "tile", default=1),
-        t_x=_require_int(doc, "T_X", "tile", default=1),
-        t_y=_require_int(doc, "T_Y", "tile", default=1),
-    )
+    # T_R, T_S and T_C are required; the other axes default to 1
+    return TileConfig(*(
+        _require_int(doc, key, "tile", default=None if i < 3 else 1)
+        for i, key in enumerate(_TILE_DOC_KEYS)
+    ))
 
 
 def serialize_hardware_config(hw: HardwareConfig) -> str:
@@ -335,9 +328,5 @@ def serialize_layer_config(layer: LayerConfig) -> str:
 
 
 def serialize_tile_config(tile: TileConfig) -> str:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "T_R": tile.t_r, "T_S": tile.t_s, "T_C": tile.t_c, "T_G": tile.t_g,
-        "T_K": tile.t_k, "T_N": tile.t_n, "T_X": tile.t_x, "T_Y": tile.t_y,
-    }
+    doc = dict(zip(_TILE_DOC_KEYS, astuple(tile)), version=SCHEMA_VERSION)
     return yaml.safe_dump(doc, sort_keys=True)

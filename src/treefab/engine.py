@@ -58,7 +58,7 @@ class SimStats:
     fifo_pops: int  # == fifo_pushes: each FIFO drains within its wave
     cb_grants: int
     cb_conflicts: int
-    fold_roundtrips: int
+    fold_roundtrips: int  # == forwarder_injections: each psum returns once
     folds: int
     waves: int
     n_vns_mapped: int
@@ -91,18 +91,17 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     rn = ReductionNetwork(hw.num_ms)
     cb = CollectorBuses(hw.rn_bw)
 
-    folds = mapping.folds
-    last_fold = folds - 1
+    fold_blocks = list(mapping.fold_blocks)
+    last_fold = mapping.folds - 1
     cycle = 0
     waves = 0
-    fold_roundtrips = 0
 
     for batch in mapping.schedule:
         n_occ = len(batch)
         plan = mapping.reduction_plan(n_occ)
         accum = dict.fromkeys(range(n_occ), 0)  # ideal-strategy egress adders
 
-        for f, block in enumerate(mapping.fold_blocks):
+        for f, block in enumerate(fold_blocks):
             waves += 1
             # -- weight distribution --------------------------------------
             w_payloads: dict[tuple, set[int]] = {}
@@ -166,8 +165,6 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                     as_index, arrival = plan.egress[slot]
                     events.append(BusEvent(arrival, as_index, (region, coord),
                                            sums[slot]))
-                if region == "psum":
-                    fold_roundtrips += n_occ
                 cycle += cb.drain(events, pb, cycle) + 1
 
             if trace is not None:
@@ -193,8 +190,8 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         fifo_pops=rn.counters.fifo_pushes,
         cb_grants=cb.counters.grants,
         cb_conflicts=cb.counters.conflicts,
-        fold_roundtrips=fold_roundtrips,
-        folds=folds,
+        fold_roundtrips=ms.counters.forwarder_injections,
+        folds=mapping.folds,
         waves=waves,
         n_vns_mapped=mapping.n_vns_mapped,
         vn_size=mapping.vn_size,

@@ -1,8 +1,10 @@
 """Tile-to-fabric compiler.
 
 Translates (hardware, layer, tile) into a mapping plan: cluster (VN)
-geometry, fold schedule, the leaf assignment of every multiplier switch,
-and the switch configuration of the reduction network.  Distribution
+geometry, the leaf assignment of every multiplier switch, and the switch
+configuration of the reduction network.  The output schedule and the
+fold blocks are cut from the layer by one box generator, ``_boxes``, and
+are built as they are iterated, never stored.  Distribution
 routes depend only on each payload's destinations and are generated by
 ``fabric.generate_dn_routes`` as payloads are injected.
 """
@@ -10,18 +12,23 @@ routes depend only on each payload's destinations and are generated by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from itertools import product
 
 from .config import (
     FoldingStrategy,
     HardwareConfig,
     LayerConfig,
+    TILE_AXES,
     TileConfig,
-    derive_output_dims,
+    tile_extents,
     validate_tile,
 )
 from .errors import InfeasibleTile, VnTooLarge
 from .reduction import ReductionPlan, plan_reduction
+
+_OUTPUT_AXES = ("N", "G", "K", "X'", "Y'")  # schedule coords (n, g, k, ox, oy)
+_FOLD_AXES = ("C", "R", "S")  # fold block coords (c, r, s)
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,6 @@ class MappingPlan:
     real_vn_size: int  # vn_size + 1 when folding needs a psum forwarder
     n_vns_mapped: int
     has_forwarder: bool
-    # (c, r, s) weight coordinates of each fold iteration, in issue order
-    fold_blocks: list[list[tuple[int, int, int]]]
     _rn_plans: dict[int, ReductionPlan] = field(default_factory=dict)
 
     @property
@@ -51,7 +56,15 @@ class MappingPlan:
         """Batches of output coordinates (n, g, k, ox, oy), built as they
         are iterated.  Each batch maps one output per cluster slot and runs
         through every fold before the next batch starts."""
-        return _schedule(self.layer, self.tile, self.n_vns_mapped)
+        for step in _boxes(*_axes(self.layer, self.tile, _OUTPUT_AXES)):
+            for i in range(0, len(step), self.n_vns_mapped):
+                yield step[i:i + self.n_vns_mapped]
+
+    @property
+    def fold_blocks(self):
+        """(c, r, s) weight coordinates of each fold iteration, in issue
+        order, built as they are iterated."""
+        return _boxes(*_axes(self.layer, self.tile, _FOLD_AXES))
 
     def slot_start(self, slot: int) -> int:
         return slot * self.real_vn_size
@@ -115,50 +128,27 @@ def compute_folds(layer: LayerConfig, tile: TileConfig) -> int:
     """Fold iterations needed for one output when the cluster cannot hold
     the whole R*S*C filter volume; folding is enabled iff the result > 1."""
     validate_tile(layer, tile)
-    return (
-        math.ceil(layer.r / tile.t_r)
-        * math.ceil(layer.s / tile.t_s)
-        * math.ceil(layer.c / tile.t_c)
-    )
+    extents, steps = _axes(layer, tile, _FOLD_AXES)
+    return math.prod(math.ceil(e / t) for e, t in zip(extents, steps))
 
 
-def _fold_blocks(layer: LayerConfig, tile: TileConfig):
-    blocks = []
-    for c0 in range(0, layer.c, tile.t_c):
-        for r0 in range(0, layer.r, tile.t_r):
-            for s0 in range(0, layer.s, tile.t_s):
-                blocks.append([
-                    (c, r, s)
-                    for c in range(c0, min(c0 + tile.t_c, layer.c))
-                    for r in range(r0, min(r0 + tile.t_r, layer.r))
-                    for s in range(s0, min(s0 + tile.t_s, layer.s))
-                ])
-    return blocks
+def _axes(layer: LayerConfig, tile: TileConfig, names):
+    """(layer extents, tile steps) of the named axes, in that order."""
+    pairs = dict(zip(TILE_AXES, zip(tile_extents(layer), astuple(tile))))
+    return tuple(zip(*(pairs[name] for name in names)))
 
 
-def _schedule(layer: LayerConfig, tile: TileConfig, n_vns_mapped: int):
-    ox, oy = derive_output_dims(layer)
-    for n0 in range(0, layer.n, tile.t_n):
-        for g0 in range(0, layer.g, tile.t_g):
-            for k0 in range(0, layer.k, tile.t_k):
-                for x0 in range(0, ox, tile.t_x):
-                    for y0 in range(0, oy, tile.t_y):
-                        step = [
-                            (n, g, k, x, y)
-                            for n in range(n0, min(n0 + tile.t_n, layer.n))
-                            for g in range(g0, min(g0 + tile.t_g, layer.g))
-                            for k in range(k0, min(k0 + tile.t_k, layer.k))
-                            for x in range(x0, min(x0 + tile.t_x, ox))
-                            for y in range(y0, min(y0 + tile.t_y, oy))
-                        ]
-                        for i in range(0, len(step), n_vns_mapped):
-                            yield step[i:i + n_vns_mapped]
+def _boxes(extents, steps):
+    """Cut the box ``extents`` into tiles of ``steps``, outermost axis
+    first; yield each tile as the list of its coordinates."""
+    for origin in product(*(range(0, e, t) for e, t in zip(extents, steps))):
+        yield list(product(*(range(o, min(o + t, e))
+                             for o, t, e in zip(origin, steps, extents))))
 
 
 def build_mapping(hw: HardwareConfig, layer: LayerConfig,
                   tile: TileConfig) -> MappingPlan:
     """Compile the tile onto the fabric; deterministic."""
-    validate_tile(layer, tile)
     folds = compute_folds(layer, tile)
     vn_size = tile.vn_size
     has_forwarder = folds > 1 and hw.folding is FoldingStrategy.ROUNDTRIP
@@ -181,7 +171,6 @@ def build_mapping(hw: HardwareConfig, layer: LayerConfig,
         real_vn_size=real_vn_size,
         n_vns_mapped=n_vns_mapped,
         has_forwarder=has_forwarder,
-        fold_blocks=_fold_blocks(layer, tile),
     )
 
 

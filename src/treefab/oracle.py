@@ -2,7 +2,9 @@
 
 Computes layer outputs with plain padded-array slicing, deliberately
 sharing no index arithmetic with the memory module, so every simulator
-run can be cross-checked against it.
+run can be cross-checked against it.  Integer sums are exact; like the
+simulator, it raises ``OutputOverflow`` for an output that does not fit
+the input dtype.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LayerConfig, derive_output_dims, total_macs
-from .errors import DimsMismatch, ShapeMismatch
+from .errors import DimsMismatch, OutputOverflow, ShapeMismatch
 
 
 @dataclass
@@ -43,7 +45,13 @@ def conv_reference(layer: LayerConfig, inputs: np.ndarray,
         raise ShapeMismatch(f"weight shape {weights.shape} does not match layer")
 
     pad = layer.padding
-    acc_dtype = np.int64 if np.issubdtype(inputs.dtype, np.integer) else np.float64
+    integer = np.issubdtype(inputs.dtype, np.integer)
+    acc_dtype = np.float64
+    if integer:
+        # int64 unless a sum of R*S*C products could leave it; Python ints
+        volume = layer.r * layer.s * layer.c
+        peak = _magnitude(inputs) * _magnitude(weights) * volume
+        acc_dtype = np.int64 if peak <= np.iinfo(np.int64).max else object
     padded = np.pad(
         inputs.astype(acc_dtype),
         ((0, 0), (0, 0), (0, 0), (pad, pad), (pad, pad)),
@@ -60,7 +68,20 @@ def conv_reference(layer: LayerConfig, inputs: np.ndarray,
                     out[n, g, :, i, j] = np.tensordot(
                         w[g], patch, axes=([1, 2, 3], [0, 1, 2])
                     )
+    if integer:
+        info = np.iinfo(inputs.dtype)
+        bad = (out < info.min) | (out > info.max)
+        if bad.any():
+            coord = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise OutputOverflow(
+                f"output {coord} = {out[coord]} does not fit {inputs.dtype}"
+            )
     return OracleResult(output=out.astype(inputs.dtype), mac_count=total_macs(layer))
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """Largest absolute value in the array, as a Python int."""
+    return max(-int(a.min()), int(a.max()))
 
 
 def compare(simulated: np.ndarray, reference: np.ndarray,

@@ -7,11 +7,11 @@ pass can re-rank the best candidates by simulated cycle count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import product
 
 from . import engine
-from .config import HardwareConfig, LayerConfig, TileConfig, derive_output_dims
+from .config import HardwareConfig, LayerConfig, TileConfig, tile_extents
 from .errors import MappingError, NoFeasibleTile
 from .mapper import build_mapping, theoretical_utilization
 from .memory import random_layer_data
@@ -28,13 +28,8 @@ class TileCandidate:
         return (
             -self.predicted["theoretical_utilization"],
             self.predicted["folds"],
-            _tile_tuple(self.tile),
+            astuple(self.tile),
         )
-
-
-def _tile_tuple(tile: TileConfig):
-    return (tile.t_r, tile.t_s, tile.t_c, tile.t_g, tile.t_k, tile.t_n,
-            tile.t_x, tile.t_y)
 
 
 def _divisors(n: int) -> list[int]:
@@ -50,14 +45,8 @@ def enumerate_tiles(hw: HardwareConfig, layer: LayerConfig,
     a capped search favours small ``T_R``; the returned list is truncated
     to ``limit``.
     """
-    ox, oy = derive_output_dims(layer)
-    axes = [
-        _divisors(layer.r), _divisors(layer.s), _divisors(layer.c),
-        _divisors(layer.g), _divisors(layer.k), _divisors(layer.n),
-        _divisors(ox), _divisors(oy),
-    ]
     candidates = []
-    for combo in product(*axes):
+    for combo in product(*map(_divisors, tile_extents(layer))):
         tile = TileConfig(*combo)
         try:
             plan = build_mapping(hw, layer, tile)
@@ -104,6 +93,6 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     ranked.sort(key=lambda c: (
         c.predicted["estimated_cycles"],
         -c.predicted["theoretical_utilization"],
-        _tile_tuple(c.tile),
+        astuple(c.tile),
     ))
     return ranked[:top_k]

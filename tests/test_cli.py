@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, documents, chaining."""
 
+import pytest
 import yaml
 
 from treefab import cli
@@ -205,6 +206,18 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert "vacuous" in capsys.readouterr().err
 
+    def test_negative_trials_rejected(self, tmp_path, capsys):
+        # a tile that does not fit the layer: nothing would be simulated
+        hw, layer, _ = standard_files(tmp_path)
+        tile = write(tmp_path, "big.yaml", "T_R: 9\nT_S: 3\nT_C: 1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--hw", hw, "--layer", layer,
+                      "--tile", tile, "--trials", "-1"])
+        assert exc.value.code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "trials passed" not in captured.out
+        assert "--trials: must be >= 0, got -1" in captured.err
+
     def test_faults_reported_with_coordinates(self, tmp_path, capsys,
                                               monkeypatch):
         monkeypatch.setenv(cli.FAULT_ENV, "1")
@@ -228,6 +241,16 @@ class TestSearchTile:
         cycles = [c["predicted"]["estimated_cycles"]
                   for c in doc["candidates"]]
         assert cycles == sorted(cycles)
+
+    def test_negative_top_k_rejected(self, tmp_path, capsys):
+        hw, layer, _ = standard_files(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search-tile", "--hw", hw, "--layer", layer,
+                      "--top-k", "-2"])
+        assert exc.value.code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--top-k: must be >= 0, got -2" in captured.err
 
     def test_strategy_override_reaches_the_search(self, tmp_path, capsys):
         layer = write(tmp_path, "layer.yaml",

@@ -147,3 +147,15 @@ class TestRoundTrip:
     def test_tile(self):
         tile = TileConfig(3, 2, 4, 2, 5, 3, 1, 2)
         assert parse_tile_config(serialize_tile_config(tile)) == tile
+
+    def test_tile_document(self):
+        tile = TileConfig(3, 2, 4, 2, 5, 3, 1, 2)
+        assert serialize_tile_config(tile) == (
+            "T_C: 4\nT_G: 2\nT_K: 5\nT_N: 3\nT_R: 3\nT_S: 2\nT_X: 1\n"
+            "T_Y: 2\nversion: 1\n"
+        )
+        # only the cluster axes are required
+        assert parse_tile_config("T_R: 3\nT_S: 2\nT_C: 4\n") == \
+            TileConfig(3, 2, 4)
+        with pytest.raises(ValidationError, match="missing key T_C"):
+            parse_tile_config("T_R: 3\nT_S: 2\nT_X: 2\n")

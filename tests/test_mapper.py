@@ -1,20 +1,25 @@
-"""Mapping arithmetic: folds, cluster placement, routing tables."""
+"""Mapping arithmetic: folds, cluster placement, tiling, routing tables."""
 
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treefab import (
     FoldingStrategy,
     HardwareConfig,
     LayerConfig,
     LayerKind,
+    MappingError,
     TileConfig,
+    TileExceedsLayer,
     VnTooLarge,
     build_mapping,
     compute_folds,
     derive_output_dims,
     theoretical_utilization,
+    validate_tile,
 )
 from treefab.fabric import ReductionNetwork, generate_dn_routes
 
@@ -104,13 +109,112 @@ class TestBuildMapping:
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
         elems = [e for block in plan.fold_blocks for e in block]
         assert len(elems) == len(set(elems)) == TINY.r * TINY.s * TINY.c
-        assert len(plan.fold_blocks) == plan.folds
+        assert len(list(plan.fold_blocks)) == plan.folds
 
     def test_describe_is_serializable(self):
         import yaml
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
         doc = plan.describe()
         assert yaml.safe_load(yaml.safe_dump(doc)) == doc
+
+
+def loop_nest_fold_blocks(layer, tile):
+    """Reference: the fold blocks as one hand-written loop nest."""
+    blocks = []
+    for c0 in range(0, layer.c, tile.t_c):
+        for r0 in range(0, layer.r, tile.t_r):
+            for s0 in range(0, layer.s, tile.t_s):
+                blocks.append([
+                    (c, r, s)
+                    for c in range(c0, min(c0 + tile.t_c, layer.c))
+                    for r in range(r0, min(r0 + tile.t_r, layer.r))
+                    for s in range(s0, min(s0 + tile.t_s, layer.s))
+                ])
+    return blocks
+
+
+def loop_nest_schedule(layer, tile, n_vns_mapped):
+    """Reference: the output batches as one hand-written loop nest."""
+    ox, oy = derive_output_dims(layer)
+    batches = []
+    for n0 in range(0, layer.n, tile.t_n):
+        for g0 in range(0, layer.g, tile.t_g):
+            for k0 in range(0, layer.k, tile.t_k):
+                for x0 in range(0, ox, tile.t_x):
+                    for y0 in range(0, oy, tile.t_y):
+                        step = [
+                            (n, g, k, x, y)
+                            for n in range(n0, min(n0 + tile.t_n, layer.n))
+                            for g in range(g0, min(g0 + tile.t_g, layer.g))
+                            for k in range(k0, min(k0 + tile.t_k, layer.k))
+                            for x in range(x0, min(x0 + tile.t_x, ox))
+                            for y in range(y0, min(y0 + tile.t_y, oy))
+                        ]
+                        for i in range(0, len(step), n_vns_mapped):
+                            batches.append(step[i:i + n_vns_mapped])
+    return batches
+
+
+def bounds_first_offender(layer, tile):
+    """Reference: the first tile axis larger than the layer, or None."""
+    ox, oy = derive_output_dims(layer)
+    bounds = [
+        ("R", tile.t_r, layer.r), ("S", tile.t_s, layer.s),
+        ("C", tile.t_c, layer.c), ("G", tile.t_g, layer.g),
+        ("K", tile.t_k, layer.k), ("N", tile.t_n, layer.n),
+        ("X'", tile.t_x, ox), ("Y'", tile.t_y, oy),
+    ]
+    return next((name for name, t, d in bounds if t > d), None)
+
+
+@st.composite
+def layers(draw):
+    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    x = r - 2 * padding + stride * draw(st.integers(0, 3))
+    y = s - 2 * padding + stride * draw(st.integers(0, 3))
+    assume(x >= 1 and y >= 1)
+    return LayerConfig(LayerKind.CONV, r=r, s=s, c=draw(st.integers(1, 5)),
+                       g=draw(st.integers(1, 3)), k=draw(st.integers(1, 4)),
+                       n=draw(st.integers(1, 2)), x=x, y=y, stride=stride,
+                       padding=padding)
+
+
+def tiles(draw, layer, overshoot=0):
+    ox, oy = derive_output_dims(layer)
+    return TileConfig(*(draw(st.integers(1, d + overshoot)) for d in (
+        layer.r, layer.s, layer.c, layer.g, layer.k, layer.n, ox, oy)))
+
+
+class TestTilingMatchesLoopNests:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_schedule_and_fold_blocks(self, data):
+        layer = data.draw(layers())
+        tile = tiles(data.draw, layer)
+        hw = HardwareConfig(data.draw(st.sampled_from([8, 16, 64, 128])), 2,
+                            2, data.draw(st.sampled_from(FoldingStrategy)))
+        try:
+            plan = build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        assert list(plan.schedule) == loop_nest_schedule(
+            layer, tile, plan.n_vns_mapped)
+        assert list(plan.fold_blocks) == loop_nest_fold_blocks(layer, tile)
+        assert len(list(plan.fold_blocks)) == plan.folds
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_validate_tile_names_the_first_offender(self, data):
+        layer = data.draw(layers())
+        tile = tiles(data.draw, layer, overshoot=2)
+        want = bounds_first_offender(layer, tile)
+        if want is None:
+            validate_tile(layer, tile)
+            return
+        with pytest.raises(TileExceedsLayer) as exc:
+            validate_tile(layer, tile)
+        assert exc.value.dimension == want
 
 
 class TestUtilization:

@@ -5,10 +5,14 @@ import pytest
 
 from treefab import (
     DimsMismatch,
+    HardwareConfig,
     LayerConfig,
     LayerKind,
+    OutputOverflow,
+    TileConfig,
     compare,
     conv_reference,
+    simulate_layer,
     total_macs,
 )
 from treefab.errors import ShapeMismatch
@@ -86,6 +90,37 @@ def test_shape_rejection():
     inputs, weights = random_layer_data(TINY, seed=8)
     with pytest.raises(ShapeMismatch):
         conv_reference(TINY, inputs[:, :, :5], weights)
+
+
+class TestOverflow:
+    """The oracle and the simulator share one rule: sums are exact and an
+    output that does not fit the input dtype raises OutputOverflow."""
+
+    PAIR = LayerConfig(LayerKind.CONV, r=1, s=2, c=1, g=1, k=1, n=1, x=1,
+                       y=2)
+
+    @pytest.mark.parametrize("dtype, value", [
+        (np.int32, 2 ** 15),    # 2 * 2**30 = 2**31, one past int32
+        (np.int32, -2 ** 31),   # 2 * 2**62 leaves int64 as well
+        (np.int64, 2 ** 31),    # 2 * 2**62 = 2**63, one past int64
+        (np.uint8, 15),         # 450 > 255
+    ])
+    def test_oracle_and_simulator_both_raise(self, dtype, value):
+        taps = np.full((1, 1, 1, 1, 2), value, dtype=dtype)
+        with pytest.raises(OutputOverflow) as oracle:
+            conv_reference(self.PAIR, taps, taps)
+        with pytest.raises(OutputOverflow) as simulator:
+            simulate_layer(HardwareConfig(8, 2, 2), self.PAIR,
+                           TileConfig(1, 2, 1), taps, taps)
+        assert str(oracle.value) == str(simulator.value)
+
+    def test_largest_sum_that_fits(self):
+        # (2**15 - 1) * 2**16 + (2**16 - 1) * 1 = 2**31 - 1
+        inputs = np.array([2 ** 15 - 1, 2 ** 16 - 1],
+                          dtype=np.int32).reshape(1, 1, 1, 1, 2)
+        weights = np.array([2 ** 16, 1], dtype=np.int32).reshape(1, 1, 1, 1, 2)
+        out = conv_reference(self.PAIR, inputs, weights).output
+        assert out.item() == np.iinfo(np.int32).max
 
 
 class TestCompare:
