@@ -17,21 +17,11 @@ Exit codes: 0 success, 2 parse error, 3 invalid configuration or a
 simulated output that overflows the output's integer type, 4 mapping
 error, 5 verification failure.
 
-A model file looks like::
-
-    version: 1
-    layers:
-      - name: conv1
-        layer: {kind: conv, R: 3, S: 3, C: 4, K: 8, X: 8, Y: 8}
-        tile: {T_R: 3, T_S: 3, T_C: 1, T_X: 2}
-      - name: conv2
-        layer: {...}
-        tile: search
-
-``tile: search`` picks the best enumerated tile automatically.  Setting
-the environment variable ``TREEFAB_INJECT_FAULT`` corrupts one simulated
-output element before comparison; it exists so the verification path can
-be shown to catch real mismatches.
+The input documents, the model file included, are described in
+``treefab.config``.  Setting the environment variable
+``TREEFAB_INJECT_FAULT`` corrupts one simulated output element before
+comparison; it exists so the verification path can be shown to catch real
+mismatches.
 """
 
 from __future__ import annotations
@@ -52,6 +42,7 @@ from .errors import (
     TreefabError,
     ValidationError,
 )
+from .mapper import build_mapping
 from .memory import random_layer_data
 from .oracle import compare, conv_reference
 from .tiler import enumerate_tiles, rank_by_simulation
@@ -81,12 +72,14 @@ def _hardware(args) -> cfg.HardwareConfig:
     return hw
 
 
-def _maybe_inject_fault(output: np.ndarray) -> np.ndarray:
+def _check(layer, output, inputs, weights):
+    """Compare a simulated output with the oracle's; with FAULT_ENV set,
+    one output element is corrupted first."""
+    reference = conv_reference(layer, inputs, weights)
     if os.environ.get(FAULT_ENV):
         output = output.copy()
-        flat = output.reshape(-1)
-        flat[0] += 1
-    return output
+        output.reshape(-1)[0] += 1
+    return compare(output, reference.output)
 
 
 def _emit(doc: dict, path: str | None) -> None:
@@ -127,41 +120,12 @@ def _cmd_run_layer(args) -> int:
                             trace=_trace_printer(args.trace))
     _emit(_stats_doc(result.stats), args.stats_out)
     if not args.no_verify:
-        reference = conv_reference(layer, inputs, weights)
-        outcome = compare(_maybe_inject_fault(result.output), reference.output)
+        outcome = _check(layer, result.output, inputs, weights)
         if not outcome.ok:
             print(f"verification failed: {outcome.report()}", file=sys.stderr)
             return EXIT_VERIFY
         print("verification passed", file=sys.stderr)
     return EXIT_OK
-
-
-def _parse_model(text: str):
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed model document: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
-        raise ParseError("model document must map 'layers' to a list")
-    if doc.get("version", cfg.SCHEMA_VERSION) != cfg.SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported model schema version {doc.get('version')}"
-        )
-    entries = []
-    names = set()
-    for i, entry in enumerate(doc["layers"]):
-        if not isinstance(entry, dict) or "layer" not in entry:
-            raise ParseError(f"model layer {i} must be a mapping with 'layer'")
-        name = str(entry.get("name", f"layer{i}"))
-        if name in names:
-            raise ValidationError(f"duplicate layer name {name!r}")
-        names.add(name)
-        layer = cfg.parse_layer_config(yaml.safe_dump(entry["layer"]))
-        tile_spec = entry.get("tile", "search")
-        tile = (None if tile_spec == "search"
-                else cfg.parse_tile_config(yaml.safe_dump(tile_spec)))
-        entries.append((name, layer, tile))
-    return entries
 
 
 def _chain_input(prev_name: str, prev_out: np.ndarray, name: str,
@@ -178,7 +142,7 @@ def _chain_input(prev_name: str, prev_out: np.ndarray, name: str,
 
 def _cmd_run_model(args) -> int:
     hw = _hardware(args)
-    entries = _parse_model(_read(args.model))
+    entries = cfg.parse_model_config(_read(args.model))
     if not entries:
         raise ValidationError("model has no layers")
     rng = np.random.default_rng(args.seed)
@@ -202,14 +166,12 @@ def _cmd_run_model(args) -> int:
         except TreefabError as exc:
             print(f"error in layer {name!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        reference = conv_reference(layer, current, weights)
-        outcome = compare(_maybe_inject_fault(result.output), reference.output)
+        outcome = _check(layer, result.output, current, weights)
         if not outcome.ok:
             print(f"layer {name!r} verification failed: {outcome.report()}",
                   file=sys.stderr)
             return EXIT_VERIFY
-        entry = {"name": name, "tile": yaml.safe_load(
-            cfg.serialize_tile_config(tile))}
+        entry = {"name": name, "tile": cfg.to_doc(tile)}
         entry.update(result.stats.as_dict())
         per_layer.append(entry)
         for key, value in result.stats.as_dict().items():
@@ -231,15 +193,12 @@ def _cmd_search_tile(args) -> int:
     hw = _hardware(args)
     layer = cfg.parse_layer_config(_read(args.layer))
     candidates = enumerate_tiles(hw, layer)
-    top = rank_by_simulation(candidates[:max(args.top_k * 4, args.top_k)],
+    top = rank_by_simulation(candidates[:4 * args.top_k],
                              hw, layer, args.top_k, seed=args.seed)
     doc = {
         "version": cfg.SCHEMA_VERSION,
         "candidates": [
-            {
-                "tile": yaml.safe_load(cfg.serialize_tile_config(c.tile)),
-                "predicted": c.predicted,
-            }
+            {"tile": cfg.to_doc(c.tile), "predicted": c.predicted}
             for c in top
         ],
     }
@@ -251,6 +210,7 @@ def _cmd_verify(args) -> int:
     hw = _hardware(args)
     layer = cfg.parse_layer_config(_read(args.layer))
     tile = cfg.parse_tile_config(_read(args.tile))
+    build_mapping(hw, layer, tile)  # an unmappable tile fails at any --trials
     if args.trials == 0:
         print("warning: 0 trials requested, vacuous pass", file=sys.stderr)
         return EXIT_OK
@@ -259,9 +219,7 @@ def _cmd_verify(args) -> int:
     for trial in range(args.trials):
         inputs, weights = random_layer_data(layer, rng)
         result = simulate_layer(hw, layer, tile, inputs, weights)
-        reference = conv_reference(layer, inputs, weights)
-        outcome = compare(_maybe_inject_fault(result.output),
-                          reference.output)
+        outcome = _check(layer, result.output, inputs, weights)
         if not outcome.ok:
             failures.append((trial, outcome.report()))
     passed = args.trials - len(failures)

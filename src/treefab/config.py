@@ -1,8 +1,8 @@
-"""Hardware, layer and tile configuration types.
+"""Hardware, layer and tile configurations, and the documents that hold them.
 
 Configuration documents are YAML mappings.  Every document accepts an
-optional integer ``version`` field (current version: 1); unknown keys are
-rejected.  Schemas:
+optional integer ``version`` field (current version: 1); hardware, layer
+and tile documents reject unknown keys.  Schemas:
 
 hardware::
 
@@ -31,6 +31,21 @@ tile::
     T_N: 1
     T_X: 3              # tiles the output rows
     T_Y: 1              # tiles the output cols
+
+model::
+
+    version: 1
+    layers:
+      - name: conv1
+        layer: {kind: conv, R: 3, S: 3, C: 4, K: 8, X: 8, Y: 8}
+        tile: {T_R: 3, T_S: 3, T_C: 1, T_X: 2}
+      - name: conv2
+        layer: {...}
+        tile: search
+
+Each model entry holds a layer document and a tile document; ``tile:
+search`` (the default) picks the best enumerated tile.  Names default to
+``layer<i>`` and must be unique.
 
 A fully-connected layer is expressed in the convolution parameterization
 with G=1, X=R, Y=S, padding=0, so that the output is 1x1 and the
@@ -196,9 +211,8 @@ class TileConfig:
         return self.t_g * self.t_k * self.t_n * self.t_x * self.t_y
 
 
-# tile axes in TileConfig field order, and their tile-document keys
+# tile axes in TileConfig field order
 TILE_AXES = ("R", "S", "C", "G", "K", "N", "X'", "Y'")
-_TILE_DOC_KEYS = tuple("T_" + axis.rstrip("'") for axis in TILE_AXES)
 
 
 def tile_extents(layer: LayerConfig) -> tuple[int, ...]:
@@ -214,32 +228,39 @@ def validate_tile(layer: LayerConfig, tile: TileConfig) -> None:
             raise TileExceedsLayer(name, t, d)
 
 
-# --- document parsing ----------------------------------------------------
+# --- documents ------------------------------------------------------------
 
-_HW_KEYS = {"version", "num_ms", "dn_bw", "rn_bw", "folding"}
-_LAYER_KEYS = {
-    "version", "kind", "R", "S", "C", "G", "K", "N", "X", "Y",
-    "stride", "padding",
+# Document name and one (key, default) pair per field, in field order.  A
+# default of None marks a required key; an enum default makes the key an
+# enum.  Tile keys are T_ plus the axis: T_R, T_S and T_C are required.
+_SCHEMAS = {
+    HardwareConfig: ("hardware", (
+        ("num_ms", None), ("dn_bw", None), ("rn_bw", None),
+        ("folding", FoldingStrategy.ROUNDTRIP),
+    )),
+    LayerConfig: ("layer", (
+        ("kind", LayerKind.CONV), ("R", None), ("S", None), ("C", None),
+        ("G", 1), ("K", None), ("N", 1), ("X", None), ("Y", None),
+        ("stride", 1), ("padding", 0),
+    )),
+    TileConfig: ("tile", tuple(
+        ("T_" + axis.rstrip("'"), None if i < 3 else 1)
+        for i, axis in enumerate(TILE_AXES)
+    )),
 }
-_TILE_KEYS = {"version", *_TILE_DOC_KEYS}
 
 
-def _load_mapping(text: str, allowed: set[str], what: str) -> dict:
+def _load(text: str, what: str):
     try:
-        doc = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed {what} document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{what} document must be a mapping")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValidationError(
-            f"unknown {what} keys: {', '.join(sorted(unknown))}"
-        )
+
+
+def _check_version(doc: dict, what: str) -> None:
     version = doc.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported {what} schema version {version}")
-    return doc
 
 
 def _require_int(doc: dict, key: str, what: str, default=None) -> int:
@@ -253,80 +274,75 @@ def _require_int(doc: dict, key: str, what: str, default=None) -> int:
     return value
 
 
-def parse_hardware_config(text: str) -> HardwareConfig:
-    doc = _load_mapping(text, _HW_KEYS, "hardware")
-    folding = doc.get("folding", FoldingStrategy.ROUNDTRIP.value)
+def _require_enum(doc: dict, key: str, default: Enum) -> Enum:
+    raw = doc.get(key, default.value)
     try:
-        strategy = FoldingStrategy(folding)
+        return type(default)(raw)
     except ValueError:
         raise ValidationError(
-            f"folding must be one of "
-            f"{[f.value for f in FoldingStrategy]}, got {folding!r}"
+            f"{key} must be one of {[e.value for e in type(default)]}, "
+            f"got {raw!r}"
         ) from None
-    return HardwareConfig(
-        num_ms=_require_int(doc, "num_ms", "hardware"),
-        dn_bw=_require_int(doc, "dn_bw", "hardware"),
-        rn_bw=_require_int(doc, "rn_bw", "hardware"),
-        folding=strategy,
-    )
 
 
-def parse_layer_config(text: str) -> LayerConfig:
-    doc = _load_mapping(text, _LAYER_KEYS, "layer")
-    kind_raw = doc.get("kind", LayerKind.CONV.value)
-    try:
-        kind = LayerKind(kind_raw)
-    except ValueError:
+def from_doc(cls, doc):
+    """Build a ``cls`` config from its loaded document (see the schemas)."""
+    what, schema = _SCHEMAS[cls]
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} document must be a mapping")
+    unknown = set(doc) - {"version", *(key for key, _ in schema)}
+    if unknown:
         raise ValidationError(
-            f"kind must be one of {[k.value for k in LayerKind]}, "
-            f"got {kind_raw!r}"
-        ) from None
-    return LayerConfig(
-        kind=kind,
-        r=_require_int(doc, "R", "layer"),
-        s=_require_int(doc, "S", "layer"),
-        c=_require_int(doc, "C", "layer"),
-        g=_require_int(doc, "G", "layer", default=1),
-        k=_require_int(doc, "K", "layer"),
-        n=_require_int(doc, "N", "layer", default=1),
-        x=_require_int(doc, "X", "layer"),
-        y=_require_int(doc, "Y", "layer"),
-        stride=_require_int(doc, "stride", "layer", default=1),
-        padding=_require_int(doc, "padding", "layer", default=0),
-    )
-
-
-def parse_tile_config(text: str) -> TileConfig:
-    doc = _load_mapping(text, _TILE_KEYS, "tile")
-    # T_R, T_S and T_C are required; the other axes default to 1
-    return TileConfig(*(
-        _require_int(doc, key, "tile", default=None if i < 3 else 1)
-        for i, key in enumerate(_TILE_DOC_KEYS)
+            f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}"
+        )
+    _check_version(doc, what)
+    return cls(*(
+        _require_enum(doc, key, default) if isinstance(default, Enum)
+        else _require_int(doc, key, what, default)
+        for key, default in schema
     ))
 
 
-def serialize_hardware_config(hw: HardwareConfig) -> str:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "num_ms": hw.num_ms,
-        "dn_bw": hw.dn_bw,
-        "rn_bw": hw.rn_bw,
-        "folding": hw.folding.value,
-    }
-    return yaml.safe_dump(doc, sort_keys=True)
+def to_doc(config) -> dict:
+    """The document of a hardware, layer or tile config, version included."""
+    doc = {"version": SCHEMA_VERSION}
+    for (key, _), value in zip(_SCHEMAS[type(config)][1], astuple(config)):
+        doc[key] = value.value if isinstance(value, Enum) else value
+    return doc
 
 
-def serialize_layer_config(layer: LayerConfig) -> str:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "kind": layer.kind.value,
-        "R": layer.r, "S": layer.s, "C": layer.c, "G": layer.g,
-        "K": layer.k, "N": layer.n, "X": layer.x, "Y": layer.y,
-        "stride": layer.stride, "padding": layer.padding,
-    }
-    return yaml.safe_dump(doc, sort_keys=True)
+def parse_hardware_config(text: str) -> HardwareConfig:
+    return from_doc(HardwareConfig, _load(text, "hardware"))
 
 
-def serialize_tile_config(tile: TileConfig) -> str:
-    doc = dict(zip(_TILE_DOC_KEYS, astuple(tile)), version=SCHEMA_VERSION)
-    return yaml.safe_dump(doc, sort_keys=True)
+def parse_layer_config(text: str) -> LayerConfig:
+    return from_doc(LayerConfig, _load(text, "layer"))
+
+
+def parse_tile_config(text: str) -> TileConfig:
+    return from_doc(TileConfig, _load(text, "tile"))
+
+
+def parse_model_config(
+    text: str,
+) -> list[tuple[str, LayerConfig, TileConfig | None]]:
+    """(name, layer, tile) per model entry; the tile is None for
+    ``tile: search``."""
+    doc = _load(text, "model")
+    if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
+        raise ParseError("model document must map 'layers' to a list")
+    _check_version(doc, "model")
+    entries = []
+    names = set()
+    for i, entry in enumerate(doc["layers"]):
+        if not isinstance(entry, dict) or "layer" not in entry:
+            raise ParseError(f"model layer {i} must be a mapping with 'layer'")
+        name = str(entry.get("name", f"layer{i}"))
+        if name in names:
+            raise ValidationError(f"duplicate layer name {name!r}")
+        names.add(name)
+        layer = from_doc(LayerConfig, entry["layer"])
+        tile = entry.get("tile", "search")
+        tile = None if tile == "search" else from_doc(TileConfig, tile)
+        entries.append((name, layer, tile))
+    return entries

@@ -86,13 +86,19 @@ def _magnitude(a: np.ndarray) -> int:
 
 def compare(simulated: np.ndarray, reference: np.ndarray,
             tolerance: float = 0) -> CompareResult:
-    """Element-wise comparison; exact for integers, |delta|<=tol for floats."""
+    """Element-wise comparison: exact at tolerance 0, else |delta| <= tol.
+
+    A NaN never matches.
+    """
     if simulated.shape != reference.shape:
         raise DimsMismatch(
             f"shape {simulated.shape} vs {reference.shape}"
         )
-    delta = np.abs(simulated.astype(np.float64) - reference.astype(np.float64))
-    bad = delta > tolerance
+    bad = simulated != reference
+    if tolerance:
+        delta = np.abs(simulated.astype(np.float64)
+                       - reference.astype(np.float64))
+        bad &= ~(delta <= tolerance)
     if not bad.any():
         return CompareResult(ok=True)
     coord = tuple(int(i) for i in np.argwhere(bad)[0])

@@ -78,8 +78,6 @@ class _Frag:
     """
 
     vn: int
-    lo: int
-    hi: int
     size: int  # leaves actually covered by the merged fragments
     arrival: int
     ref: tuple
@@ -137,14 +135,8 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
         )
         ops.append(op)
         use_port(level, node, route, vn, op.time)
-        return _Frag(
-            vn,
-            min(f.lo for f in frags),
-            max(f.hi for f in frags),
-            sum(f.size for f in frags),
-            op.time,
-            ("op", op.index),
-        )
+        return _Frag(vn, sum(f.size for f in frags), op.time,
+                     ("op", op.index))
 
     levels = n.bit_length() - 1
     # fragments staged for the level currently being configured,
@@ -154,7 +146,7 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
         if vn is None:
             continue
         staged.setdefault(i // 2, []).append(
-            _Frag(vn, i, i + 1, 1, 1, ("leaf", i))
+            _Frag(vn, 1, 1, ("leaf", i))
         )
 
     for level in range(1, levels + 1):

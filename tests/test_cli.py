@@ -206,6 +206,27 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert "vacuous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_tile_larger_than_layer(self, tmp_path, capsys, trials):
+        hw, layer, _ = standard_files(tmp_path)
+        tile = write(tmp_path, "big.yaml", "T_R: 9\nT_S: 3\nT_C: 1\n")
+        code = cli.main(["verify", "--hw", hw, "--layer", layer,
+                         "--tile", tile, "--trials", trials])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tile dimension R=9 exceeds layer R=3" in captured.err
+
+    def test_oversized_cluster_with_zero_trials(self, tmp_path, capsys):
+        hw = write(tmp_path, "hw.yaml", "num_ms: 64\ndn_bw: 4\nrn_bw: 4\n")
+        layer = write(tmp_path, "layer.yaml",
+                      "kind: conv\nR: 11\nS: 11\nC: 3\nK: 2\nX: 11\nY: 11\n")
+        tile = write(tmp_path, "tile.yaml", "T_R: 11\nT_S: 11\nT_C: 1\n")
+        code = cli.main(["verify", "--hw", hw, "--layer", layer,
+                         "--tile", tile, "--trials", "0"])
+        assert code == cli.EXIT_MAPPING
+        assert "vacuous" not in capsys.readouterr().err
+
     def test_negative_trials_rejected(self, tmp_path, capsys):
         # a tile that does not fit the layer: nothing would be simulated
         hw, layer, _ = standard_files(tmp_path)

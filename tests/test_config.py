@@ -1,6 +1,9 @@
 """Configuration parsing, validation and derived arithmetic."""
 
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treefab import (
     HardwareConfig,
@@ -15,12 +18,12 @@ from treefab import (
 )
 from treefab.config import (
     FoldingStrategy,
+    from_doc,
     parse_hardware_config,
     parse_layer_config,
+    parse_model_config,
     parse_tile_config,
-    serialize_hardware_config,
-    serialize_layer_config,
-    serialize_tile_config,
+    to_doc,
 )
 from treefab.errors import ParseError
 
@@ -134,23 +137,74 @@ class TestTileValidation:
         assert tile.n_vns == 16
 
 
+def dump(config) -> str:
+    return yaml.safe_dump(to_doc(config), sort_keys=True)
+
+
+@st.composite
+def hardware_configs(draw):
+    num_ms = 2 ** draw(st.integers(1, 10))
+    return HardwareConfig(
+        num_ms=num_ms,
+        dn_bw=draw(st.sampled_from([d for d in (1, 2, 4, 8, 16, 32, 64)
+                                    if d <= num_ms])),
+        rn_bw=draw(st.integers(1, num_ms)),
+        folding=draw(st.sampled_from(FoldingStrategy)),
+    )
+
+
+@st.composite
+def layer_configs(draw):
+    dim = st.integers(1, 12)
+    r, s, c, k, n, stride = (draw(dim) for _ in range(6))
+    if draw(st.booleans()):
+        return LayerConfig(LayerKind.FC, r=r, s=s, c=c, g=1, k=k, n=n,
+                           x=r, y=s, stride=stride)
+    padding = draw(st.integers(0, 3))
+    x = (draw(dim) - 1) * stride + r - 2 * padding
+    y = (draw(dim) - 1) * stride + s - 2 * padding
+    assume(x >= 1 and y >= 1)
+    return LayerConfig(LayerKind.CONV, r=r, s=s, c=c, g=draw(dim), k=k, n=n,
+                       x=x, y=y, stride=stride, padding=padding)
+
+
+tile_configs = st.builds(TileConfig, *[st.integers(1, 64)] * 8)
+
+
 class TestRoundTrip:
     def test_hardware(self):
         hw = HardwareConfig(64, 8, 16, FoldingStrategy.IDEAL)
-        assert parse_hardware_config(serialize_hardware_config(hw)) == hw
+        assert parse_hardware_config(dump(hw)) == hw
 
     def test_layer(self):
         layer = LayerConfig(LayerKind.CONV, r=3, s=2, c=4, g=2, k=5, n=3,
                             x=9, y=8, stride=2, padding=1)
-        assert parse_layer_config(serialize_layer_config(layer)) == layer
+        assert parse_layer_config(dump(layer)) == layer
 
     def test_tile(self):
         tile = TileConfig(3, 2, 4, 2, 5, 3, 1, 2)
-        assert parse_tile_config(serialize_tile_config(tile)) == tile
+        assert parse_tile_config(dump(tile)) == tile
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=st.one_of(hardware_configs(), layer_configs(),
+                            tile_configs))
+    def test_random_configs(self, config):
+        doc = yaml.safe_load(yaml.safe_dump(to_doc(config)))
+        assert from_doc(type(config), doc) == config
+
+    def test_documents(self):
+        assert dump(HardwareConfig(64, 8, 16, FoldingStrategy.IDEAL)) == (
+            "dn_bw: 8\nfolding: ideal\nnum_ms: 64\nrn_bw: 16\nversion: 1\n"
+        )
+        assert dump(LayerConfig(LayerKind.FC, r=1, s=12, c=4, g=1, k=8,
+                                n=1, x=1, y=12)) == (
+            "C: 4\nG: 1\nK: 8\nN: 1\nR: 1\nS: 12\nX: 1\nY: 12\nkind: fc\n"
+            "padding: 0\nstride: 1\nversion: 1\n"
+        )
 
     def test_tile_document(self):
         tile = TileConfig(3, 2, 4, 2, 5, 3, 1, 2)
-        assert serialize_tile_config(tile) == (
+        assert dump(tile) == (
             "T_C: 4\nT_G: 2\nT_K: 5\nT_N: 3\nT_R: 3\nT_S: 2\nT_X: 1\n"
             "T_Y: 2\nversion: 1\n"
         )
@@ -159,3 +213,135 @@ class TestRoundTrip:
             TileConfig(3, 2, 4)
         with pytest.raises(ValidationError, match="missing key T_C"):
             parse_tile_config("T_R: 3\nT_S: 2\nT_X: 2\n")
+
+
+HW_DOC = "num_ms: 32\ndn_bw: 4\nrn_bw: 4\n"
+LAYER_DOC = "R: 3\nS: 3\nC: 6\nK: 6\nX: 5\nY: 5\n"
+TILE_DOC = "T_R: 3\nT_S: 3\nT_C: 1\n"
+MODEL_DOC = ("layers:\n  - name: a\n"
+             "    layer: {R: 3, S: 3, C: 2, K: 4, X: 6, Y: 6%s}\n"
+             "    tile: {T_R: 3, T_S: 3, T_C: 1%s}\n")
+PARSERS = {
+    "hardware": parse_hardware_config,
+    "layer": parse_layer_config,
+    "tile": parse_tile_config,
+    "model": parse_model_config,
+}
+ENUM_FOLDING = "folding must be one of ['roundtrip', 'ideal'], got 'sideways'"
+ENUM_KIND = "kind must be one of ['conv', 'fc'], got 'pool'"
+
+# (document kind, fault, text, exception type, message); one fault each
+BAD_DOCUMENTS = [
+    ("hardware", "missing-key", "dn_bw: 4\nrn_bw: 4\n", ValidationError,
+     "hardware document is missing key num_ms"),
+    ("hardware", "non-integer", HW_DOC.replace("32", "32.0"),
+     ValidationError, "hardware key num_ms must be an integer"),
+    ("hardware", "bool", HW_DOC.replace("dn_bw: 4", "dn_bw: true"),
+     ValidationError, "hardware key dn_bw must be an integer"),
+    ("hardware", "unknown-key", HW_DOC + "bogus: 1\n", ValidationError,
+     "unknown hardware keys: bogus"),
+    ("hardware", "bad-enum", HW_DOC + "folding: sideways\n",
+     ValidationError, ENUM_FOLDING),
+    ("hardware", "bad-version", HW_DOC + "version: 9\n", ValidationError,
+     "unsupported hardware schema version 9"),
+    ("hardware", "non-mapping", "- 1\n- 2\n", ParseError,
+     "hardware document must be a mapping"),
+    ("hardware", "malformed", "num_ms: [oops\n", ParseError,
+     "malformed hardware document: "),
+    ("layer", "missing-key", LAYER_DOC.replace("R: 3\n", ""),
+     ValidationError, "layer document is missing key R"),
+    ("layer", "non-integer", LAYER_DOC.replace("X: 5", "X: 5.0"),
+     ValidationError, "layer key X must be an integer"),
+    ("layer", "bool", LAYER_DOC + "stride: true\n", ValidationError,
+     "layer key stride must be an integer"),
+    ("layer", "unknown-key", LAYER_DOC + "zeta: 2\nbogus: 1\n",
+     ValidationError, "unknown layer keys: bogus, zeta"),
+    ("layer", "bad-enum", LAYER_DOC + "kind: pool\n", ValidationError,
+     ENUM_KIND),
+    ("layer", "bad-version", LAYER_DOC + "version: 2\n", ValidationError,
+     "unsupported layer schema version 2"),
+    ("layer", "non-mapping", "just a string\n", ParseError,
+     "layer document must be a mapping"),
+    ("layer", "malformed", "R: {oops\n", ParseError,
+     "malformed layer document: "),
+    ("tile", "missing-key", "T_R: 3\nT_S: 3\nT_X: 2\n", ValidationError,
+     "tile document is missing key T_C"),
+    ("tile", "non-integer", TILE_DOC + "T_X: '2'\n", ValidationError,
+     "tile key T_X must be an integer"),
+    ("tile", "bool", TILE_DOC + "T_K: false\n", ValidationError,
+     "tile key T_K must be an integer"),
+    ("tile", "unknown-key", TILE_DOC + "T_Z: 1\n", ValidationError,
+     "unknown tile keys: T_Z"),
+    ("tile", "bad-version", TILE_DOC + "version: 0\n", ValidationError,
+     "unsupported tile schema version 0"),
+    ("tile", "non-mapping", "[1, 2]\n", ParseError,
+     "tile document must be a mapping"),
+    ("tile", "malformed", "T_R: 3\n  T_S: 3\n", ParseError,
+     "malformed tile document: "),
+    ("model", "missing-key", "version: 1\n", ParseError,
+     "model document must map 'layers' to a list"),
+    ("model", "missing-layer", "layers:\n  - {name: a, tile: search}\n",
+     ParseError, "model layer 0 must be a mapping with 'layer'"),
+    ("model", "layer-missing-key",
+     (MODEL_DOC % ("", "")).replace("R: 3, ", ""), ValidationError,
+     "layer document is missing key R"),
+    ("model", "non-integer", MODEL_DOC % (", N: two", ""), ValidationError,
+     "layer key N must be an integer"),
+    ("model", "bool", MODEL_DOC % ("", ", T_K: true"), ValidationError,
+     "tile key T_K must be an integer"),
+    ("model", "unknown-key", MODEL_DOC % (", Q: 1", ""), ValidationError,
+     "unknown layer keys: Q"),
+    ("model", "bad-enum", MODEL_DOC % (", kind: pool", ""), ValidationError,
+     ENUM_KIND),
+    ("model", "bad-version", "version: 2\n" + MODEL_DOC % ("", ""),
+     ValidationError, "unsupported model schema version 2"),
+    ("model", "layer-bad-version", MODEL_DOC % (", version: 2", ""),
+     ValidationError, "unsupported layer schema version 2"),
+    ("model", "non-mapping", "- 1\n", ParseError,
+     "model document must map 'layers' to a list"),
+    ("model", "tile-non-mapping",
+     (MODEL_DOC % ("", "")).replace("{T_R: 3, T_S: 3, T_C: 1}", "7"),
+     ParseError, "tile document must be a mapping"),
+    ("model", "tile-null",
+     (MODEL_DOC % ("", "")).replace("{T_R: 3, T_S: 3, T_C: 1}", "null"),
+     ParseError, "tile document must be a mapping"),
+    ("model", "malformed", "layers: [\n", ParseError,
+     "malformed model document: "),
+    ("model", "duplicate-name",
+     MODEL_DOC % ("", "") + (MODEL_DOC % ("", ""))[len("layers:\n"):],
+     ValidationError, "duplicate layer name 'a'"),
+]
+
+
+class TestBadDocuments:
+    @pytest.mark.parametrize(
+        "what,text,error,message",
+        [case[:1] + case[2:] for case in BAD_DOCUMENTS],
+        ids=[f"{case[0]}-{case[1]}" for case in BAD_DOCUMENTS],
+    )
+    def test_single_fault(self, what, text, error, message):
+        with pytest.raises(error) as exc:
+            PARSERS[what](text)
+        assert type(exc.value) is error
+        if message.startswith("malformed"):
+            # the rest of the message is PyYAML's
+            assert str(exc.value).startswith(message)
+            assert isinstance(exc.value.__cause__, yaml.YAMLError)
+        else:
+            assert str(exc.value) == message
+
+    def test_non_string_key(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_hardware_config(HW_DOC + "1: 2\nbogus: 3\n")
+        assert str(exc.value) == "unknown hardware keys: 1, bogus"
+
+    def test_valid_documents(self):
+        assert parse_hardware_config(HW_DOC) == HardwareConfig(32, 4, 4)
+        assert parse_layer_config(LAYER_DOC) == TINY
+        assert parse_tile_config(TILE_DOC) == TileConfig(3, 3, 1)
+        assert parse_model_config(MODEL_DOC % ("", ", T_X: 2")) == [(
+            "a",
+            LayerConfig(LayerKind.CONV, r=3, s=3, c=2, g=1, k=4, n=1,
+                        x=6, y=6),
+            TileConfig(3, 3, 1, t_x=2),
+        )]

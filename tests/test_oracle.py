@@ -143,6 +143,32 @@ class TestCompare:
         assert compare(a, b, tolerance=1e-5).ok
         assert not compare(a, b, tolerance=1e-8).ok
 
+    def test_exact_beyond_float64_precision(self):
+        a = np.array([2 ** 53 + 1], dtype=np.int64)
+        b = np.array([2 ** 53], dtype=np.int64)
+        assert not compare(a, b).ok
+
+    def test_fault_on_a_large_simulated_output(self):
+        # 2**27 * 2**27 + 2**27 * 2**27 = 2**55; +1 is lost in float64
+        layer = TestOverflow.PAIR
+        taps = np.full((1, 1, 1, 1, 2), 2 ** 27, dtype=np.int64)
+        output = simulate_layer(HardwareConfig(8, 2, 2), layer,
+                                TileConfig(1, 2, 1), taps, taps).output
+        reference = conv_reference(layer, taps, taps).output
+        assert output.item() == 2 ** 55
+        assert compare(output, reference).ok
+        output[0, 0, 0, 0, 0] += 1
+        result = compare(output, reference)
+        assert not result.ok
+        assert result.first_mismatch == ((0, 0, 0, 0, 0), 2 ** 55 + 1, 2 ** 55)
+
+    @pytest.mark.parametrize("tolerance", [0, 1e-3, 1e9, np.inf])
+    def test_nan_never_matches(self, tolerance):
+        nan = np.array([np.nan])
+        assert not compare(nan, np.array([5.0]), tolerance).ok
+        assert not compare(np.array([5.0]), nan, tolerance).ok
+        assert not compare(nan, nan.copy(), tolerance).ok
+
     def test_dims_mismatch(self):
         with pytest.raises(DimsMismatch):
             compare(np.zeros((2, 2)), np.zeros((2, 3)))
