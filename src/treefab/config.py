@@ -1,8 +1,8 @@
 """Hardware, layer and tile configurations, and the documents that hold them.
 
 Configuration documents are YAML mappings.  Every document accepts an
-optional integer ``version`` field (current version: 1); hardware, layer
-and tile documents reject unknown keys.  Schemas:
+optional integer ``version`` field (current version: 1) and rejects
+unknown keys, in each model entry too.  Schemas:
 
 hardware::
 
@@ -257,9 +257,19 @@ def _load(text: str, what: str):
         raise ParseError(f"malformed {what} document: {exc}") from exc
 
 
+def _check_keys(doc: dict, allowed, what: str) -> None:
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ValidationError(
+            f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}"
+        )
+
+
 def _check_version(doc: dict, what: str) -> None:
     version = doc.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # True == 1.0 == 1, so only an int that is not a bool is version 1
+    if (not isinstance(version, int) or isinstance(version, bool)
+            or version != SCHEMA_VERSION):
         raise ValidationError(f"unsupported {what} schema version {version}")
 
 
@@ -290,11 +300,7 @@ def from_doc(cls, doc):
     what, schema = _SCHEMAS[cls]
     if not isinstance(doc, dict):
         raise ParseError(f"{what} document must be a mapping")
-    unknown = set(doc) - {"version", *(key for key, _ in schema)}
-    if unknown:
-        raise ValidationError(
-            f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}"
-        )
+    _check_keys(doc, ("version", *(key for key, _ in schema)), what)
     _check_version(doc, what)
     return cls(*(
         _require_enum(doc, key, default) if isinstance(default, Enum)
@@ -331,12 +337,14 @@ def parse_model_config(
     doc = _load(text, "model")
     if not isinstance(doc, dict) or not isinstance(doc.get("layers"), list):
         raise ParseError("model document must map 'layers' to a list")
+    _check_keys(doc, ("version", "layers"), "model")
     _check_version(doc, "model")
     entries = []
     names = set()
     for i, entry in enumerate(doc["layers"]):
         if not isinstance(entry, dict) or "layer" not in entry:
             raise ParseError(f"model layer {i} must be a mapping with 'layer'")
+        _check_keys(entry, ("name", "layer", "tile"), f"model layer {i}")
         name = str(entry.get("name", f"layer{i}"))
         if name in names:
             raise ValidationError(f"duplicate layer name {name!r}")

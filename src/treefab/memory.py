@@ -54,6 +54,23 @@ def random_layer_data(layer: LayerConfig, seed):
     return inputs, weights
 
 
+def check_layer_data(layer: LayerConfig, inputs, weights):
+    """The layer's inputs and weights as arrays; raises ShapeMismatch
+    unless their shapes are the layer's."""
+    inputs, weights = np.asarray(inputs), np.asarray(weights)
+    if inputs.shape != input_dims(layer):
+        raise ShapeMismatch(
+            f"input dims {inputs.shape} do not match layer "
+            f"{input_dims(layer)}"
+        )
+    if weights.shape != weight_dims(layer):
+        raise ShapeMismatch(
+            f"weight dims {weights.shape} do not match layer "
+            f"{weight_dims(layer)}"
+        )
+    return inputs, weights
+
+
 def _check_key(key, dims, what) -> None:
     if len(key) != len(dims):
         raise AddressOutOfRange(
@@ -85,17 +102,7 @@ class PrefetchBuffer:
 
     def load_layer_data(self, layer: LayerConfig, inputs, weights) -> None:
         """Populate the PB for one layer; zeroes outputs, resets counters."""
-        inputs, weights = np.asarray(inputs), np.asarray(weights)
-        if inputs.shape != input_dims(layer):
-            raise ShapeMismatch(
-                f"input dims {inputs.shape} do not match layer "
-                f"{input_dims(layer)}"
-            )
-        if weights.shape != weight_dims(layer):
-            raise ShapeMismatch(
-                f"weight dims {weights.shape} do not match layer "
-                f"{weight_dims(layer)}"
-            )
+        inputs, weights = check_layer_data(layer, inputs, weights)
         self.inputs = inputs
         self.weights = weights
         self.outputs = np.zeros(output_dims(layer), dtype=inputs.dtype)

@@ -1,6 +1,16 @@
-"""Shared fixtures for the test suite: reference layers and partitions."""
+"""Shared fixtures for the test suite: reference layers, partitions, and
+hypothesis strategies for random layers and tiles."""
 
-from treefab import HardwareConfig, LayerConfig, LayerKind, TileConfig
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from treefab import (
+    HardwareConfig,
+    LayerConfig,
+    LayerKind,
+    TileConfig,
+    derive_output_dims,
+)
 
 TINY = LayerConfig(LayerKind.CONV, r=3, s=3, c=6, g=1, k=6, n=1, x=5, y=5)
 LATE_SYNTHETIC = LayerConfig(LayerKind.CONV, r=3, s=3, c=20, g=1, k=20, n=1,
@@ -27,3 +37,22 @@ def contiguous_partition(num_leaves, rng, allow_idle_tail=True):
         vn += 1
     vn_of_leaf.extend([None] * (num_leaves - used))
     return vn_of_leaf
+
+
+@st.composite
+def layers(draw):
+    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    x = r - 2 * padding + stride * draw(st.integers(0, 3))
+    y = s - 2 * padding + stride * draw(st.integers(0, 3))
+    assume(x >= 1 and y >= 1)
+    return LayerConfig(LayerKind.CONV, r=r, s=s, c=draw(st.integers(1, 5)),
+                       g=draw(st.integers(1, 3)), k=draw(st.integers(1, 4)),
+                       n=draw(st.integers(1, 2)), x=x, y=y, stride=stride,
+                       padding=padding)
+
+
+def tiles(draw, layer, overshoot=0):
+    ox, oy = derive_output_dims(layer)
+    return TileConfig(*(draw(st.integers(1, d + overshoot)) for d in (
+        layer.r, layer.s, layer.c, layer.g, layer.k, layer.n, ox, oy)))

@@ -244,6 +244,8 @@ BAD_DOCUMENTS = [
      ValidationError, ENUM_FOLDING),
     ("hardware", "bad-version", HW_DOC + "version: 9\n", ValidationError,
      "unsupported hardware schema version 9"),
+    ("hardware", "bool-version", HW_DOC + "version: true\n",
+     ValidationError, "unsupported hardware schema version True"),
     ("hardware", "non-mapping", "- 1\n- 2\n", ParseError,
      "hardware document must be a mapping"),
     ("hardware", "malformed", "num_ms: [oops\n", ParseError,
@@ -260,6 +262,8 @@ BAD_DOCUMENTS = [
      ENUM_KIND),
     ("layer", "bad-version", LAYER_DOC + "version: 2\n", ValidationError,
      "unsupported layer schema version 2"),
+    ("layer", "float-version", LAYER_DOC + "version: 1.0\n",
+     ValidationError, "unsupported layer schema version 1.0"),
     ("layer", "non-mapping", "just a string\n", ParseError,
      "layer document must be a mapping"),
     ("layer", "malformed", "R: {oops\n", ParseError,
@@ -274,6 +278,10 @@ BAD_DOCUMENTS = [
      "unknown tile keys: T_Z"),
     ("tile", "bad-version", TILE_DOC + "version: 0\n", ValidationError,
      "unsupported tile schema version 0"),
+    ("tile", "bool-version", TILE_DOC + "version: true\n", ValidationError,
+     "unsupported tile schema version True"),
+    ("tile", "float-version", TILE_DOC + "version: 1.0\n", ValidationError,
+     "unsupported tile schema version 1.0"),
     ("tile", "non-mapping", "[1, 2]\n", ParseError,
      "tile document must be a mapping"),
     ("tile", "malformed", "T_R: 3\n  T_S: 3\n", ParseError,
@@ -295,6 +303,17 @@ BAD_DOCUMENTS = [
      ENUM_KIND),
     ("model", "bad-version", "version: 2\n" + MODEL_DOC % ("", ""),
      ValidationError, "unsupported model schema version 2"),
+    ("model", "bool-version", "version: true\n" + MODEL_DOC % ("", ""),
+     ValidationError, "unsupported model schema version True"),
+    ("model", "float-version", "version: 1.0\n" + MODEL_DOC % ("", ""),
+     ValidationError, "unsupported model schema version 1.0"),
+    ("model", "unknown-top-key", "bogus: 1\n" + MODEL_DOC % ("", ""),
+     ValidationError, "unknown model keys: bogus"),
+    ("model", "unknown-entry-key",
+     (MODEL_DOC % ("", "")).replace("    tile:", "    tiles:"),
+     ValidationError, "unknown model layer 0 keys: tiles"),
+    ("model", "entry-version", MODEL_DOC % ("", "") + "    version: 1\n",
+     ValidationError, "unknown model layer 0 keys: version"),
     ("model", "layer-bad-version", MODEL_DOC % (", version: 2", ""),
      ValidationError, "unsupported layer schema version 2"),
     ("model", "non-mapping", "- 1\n", ParseError,

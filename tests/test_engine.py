@@ -4,21 +4,30 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treefab import (
+    AddressOutOfRange,
     FoldingStrategy,
     HardwareConfig,
     LayerConfig,
     LayerKind,
+    MappingError,
+    MappingPlan,
+    OutputOverflow,
     TileConfig,
+    build_mapping,
     compare,
     conv_reference,
+    engine,
     simulate_layer,
     total_macs,
 )
 from treefab.memory import random_layer_data
 
-from common import HW32, TINY, VALIDATION_TILE
+from common import HW32, PADDED_STRIDED, TINY, VALIDATION_TILE, layers, tiles
+from wave_reference import simulate_per_wave
 
 
 def run(hw, layer, tile, seed=0, strategy=None, trace=None):
@@ -164,3 +173,125 @@ class TestTimingProperties:
         ideal, _, _ = run(HW32, layer, tile, strategy=FoldingStrategy.IDEAL)
         assert rt.stats.total_cycles == ideal.stats.total_cycles
         assert (rt.output == ideal.output).all()
+
+
+def assert_matches_per_wave(hw, layer, tile, inputs, weights):
+    """simulate_layer and the per-wave reference agree on the stats, the
+    output and every trace event."""
+    fast, slow = [], []
+    got = simulate_layer(hw, layer, tile, inputs, weights, trace=fast.append)
+    want = simulate_per_wave(hw, layer, tile, inputs, weights,
+                             trace=slow.append)
+    assert got.stats.as_dict() == want.stats.as_dict()
+    assert got.output.dtype == want.output.dtype
+    assert (got.output == want.output).all()
+    assert fast == slow
+    return got
+
+
+class TestMatchesPerWaveReference:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_layers(self, data):
+        layer = data.draw(layers())
+        tile = tiles(data.draw, layer)
+        num_ms = data.draw(st.sampled_from([8, 16, 32, 64]))
+        dn_bw = data.draw(st.sampled_from(
+            [b for b in (1, 2, 4, 8, 16, 32, 64) if b <= num_ms]))
+        hw = HardwareConfig(num_ms, dn_bw, data.draw(st.integers(1, num_ms)),
+                            data.draw(st.sampled_from(FoldingStrategy)))
+        try:
+            build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        inputs, weights = random_layer_data(layer,
+                                            data.draw(st.integers(0, 999)))
+        assert_matches_per_wave(hw, layer, tile, inputs, weights)
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_several_chunks_with_edge_batches_and_blocks(self, strategy):
+        layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=5, g=2, k=3, n=2,
+                            x=9, y=8, stride=1, padding=1)
+        tile = TileConfig(2, 3, 2, 1, 2, 1, 2, 3)
+        hw = HardwareConfig(32, 8, 4, strategy)
+        plan = build_mapping(hw, layer, tile)
+        sizes = {len(batch) for batch in plan.schedule}
+        lengths = [len(block) for block in plan.fold_blocks]
+        assert len(sizes) > 1 and len(set(lengths)) > 1
+        width = plan.n_vns_mapped * max(lengths)
+        rows = engine.CHUNK_POSITIONS // width
+        waves = len(lengths) * sum(1 for _ in plan.schedule)
+        # several chunks, and batches straddle their boundaries
+        assert waves > 3 * rows and rows % plan.folds
+        inputs, weights = random_layer_data(layer, seed=11)
+        result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
+        assert compare(result.output,
+                       conv_reference(layer, inputs, weights).output).ok
+
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_float_data(self, strategy):
+        # both sum in float64 and round once to float32, in different
+        # orders, so an output may round to the neighbouring float32
+        rng = np.random.default_rng(9)
+        inputs = rng.uniform(-1, 1, (2, 2, 4, 7, 7)).astype(np.float32)
+        weights = rng.uniform(-1, 1, (2, 3, 4, 3, 3)).astype(np.float32)
+        layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=2, k=3, n=2,
+                            x=7, y=7, stride=2, padding=1)
+        tile = TileConfig(2, 3, 3, 1, 2, 1, 2, 2)
+        hw = HardwareConfig(32, 4, 4, strategy)
+        fast, slow = [], []
+        got = simulate_layer(hw, layer, tile, inputs, weights,
+                             trace=fast.append)
+        want = simulate_per_wave(hw, layer, tile, inputs, weights,
+                                 trace=slow.append)
+        assert got.stats.as_dict() == want.stats.as_dict()
+        assert fast == slow
+        assert got.output.dtype == want.output.dtype == np.float32
+        np.testing.assert_allclose(got.output, want.output,
+                                   rtol=np.finfo(np.float32).eps, atol=1e-12)
+
+
+class TestDataIndependence:
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_cycles_do_not_depend_on_the_data(self, strategy):
+        hw = replace(HW32, folding=strategy)
+        runs = []
+        for seed in (1, 2):
+            events = []
+            inputs, weights = random_layer_data(PADDED_STRIDED, seed=seed)
+            result = simulate_layer(hw, PADDED_STRIDED, VALIDATION_TILE,
+                                    inputs, weights, trace=events.append)
+            runs.append((result.stats.as_dict(), events, result.output))
+        assert runs[0][:2] == runs[1][:2]
+        assert (runs[0][2] != runs[1][2]).any()
+
+
+class TestAddressesAndOverflow:
+    def test_out_of_range_address_raises(self, monkeypatch):
+        # a schedule that names output row 99 of a 3-row output
+        monkeypatch.setattr(MappingPlan, "schedule",
+                            property(lambda plan: iter([[(0, 0, 0, 99, 0)]])))
+        inputs, weights = random_layer_data(TINY, seed=0)
+        with pytest.raises(AddressOutOfRange):
+            simulate_layer(HW32, TINY, VALIDATION_TILE, inputs, weights)
+
+    def test_overflow_names_the_first_output_in_c_order(self):
+        # tile T_X=2, T_Y=1 runs output (1, 0) before (0, 1); both overflow
+        layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=1, g=1, k=1, n=1,
+                            x=2, y=2)
+        inputs = np.array([[1, 2 ** 20], [2 ** 20, 1]],
+                          dtype=np.int32).reshape(1, 1, 1, 2, 2)
+        weights = np.full((1, 1, 1, 1, 1), 2 ** 12, dtype=np.int32)
+        tile = TileConfig(1, 1, 1, t_x=2)
+        assert [b for b in build_mapping(HardwareConfig(8, 2, 2), layer,
+                                         tile).schedule] \
+            == [[(0, 0, 0, 0, 0), (0, 0, 0, 1, 0)],
+                [(0, 0, 0, 0, 1), (0, 0, 0, 1, 1)]]
+        with pytest.raises(OutputOverflow) as simulator:
+            simulate_layer(HardwareConfig(8, 2, 2), layer, tile, inputs,
+                           weights)
+        with pytest.raises(OutputOverflow) as oracle:
+            conv_reference(layer, inputs, weights)
+        assert str(simulator.value) == str(oracle.value) \
+            == "output (0, 0, 0, 0, 1) = 4294967296 does not fit int32"

@@ -23,7 +23,7 @@ from treefab import (
 )
 from treefab.fabric import ReductionNetwork, generate_dn_routes
 
-from common import HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE
+from common import HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE, layers, tiles
 
 
 class TestFolds:
@@ -165,25 +165,6 @@ def bounds_first_offender(layer, tile):
         ("X'", tile.t_x, ox), ("Y'", tile.t_y, oy),
     ]
     return next((name for name, t, d in bounds if t > d), None)
-
-
-@st.composite
-def layers(draw):
-    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
-    x = r - 2 * padding + stride * draw(st.integers(0, 3))
-    y = s - 2 * padding + stride * draw(st.integers(0, 3))
-    assume(x >= 1 and y >= 1)
-    return LayerConfig(LayerKind.CONV, r=r, s=s, c=draw(st.integers(1, 5)),
-                       g=draw(st.integers(1, 3)), k=draw(st.integers(1, 4)),
-                       n=draw(st.integers(1, 2)), x=x, y=y, stride=stride,
-                       padding=padding)
-
-
-def tiles(draw, layer, overshoot=0):
-    ox, oy = derive_output_dims(layer)
-    return TileConfig(*(draw(st.integers(1, d + overshoot)) for d in (
-        layer.r, layer.s, layer.c, layer.g, layer.k, layer.n, ox, oy)))
 
 
 class TestTilingMatchesLoopNests:
