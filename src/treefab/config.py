@@ -54,7 +54,7 @@ flattened input lives in the R*S*C filter volume.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import yaml
@@ -74,6 +74,13 @@ class FoldingStrategy(Enum):
 class LayerKind(Enum):
     CONV = "conv"
     FC = "fc"
+
+
+def field_values(config) -> tuple:
+    """A config's field values in field order, not copied (unlike
+    ``dataclasses.astuple``, which deep-copies every field)."""
+    return tuple(getattr(config, name)
+                 for name in config.__dataclass_fields__)
 
 
 def is_power_of_two(value: int) -> bool:
@@ -223,7 +230,7 @@ def tile_extents(layer: LayerConfig) -> tuple[int, ...]:
 
 def validate_tile(layer: LayerConfig, tile: TileConfig) -> None:
     """Check every tile dimension against the layer it partitions."""
-    for name, t, d in zip(TILE_AXES, astuple(tile), tile_extents(layer)):
+    for name, t, d in zip(TILE_AXES, field_values(tile), tile_extents(layer)):
         if t > d:
             raise TileExceedsLayer(name, t, d)
 
@@ -312,7 +319,8 @@ def from_doc(cls, doc):
 def to_doc(config) -> dict:
     """The document of a hardware, layer or tile config, version included."""
     doc = {"version": SCHEMA_VERSION}
-    for (key, _), value in zip(_SCHEMAS[type(config)][1], astuple(config)):
+    schema = _SCHEMAS[type(config)][1]
+    for (key, _), value in zip(schema, field_values(config)):
         doc[key] = value.value if isinstance(value, Enum) else value
     return doc
 

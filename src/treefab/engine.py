@@ -38,8 +38,36 @@ partitions, in order of their first position) to the same leaves in the
 same order, so they take the same cycles and add the same counts.
 ``simulate_layer`` runs one wave per signature through the fabric
 components, on a buffer of zeros, and sums count x record over the
-signatures.  The outputs come from one gather-and-sum over the same
-address arrays, with exact integer sums.
+signatures.
+
+Building the signature of every wave would cost work per (wave, slot,
+element) position, so each wave first gets a closed-form *key*, one
+int64, built per chunk of waves from per-batch and per-block classes:
+
+* batch class: the batch size; the partition of its slots by
+  ``g*K + k`` and by ``n*G + g`` (each slot's first slot with the same
+  value); and each slot's ``ox`` and ``oy`` offset from the batch's least;
+* block class: the block length; each element's ``c``, ``r`` and ``s``
+  offset from the block's least; whether the fold is the first and
+  whether it is the last;
+* X border class: with ``base = ox_min*stride + r_min - padding`` and
+  ``span`` the spread of ``ox*stride + r`` over the wave, 0 when
+  ``[base, base + span]`` lies inside ``[0, X)``, else ``base + padding +
+  1``; the Y border class likewise.
+
+The key fixes the signature.  Two weight addresses are equal iff their
+``(g, k)`` and their elements are equal, which the batch partition and the
+block length give.  Two input addresses are equal iff their ``(n, g)``,
+their ``c``, their ``ox*stride + r`` and their ``oy*stride + s`` are
+equal, and the offsets give these up to the same shift for every
+position.  Whether a tap falls in the padding depends, given the offsets,
+only on ``base``, which the border class gives wherever it matters.  So
+only the first wave of each new key has its exact signature built, and
+``run_wave`` still runs once per distinct signature.
+
+The outputs come from one gather-and-sum over (schedule output x fold
+element) pairs, addressed by the same helper as the signatures, with
+exact integer sums.
 """
 
 from __future__ import annotations
@@ -74,9 +102,10 @@ from .memory import (
 )
 from .reduction import ReductionPlan
 
-# (slot, element) positions per chunk of waves whose signatures are built
-# together; bounds the engine's working arrays
-CHUNK_POSITIONS = 2048
+# waves keyed together, and (output, element) products gathered together;
+# they bound the engine's working arrays
+CHUNK_WAVES = 1 << 15
+CHUNK_PRODUCTS = 1 << 13
 
 
 @dataclass
@@ -254,82 +283,84 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     """
     mapping = build_mapping(hw, layer, tile)
     inputs, weights = check_layer_data(layer, inputs, weights)
-    batches = _Groups(mapping.schedule, 5)
-    blocks = _Groups(mapping.fold_blocks, 3)
-    _check_range(batches.flat, output_dims(layer), "output")
-    _check_range(blocks.flat, weight_dims(layer)[2:], "weight (c, r, s)")
+    batches = _Groups(*mapping.batch_array())
+    blocks = _Groups(*mapping.block_array())
+    _check_range(batches.coords, output_dims(layer), "output")
+    _check_range(blocks.coords, weight_dims(layer)[2:], "weight (c, r, s)")
     n_folds = len(blocks)
     waves = len(batches) * n_folds
-    rows = max(1, CHUNK_POSITIONS // (batches.width * blocks.width))
 
     timer = _WaveTimer(mapping, batches, blocks, inputs.dtype, weights.dtype)
-    outputs = _Outputs(layer, inputs, weights)
-    signature = np.empty(waves, dtype=np.int32)
-    for w0 in range(0, waves, rows):
-        wave = np.arange(w0, min(w0 + rows, waves))
-        b, f = np.divmod(wave, n_folds)
-        (coords, slots), (elems, taps) = batches.take(b), blocks.take(f)
-        w_addr, i_addr = _addresses(layer, coords, slots, elems, taps)
-        outputs.add(coords, slots, w_addr, i_addr)
-        # the weight partition marks the empty positions, so it also
-        # carries the batch size and the block length
-        folds = np.stack([f > 0, f == n_folds - 1], axis=1)
-        signature[wave] = timer.identify(wave, folds,
-                                         _first_positions(w_addr),
-                                         _first_positions(i_addr))
-
-    records = np.array(timer.records, dtype=np.int64)
-    if trace is not None:
-        weight_cycles, input_cycles = (records[signature, i].tolist()
-                                       for i in range(2))
-        ends = np.cumsum(records[signature, 2]).tolist()
-        sizes = batches.lengths.tolist()
-        for w in range(waves):
+    sizes = batches.lengths.tolist()
+    totals = cycle = 0
+    for w0, signature in timer.signatures():
+        records = np.array(timer.records, dtype=np.int64)
+        totals += np.bincount(signature, minlength=len(records)) @ records
+        if trace is None:
+            continue
+        weight_cycles, input_cycles, ends = (
+            records[signature, 0].tolist(), records[signature, 1].tolist(),
+            (cycle + np.cumsum(records[signature, 2])).tolist())
+        for w, wc, ic, end in zip(range(w0, w0 + len(ends)), weight_cycles,
+                                  input_cycles, ends):
             b, f = divmod(w, n_folds)
             trace({
                 "wave": w + 1, "fold": f, "batch_size": sizes[b],
-                "cycle": ends[w], "weight_cycles": weight_cycles[w],
-                "input_cycles": input_cycles[w],
+                "cycle": end, "weight_cycles": wc, "input_cycles": ic,
             })
-    totals = (np.bincount(signature, minlength=len(records))[:, None]
-              * records).sum(axis=0)
+        cycle = ends[-1]
     stats = layer_stats(mapping, int(totals[2]), waves, totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
-    return SimResult(output=outputs.result(), stats=stats, mapping=mapping)
+    output = _outputs(layer, batches.coords, blocks.coords, inputs, weights)
+    return SimResult(output=output, stats=stats, mapping=mapping)
 
 
 class _Groups:
     """The batches of output coordinates, or the fold blocks of weight
-    coordinates, as one flat (coordinates, rank) array."""
+    coordinates: one flat (coordinates, rank) array and their lengths."""
 
-    def __init__(self, groups, rank: int):
-        lengths = []
-
-        def coordinates():
-            for group in groups:
-                lengths.append(len(group))
-                yield from group
-
-        self.flat = np.fromiter(coordinates(), np.dtype((np.int64, rank)))
-        self.lengths = np.array(lengths)
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.width = int(self.lengths.max())
+    def __init__(self, coords, lengths):
+        self.coords, self.lengths = coords, lengths
+        self.starts = np.cumsum(lengths) - lengths
+        self.width = int(lengths.max())
 
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def take(self, groups):
-        """(coordinates, used): the coordinates of ``groups``, shape
-        (groups, width, rank), and the mask of those within each group."""
+    def positions(self, groups):
+        """(at, used): the index in ``coords`` of each position of
+        ``groups``, shape (groups, width), and the mask of the positions
+        within each group.  A position past a group's end repeats the
+        group's first one."""
         used = np.arange(self.width) < self.lengths[groups, None]
-        at = np.where(used, self.starts[groups, None] + np.arange(self.width),
-                      0)
-        return self.flat[at], used
+        start = self.starts[groups, None]
+        return np.where(used, start + np.arange(self.width), start), used
 
     def tuples(self, group: int) -> list[tuple]:
         start = self.starts[group]
-        return list(map(tuple, self.flat[start:start + self.lengths[group]]
+        return list(map(tuple, self.coords[start:start + self.lengths[group]]
                         .tolist()))
+
+    def classes(self, offsets, partitions, *extra):
+        """(ids, low, span): a class id per group, and per group the least
+        coordinate and the spread of each axis.
+
+        Two groups share a class iff they have the same length and
+        ``extra`` columns, the same offset of each axis in ``offsets``
+        from the group's least coordinate, and the same partition of
+        their positions by each value of ``partitions(*axes)``.
+        """
+        at, used = self.positions(np.arange(len(self)))
+        low = np.minimum.reduceat(self.coords, self.starts)
+        span = np.maximum.reduceat(self.coords, self.starts) - low
+        columns = [self.lengths, *extra]
+        columns += [np.where(used, self.coords[at, a] - low[:, a, None], -1)
+                    for a in offsets]
+        columns += [_first_positions(np.where(used, value[at], -1))
+                    for value in partitions(*self.coords.T)]
+        ids: dict[bytes, int] = {}
+        return np.array([ids.setdefault(row, len(ids))
+                         for row in _row_keys(columns)]), low, span
 
 
 def _check_range(coords, dims, what) -> None:
@@ -342,22 +373,28 @@ def _check_range(coords, dims, what) -> None:
             )
 
 
-def _addresses(layer: LayerConfig, coords, slots, elems, taps):
-    """Flat weight and input addresses of each (wave, slot, element)
-    position, shape (waves, slots * elements); -1 where the position is
-    empty, and for the input of a padding tap."""
-    n, g, k, ox, oy = (coords[:, :, None, i] for i in range(5))
-    c, r, s = (elems[:, None, :, i] for i in range(3))
-    used = slots[:, :, None] & taps[:, None, :]
-    ix = ox * layer.stride + r - layer.padding
-    iy = oy * layer.stride + s - layer.padding
-    tap = used & (ix >= 0) & (ix < layer.x) & (iy >= 0) & (iy < layer.y)
-    w_addr = np.where(used, (((g * layer.k + k) * layer.c + c) * layer.r
-                             + r) * layer.s + s, -1)
-    i_addr = np.where(tap, (((n * layer.g + g) * layer.c + c) * layer.x
-                            + ix) * layer.y + iy, -1)
-    width = w_addr.shape[1] * w_addr.shape[2]
-    return w_addr.reshape(-1, width), i_addr.reshape(-1, width)
+def _addresses(layer: LayerConfig, out, elem):
+    """Flat weight and input addresses of output coordinates ``out`` (n, g,
+    k, ox, oy) against weight coordinates ``elem`` (c, r, s), broadcast
+    together; each is a per-output base plus a per-element offset.  The
+    input address is -1 for a padding tap."""
+    n, g, k, ox, oy = np.moveaxis(out, -1, 0)
+    c, r, s = np.moveaxis(elem, -1, 0)
+    x0 = ox * layer.stride - layer.padding
+    y0 = oy * layer.stride - layer.padding
+    ix, iy = x0 + r, y0 + s
+    tap = (ix >= 0) & (ix < layer.x) & (iy >= 0) & (iy < layer.y)
+    w_addr = ((g * layer.k + k) * (layer.c * layer.r * layer.s)
+              + ((c * layer.r + r) * layer.s + s))
+    i_addr = (((n * layer.g + g) * layer.c * layer.x + x0) * layer.y + y0
+              + ((c * layer.x + r) * layer.y + s))
+    return w_addr, np.where(tap, i_addr, -1)
+
+
+def _row_keys(columns) -> list[bytes]:
+    """The rows of the stacked int32 ``columns``, as bytes."""
+    rows = np.column_stack([np.asarray(c, dtype=np.int32) for c in columns])
+    return rows.view(f"V{rows.shape[1] * 4}").ravel().tolist()
 
 
 def _first_positions(addr):
@@ -376,10 +413,10 @@ def _first_positions(addr):
 
 
 class _WaveTimer:
-    """Numbers wave signatures in order of first appearance and times each
-    new one by running a representative wave on fresh components and a
-    buffer of zeros, so no partial sum can overflow and the timing never
-    sees the data."""
+    """Gives every wave a signature id: numbers the signatures in order of
+    first appearance and times each new one by running a representative
+    wave on fresh components and a buffer of zeros, so no partial sum can
+    overflow and the timing never sees the data."""
 
     def __init__(self, mapping, batches, blocks, input_dtype, weight_dtype):
         self.mapping = mapping
@@ -390,16 +427,76 @@ class _WaveTimer:
         # per signature: weight, input and wave cycles, then COUNTED
         self.records: list[tuple[int, ...]] = []
 
-    def identify(self, waves, *parts) -> list[int]:
-        """Signature ids of ``waves``, given their signature columns."""
-        rows = np.ascontiguousarray(np.concatenate(parts, axis=1),
-                                    dtype=np.int32)
-        keys = rows.view(f"V{rows.shape[1] * 4}").ravel().tolist()
+    def signatures(self):
+        """Yield (first wave, signature ids) for each chunk of waves, in
+        issue order.
+
+        Waves are keyed chunk by chunk, and only the first wave of each
+        new key has its exact signature built."""
+        layer = self.mapping.layer
+        n_folds = len(self.blocks)
+        batch_ids, b_low, b_span = self.batches.classes(
+            (3, 4), lambda n, g, k, ox, oy: (g * layer.k + k,
+                                             n * layer.g + g))
+        f = np.arange(n_folds)
+        block_ids, f_low, f_span = self.blocks.classes(
+            (0, 1, 2), lambda c, r, s: (), f > 0, f == n_folds - 1)
+        block_ids = block_ids[None, :]
+        n_classes = int(block_ids.max()) + 1
+
+        def border(b, axis, fold_axis, extent):
+            # 0 when every tap of the waves lies inside the input along
+            # the axis, else the first tap's row (or column) made positive
+            base = (b_low[b, axis, None] * layer.stride - layer.padding
+                    + f_low[None, :, fold_axis])
+            end = base + (b_span[b, axis, None] * layer.stride
+                          + f_span[None, :, fold_axis])
+            return np.where((base >= 0) & (end < extent), 0,
+                            base + layer.padding + 1)
+
+        key_ids: dict[int, int] = {}
+        rows = max(1, CHUNK_WAVES // n_folds)
+        for b0 in range(0, len(self.batches), rows):
+            b = slice(b0, b0 + rows)
+            # below waves * radix_x * radix_y, far inside int64
+            keys = batch_ids[b, None] * n_classes + block_ids
+            for axis, fold_axis, extent in ((3, 1, layer.x),
+                                            (4, 2, layer.y)):
+                keys = (keys * (extent + 2 * layer.padding + 1)
+                        + border(b, axis, fold_axis, extent))
+            keys, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True)
+            keys = keys.tolist()
+            new = [i for i, key in enumerate(keys) if key not in key_ids]
+            if new:
+                waves = b0 * n_folds + first[new]
+                key_ids.update(zip((keys[i] for i in new),
+                                   self._identify(waves)))
+            ids = np.array([key_ids[key] for key in keys])
+            yield b0 * n_folds, ids[inverse.reshape(-1)]
+
+    def _identify(self, waves) -> list[int]:
+        """Signature ids of ``waves``, timing each new signature."""
+        b, f = np.divmod(waves, len(self.blocks))
+        (outs, slots), (elems, taps) = self.batches.positions(b), \
+            self.blocks.positions(f)
+        used = (slots[:, :, None] & taps[:, None, :]).reshape(len(waves), -1)
+        w_addr, i_addr = (
+            np.where(used, addr.reshape(len(waves), -1), -1)
+            for addr in _addresses(self.mapping.layer,
+                                   self.batches.coords[outs][:, :, None],
+                                   self.blocks.coords[elems][:, None]))
+        # the weight partition marks the empty positions, so it also
+        # carries the batch size and the block length
+        keys = _row_keys([f > 0, f == len(self.blocks) - 1,
+                          _first_positions(w_addr), _first_positions(i_addr)])
+        ids = []
         for wave, key in zip(waves.tolist(), keys):
             if key not in self.ids:
                 self.ids[key] = len(self.records)
                 self.records.append(self._time(wave))
-        return list(map(self.ids.__getitem__, keys))
+            ids.append(self.ids[key])
+        return ids
 
     def _time(self, wave: int) -> tuple[int, ...]:
         b, f = divmod(wave, len(self.blocks))
@@ -412,47 +509,41 @@ class _WaveTimer:
                         accum) + fabric.counts()
 
 
-class _Outputs:
-    """Exact output sums, accumulated chunk by chunk.
+def _outputs(layer: LayerConfig, outs, elems, inputs, weights):
+    """Exact output sums: one gather over (schedule output x fold-block
+    element), in chunks of outputs.
 
     Integer data sums in int64 when no output can leave it (R*S*C times
     the largest input and weight magnitudes), else in Python ints; float
-    data sums in float64.
+    data sums in float64.  ``np.add.at`` adds every occurrence, so a
+    schedule that repeats or drops an output gives a wrong sum.
     """
-
-    def __init__(self, layer: LayerConfig, inputs, weights):
-        self.dims = output_dims(layer)
-        self.dtype = inputs.dtype
-        acc = np.float64
-        if np.issubdtype(inputs.dtype, np.integer):
-            peak = (_magnitude(inputs) * _magnitude(weights)
-                    * layer.r * layer.s * layer.c)
-            acc = np.int64 if peak <= np.iinfo(np.int64).max else object
-        # address -1 (an empty position or a padding tap) reads the zero
-        # appended to each tensor
-        self.weights = np.append(weights.astype(acc).ravel(), 0)
-        self.inputs = np.append(inputs.astype(acc).ravel(), 0)
-        self.sums = np.zeros(self.dims, dtype=acc).ravel()
-
-    def add(self, coords, slots, w_addr, i_addr) -> None:
-        """Add the products of one chunk of waves to their outputs."""
-        products = self.weights[w_addr] * self.inputs[i_addr]
-        partial = products.reshape(slots.shape + (-1,)).sum(axis=2)
-        out = np.ravel_multi_index(tuple(coords[:, :, i] for i in range(5)),
-                                   self.dims)
-        np.add.at(self.sums, out[slots], partial[slots])
-
-    def result(self) -> np.ndarray:
-        out = self.sums.reshape(self.dims)
-        if np.issubdtype(self.dtype, np.integer):
-            info = np.iinfo(self.dtype)
-            bad = (out < info.min) | (out > info.max)
-            if bad.any():
-                coord = tuple(int(i) for i in np.argwhere(bad)[0])
-                raise OutputOverflow(
-                    f"output {coord} = {out[coord]} does not fit {self.dtype}"
-                )
-        return out.astype(self.dtype)
+    dims = output_dims(layer)
+    acc = np.float64
+    if np.issubdtype(inputs.dtype, np.integer):
+        peak = (_magnitude(inputs) * _magnitude(weights)
+                * layer.r * layer.s * layer.c)
+        acc = np.int64 if peak <= np.iinfo(np.int64).max else object
+    flat_weights = weights.astype(acc).ravel()
+    # address -1 (a padding tap) reads the zero appended to the inputs
+    flat_inputs = np.append(inputs.astype(acc).ravel(), 0)
+    sums = np.zeros(dims, dtype=acc).ravel()
+    rows = max(1, CHUNK_PRODUCTS // len(elems))
+    for o0 in range(0, len(outs), rows):
+        out = outs[o0:o0 + rows]
+        w_addr, i_addr = _addresses(layer, out[:, None], elems[None])
+        partial = (flat_weights[w_addr] * flat_inputs[i_addr]).sum(axis=1)
+        np.add.at(sums, np.ravel_multi_index(tuple(out.T), dims), partial)
+    sums = sums.reshape(dims)
+    if np.issubdtype(inputs.dtype, np.integer):
+        info = np.iinfo(inputs.dtype)
+        bad = (sums < info.min) | (sums > info.max)
+        if bad.any():
+            coord = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise OutputOverflow(
+                f"output {coord} = {sums[coord]} does not fit {inputs.dtype}"
+            )
+    return sums.astype(inputs.dtype)
 
 
 def _magnitude(a: np.ndarray) -> int:

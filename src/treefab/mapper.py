@@ -3,17 +3,19 @@
 Translates (hardware, layer, tile) into a mapping plan: cluster (VN)
 geometry, the leaf assignment of every multiplier switch, and the switch
 configuration of the reduction network.  The output schedule and the
-fold blocks are cut from the layer by one box generator, ``_boxes``, and
-are built as they are iterated, never stored.  Distribution
-routes depend only on each payload's destinations and are generated by
-``fabric.generate_dn_routes`` as payloads are injected.
+fold blocks are cut from the layer by one numpy function, ``_cut``, as
+flat coordinate arrays with one length per group; they are built when
+asked for, never stored.  Distribution routes depend only on each
+payload's destinations and are generated by ``fabric.generate_dn_routes``
+as payloads are injected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
-from itertools import product
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import (
     FoldingStrategy,
@@ -21,6 +23,7 @@ from .config import (
     LayerConfig,
     TILE_AXES,
     TileConfig,
+    field_values,
     tile_extents,
     validate_tile,
 )
@@ -51,20 +54,34 @@ class MappingPlan:
     has_forwarder: bool
     _rn_plans: dict[int, ReductionPlan] = field(default_factory=dict)
 
+    def batch_array(self):
+        """(coordinates, lengths): the schedule's output coordinates
+        (n, g, k, ox, oy) in issue order, shape (outputs, 5), and the
+        length of each batch.  Each batch maps one output per cluster slot
+        and runs through every fold before the next batch starts."""
+        coords, tiles = _cut(*_axes(self.layer, self.tile, _OUTPUT_AXES))
+        # each tile splits into batches of n_vns_mapped, the last shorter
+        per_tile = -(-tiles // self.n_vns_mapped)
+        lengths = np.full(per_tile.sum(), self.n_vns_mapped)
+        lengths[np.cumsum(per_tile) - 1] = \
+            tiles - (per_tile - 1) * self.n_vns_mapped
+        return coords, lengths
+
+    def block_array(self):
+        """(coordinates, lengths): the fold blocks' (c, r, s) weight
+        coordinates in issue order, shape (elements, 3), and the length
+        of each block."""
+        return _cut(*_axes(self.layer, self.tile, _FOLD_AXES))
+
     @property
     def schedule(self):
-        """Batches of output coordinates (n, g, k, ox, oy), built as they
-        are iterated.  Each batch maps one output per cluster slot and runs
-        through every fold before the next batch starts."""
-        for step in _boxes(*_axes(self.layer, self.tile, _OUTPUT_AXES)):
-            for i in range(0, len(step), self.n_vns_mapped):
-                yield step[i:i + self.n_vns_mapped]
+        """Batches of output coordinates, as lists of tuples."""
+        return _groups(*self.batch_array())
 
     @property
     def fold_blocks(self):
-        """(c, r, s) weight coordinates of each fold iteration, in issue
-        order, built as they are iterated."""
-        return _boxes(*_axes(self.layer, self.tile, _FOLD_AXES))
+        """Fold blocks of weight coordinates, as lists of tuples."""
+        return _groups(*self.block_array())
 
     def slot_start(self, slot: int) -> int:
         return slot * self.real_vn_size
@@ -108,7 +125,7 @@ class MappingPlan:
             "real_vn_size": self.real_vn_size,
             "folds": self.folds,
             "n_vns_mapped": self.n_vns_mapped,
-            "batches": sum(1 for _ in self.schedule),
+            "batches": len(self.batch_array()[1]),
             "ms_assignment": [
                 {"leaf": i, "vn": slot, "role": role}
                 for i, (slot, role) in enumerate(self.ms_assignment())
@@ -134,16 +151,31 @@ def compute_folds(layer: LayerConfig, tile: TileConfig) -> int:
 
 def _axes(layer: LayerConfig, tile: TileConfig, names):
     """(layer extents, tile steps) of the named axes, in that order."""
-    pairs = dict(zip(TILE_AXES, zip(tile_extents(layer), astuple(tile))))
+    pairs = dict(zip(TILE_AXES, zip(tile_extents(layer),
+                                    field_values(tile))))
     return tuple(zip(*(pairs[name] for name in names)))
 
 
-def _boxes(extents, steps):
-    """Cut the box ``extents`` into tiles of ``steps``, outermost axis
-    first; yield each tile as the list of its coordinates."""
-    for origin in product(*(range(0, e, t) for e, t in zip(extents, steps))):
-        yield list(product(*(range(o, min(o + t, e))
-                             for o, t, e in zip(origin, steps, extents))))
+def _cut(extents, steps):
+    """Cut the box ``extents`` into tiles of ``steps``: (coordinates,
+    lengths), the coordinates of every tile in turn, outermost axis first
+    and each tile in product order, and the length of each tile."""
+    coords = np.indices(extents).reshape(len(extents), -1)
+    tiles = np.ravel_multi_index(
+        tuple(coords // np.array(steps)[:, None]),
+        tuple(-(-e // t) for e, t in zip(extents, steps)))
+    # a stable sort keeps product order within each tile
+    order = np.argsort(tiles, kind="stable")
+    return coords.T[order], np.bincount(tiles)
+
+
+def _groups(coords, lengths):
+    """Yield each group of ``coords`` as a list of tuples."""
+    rows = list(map(tuple, coords.tolist()))
+    start = 0
+    for length in lengths.tolist():
+        yield rows[start:start + length]
+        start += length
 
 
 def build_mapping(hw: HardwareConfig, layer: LayerConfig,

@@ -1,10 +1,12 @@
 """Independent functional reference for grouped convolution.
 
-Computes layer outputs with plain padded-array slicing, deliberately
-sharing no index arithmetic with the memory module, so every simulator
-run can be cross-checked against it.  Integer sums are exact; like the
-simulator, it raises ``OutputOverflow`` for an output that does not fit
-the input dtype.
+Computes layer outputs from strided windows of the padded input, with one
+tensor contraction per (batch, group) pair, deliberately sharing no index
+arithmetic with the engine or the memory module, so every simulator run
+can be cross-checked against it.  Integer sums are exact: int64 when no
+sum of R*S*C products can leave it, else Python ints; float data sums in
+float64.  Like the simulator, it raises ``OutputOverflow`` for the first
+output, in C order, that does not fit the input dtype.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import LayerConfig, derive_output_dims, total_macs
 from .errors import DimsMismatch, OutputOverflow, ShapeMismatch
@@ -52,22 +55,22 @@ def conv_reference(layer: LayerConfig, inputs: np.ndarray,
         volume = layer.r * layer.s * layer.c
         peak = _magnitude(inputs) * _magnitude(weights) * volume
         acc_dtype = np.int64 if peak <= np.iinfo(np.int64).max else object
-    padded = np.pad(
-        inputs.astype(acc_dtype),
-        ((0, 0), (0, 0), (0, 0), (pad, pad), (pad, pad)),
-    )
+    # np.pad would fill an object array with NumPy int64 zeros, which
+    # overflow when multiplied by a Python int beyond int64
+    padded = np.zeros(inputs.shape[:3] + (layer.x + 2 * pad,
+                                          layer.y + 2 * pad), acc_dtype)
+    padded[:, :, :, pad:pad + layer.x, pad:pad + layer.y] = \
+        inputs.astype(acc_dtype)
     w = weights.astype(acc_dtype)
+    # windows[n, g, c, i, j, r, s]
+    #     = padded[n, g, c, i * stride + r, j * stride + s]
+    windows = sliding_window_view(padded, (layer.r, layer.s), axis=(3, 4))[
+        :, :, :, ::layer.stride, ::layer.stride]
     out = np.zeros((layer.n, layer.g, layer.k, ox, oy), dtype=acc_dtype)
     for n in range(layer.n):
         for g in range(layer.g):
-            for i in range(ox):
-                for j in range(oy):
-                    x0 = i * layer.stride
-                    y0 = j * layer.stride
-                    patch = padded[n, g, :, x0:x0 + layer.r, y0:y0 + layer.s]
-                    out[n, g, :, i, j] = np.tensordot(
-                        w[g], patch, axes=([1, 2, 3], [0, 1, 2])
-                    )
+            out[n, g] = np.tensordot(w[g], windows[n, g],
+                                     axes=([1, 2, 3], [0, 3, 4]))
     if integer:
         info = np.iinfo(inputs.dtype)
         bad = (out < info.min) | (out > info.max)

@@ -7,11 +7,17 @@ pass can re-rank the best candidates by simulated cycle count.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 from . import engine
-from .config import HardwareConfig, LayerConfig, TileConfig, tile_extents
+from .config import (
+    HardwareConfig,
+    LayerConfig,
+    TileConfig,
+    field_values,
+    tile_extents,
+)
 from .errors import MappingError, NoFeasibleTile
 from .mapper import build_mapping, theoretical_utilization
 from .memory import random_layer_data
@@ -28,7 +34,7 @@ class TileCandidate:
         return (
             -self.predicted["theoretical_utilization"],
             self.predicted["folds"],
-            astuple(self.tile),
+            field_values(self.tile),
         )
 
 
@@ -93,6 +99,6 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     ranked.sort(key=lambda c: (
         c.predicted["estimated_cycles"],
         -c.predicted["theoretical_utilization"],
-        astuple(c.tile),
+        field_values(c.tile),
     ))
     return ranked[:top_k]

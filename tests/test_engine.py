@@ -1,6 +1,7 @@
 """Whole-layer simulation: correctness, counters, timing properties."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,7 +27,15 @@ from treefab import (
 )
 from treefab.memory import random_layer_data
 
-from common import HW32, PADDED_STRIDED, TINY, VALIDATION_TILE, layers, tiles
+from common import (
+    EARLY_SYNTHETIC,
+    HW32,
+    PADDED_STRIDED,
+    TINY,
+    VALIDATION_TILE,
+    layers,
+    tiles,
+)
 from wave_reference import simulate_per_wave
 
 
@@ -175,6 +184,23 @@ class TestTimingProperties:
         assert (rt.output == ideal.output).all()
 
 
+def draw_case(data, dn_headroom=1):
+    """A random mappable (hardware, layer, tile); ``dn_bw`` leaves room
+    for ``dn_headroom`` times itself."""
+    layer = data.draw(layers())
+    tile = tiles(data.draw, layer)
+    num_ms = data.draw(st.sampled_from([8, 16, 32, 64]))
+    dn_bw = data.draw(st.sampled_from(
+        [b for b in (1, 2, 4, 8, 16, 32, 64) if b * dn_headroom <= num_ms]))
+    hw = HardwareConfig(num_ms, dn_bw, data.draw(st.integers(1, num_ms)),
+                        data.draw(st.sampled_from(FoldingStrategy)))
+    try:
+        build_mapping(hw, layer, tile)
+    except MappingError:
+        assume(False)
+    return hw, layer, tile
+
+
 def assert_matches_per_wave(hw, layer, tile, inputs, weights):
     """simulate_layer and the per-wave reference agree on the stats, the
     output and every trace event."""
@@ -193,36 +219,50 @@ class TestMatchesPerWaveReference:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_layers(self, data):
-        layer = data.draw(layers())
-        tile = tiles(data.draw, layer)
-        num_ms = data.draw(st.sampled_from([8, 16, 32, 64]))
-        dn_bw = data.draw(st.sampled_from(
-            [b for b in (1, 2, 4, 8, 16, 32, 64) if b <= num_ms]))
-        hw = HardwareConfig(num_ms, dn_bw, data.draw(st.integers(1, num_ms)),
-                            data.draw(st.sampled_from(FoldingStrategy)))
-        try:
-            build_mapping(hw, layer, tile)
-        except MappingError:
-            assume(False)
+        hw, layer, tile = draw_case(data)
         inputs, weights = random_layer_data(layer,
                                             data.draw(st.integers(0, 999)))
         assert_matches_per_wave(hw, layer, tile, inputs, weights)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_order_of_outputs_and_elements(self, data):
+        # the engine must be exact for any schedule, not only for the
+        # tiles' product order: shuffle every output into any batch and
+        # every weight coordinate into any block, keeping their lengths
+        hw, layer, tile = draw_case(data)
+        plan = build_mapping(hw, layer, tile)
+        outs, batch_lengths = plan.batch_array()
+        elems, block_lengths = plan.block_array()
+        outs = outs[data.draw(st.permutations(range(len(outs))))]
+        elems = elems[data.draw(st.permutations(range(len(elems))))]
+        inputs, weights = random_layer_data(layer,
+                                            data.draw(st.integers(0, 999)))
+        with patch.object(MappingPlan, "batch_array",
+                          lambda _: (outs, batch_lengths)), \
+                patch.object(MappingPlan, "block_array",
+                             lambda _: (elems, block_lengths)):
+            result = assert_matches_per_wave(hw, layer, tile, inputs,
+                                             weights)
+        assert compare(result.output,
+                       conv_reference(layer, inputs, weights).output).ok
+
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
-    def test_several_chunks_with_edge_batches_and_blocks(self, strategy):
+    def test_several_chunks_with_edge_batches_and_blocks(self, strategy,
+                                                         monkeypatch):
         layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=5, g=2, k=3, n=2,
                             x=9, y=8, stride=1, padding=1)
         tile = TileConfig(2, 3, 2, 1, 2, 1, 2, 3)
         hw = HardwareConfig(32, 8, 4, strategy)
         plan = build_mapping(hw, layer, tile)
-        sizes = {len(batch) for batch in plan.schedule}
+        sizes = [len(batch) for batch in plan.schedule]
         lengths = [len(block) for block in plan.fold_blocks]
-        assert len(sizes) > 1 and len(set(lengths)) > 1
-        width = plan.n_vns_mapped * max(lengths)
-        rows = engine.CHUNK_POSITIONS // width
-        waves = len(lengths) * sum(1 for _ in plan.schedule)
-        # several chunks, and batches straddle their boundaries
-        assert waves > 3 * rows and rows % plan.folds
+        assert len(set(sizes)) > 1 and len(set(lengths)) > 1
+        # key three batches and gather five outputs at a time, so the
+        # layer takes several chunks of each
+        monkeypatch.setattr(engine, "CHUNK_WAVES", 3 * plan.folds)
+        monkeypatch.setattr(engine, "CHUNK_PRODUCTS", 5 * sum(lengths))
+        assert len(sizes) > 3 * 3 and sum(sizes) > 3 * 5
         inputs, weights = random_layer_data(layer, seed=11)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
         assert compare(result.output,
@@ -252,6 +292,85 @@ class TestMatchesPerWaveReference:
                                    rtol=np.finfo(np.float32).eps, atol=1e-12)
 
 
+class TestWaveKeys:
+    def count_timed_waves(self, monkeypatch, hw, layer, tile):
+        calls = []
+        original = engine.run_wave
+        monkeypatch.setattr(engine, "run_wave",
+                            lambda *args: calls.append(1) or original(*args))
+        inputs, weights = random_layer_data(layer, seed=0)
+        simulate_layer(hw, layer, tile, inputs, weights)
+        return len(calls)
+
+    def test_early_times_three_waves(self, monkeypatch):
+        assert self.count_timed_waves(
+            monkeypatch, HW32, EARLY_SYNTHETIC,
+            TileConfig(3, 3, 1, t_x=3)) == 3
+
+    def test_wide_ideal_times_six_waves(self, monkeypatch):
+        layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=8, g=1, k=16, n=1,
+                            x=10, y=10)
+        hw = HardwareConfig(256, 16, 4, FoldingStrategy.IDEAL)
+        assert self.count_timed_waves(
+            monkeypatch, hw, layer, TileConfig(3, 3, 1, t_k=16, t_x=2)) == 6
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_blocks_that_differ_only_in_channels(self, strategy,
+                                                 monkeypatch):
+        # the two middle blocks have the same (r, s) offsets, but only the
+        # first of them keeps one channel, so only there output 1's tap
+        # r=0 and output 0's tap r=1 read one input
+        layer = LayerConfig(LayerKind.CONV, r=2, s=1, c=4, g=1, k=1, n=1,
+                            x=3, y=1)
+        tile = TileConfig(2, 1, 1, t_x=2)
+        monkeypatch.setattr(MappingPlan, "block_array", lambda plan: (
+            np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0],
+                      [2, 0, 0], [3, 1, 0], [3, 0, 0], [2, 1, 0]]),
+            np.array([2, 2, 2, 2])))
+        hw = replace(HW32, folding=strategy)
+        inputs, weights = random_layer_data(layer, seed=13)
+        assert_matches_per_wave(hw, layer, tile, inputs, weights)
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_tiles_straddle_every_edge(self, strategy):
+        layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=2, g=2, k=2, n=2,
+                            x=15, y=15, stride=2, padding=2)
+        tile = TileConfig(2, 3, 1, 1, 2, 1, 2, 3)
+        hw = HardwareConfig(32, 4, 4, strategy)
+        plan = build_mapping(hw, layer, tile)
+        # input rows (columns) touched by each batch against each block
+        spans = {axis: set() for axis in (0, 1)}
+        for batch in plan.schedule:
+            for block in plan.fold_blocks:
+                for axis in (0, 1):
+                    taps = [o[3 + axis] * layer.stride + e[1 + axis]
+                            - layer.padding for o in batch for e in block]
+                    spans[axis].add((min(taps), max(taps)))
+        for axis, extent in ((0, layer.x), (1, layer.y)):
+            assert any(lo < 0 <= hi for lo, hi in spans[axis])
+            assert any(lo < extent <= hi for lo, hi in spans[axis])
+            assert any(0 <= lo and hi < extent for lo, hi in spans[axis])
+        inputs, weights = random_layer_data(layer, seed=12)
+        assert_matches_per_wave(hw, layer, tile, inputs, weights)
+
+
+class TestEngineProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_effective_never_exceeds_theoretical_utilization(self, data):
+        hw, layer, tile = draw_case(data)
+        st_ = run(hw, layer, tile)[0].stats
+        assert st_.effective_ms_utilization <= st_.theoretical_utilization
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_doubling_dn_bw_never_adds_cycles(self, data):
+        hw, layer, tile = draw_case(data, dn_headroom=2)
+        wide = replace(hw, dn_bw=2 * hw.dn_bw)
+        assert run(wide, layer, tile)[0].stats.total_cycles \
+            <= run(hw, layer, tile)[0].stats.total_cycles
+
+
 class TestDataIndependence:
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_cycles_do_not_depend_on_the_data(self, strategy):
@@ -270,8 +389,16 @@ class TestDataIndependence:
 class TestAddressesAndOverflow:
     def test_out_of_range_address_raises(self, monkeypatch):
         # a schedule that names output row 99 of a 3-row output
-        monkeypatch.setattr(MappingPlan, "schedule",
-                            property(lambda plan: iter([[(0, 0, 0, 99, 0)]])))
+        monkeypatch.setattr(MappingPlan, "batch_array", lambda plan: (
+            np.array([[0, 0, 0, 99, 0]]), np.array([1])))
+        inputs, weights = random_layer_data(TINY, seed=0)
+        with pytest.raises(AddressOutOfRange):
+            simulate_layer(HW32, TINY, VALIDATION_TILE, inputs, weights)
+
+    def test_out_of_range_fold_block_raises(self, monkeypatch):
+        # a fold block that names channel 6 of a 6-channel filter
+        monkeypatch.setattr(MappingPlan, "block_array", lambda plan: (
+            np.array([[0, 0, 0], [6, 0, 0]]), np.array([2])))
         inputs, weights = random_layer_data(TINY, seed=0)
         with pytest.raises(AddressOutOfRange):
             simulate_layer(HW32, TINY, VALIDATION_TILE, inputs, weights)
