@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .mapper import build_mapping
-from .memory import random_layer_data
+from .memory import input_dims, random_layer_data
 from .oracle import compare, conv_reference
 from .tiler import enumerate_tiles, rank_by_simulation
 
@@ -60,7 +60,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -130,7 +130,7 @@ def _cmd_run_layer(args) -> int:
 
 def _chain_input(prev_name: str, prev_out: np.ndarray, name: str,
                  layer: cfg.LayerConfig) -> np.ndarray:
-    want = (layer.n, layer.g, layer.c, layer.x, layer.y)
+    want = input_dims(layer)
     if prev_out.size != int(np.prod(want)):
         raise ValidationError(
             f"output of {prev_name!r} has {prev_out.size} elements but "
@@ -157,7 +157,7 @@ def _cmd_run_model(args) -> int:
             current = _chain_input(prev_name, current, name, layer)
             _, weights = random_layer_data(layer, rng)
         if tile is None:
-            tile = enumerate_tiles(hw, layer, limit=1)[0].tile
+            tile = enumerate_tiles(hw, layer)[0].tile
         try:
             result = simulate_layer(hw, layer, tile, current, weights)
         except MappingError as exc:
@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--layer", required=True, help="layer YAML file")
         if tile:
             p.add_argument("--tile", required=True, help="tile YAML file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--strategy", choices=["roundtrip", "ideal"],
                        default=None, help="override the folding strategy")
         p.add_argument("--stats-out", default=None,

@@ -36,13 +36,9 @@ last.  So a wave's *signature* is
 Waves with one signature send the same payloads (the classes of the
 partitions, in order of their first position) to the same leaves in the
 same order, so they take the same cycles and add the same counts.
-``simulate_layer`` runs one wave per signature through the fabric
-components, on a buffer of zeros, and sums count x record over the
-signatures.
 
-Building the signature of every wave would cost work per (wave, slot,
-element) position, so each wave first gets a closed-form *key*, one
-int64, built per chunk of waves from per-batch and per-block classes:
+Each wave gets a closed-form *key*, one int64, built per chunk of waves
+from per-batch and per-block classes:
 
 * batch class: the batch size; the partition of its slots by
   ``g*K + k`` and by ``n*G + g`` (each slot's first slot with the same
@@ -61,13 +57,16 @@ block length give.  Two input addresses are equal iff their ``(n, g)``,
 their ``c``, their ``ox*stride + r`` and their ``oy*stride + s`` are
 equal, and the offsets give these up to the same shift for every
 position.  Whether a tap falls in the padding depends, given the offsets,
-only on ``base``, which the border class gives wherever it matters.  So
-only the first wave of each new key has its exact signature built, and
-``run_wave`` still runs once per distinct signature.
+only on ``base``, which the border class gives wherever it matters.
+
+So ``simulate_layer`` runs ``run_wave`` once per distinct key, on the
+key's first wave, fresh fabric components and a buffer of zeros, and
+sums count x record over the keys.  Keys that share a signature are each
+timed, to the same record.
 
 The outputs come from one gather-and-sum over (schedule output x fold
-element) pairs, addressed by the same helper as the signatures, with
-exact integer sums.
+element) pairs, addressed by weight and input address, with exact
+integer sums.
 """
 
 from __future__ import annotations
@@ -290,17 +289,17 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     n_folds = len(blocks)
     waves = len(batches) * n_folds
 
-    timer = _WaveTimer(mapping, batches, blocks, inputs.dtype, weights.dtype)
     sizes = batches.lengths.tolist()
     totals = cycle = 0
-    for w0, signature in timer.signatures():
-        records = np.array(timer.records, dtype=np.int64)
-        totals += np.bincount(signature, minlength=len(records)) @ records
+    for w0, key, records in _keyed_waves(mapping, batches, blocks,
+                                         inputs.dtype, weights.dtype):
+        records = np.array(records, dtype=np.int64)
+        totals += np.bincount(key, minlength=len(records)) @ records
         if trace is None:
             continue
         weight_cycles, input_cycles, ends = (
-            records[signature, 0].tolist(), records[signature, 1].tolist(),
-            (cycle + np.cumsum(records[signature, 2])).tolist())
+            records[key, 0].tolist(), records[key, 1].tolist(),
+            (cycle + np.cumsum(records[key, 2])).tolist())
         for w, wc, ic, end in zip(range(w0, w0 + len(ends)), weight_cycles,
                                   input_cycles, ends):
             b, f = divmod(w, n_folds)
@@ -315,6 +314,69 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
+def _keyed_waves(mapping, batches, blocks, input_dtype, weight_dtype):
+    """Yield (first wave, key ids, records) for each chunk of waves, in
+    issue order.
+
+    Key ids number the distinct keys in order of first appearance;
+    ``records`` holds, per key id, the weight, input and wave cycles and
+    then the ``COUNTED`` counters of the key's first wave.  That wave runs
+    on fresh components and a buffer of zeros, so no partial sum can
+    overflow and the timing never sees the data.
+    """
+    layer = mapping.layer
+    n_folds = len(blocks)
+    zeros = (np.zeros(input_dims(layer), input_dtype),
+             np.zeros(weight_dims(layer), weight_dtype))
+    batch_ids, b_low, b_span = batches.classes(
+        (3, 4), lambda n, g, k, ox, oy: (g * layer.k + k, n * layer.g + g))
+    fold = np.arange(n_folds)
+    block_ids, f_low, f_span = blocks.classes(
+        (0, 1, 2), lambda c, r, s: (), fold > 0, fold == n_folds - 1)
+    block_ids = block_ids[None, :]
+    n_classes = int(block_ids.max()) + 1
+
+    def border(b, axis, fold_axis, extent):
+        # 0 when every tap of the waves lies inside the input along the
+        # axis, else the first tap's row (or column) made positive
+        base = (b_low[b, axis, None] * layer.stride - layer.padding
+                + f_low[None, :, fold_axis])
+        end = base + (b_span[b, axis, None] * layer.stride
+                      + f_span[None, :, fold_axis])
+        return np.where((base >= 0) & (end < extent), 0,
+                        base + layer.padding + 1)
+
+    def time(wave: int) -> tuple[int, ...]:
+        b, f = divmod(wave, n_folds)
+        batch, block = batches.tuples(b), blocks.tuples(f)
+        fabric = Fabric(mapping.hw)
+        fabric.pb.load_layer_data(layer, *zeros)
+        plan = mapping.reduction_plan(len(batch))
+        accum = dict.fromkeys(range(len(batch)), 0)
+        return run_wave(mapping, plan, batch, f, block, fabric, 0,
+                        accum) + fabric.counts()
+
+    key_ids: dict[int, int] = {}
+    records: list[tuple[int, ...]] = []
+    rows = max(1, CHUNK_WAVES // n_folds)
+    for b0 in range(0, len(batches), rows):
+        b = slice(b0, b0 + rows)
+        # below waves * radix_x * radix_y, far inside int64
+        keys = batch_ids[b, None] * n_classes + block_ids
+        for axis, fold_axis, extent in ((3, 1, layer.x), (4, 2, layer.y)):
+            keys = (keys * (extent + 2 * layer.padding + 1)
+                    + border(b, axis, fold_axis, extent))
+        keys, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True)
+        keys = keys.tolist()
+        for key, wave in zip(keys, (b0 * n_folds + first).tolist()):
+            if key not in key_ids:
+                key_ids[key] = len(records)
+                records.append(time(wave))
+        ids = np.array([key_ids[key] for key in keys])
+        yield b0 * n_folds, ids[inverse.reshape(-1)], records
+
+
 class _Groups:
     """The batches of output coordinates, or the fold blocks of weight
     coordinates: one flat (coordinates, rank) array and their lengths."""
@@ -326,15 +388,6 @@ class _Groups:
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def positions(self, groups):
-        """(at, used): the index in ``coords`` of each position of
-        ``groups``, shape (groups, width), and the mask of the positions
-        within each group.  A position past a group's end repeats the
-        group's first one."""
-        used = np.arange(self.width) < self.lengths[groups, None]
-        start = self.starts[groups, None]
-        return np.where(used, start + np.arange(self.width), start), used
 
     def tuples(self, group: int) -> list[tuple]:
         start = self.starts[group]
@@ -350,7 +403,11 @@ class _Groups:
         from the group's least coordinate, and the same partition of
         their positions by each value of ``partitions(*axes)``.
         """
-        at, used = self.positions(np.arange(len(self)))
+        # each position's index in coords; one past a group's end repeats
+        # the group's first
+        used = np.arange(self.width) < self.lengths[:, None]
+        start = self.starts[:, None]
+        at = np.where(used, start + np.arange(self.width), start)
         low = np.minimum.reduceat(self.coords, self.starts)
         span = np.maximum.reduceat(self.coords, self.starts) - low
         columns = [self.lengths, *extra]
@@ -410,103 +467,6 @@ def _first_positions(addr):
     first = np.empty_like(order)
     first[rows, order] = order[rows, start]
     return np.where(addr < 0, -1, first)
-
-
-class _WaveTimer:
-    """Gives every wave a signature id: numbers the signatures in order of
-    first appearance and times each new one by running a representative
-    wave on fresh components and a buffer of zeros, so no partial sum can
-    overflow and the timing never sees the data."""
-
-    def __init__(self, mapping, batches, blocks, input_dtype, weight_dtype):
-        self.mapping = mapping
-        self.batches, self.blocks = batches, blocks
-        self.zeros = (np.zeros(input_dims(mapping.layer), input_dtype),
-                      np.zeros(weight_dims(mapping.layer), weight_dtype))
-        self.ids: dict[bytes, int] = {}
-        # per signature: weight, input and wave cycles, then COUNTED
-        self.records: list[tuple[int, ...]] = []
-
-    def signatures(self):
-        """Yield (first wave, signature ids) for each chunk of waves, in
-        issue order.
-
-        Waves are keyed chunk by chunk, and only the first wave of each
-        new key has its exact signature built."""
-        layer = self.mapping.layer
-        n_folds = len(self.blocks)
-        batch_ids, b_low, b_span = self.batches.classes(
-            (3, 4), lambda n, g, k, ox, oy: (g * layer.k + k,
-                                             n * layer.g + g))
-        f = np.arange(n_folds)
-        block_ids, f_low, f_span = self.blocks.classes(
-            (0, 1, 2), lambda c, r, s: (), f > 0, f == n_folds - 1)
-        block_ids = block_ids[None, :]
-        n_classes = int(block_ids.max()) + 1
-
-        def border(b, axis, fold_axis, extent):
-            # 0 when every tap of the waves lies inside the input along
-            # the axis, else the first tap's row (or column) made positive
-            base = (b_low[b, axis, None] * layer.stride - layer.padding
-                    + f_low[None, :, fold_axis])
-            end = base + (b_span[b, axis, None] * layer.stride
-                          + f_span[None, :, fold_axis])
-            return np.where((base >= 0) & (end < extent), 0,
-                            base + layer.padding + 1)
-
-        key_ids: dict[int, int] = {}
-        rows = max(1, CHUNK_WAVES // n_folds)
-        for b0 in range(0, len(self.batches), rows):
-            b = slice(b0, b0 + rows)
-            # below waves * radix_x * radix_y, far inside int64
-            keys = batch_ids[b, None] * n_classes + block_ids
-            for axis, fold_axis, extent in ((3, 1, layer.x),
-                                            (4, 2, layer.y)):
-                keys = (keys * (extent + 2 * layer.padding + 1)
-                        + border(b, axis, fold_axis, extent))
-            keys, first, inverse = np.unique(
-                keys, return_index=True, return_inverse=True)
-            keys = keys.tolist()
-            new = [i for i, key in enumerate(keys) if key not in key_ids]
-            if new:
-                waves = b0 * n_folds + first[new]
-                key_ids.update(zip((keys[i] for i in new),
-                                   self._identify(waves)))
-            ids = np.array([key_ids[key] for key in keys])
-            yield b0 * n_folds, ids[inverse.reshape(-1)]
-
-    def _identify(self, waves) -> list[int]:
-        """Signature ids of ``waves``, timing each new signature."""
-        b, f = np.divmod(waves, len(self.blocks))
-        (outs, slots), (elems, taps) = self.batches.positions(b), \
-            self.blocks.positions(f)
-        used = (slots[:, :, None] & taps[:, None, :]).reshape(len(waves), -1)
-        w_addr, i_addr = (
-            np.where(used, addr.reshape(len(waves), -1), -1)
-            for addr in _addresses(self.mapping.layer,
-                                   self.batches.coords[outs][:, :, None],
-                                   self.blocks.coords[elems][:, None]))
-        # the weight partition marks the empty positions, so it also
-        # carries the batch size and the block length
-        keys = _row_keys([f > 0, f == len(self.blocks) - 1,
-                          _first_positions(w_addr), _first_positions(i_addr)])
-        ids = []
-        for wave, key in zip(waves.tolist(), keys):
-            if key not in self.ids:
-                self.ids[key] = len(self.records)
-                self.records.append(self._time(wave))
-            ids.append(self.ids[key])
-        return ids
-
-    def _time(self, wave: int) -> tuple[int, ...]:
-        b, f = divmod(wave, len(self.blocks))
-        batch, block = self.batches.tuples(b), self.blocks.tuples(f)
-        fabric = Fabric(self.mapping.hw)
-        fabric.pb.load_layer_data(self.mapping.layer, *self.zeros)
-        plan = self.mapping.reduction_plan(len(batch))
-        accum = dict.fromkeys(range(len(batch)), 0)
-        return run_wave(self.mapping, plan, batch, f, block, fabric, 0,
-                        accum) + fabric.counts()
 
 
 def _outputs(layer: LayerConfig, outs, elems, inputs, weights):

@@ -42,14 +42,13 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def enumerate_tiles(hw: HardwareConfig, layer: LayerConfig,
-                    limit: int = ENUMERATION_CAP) -> list[TileCandidate]:
+def enumerate_tiles(hw: HardwareConfig,
+                    layer: LayerConfig) -> list[TileCandidate]:
     """Feasible divisor tiles ranked by (utilization desc, folds asc).
 
     Enumeration walks the divisor combinations in product order (``T_R``
     outermost) and stops after ``ENUMERATION_CAP`` feasible candidates, so
-    a capped search favours small ``T_R``; the returned list is truncated
-    to ``limit``.
+    a capped search favours small ``T_R``.
     """
     candidates = []
     for combo in product(*map(_divisors, tile_extents(layer))):
@@ -73,7 +72,7 @@ def enumerate_tiles(hw: HardwareConfig, layer: LayerConfig,
             f"no divisor tile of the layer fits {hw.num_ms} multipliers"
         )
     candidates.sort(key=TileCandidate.sort_key)
-    return candidates[:limit]
+    return candidates
 
 
 def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,

@@ -82,6 +82,27 @@ class TestRunLayer:
                          "--tile", tile])
         assert code == cli.EXIT_PARSE
 
+    def test_non_utf8_hw(self, tmp_path, capsys):
+        _, layer, tile = standard_files(tmp_path)
+        hw = tmp_path / "latin1_hw.yaml"
+        hw.write_bytes(HW32_DOC.encode() + b"# \xff\n")
+        code = cli.main(["run-layer", "--hw", str(hw), "--layer", layer,
+                         "--tile", tile])
+        assert code == cli.EXIT_PARSE
+        assert f"cannot read {hw}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-layer", "verify",
+                                         "search-tile"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        hw, layer, tile = standard_files(tmp_path)
+        argv = [command, "--hw", hw, "--layer", layer, "--seed", "-1"]
+        if command != "search-tile":
+            argv += ["--tile", tile]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_invalid_hw_values(self, tmp_path):
         _, layer, tile = standard_files(tmp_path)
         hw = write(tmp_path, "bad_hw.yaml",

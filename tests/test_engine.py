@@ -315,6 +315,33 @@ class TestWaveKeys:
             monkeypatch, hw, layer, TileConfig(3, 3, 1, t_k=16, t_x=2)) == 6
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_keys_that_share_a_signature(self, strategy, monkeypatch):
+        # the 9 waves of this pointwise tile fall into 6 keys but only 4
+        # signatures: a key holds each slot's (ox, oy) offset, a signature
+        # only which positions share an address.  Every key is timed, and
+        # the 6 timings give just 2 distinct records.
+        layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=2, g=1, k=4, n=1,
+                            x=6, y=6)
+        tile = TileConfig(1, 1, 2, t_k=4, t_x=6, t_y=6)
+        hw = replace(HW32, folding=strategy)
+        inputs, weights = random_layer_data(layer, seed=5)
+        records = []
+        original = engine.run_wave
+
+        def timed(*args):
+            cycles = original(*args)
+            records.append(cycles + args[5].counts())  # args[5]: the fabric
+            return cycles
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "run_wave", timed)
+            simulate_layer(hw, layer, tile, inputs, weights)
+        assert (len(records), len(set(records))) == (6, 2)
+        result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
+        reference = conv_reference(layer, inputs, weights)
+        assert compare(result.output, reference.output).ok
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_blocks_that_differ_only_in_channels(self, strategy,
                                                  monkeypatch):
         # the two middle blocks have the same (r, s) offsets, but only the

@@ -44,10 +44,6 @@ def test_candidates_are_feasible_and_ranked():
     assert keys == sorted(keys)
 
 
-def test_limit_truncates():
-    assert len(enumerate_tiles(HW32, TINY, limit=3)) == 3
-
-
 def test_no_feasible_tile(monkeypatch):
     # infeasibility cannot arise from real configs (a 1-element cluster
     # plus forwarder always fits num_ms >= 2), so force it
@@ -61,7 +57,7 @@ def test_no_feasible_tile(monkeypatch):
 
 class TestRankBySimulation:
     def test_top_k_zero(self):
-        candidates = enumerate_tiles(HW32, TINY, limit=4)
+        candidates = enumerate_tiles(HW32, TINY)[:4]
         assert rank_by_simulation(candidates, HW32, TINY, top_k=0) == []
 
     def test_single_candidate_passthrough(self):
@@ -85,7 +81,7 @@ class TestRankBySimulation:
         assert ranked[0].predicted["folds"] == 1
 
     def test_order_is_deterministic(self):
-        candidates = enumerate_tiles(HW32, TINY, limit=6)
+        candidates = enumerate_tiles(HW32, TINY)[:6]
         a = rank_by_simulation(candidates, HW32, TINY, top_k=6)
         b = rank_by_simulation(candidates, HW32, TINY, top_k=6)
         assert [c.tile for c in a] == [c.tile for c in b]
