@@ -64,9 +64,9 @@ key's first wave, fresh fabric components and a buffer of zeros, and
 sums count x record over the keys.  Keys that share a signature are each
 timed, to the same record.
 
-The outputs come from one gather-and-sum over (schedule output x fold
-element) pairs, addressed by weight and input address, with exact
-integer sums.
+The outputs are exact sums over (schedule output x fold element) pairs:
+one row contraction per chunk of outputs, reading the zero-padded input
+at a per-output base address plus a per-element offset.
 """
 
 from __future__ import annotations
@@ -430,24 +430,6 @@ def _check_range(coords, dims, what) -> None:
             )
 
 
-def _addresses(layer: LayerConfig, out, elem):
-    """Flat weight and input addresses of output coordinates ``out`` (n, g,
-    k, ox, oy) against weight coordinates ``elem`` (c, r, s), broadcast
-    together; each is a per-output base plus a per-element offset.  The
-    input address is -1 for a padding tap."""
-    n, g, k, ox, oy = np.moveaxis(out, -1, 0)
-    c, r, s = np.moveaxis(elem, -1, 0)
-    x0 = ox * layer.stride - layer.padding
-    y0 = oy * layer.stride - layer.padding
-    ix, iy = x0 + r, y0 + s
-    tap = (ix >= 0) & (ix < layer.x) & (iy >= 0) & (iy < layer.y)
-    w_addr = ((g * layer.k + k) * (layer.c * layer.r * layer.s)
-              + ((c * layer.r + r) * layer.s + s))
-    i_addr = (((n * layer.g + g) * layer.c * layer.x + x0) * layer.y + y0
-              + ((c * layer.x + r) * layer.y + s))
-    return w_addr, np.where(tap, i_addr, -1)
-
-
 def _row_keys(columns) -> list[bytes]:
     """The rows of the stacked int32 ``columns``, as bytes."""
     rows = np.column_stack([np.asarray(c, dtype=np.int32) for c in columns])
@@ -470,13 +452,17 @@ def _first_positions(addr):
 
 
 def _outputs(layer: LayerConfig, outs, elems, inputs, weights):
-    """Exact output sums: one gather over (schedule output x fold-block
-    element), in chunks of outputs.
+    """Exact output sums: one row contraction per chunk of schedule
+    outputs, over the fold blocks' elements.
 
-    Integer data sums in int64 when no output can leave it (R*S*C times
-    the largest input and weight magnitudes), else in Python ints; float
-    data sums in float64.  ``np.add.at`` adds every occurrence, so a
-    schedule that repeats or drops an output gives a wrong sum.
+    An output's taps lie at a base address (its ``(n, g)`` plane and
+    window corner) plus a per-element offset into the zero-padded input,
+    so a padding tap reads the border; its weights are row ``g*K + k`` at
+    the elements' columns.  Integer data sums in int64 when no output can
+    leave it (R*S*C times the largest input and weight magnitudes), else
+    in Python ints; float data sums in float64.  ``np.add.at`` adds every
+    occurrence, so a schedule that repeats or drops an output gives a
+    wrong sum.
     """
     dims = output_dims(layer)
     acc = np.float64
@@ -484,16 +470,27 @@ def _outputs(layer: LayerConfig, outs, elems, inputs, weights):
         peak = (_magnitude(inputs) * _magnitude(weights)
                 * layer.r * layer.s * layer.c)
         acc = np.int64 if peak <= np.iinfo(np.int64).max else object
-    flat_weights = weights.astype(acc).ravel()
-    # address -1 (a padding tap) reads the zero appended to the inputs
-    flat_inputs = np.append(inputs.astype(acc).ravel(), 0)
+    pad = layer.padding
+    # np.zeros, not np.pad: an object array's zeros must be Python ints
+    padded = np.zeros(inputs.shape[:3] + (layer.x + 2 * pad,
+                                          layer.y + 2 * pad), acc)
+    padded[..., pad:pad + layer.x, pad:pad + layer.y] = inputs
+    px, py = padded.shape[3:]
+    padded = padded.ravel()
+    n, g, k, ox, oy = outs.T
+    c, r, s = elems.T
+    base = (((n * layer.g + g) * layer.c * px + ox * layer.stride) * py
+            + oy * layer.stride)
+    offset = (c * px + r) * py + s
+    w_rows = weights.astype(acc).reshape(layer.g * layer.k, -1)[
+        :, (c * layer.r + r) * layer.s + s]
+    gk = g * layer.k + k
+    at = np.ravel_multi_index(tuple(outs.T), dims)
     sums = np.zeros(dims, dtype=acc).ravel()
     rows = max(1, CHUNK_PRODUCTS // len(elems))
-    for o0 in range(0, len(outs), rows):
-        out = outs[o0:o0 + rows]
-        w_addr, i_addr = _addresses(layer, out[:, None], elems[None])
-        partial = (flat_weights[w_addr] * flat_inputs[i_addr]).sum(axis=1)
-        np.add.at(sums, np.ravel_multi_index(tuple(out.T), dims), partial)
+    for o in (slice(o0, o0 + rows) for o0 in range(0, len(outs), rows)):
+        np.add.at(sums, at[o], np.einsum(
+            "ij,ij->i", w_rows[gk[o]], padded[base[o, None] + offset]))
     sums = sums.reshape(dims)
     if np.issubdtype(inputs.dtype, np.integer):
         info = np.iinfo(inputs.dtype)

@@ -3,8 +3,9 @@ replay and collector buses.
 
 Each component models one bandwidth constraint of the fabric and keeps
 its own activity counters; the engine wires them together per wave.
-The distribution network is modelled here whole: payload injection and
-the bit-vector routing of its switches (``generate_dn_routes``).
+The distribution network is modelled here whole: payload injection, the
+count of switches on each payload's multicast cover, and the bit-vector
+routing tables of those switches (``generate_dn_routes``).
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ class DistributionNetwork:
             # one first-read per sub-tree per cycle, never over ports
             assert not deferred
             for p, (_, value) in zip(batch, served):
+                # the cover's switches: each destination's ancestors
                 self.counters.traversals += len(
-                    generate_dn_routes(self.num_ms, self.dn_bw, p.dests)
-                )
+                    {(h, leaf >> h) for leaf in p.dests
+                     for h in range(1, self.per_tree.bit_length())})
                 for leaf in p.dests:
                     leaf_values[leaf] = value
         return max(queued.values(), default=0), leaf_values

@@ -6,8 +6,9 @@ configuration of the reduction network.  The output schedule and the
 fold blocks are cut from the layer by one numpy function, ``_cut``, as
 flat coordinate arrays with one length per group; they are built when
 asked for, never stored.  Distribution routes depend only on each
-payload's destinations and are generated by ``fabric.generate_dn_routes``
-as payloads are injected.
+payload's destinations; ``fabric.generate_dn_routes`` builds them on
+request, and the distribution network counts the switches on each
+payload's cover in closed form.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
-"""Shared fixtures for the test suite: reference layers, partitions, and
-hypothesis strategies for random layers and tiles."""
+"""Shared fixtures for the test suite: reference layers, partitions,
+hypothesis strategies for random layers and tiles, and the data kinds
+that outputs are checked on."""
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -8,6 +10,7 @@ from treefab import (
     HardwareConfig,
     LayerConfig,
     LayerKind,
+    OutputOverflow,
     TileConfig,
     derive_output_dims,
 )
@@ -56,3 +59,49 @@ def tiles(draw, layer, overshoot=0):
     ox, oy = derive_output_dims(layer)
     return TileConfig(*(draw(st.integers(1, d + overshoot)) for d in (
         layer.r, layer.s, layer.c, layer.g, layer.k, layer.n, ox, oy)))
+
+
+DATA_KINDS = ("int32", "int8", "beyond-int64", "float32")
+
+
+def kind_data(layer, seed, kind):
+    """Seeded inputs and weights for the layer, of one of ``DATA_KINDS``."""
+    rng = np.random.default_rng(seed)
+    shapes = ((layer.n, layer.g, layer.c, layer.x, layer.y),
+              (layer.g, layer.k, layer.c, layer.r, layer.s))
+    if kind == "float32":
+        return (rng.uniform(-1, 1, shape).astype(np.float32)
+                for shape in shapes)
+    if kind == "beyond-int64":
+        # the products leave int64, so every sum is in Python ints; some
+        # outputs fit int64 and some overflow
+        inputs = rng.integers(-2 ** 40, 2 ** 40, shapes[0])
+        weights = rng.integers(-2 ** 22, 2 ** 22, shapes[1])
+        weights.flat[0] = 2 ** 22
+        return inputs, weights
+    # int8 sums overflow often, so the overflow messages are compared too
+    return (rng.integers(-9, 10, shape, dtype=kind) for shape in shapes)
+
+
+def outcome(fn, layer, inputs, weights):
+    """The output array ``fn`` returns, or its overflow message."""
+    try:
+        return fn(layer, inputs, weights)
+    except OutputOverflow as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, want, kind):
+    """The same overflow message, or the same outputs: exact for integer
+    kinds, within one float32 rounding for float32."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    elif kind == "float32":
+        # both sum in float64 and round once to float32, in different
+        # orders, so an output may round to the neighbouring float32
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=np.finfo(np.float32).eps,
+                                   atol=1e-12)
+    else:
+        assert got.dtype == want.dtype
+        assert (got == want).all()

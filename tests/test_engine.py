@@ -28,12 +28,16 @@ from treefab import (
 from treefab.memory import random_layer_data
 
 from common import (
+    DATA_KINDS,
     EARLY_SYNTHETIC,
     HW32,
     PADDED_STRIDED,
     TINY,
     VALIDATION_TILE,
+    assert_same_outcome,
+    kind_data,
     layers,
+    outcome,
     tiles,
 )
 from wave_reference import simulate_per_wave
@@ -292,6 +296,23 @@ class TestMatchesPerWaveReference:
                                    rtol=np.finfo(np.float32).eps, atol=1e-12)
 
 
+class TestMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(DATA_KINDS))
+    def test_every_data_kind(self, data, kind):
+        # int64 sums, Python-int sums (beyond-int64), overflow messages
+        # (int8) and float64 sums, on layers with stride, padding, groups
+        # and batch under both strategies
+        hw, layer, tile = draw_case(data)
+        inputs, weights = kind_data(layer, data.draw(st.integers(0, 999)),
+                                    kind)
+        assert_same_outcome(
+            outcome(lambda *a: simulate_layer(hw, a[0], tile, *a[1:]).output,
+                    layer, inputs, weights),
+            outcome(lambda *a: conv_reference(*a).output, layer, inputs,
+                    weights), kind)
+
+
 class TestWaveKeys:
     def count_timed_waves(self, monkeypatch, hw, layer, tile):
         calls = []
@@ -429,6 +450,19 @@ class TestAddressesAndOverflow:
         inputs, weights = random_layer_data(TINY, seed=0)
         with pytest.raises(AddressOutOfRange):
             simulate_layer(HW32, TINY, VALIDATION_TILE, inputs, weights)
+
+    @pytest.mark.parametrize("name", ["batch_array", "block_array"])
+    def test_sums_follow_the_schedule(self, name, monkeypatch):
+        # the last output of the schedule (or element of the fold blocks)
+        # is replaced by the first: every length and coordinate stays
+        # valid, but one output (or tap) is summed twice and one never
+        coords, lengths = getattr(
+            build_mapping(HW32, PADDED_STRIDED, VALIDATION_TILE), name)()
+        coords[-1] = coords[0]
+        monkeypatch.setattr(MappingPlan, name, lambda plan: (coords, lengths))
+        result, inputs, weights = run(HW32, PADDED_STRIDED, VALIDATION_TILE)
+        assert not compare(result.output, conv_reference(
+            PADDED_STRIDED, inputs, weights).output).ok
 
     def test_overflow_names_the_first_output_in_c_order(self):
         # tile T_X=2, T_Y=1 runs output (1, 0) before (0, 1); both overflow

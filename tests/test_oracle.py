@@ -20,7 +20,14 @@ from treefab import (
 from treefab.errors import ShapeMismatch
 from treefab.memory import random_layer_data
 
-from common import TINY, layers
+from common import (
+    DATA_KINDS,
+    TINY,
+    assert_same_outcome,
+    kind_data,
+    layers,
+    outcome,
+)
 from pixel_reference import conv_per_pixel
 
 
@@ -177,49 +184,13 @@ class TestCompare:
             compare(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
-def _outcome(fn, layer, inputs, weights):
-    """The output array, or the overflow message."""
-    try:
-        return fn(layer, inputs, weights)
-    except OutputOverflow as exc:
-        return str(exc)
-
-
 class TestMatchesPixelReference:
     @settings(max_examples=80, deadline=None)
     @given(layer=layers(), seed=st.integers(0, 999),
-           kind=st.sampled_from(["int32", "int8", "beyond-int64",
-                                 "float32"]))
+           kind=st.sampled_from(DATA_KINDS))
     def test_random_layers(self, layer, seed, kind):
-        rng = np.random.default_rng(seed)
-        shapes = ((layer.n, layer.g, layer.c, layer.x, layer.y),
-                  (layer.g, layer.k, layer.c, layer.r, layer.s))
-        if kind == "float32":
-            inputs, weights = (rng.uniform(-1, 1, shape).astype(np.float32)
-                               for shape in shapes)
-        elif kind == "beyond-int64":
-            # the products leave int64, so both sum in Python ints; some
-            # outputs fit int64 and some overflow
-            inputs = rng.integers(-2 ** 40, 2 ** 40, shapes[0])
-            weights = rng.integers(-2 ** 22, 2 ** 22, shapes[1])
-            weights.flat[0] = 2 ** 22
-        else:
-            # int8 sums overflow often, so the overflow messages are
-            # compared too
-            inputs, weights = (rng.integers(-9, 10, shape, dtype=kind)
-                               for shape in shapes)
-        got = _outcome(lambda *a: conv_reference(*a).output, layer, inputs,
-                       weights)
-        want = _outcome(conv_per_pixel, layer, inputs, weights)
-        if isinstance(want, str):
-            assert got == want
-        elif kind == "float32":
-            # both sum in float64 and round once to float32, in different
-            # orders, so an output may round to the neighbouring float32
-            assert got.dtype == want.dtype
-            np.testing.assert_allclose(got, want,
-                                       rtol=np.finfo(np.float32).eps,
-                                       atol=1e-12)
-        else:
-            assert got.dtype == want.dtype
-            assert (got == want).all()
+        inputs, weights = kind_data(layer, seed, kind)
+        assert_same_outcome(
+            outcome(lambda *a: conv_reference(*a).output, layer, inputs,
+                    weights),
+            outcome(conv_per_pixel, layer, inputs, weights), kind)
