@@ -146,6 +146,7 @@ def _cmd_run_model(args) -> int:
     if not entries:
         raise ValidationError("model has no layers")
     rng = np.random.default_rng(args.seed)
+    replays: dict = {}  # wave timings, shared by the layers
     per_layer = []
     totals: dict[str, int] = {}
     current = None
@@ -159,7 +160,8 @@ def _cmd_run_model(args) -> int:
         if tile is None:
             tile = enumerate_tiles(hw, layer)[0].tile
         try:
-            result = simulate_layer(hw, layer, tile, current, weights)
+            result = simulate_layer(hw, layer, tile, current, weights,
+                                    replays=replays)
         except MappingError as exc:
             print(f"mapping error in layer {name!r}: {exc}", file=sys.stderr)
             return EXIT_MAPPING
@@ -215,10 +217,12 @@ def _cmd_verify(args) -> int:
         print("warning: 0 trials requested, vacuous pass", file=sys.stderr)
         return EXIT_OK
     rng = np.random.default_rng(args.seed)
+    replays: dict = {}  # wave timings, shared by the trials
     failures = []
     for trial in range(args.trials):
         inputs, weights = random_layer_data(layer, rng)
-        result = simulate_layer(hw, layer, tile, inputs, weights)
+        result = simulate_layer(hw, layer, tile, inputs, weights,
+                                replays=replays)
         outcome = _check(layer, result.output, inputs, weights)
         if not outcome.ok:
             failures.append((trial, outcome.report()))

@@ -28,14 +28,20 @@ last.  So a wave's *signature* is
 * its batch size and its fold block length,
 * whether its fold is the first and whether it is the last,
 * the canonical partition of its weight addresses and of its input
-  addresses: for each (slot, element) position, the first position with
-  the same address, or -1 for a padding tap.  Positions are numbered
-  over the widest batch and block, so the empty ones (-1 in the weight
-  partition) also give the batch size and the block length.
+  addresses: for each (slot, element) position, numbered ``slot*length +
+  element`` over the wave's own batch and block, the first position with
+  the same address, or -1 for a padding tap.
 
 Waves with one signature send the same payloads (the classes of the
 partitions, in order of their first position) to the same leaves in the
-same order, so they take the same cycles and add the same counts.
+same order, so they take the same cycles and add the same counts.  The
+leaf of position (slot, e) is ``slot*real_vn_size + e``, a slot's
+forwarder (if clusters hold one) sits after its ``vn_size`` leaves, and
+the reduction plan follows from the batch size and that cluster geometry.
+So a wave's record depends only on the hardware, the geometry
+(``real_vn_size`` and the forwarder flag) and the signature, not on the
+layer, the tile or the data: with the first two prepended, the signature
+keys records shared between mappings.
 
 Each wave gets a closed-form *key*, one int64, built per chunk of waves
 from per-batch and per-block classes:
@@ -59,10 +65,13 @@ equal, and the offsets give these up to the same shift for every
 position.  Whether a tap falls in the padding depends, given the offsets,
 only on ``base``, which the border class gives wherever it matters.
 
-So ``simulate_layer`` runs ``run_wave`` once per distinct key, on the
-key's first wave, fresh fabric components and a buffer of zeros, and
-sums count x record over the keys.  Keys that share a signature are each
-timed, to the same record.
+So ``simulate_layer`` builds the signature of each distinct key's first
+wave, runs ``run_wave`` once per distinct signature, on that wave, fresh
+fabric components and a buffer of zeros, and sums count x record over
+the keys.  Keys that share a signature share one replay, and a caller
+that passes one ``replays`` dict to many calls (a tile search, the
+trials of ``verify``, the layers of a model) shares them across those
+calls too.
 
 The outputs are exact sums over (schedule output x fold element) pairs:
 one row contraction per chunk of outputs, reading the zero-padded input
@@ -273,12 +282,17 @@ def layer_stats(mapping: MappingPlan, cycles: int, waves: int,
 
 def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                    inputs: np.ndarray, weights: np.ndarray,
-                   trace=None) -> SimResult:
+                   trace=None, replays=None) -> SimResult:
     """Run one layer through the fabric; deterministic for fixed inputs.
 
     ``trace``, if given, is called once per wave, in order, with the
     wave's number, fold, batch size, weight and input distribution
     cycles, and the cycle at which it ends.
+
+    ``replays``, if given, is a dict the caller owns, from a wave's
+    signature (hardware and cluster geometry included) to its timing
+    record; it is read and filled, so calls that share it replay each
+    signature once.  Without it the call uses a dict of its own.
     """
     mapping = build_mapping(hw, layer, tile)
     inputs, weights = check_layer_data(layer, inputs, weights)
@@ -291,8 +305,9 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
 
     sizes = batches.lengths.tolist()
     totals = cycle = 0
-    for w0, key, records in _keyed_waves(mapping, batches, blocks,
-                                         inputs.dtype, weights.dtype):
+    for w0, key, records in _keyed_waves(
+            mapping, batches, blocks, inputs.dtype, weights.dtype,
+            {} if replays is None else replays):
         records = np.array(records, dtype=np.int64)
         totals += np.bincount(key, minlength=len(records)) @ records
         if trace is None:
@@ -314,15 +329,17 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
-def _keyed_waves(mapping, batches, blocks, input_dtype, weight_dtype):
+def _keyed_waves(mapping, batches, blocks, input_dtype, weight_dtype,
+                 replays):
     """Yield (first wave, key ids, records) for each chunk of waves, in
     issue order.
 
     Key ids number the distinct keys in order of first appearance;
     ``records`` holds, per key id, the weight, input and wave cycles and
-    then the ``COUNTED`` counters of the key's first wave.  That wave runs
-    on fresh components and a buffer of zeros, so no partial sum can
-    overflow and the timing never sees the data.
+    then the ``COUNTED`` counters of the key's first wave, taken from
+    ``replays`` by the wave's signature.  A signature missing there is
+    timed on its wave, fresh components and a buffer of zeros, so no
+    partial sum can overflow and the timing never sees the data.
     """
     layer = mapping.layer
     n_folds = len(blocks)
@@ -368,11 +385,16 @@ def _keyed_waves(mapping, batches, blocks, input_dtype, weight_dtype):
                     + border(b, axis, fold_axis, extent))
         keys, first, inverse = np.unique(
             keys, return_index=True, return_inverse=True)
-        keys = keys.tolist()
-        for key, wave in zip(keys, (b0 * n_folds + first).tolist()):
-            if key not in key_ids:
-                key_ids[key] = len(records)
-                records.append(time(wave))
+        keys, first = keys.tolist(), b0 * n_folds + first
+        new = [i for i, key in enumerate(keys) if key not in key_ids]
+        if new:
+            for i, signature in zip(new, _signatures(mapping, batches, blocks,
+                                                     first[new])):
+                record = replays.get(signature)
+                if record is None:
+                    record = replays[signature] = time(int(first[i]))
+                key_ids[keys[i]] = len(records)
+                records.append(record)
         ids = np.array([key_ids[key] for key in keys])
         yield b0 * n_folds, ids[inverse.reshape(-1)], records
 
@@ -389,6 +411,15 @@ class _Groups:
     def __len__(self) -> int:
         return len(self.lengths)
 
+    def positions(self, groups=slice(None)):
+        """(at, used): the index in ``coords`` of each position of
+        ``groups``, shape (groups, width), and the mask of the positions
+        within each group.  A position past a group's end repeats the
+        group's first one."""
+        used = np.arange(self.width) < self.lengths[groups, None]
+        start = self.starts[groups, None]
+        return np.where(used, start + np.arange(self.width), start), used
+
     def tuples(self, group: int) -> list[tuple]:
         start = self.starts[group]
         return list(map(tuple, self.coords[start:start + self.lengths[group]]
@@ -403,11 +434,7 @@ class _Groups:
         from the group's least coordinate, and the same partition of
         their positions by each value of ``partitions(*axes)``.
         """
-        # each position's index in coords; one past a group's end repeats
-        # the group's first
-        used = np.arange(self.width) < self.lengths[:, None]
-        start = self.starts[:, None]
-        at = np.where(used, start + np.arange(self.width), start)
+        at, used = self.positions()
         low = np.minimum.reduceat(self.coords, self.starts)
         span = np.maximum.reduceat(self.coords, self.starts) - low
         columns = [self.lengths, *extra]
@@ -418,6 +445,41 @@ class _Groups:
         ids: dict[bytes, int] = {}
         return np.array([ids.setdefault(row, len(ids))
                          for row in _row_keys(columns)]), low, span
+
+
+def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
+    """The signature of each of ``waves``, prefixed with the hardware and
+    the cluster geometry; hashable and comparable between mappings."""
+    layer = mapping.layer
+    b, f = np.divmod(waves, len(blocks))
+    (outs, slots), (elems, taps) = batches.positions(b), \
+        blocks.positions(f)
+    used = (slots[:, :, None] & taps[:, None, :]).reshape(len(waves), -1)
+    n, g, k, ox, oy = np.moveaxis(batches.coords[outs][:, :, None], -1, 0)
+    c, r, s = np.moveaxis(blocks.coords[elems][:, None], -1, 0)
+    ix = ox * layer.stride + r - layer.padding
+    iy = oy * layer.stride + s - layer.padding
+    tap = (ix >= 0) & (ix < layer.x) & (iy >= 0) & (iy < layer.y)
+    w_addr = (((g * layer.k + k) * layer.c + c) * layer.r + r) * layer.s + s
+    i_addr = np.where(
+        tap, (((n * layer.g + g) * layer.c + c) * layer.x + ix) * layer.y + iy,
+        -1)
+    # both partitions at once, as 2 x waves rows
+    first = _first_positions(np.where(
+        used, np.stack([w_addr, i_addr]).reshape(2, len(waves), -1), -1,
+    ).reshape(2 * len(waves), -1)).reshape(2, len(waves), -1)
+    # number position slot*width + e as slot*length + e instead
+    length = blocks.lengths[f, None]
+    first = np.where(first < 0, -1, first // blocks.width * length
+                     + first % blocks.width)
+    # per wave, its positions' (weight, input) pairs, 8 bytes each
+    data = np.moveaxis(first, 0, -1)[used].astype(np.int32).tobytes()
+    ends = (8 * np.cumsum(used.sum(axis=1))).tolist()
+    head = (mapping.hw, mapping.real_vn_size, mapping.has_forwarder)
+    return [(*head, *flags, data[start:end]) for flags, start, end in zip(
+        zip((f > 0).tolist(), (f == len(blocks) - 1).tolist(),
+            batches.lengths[b].tolist(), blocks.lengths[f].tolist()),
+        [0] + ends, ends)]
 
 
 def _check_range(coords, dims, what) -> None:

@@ -81,17 +81,20 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     """Re-rank the candidates by simulated cycles; returns the best top_k.
 
     Ties break by utilization (desc) then lexicographic tile order, so
-    the result is a total deterministic order.
+    the result is a total deterministic order.  The simulations share one
+    dict of wave replays, so each wave signature is timed once per call.
     """
     if top_k <= 0:
         return []
     inputs, weights = random_layer_data(layer, seed)
+    replays: dict = {}
     ranked = []
     for cand in candidates:
         # looked up at call time, so a wrapper installed on
         # treefab.engine.simulate_layer (perfbench counts MACs this way)
         # sees every simulation
-        result = engine.simulate_layer(hw, layer, cand.tile, inputs, weights)
+        result = engine.simulate_layer(hw, layer, cand.tile, inputs, weights,
+                                       replays=replays)
         predicted = dict(cand.predicted)
         predicted["estimated_cycles"] = result.stats.total_cycles
         ranked.append(TileCandidate(tile=cand.tile, predicted=predicted))

@@ -3,7 +3,7 @@
 import pytest
 import yaml
 
-from treefab import cli
+from treefab import cli, engine
 
 HW32_DOC = "num_ms: 32\ndn_bw: 4\nrn_bw: 4\nfolding: roundtrip\n"
 TINY_DOC = "kind: conv\nR: 3\nS: 3\nC: 6\nK: 6\nX: 5\nY: 5\n"
@@ -219,6 +219,23 @@ class TestVerify:
                          "--tile", tile, "--trials", "5"])
         assert code == cli.EXIT_OK
         assert "5/5 trials passed" in capsys.readouterr().out
+
+    def test_trials_share_wave_replays(self, tmp_path, monkeypatch):
+        # one command times each wave signature once, however many trials
+        # it runs; the next command starts again from nothing
+        hw, layer, tile = standard_files(tmp_path)
+        calls = []
+        original = engine.run_wave
+        monkeypatch.setattr(engine, "run_wave",
+                            lambda *args: calls.append(1) or original(*args))
+        replays = []
+        for trials in ("1", "5"):
+            before = len(calls)
+            assert cli.main(["verify", "--hw", hw, "--layer", layer,
+                             "--tile", tile, "--trials", trials]) \
+                == cli.EXIT_OK
+            replays.append(len(calls) - before)
+        assert replays[0] == replays[1] > 0
 
     def test_zero_trials_vacuous(self, tmp_path, capsys):
         hw, layer, tile = standard_files(tmp_path)

@@ -1,5 +1,6 @@
 """Whole-layer simulation: correctness, counters, timing properties."""
 
+import pathlib
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -22,9 +23,11 @@ from treefab import (
     compare,
     conv_reference,
     engine,
+    enumerate_tiles,
     simulate_layer,
     total_macs,
 )
+from treefab.config import parse_layer_config
 from treefab.memory import random_layer_data
 
 from common import (
@@ -339,8 +342,8 @@ class TestWaveKeys:
     def test_keys_that_share_a_signature(self, strategy, monkeypatch):
         # the 9 waves of this pointwise tile fall into 6 keys but only 4
         # signatures: a key holds each slot's (ox, oy) offset, a signature
-        # only which positions share an address.  Every key is timed, and
-        # the 6 timings give just 2 distinct records.
+        # only which positions share an address.  Each signature is timed
+        # once, and the 4 timings give just 2 distinct records.
         layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=2, g=1, k=4, n=1,
                             x=6, y=6)
         tile = TileConfig(1, 1, 2, t_k=4, t_x=6, t_y=6)
@@ -357,7 +360,7 @@ class TestWaveKeys:
         with monkeypatch.context() as m:
             m.setattr(engine, "run_wave", timed)
             simulate_layer(hw, layer, tile, inputs, weights)
-        assert (len(records), len(set(records))) == (6, 2)
+        assert (len(records), len(set(records))) == (4, 2)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
         reference = conv_reference(layer, inputs, weights)
         assert compare(result.output, reference.output).ok
@@ -400,6 +403,114 @@ class TestWaveKeys:
             assert any(0 <= lo and hi < extent for lo, hi in spans[axis])
         inputs, weights = random_layer_data(layer, seed=12)
         assert_matches_per_wave(hw, layer, tile, inputs, weights)
+
+
+# the layer of the benchmark's tile-search workload, and a padded layer
+# whose first candidate tiles all fold
+POINTWISE = parse_layer_config(
+    (pathlib.Path(__file__).parents[1] / "perfbench" / "workloads"
+     / "pointwise.yaml").read_text(encoding="utf-8"))
+PADDED_10 = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
+                        x=10, y=10, padding=1)
+
+
+class TestSharedReplays:
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @pytest.mark.parametrize("layer, first, replayed", [
+        (POINTWISE, 20, 4), (PADDED_10, 60, None)])
+    def test_sharing_gives_the_stats_of_fresh_runs(self, layer, first,
+                                                   replayed, strategy,
+                                                   monkeypatch):
+        hw = replace(HW32, folding=strategy)
+        tiles_ = [c.tile for c in enumerate_tiles(hw, layer)[:first]]
+        plans = [build_mapping(hw, layer, tile) for tile in tiles_]
+        if layer is PADDED_10:
+            assert all(plan.folds > 1 for plan in plans)
+            assert all(plan.has_forwarder for plan in plans) \
+                == (strategy is FoldingStrategy.ROUNDTRIP)
+        inputs, weights = random_layer_data(layer, seed=0)
+        calls = []
+        original = engine.run_wave
+        replays = {}
+        with monkeypatch.context() as m:
+            m.setattr(engine, "run_wave",
+                      lambda *args: calls.append(1) or original(*args))
+            shared = [simulate_layer(hw, layer, tile, inputs, weights,
+                                     replays=replays) for tile in tiles_]
+        if replayed is not None:
+            assert len(calls) == len(replays) == replayed
+        for tile, got in zip(tiles_, shared):
+            assert got.stats == simulate_layer(hw, layer, tile, inputs,
+                                               weights).stats
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_one_signature_on_clusters_of_two_sizes(self, strategy):
+        # the last fold of T_C=3 and every fold of T_C=1 hold one channel,
+        # so their waves can have one signature; but the clusters span 3
+        # and 1 leaves (plus a forwarder under roundtrip), so the waves
+        # reach other leaves through other reduction plans
+        layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=4, g=1, k=2, n=1,
+                            x=1, y=1)
+        hw = replace(HW32, folding=strategy)
+        inputs, weights = random_layer_data(layer, seed=3)
+        replays = {}
+        for tile in (TileConfig(1, 1, 3, t_k=2), TileConfig(1, 1, 1, t_k=2)):
+            got = simulate_layer(hw, layer, tile, inputs, weights,
+                                 replays=replays)
+            assert got.stats == simulate_layer(hw, layer, tile, inputs,
+                                               weights).stats
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_prefilled_replays_change_nothing(self, data):
+        # replays left by other tiles of the layer and by other layers on
+        # the same hardware give the fresh run's and the per-wave
+        # reference's stats, trace events and outputs
+        hw, layer, tile = draw_case(data)
+        replays = {}
+        for other in (layer, data.draw(layers())):
+            other_tile = tiles(data.draw, other)
+            try:
+                build_mapping(hw, other, other_tile)
+            except MappingError:
+                continue
+            simulate_layer(hw, other, other_tile,
+                           *random_layer_data(other, seed=1), replays=replays)
+        inputs, weights = random_layer_data(layer,
+                                            data.draw(st.integers(0, 999)))
+        events = []
+        want = simulate_per_wave(hw, layer, tile, inputs, weights,
+                                 trace=events.append)
+        for memo in (replays, {}):
+            got = []
+            result = simulate_layer(hw, layer, tile, inputs, weights,
+                                    trace=got.append, replays=memo)
+            assert result.stats == want.stats
+            assert (result.output == want.output).all()
+            assert got == events
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_two_hardware_configs_share_a_dict(self, data):
+        # the same layer and tile on another bandwidth or folding strategy
+        # of the same fabric size: its replays must not stand in for ours
+        hw, layer, tile = draw_case(data)
+        other = replace(
+            hw, dn_bw=data.draw(st.sampled_from(
+                [b for b in (1, 2, 4, 8, 16, 32, 64) if b <= hw.num_ms])),
+            rn_bw=data.draw(st.integers(1, hw.num_ms)),
+            folding=data.draw(st.sampled_from(FoldingStrategy)))
+        inputs, weights = random_layer_data(layer, seed=2)
+        replays = {}
+        for config in (other, hw):
+            try:
+                got = simulate_layer(config, layer, tile, inputs, weights,
+                                     replays=replays)
+            except MappingError:
+                continue
+            want = simulate_layer(config, layer, tile, inputs, weights)
+            assert got.stats == want.stats
+            assert (got.output == want.output).all()
 
 
 class TestEngineProperties:
