@@ -150,6 +150,29 @@ class TestRunModel:
         assert doc["totals"]["total_cycles"] == sum(
             e["total_cycles"] for e in doc["layers"])
 
+    def test_layers_share_wave_replays(self, tmp_path, monkeypatch):
+        # a layer repeated with the same tile replays no wave the first
+        # copy timed: the layers of one command share a dict of replays
+        hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        entry = """\
+  - name: {}
+    layer: {{kind: conv, R: 3, S: 3, C: 2, K: 2, X: 6, Y: 6, padding: 1}}
+    tile: {{T_R: 3, T_S: 3, T_C: 1, T_X: 2}}
+"""
+        calls = []
+        original = engine.run_wave
+        monkeypatch.setattr(engine, "run_wave",
+                            lambda *args: calls.append(1) or original(*args))
+        replays = []
+        for names in (["a"], ["a", "b"]):
+            model = write(tmp_path, "model.yaml", "layers:\n" + "".join(
+                entry.format(name) for name in names))
+            before = len(calls)
+            assert cli.main(["run-model", "--hw", hw, "--model", model]) \
+                == cli.EXIT_OK
+            replays.append(len(calls) - before)
+        assert replays[0] == replays[1] > 0
+
     def test_dims_mismatch_names_both_layers(self, tmp_path, capsys):
         hw = write(tmp_path, "hw.yaml", HW32_DOC)
         model = write(tmp_path, "model.yaml", """\
