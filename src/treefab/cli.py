@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import config as cfg
-from .engine import simulate_layer
+from .engine import COUNTED, simulate_layer
 from .errors import (
     MappingError,
     ParseError,
@@ -54,6 +54,11 @@ EXIT_MAPPING = 4
 EXIT_VERIFY = 5
 
 FAULT_ENV = "TREEFAB_INJECT_FAULT"
+
+# the stats that add up over a model's layers; the cluster geometry and
+# the folds describe each layer's own mapping, so they have no total
+MODEL_TOTALS = ("total_cycles", "waves", "busy_ms_cycles", *COUNTED,
+                "fifo_pops", "fold_roundtrips")
 
 
 def _read(path: str) -> str:
@@ -176,9 +181,8 @@ def _cmd_run_model(args) -> int:
         entry = {"name": name, "tile": cfg.to_doc(tile)}
         entry.update(result.stats.as_dict())
         per_layer.append(entry)
-        for key, value in result.stats.as_dict().items():
-            if isinstance(value, int) and not isinstance(value, bool):
-                totals[key] = totals.get(key, 0) + value
+        for key in MODEL_TOTALS:
+            totals[key] = totals.get(key, 0) + getattr(result.stats, key)
         current = result.output
         prev_name = name
     _emit(

@@ -1,8 +1,7 @@
 """Cycle-accurate wave engine.
 
 A mapping plan runs batch by batch.  Each batch maps one output per
-cluster and iterates over all fold blocks; each fold is a wave
-(``run_wave``):
+cluster and iterates over all fold blocks; each fold is a wave:
 
 1. distribute the fold's weights (shared weights multicast once),
 2. distribute the fold's inputs, plus the stored partial sum to the
@@ -17,13 +16,13 @@ egress adder accumulates locally, folds pipeline through the tree, and
 only the final fold of a batch pays the reduction latency and drain.
 With a single fold the two strategies execute identically.
 
-Each distinct wave is timed once.  Nothing in a wave's timing or
-counters depends on the data or on the absolute cycle: the buffer serves
-reads and writes whatever the cycle; the DN's cycles, reads and switch
-traversals depend only on the order of the payloads and on each one's
-set of destination leaves; the MS, RN and CB counters depend only on the
-batch size, its reduction plan, and whether the fold is the first or the
-last.  So a wave's *signature* is
+The engine moves no value through the fabric: it counts each distinct
+wave's cycles and counters once (``_record``).  Nothing in them depends
+on the data or on the absolute cycle: the buffer serves reads and writes
+whatever the cycle; the DN's cycles, reads and switch traversals depend
+only on each payload's set of destination leaves; the MS, RN and CB
+counters depend only on the batch size, its reduction plan, and whether
+the fold is the first or the last.  So a wave's *signature* is
 
 * its batch size and its fold block length,
 * whether its fold is the first and whether it is the last,
@@ -33,15 +32,17 @@ last.  So a wave's *signature* is
   the same address, or -1 for a padding tap.
 
 Waves with one signature send the same payloads (the classes of the
-partitions, in order of their first position) to the same leaves in the
-same order, so they take the same cycles and add the same counts.  The
-leaf of position (slot, e) is ``slot*real_vn_size + e``, a slot's
-forwarder (if clusters hold one) sits after its ``vn_size`` leaves, and
-the reduction plan follows from the batch size and that cluster geometry.
-So a wave's record depends only on the hardware, the geometry
-(``real_vn_size`` and the forwarder flag) and the signature, not on the
-layer, the tile or the data: with the first two prepended, the signature
-keys records shared between mappings.
+partitions) to the same leaves, so they take the same cycles and add the
+same counts.  The leaf of position (slot, e) is ``slot*real_vn_size +
+e``, a slot's forwarder (if clusters hold one) sits after its
+``vn_size`` leaves, and the reduction plan follows from the batch size
+and that cluster geometry.  So a wave's record depends only on the
+hardware, the geometry (``real_vn_size`` and the forwarder flag) and the
+signature, not on the layer, the tile or the data: with the first two
+prepended, the signature keys records shared between mappings.
+``treefab.fabric`` and ``memory.PrefetchBuffer`` model the same fabric
+step by step, on values; the test suite walks every wave through them
+as the reference that the counts must match.
 
 Each wave gets a closed-form *key*, one int64, built per chunk of waves
 from per-batch and per-block classes:
@@ -66,12 +67,11 @@ position.  Whether a tap falls in the padding depends, given the offsets,
 only on ``base``, which the border class gives wherever it matters.
 
 So ``simulate_layer`` builds the signature of each distinct key's first
-wave, runs ``run_wave`` once per distinct signature, on that wave, fresh
-fabric components and a buffer of zeros, and sums count x record over
-the keys.  Keys that share a signature share one replay, and a caller
-that passes one ``replays`` dict to many calls (a tile search, the
-trials of ``verify``, the layers of a model) shares them across those
-calls too.
+wave, counts one record per distinct signature, and sums count x record
+over the keys.  Keys that share a signature share one record, and a
+caller that passes one ``replays`` dict to many calls (a tile search,
+the trials of ``verify``, the layers of a model) shares them across
+those calls too.
 
 The outputs are exact sums over (schedule output x fold element) pairs:
 one row contraction per chunk of outputs, reading the zero-padded input
@@ -92,23 +92,8 @@ from .config import (
     total_macs,
 )
 from .errors import AddressOutOfRange, OutputOverflow
-from .fabric import (
-    BusEvent,
-    CollectorBuses,
-    DistributionNetwork,
-    MultiplierArray,
-    Payload,
-    ReductionNetwork,
-)
 from .mapper import MappingPlan, build_mapping, theoretical_utilization
-from .memory import (
-    PrefetchBuffer,
-    check_layer_data,
-    input_dims,
-    output_dims,
-    weight_dims,
-)
-from .reduction import ReductionPlan
+from .memory import check_layer_data, output_dims, weight_dims
 
 # waves keyed together, and (output, element) products gathered together;
 # they bound the engine's working arrays
@@ -151,110 +136,10 @@ class SimResult:
     mapping: MappingPlan
 
 
-# the SimStats fields the fabric's counters fill, in Fabric.counts() order
+# the SimStats fields a wave's record counts, in record order
 COUNTED = ("ms_multiplications", "forwarder_injections", "pb_reads",
            "pb_writes", "ds_traversals", "as_additions", "fifo_pushes",
            "cb_grants", "cb_conflicts")
-
-
-class Fabric:
-    """The buffer and the datapath components of one fabric."""
-
-    def __init__(self, hw: HardwareConfig):
-        self.pb = PrefetchBuffer(read_ports=hw.dn_bw, write_ports=hw.rn_bw)
-        self.dn = DistributionNetwork(hw.num_ms, hw.dn_bw)
-        self.ms = MultiplierArray(hw.num_ms)
-        self.rn = ReductionNetwork(hw.num_ms)
-        self.cb = CollectorBuses(hw.rn_bw)
-
-    def counts(self) -> tuple[int, ...]:
-        """The counters, in ``COUNTED`` order."""
-        ms, rn, cb = self.ms.counters, self.rn.counters, self.cb.counters
-        return (ms.multiplications, ms.forwarder_injections,
-                self.pb.counters.reads, self.pb.counters.writes,
-                self.dn.counters.traversals, rn.additions, rn.fifo_pushes,
-                cb.grants, cb.conflicts)
-
-
-def run_wave(mapping: MappingPlan, plan: ReductionPlan, batch, f: int,
-             block, fabric: Fabric, cycle: int,
-             accum: dict) -> tuple[int, int, int]:
-    """Run fold ``f`` (weight coordinates ``block``) of ``batch`` from
-    ``cycle``.
-
-    ``accum`` holds the batch's egress adders under ideal folding and is
-    updated in place.  Returns (weight cycles, input cycles, wave cycles).
-    """
-    layer = mapping.layer
-    pb, dn, ms, rn, cb = fabric.pb, fabric.dn, fabric.ms, fabric.rn, \
-        fabric.cb
-    roundtrip = mapping.hw.folding is FoldingStrategy.ROUNDTRIP
-    last = f == mapping.folds - 1
-    forward = mapping.has_forwarder and f > 0
-    start = cycle
-
-    # -- weight distribution ----------------------------------------------
-    w_payloads: dict[tuple, set[int]] = {}
-    for slot, (n, g, k, ox, oy) in enumerate(batch):
-        for e, (c, r, s) in enumerate(block):
-            addr = ("weights", (g, k, c, r, s))
-            w_payloads.setdefault(addr, set()).add(
-                mapping.element_leaf(slot, e)
-            )
-    wc, leaf_w = dn.deliver(
-        [Payload(a, frozenset(d)) for a, d in w_payloads.items()], pb, cycle,
-    )
-    cycle += wc
-
-    # -- input (and partial-sum) distribution -----------------------------
-    # padding taps get no payload; the multipliers read them as 0
-    i_payloads: dict[tuple, set[int]] = {}
-    for slot, (n, g, k, ox, oy) in enumerate(batch):
-        for e, (c, r, s) in enumerate(block):
-            ix = ox * layer.stride + r - layer.padding
-            iy = oy * layer.stride + s - layer.padding
-            if 0 <= ix < layer.x and 0 <= iy < layer.y:
-                addr = ("inputs", (n, g, c, ix, iy))
-                i_payloads.setdefault(addr, set()).add(
-                    mapping.element_leaf(slot, e)
-                )
-        if forward:
-            addr = ("psum", (n, g, k, ox, oy))
-            i_payloads.setdefault(addr, set()).add(
-                mapping.forwarder_leaf(slot)
-            )
-    ic, leaf_i = dn.deliver(
-        [Payload(a, frozenset(d)) for a, d in i_payloads.items()], pb, cycle,
-    )
-    cycle += ic
-
-    # -- multiply (one cycle) ---------------------------------------------
-    # a forwarder has nothing to inject on the first fold, so the
-    # reduction reads its leaf as 0
-    leaf_vals = ms.multiply(leaf_w, leaf_i)
-    if forward:
-        for slot in range(len(batch)):
-            fwd = mapping.forwarder_leaf(slot)
-            leaf_vals.update(ms.forward(fwd, leaf_i[fwd]))
-    cycle += 1
-
-    # -- reduce and collect -----------------------------------------------
-    sums = rn.replay(plan, leaf_vals)
-    if not roundtrip:
-        for slot in range(len(batch)):
-            accum[slot] += sums[slot]
-        if f > 0:
-            rn.counters.additions += len(batch)
-        sums = accum
-    if roundtrip or last:
-        region = "outputs" if last else "psum"
-        events = []
-        for slot, coord in enumerate(batch):
-            as_index, arrival = plan.egress[slot]
-            events.append(BusEvent(arrival, as_index, (region, coord),
-                                   sums[slot]))
-        cycle += cb.drain(events, pb, cycle) + 1
-    return wc, ic, cycle - start
 
 
 def layer_stats(mapping: MappingPlan, cycles: int, waves: int,
@@ -291,7 +176,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
 
     ``replays``, if given, is a dict the caller owns, from a wave's
     signature (hardware and cluster geometry included) to its timing
-    record; it is read and filled, so calls that share it replay each
+    record; it is read and filled, so calls that share it count each
     signature once.  Without it the call uses a dict of its own.
     """
     mapping = build_mapping(hw, layer, tile)
@@ -306,8 +191,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     sizes = batches.lengths.tolist()
     totals = cycle = 0
     for w0, key, records in _keyed_waves(
-            mapping, batches, blocks, inputs.dtype, weights.dtype,
-            {} if replays is None else replays):
+            mapping, batches, blocks, {} if replays is None else replays):
         records = np.array(records, dtype=np.int64)
         totals += np.bincount(key, minlength=len(records)) @ records
         if trace is None:
@@ -329,22 +213,18 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
-def _keyed_waves(mapping, batches, blocks, input_dtype, weight_dtype,
-                 replays):
+def _keyed_waves(mapping, batches, blocks, replays):
     """Yield (first wave, key ids, records) for each chunk of waves, in
     issue order.
 
     Key ids number the distinct keys in order of first appearance;
     ``records`` holds, per key id, the weight, input and wave cycles and
     then the ``COUNTED`` counters of the key's first wave, taken from
-    ``replays`` by the wave's signature.  A signature missing there is
-    timed on its wave, fresh components and a buffer of zeros, so no
-    partial sum can overflow and the timing never sees the data.
+    ``replays`` by the wave's signature, or counted by ``_record`` and
+    stored there when missing.
     """
     layer = mapping.layer
     n_folds = len(blocks)
-    zeros = (np.zeros(input_dims(layer), input_dtype),
-             np.zeros(weight_dims(layer), weight_dtype))
     batch_ids, b_low, b_span = batches.classes(
         (3, 4), lambda n, g, k, ox, oy: (g * layer.k + k, n * layer.g + g))
     fold = np.arange(n_folds)
@@ -362,16 +242,6 @@ def _keyed_waves(mapping, batches, blocks, input_dtype, weight_dtype,
                       + f_span[None, :, fold_axis])
         return np.where((base >= 0) & (end < extent), 0,
                         base + layer.padding + 1)
-
-    def time(wave: int) -> tuple[int, ...]:
-        b, f = divmod(wave, n_folds)
-        batch, block = batches.tuples(b), blocks.tuples(f)
-        fabric = Fabric(mapping.hw)
-        fabric.pb.load_layer_data(layer, *zeros)
-        plan = mapping.reduction_plan(len(batch))
-        accum = dict.fromkeys(range(len(batch)), 0)
-        return run_wave(mapping, plan, batch, f, block, fabric, 0,
-                        accum) + fabric.counts()
 
     key_ids: dict[int, int] = {}
     records: list[tuple[int, ...]] = []
@@ -392,7 +262,7 @@ def _keyed_waves(mapping, batches, blocks, input_dtype, weight_dtype,
                                                      first[new])):
                 record = replays.get(signature)
                 if record is None:
-                    record = replays[signature] = time(int(first[i]))
+                    record = replays[signature] = _record(mapping, signature)
                 key_ids[keys[i]] = len(records)
                 records.append(record)
         ids = np.array([key_ids[key] for key in keys])
@@ -419,11 +289,6 @@ class _Groups:
         used = np.arange(self.width) < self.lengths[groups, None]
         start = self.starts[groups, None]
         return np.where(used, start + np.arange(self.width), start), used
-
-    def tuples(self, group: int) -> list[tuple]:
-        start = self.starts[group]
-        return list(map(tuple, self.coords[start:start + self.lengths[group]]
-                        .tolist()))
 
     def classes(self, offsets, partitions, *extra):
         """(ids, low, span): a class id per group, and per group the least
@@ -480,6 +345,61 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
         zip((f > 0).tolist(), (f == len(blocks) - 1).tolist(),
             batches.lengths[b].tolist(), blocks.lengths[f].tolist()),
         [0] + ends, ends)]
+
+
+def _record(mapping: MappingPlan, signature) -> tuple[int, ...]:
+    """A wave's weight, input and wave cycles, then its ``COUNTED``
+    counters, counted from its signature.
+
+    Each class of the weight (input) partition is one payload: one PB
+    read, one injection on each distribution sub-tree that holds one of
+    its leaves, and one traversal of each switch on its cover.  Each
+    sub-tree injects one payload per cycle.  A forwarding fold adds one
+    payload per slot, the partial sum for the slot's forwarder leaf.
+    After one multiply cycle, folds that drain send each cluster's sum
+    from its egress switch over bus ``as_index mod rn_bw``; a bus grants
+    one value per cycle, oldest arrival first, ties by switch index.
+    """
+    hw, width, forwarder, later, last, size, length, data = signature
+    per_tree = hw.num_ms // hw.dn_bw
+    leaves = [p // length * width + p % length for p in range(size * length)]
+    forward = forwarder and later
+    roundtrip = hw.folding is FoldingStrategy.ROUNDTRIP
+
+    def distribute(heads, extra=()):
+        # (cycles, PB reads, switch traversals)
+        dests: dict[int, set[int]] = {}
+        for leaf, head in zip(leaves, heads):
+            if head >= 0:
+                dests.setdefault(head, set()).add(leaf)
+        payloads = [*dests.values(), *({leaf} for leaf in extra)]
+        queued = [0] * hw.dn_bw
+        for d in payloads:
+            for tree in {leaf // per_tree for leaf in d}:
+                queued[tree] += 1
+        return max(queued), len(payloads), sum(
+            len({(h, leaf >> h) for leaf in d
+                 for h in range(1, per_tree.bit_length())})
+            for d in payloads)
+
+    w_heads, i_heads = np.frombuffer(data, np.int32).reshape(-1, 2).T.tolist()
+    wc, w_reads, w_hops = distribute(w_heads)
+    ic, i_reads, i_hops = distribute(i_heads, [
+        slot * width + width - 1 for slot in range(size)] if forward else ())
+    plan = mapping.reduction_plan(size)
+    cycles, writes, conflicts = wc + ic + 1, 0, 0
+    if roundtrip or last:
+        free, final = {}, -1  # bus -> its next free cycle; the last grant
+        for arrival, index in sorted((t, i) for i, t in plan.egress.values()):
+            bus = index % hw.rn_bw
+            grant = max(arrival, free.get(bus, 0))
+            conflicts += grant > arrival
+            free[bus], final = grant + 1, max(final, grant)
+        cycles, writes = cycles + final + 1, size
+    return (wc, ic, cycles, size * length, size if forward else 0,
+            w_reads + i_reads, writes, w_hops + i_hops,
+            plan.adds_per_wave + (size if later and not roundtrip else 0),
+            len(plan.ops), writes, conflicts)
 
 
 def _check_range(coords, dims, what) -> None:

@@ -2,10 +2,14 @@
 replay and collector buses.
 
 Each component models one bandwidth constraint of the fabric and keeps
-its own activity counters; the engine wires them together per wave.
-The distribution network is modelled here whole: payload injection, the
-count of switches on each payload's multicast cover, and the bit-vector
-routing tables of those switches (``generate_dn_routes``).
+its own activity counters.  Together with ``memory.PrefetchBuffer`` they
+are the step-by-step reference: they move values, cycle by cycle, and
+the test suite's ``tests/wave_reference.py`` wires them together per
+wave to check the counts the engine takes from each wave's signature
+(``engine._record``).  The distribution network is modelled here whole:
+payload injection, the count of switches on each payload's multicast
+cover, and the bit-vector routing tables of those switches
+(``generate_dn_routes``).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ fold blocks are cut from the layer by one numpy function, ``_cut``, as
 flat coordinate arrays with one length per group; they are built when
 asked for, never stored.  Distribution routes depend only on each
 payload's destinations; ``fabric.generate_dn_routes`` builds them on
-request, and the distribution network counts the switches on each
-payload's cover in closed form.
+request, and the engine counts the switches on each payload's cover in
+closed form.
 """
 
 from __future__ import annotations

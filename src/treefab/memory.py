@@ -1,10 +1,14 @@
-"""Prefetch buffer.
+"""Layer data and the prefetch buffer.
 
-The prefetch buffer (PB) holds the input, weight and output regions of
-the layer currently being simulated, as plain numpy arrays, plus a keyed
-store of partial sums.  Reads and writes are served through a bounded
-number of ports per cycle; excess requests are deferred to later cycles
-and counted as stalls.
+The region dims and the seeded layer data serve every module.  The
+prefetch buffer (PB) holds the input, weight and output regions of the
+layer being simulated, as plain numpy arrays, plus a keyed store of
+partial sums.  Reads and writes are served through a bounded number of
+ports per cycle; excess requests are deferred to later cycles and
+counted as stalls.  The engine does not use the PB: it counts a wave's
+reads and writes from the wave's signature.  The PB and
+``treefab.fabric`` are the step-by-step reference that
+``tests/wave_reference.py`` drives on real data.
 
 Addresses are ``(region, key)`` pairs where region is one of
 ``"inputs"`` (key ``(n, g, c, x, y)``), ``"weights"`` (``(g, k, c, r, s)``),

@@ -9,9 +9,11 @@ without blocking each other.
 
 ``plan_reduction`` turns a leaf-to-cluster assignment into a static plan:
 a time-ordered list of add/forward micro-ops, a per-switch mode map, and
-the egress switch plus completion latency of every cluster.  The plan is
-replayed with concrete values by ``fabric.ReductionNetwork`` and is
-independently checkable against a direct per-cluster sum.
+the egress switch plus completion latency of every cluster.  The engine
+counts a wave's additions, FIFO pushes and drain from the plan; the
+step-by-step reference ``fabric.ReductionNetwork`` replays it on
+concrete values, and it is independently checkable against a direct
+per-cluster sum.
 
 Timing: values advance one tree level per cycle; a lateral hop costs one
 extra cycle (``AUG_HOP_EXTRA_CYCLES``).

@@ -82,7 +82,7 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
 
     Ties break by utilization (desc) then lexicographic tile order, so
     the result is a total deterministic order.  The simulations share one
-    dict of wave replays, so each wave signature is timed once per call.
+    dict of wave records, so each wave signature is counted once per call.
     """
     if top_k <= 0:
         return []

@@ -147,12 +147,19 @@ class TestRunModel:
         assert code == cli.EXIT_OK
         doc = yaml.safe_load(out.read_text())
         assert [e["name"] for e in doc["layers"]] == ["conv1", "conv2", "fc1"]
-        assert doc["totals"]["total_cycles"] == sum(
-            e["total_cycles"] for e in doc["layers"])
+        # cycles, waves and activity counters add up over the layers; the
+        # per-layer cluster geometry and folds have no total
+        assert set(doc["totals"]) == {
+            "total_cycles", "waves", "busy_ms_cycles", "ms_multiplications",
+            "forwarder_injections", "pb_reads", "pb_writes", "ds_traversals",
+            "as_additions", "fifo_pushes", "fifo_pops", "cb_grants",
+            "cb_conflicts", "fold_roundtrips"}
+        for key, total in doc["totals"].items():
+            assert total == sum(e[key] for e in doc["layers"])
 
     def test_layers_share_wave_replays(self, tmp_path, monkeypatch):
-        # a layer repeated with the same tile replays no wave the first
-        # copy timed: the layers of one command share a dict of replays
+        # a layer repeated with the same tile counts no wave the first
+        # copy counted: the layers of one command share a dict of records
         hw = write(tmp_path, "hw.yaml", HW32_DOC)
         entry = """\
   - name: {}
@@ -160,8 +167,8 @@ class TestRunModel:
     tile: {{T_R: 3, T_S: 3, T_C: 1, T_X: 2}}
 """
         calls = []
-        original = engine.run_wave
-        monkeypatch.setattr(engine, "run_wave",
+        original = engine._record
+        monkeypatch.setattr(engine, "_record",
                             lambda *args: calls.append(1) or original(*args))
         replays = []
         for names in (["a"], ["a", "b"]):
@@ -244,12 +251,12 @@ class TestVerify:
         assert "5/5 trials passed" in capsys.readouterr().out
 
     def test_trials_share_wave_replays(self, tmp_path, monkeypatch):
-        # one command times each wave signature once, however many trials
+        # one command counts each wave signature once, however many trials
         # it runs; the next command starts again from nothing
         hw, layer, tile = standard_files(tmp_path)
         calls = []
-        original = engine.run_wave
-        monkeypatch.setattr(engine, "run_wave",
+        original = engine._record
+        monkeypatch.setattr(engine, "_record",
                             lambda *args: calls.append(1) or original(*args))
         replays = []
         for trials in ("1", "5"):

@@ -43,7 +43,7 @@ from common import (
     outcome,
     tiles,
 )
-from wave_reference import simulate_per_wave
+from wave_reference import Fabric, simulate_per_wave, wave_records
 
 
 def run(hw, layer, tile, seed=0, strategy=None, trace=None):
@@ -231,6 +231,35 @@ class TestMatchesPerWaveReference:
                                             data.draw(st.integers(0, 999)))
         assert_matches_per_wave(hw, layer, tile, inputs, weights)
 
+    @pytest.mark.parametrize("bandwidth", [
+        None, "dn_bw == num_ms", "dn_bw == 1", "rn_bw == 1"])
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_every_wave_record(self, data, strategy, bandwidth):
+        # each wave's counted record equals the cycles and the counter
+        # increments of that wave walked through the step-by-step fabric
+        # on real data, not just their sums over the layer
+        hw, layer, tile = draw_case(data)
+        hw = replace(hw, folding=strategy, **{
+            "dn_bw == num_ms": {"dn_bw": hw.num_ms},
+            "dn_bw == 1": {"dn_bw": 1},
+            "rn_bw == 1": {"rn_bw": 1}}.get(bandwidth, {}))
+        try:
+            mapping = build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        fabric = Fabric(hw)
+        fabric.pb.load_layer_data(layer, *random_layer_data(
+            layer, data.draw(st.integers(0, 999))))
+        want = [record for _, _, record in wave_records(mapping, fabric)]
+        got = []
+        for _, key, records in engine._keyed_waves(
+                mapping, engine._Groups(*mapping.batch_array()),
+                engine._Groups(*mapping.block_array()), {}):
+            got += [records[i] for i in key.tolist()]
+        assert got == want
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_order_of_outputs_and_elements(self, data):
@@ -319,8 +348,8 @@ class TestMatchesOracle:
 class TestWaveKeys:
     def count_timed_waves(self, monkeypatch, hw, layer, tile):
         calls = []
-        original = engine.run_wave
-        monkeypatch.setattr(engine, "run_wave",
+        original = engine._record
+        monkeypatch.setattr(engine, "_record",
                             lambda *args: calls.append(1) or original(*args))
         inputs, weights = random_layer_data(layer, seed=0)
         simulate_layer(hw, layer, tile, inputs, weights)
@@ -342,23 +371,22 @@ class TestWaveKeys:
     def test_keys_that_share_a_signature(self, strategy, monkeypatch):
         # the 9 waves of this pointwise tile fall into 6 keys but only 4
         # signatures: a key holds each slot's (ox, oy) offset, a signature
-        # only which positions share an address.  Each signature is timed
-        # once, and the 4 timings give just 2 distinct records.
+        # only which positions share an address.  Each signature is
+        # counted once, and the 4 counts give just 2 distinct records.
         layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=2, g=1, k=4, n=1,
                             x=6, y=6)
         tile = TileConfig(1, 1, 2, t_k=4, t_x=6, t_y=6)
         hw = replace(HW32, folding=strategy)
         inputs, weights = random_layer_data(layer, seed=5)
         records = []
-        original = engine.run_wave
+        original = engine._record
 
-        def timed(*args):
-            cycles = original(*args)
-            records.append(cycles + args[5].counts())  # args[5]: the fabric
-            return cycles
+        def counted(*args):
+            records.append(original(*args))
+            return records[-1]
 
         with monkeypatch.context() as m:
-            m.setattr(engine, "run_wave", timed)
+            m.setattr(engine, "_record", counted)
             simulate_layer(hw, layer, tile, inputs, weights)
         assert (len(records), len(set(records))) == (4, 2)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
@@ -430,10 +458,10 @@ class TestSharedReplays:
                 == (strategy is FoldingStrategy.ROUNDTRIP)
         inputs, weights = random_layer_data(layer, seed=0)
         calls = []
-        original = engine.run_wave
+        original = engine._record
         replays = {}
         with monkeypatch.context() as m:
-            m.setattr(engine, "run_wave",
+            m.setattr(engine, "_record",
                       lambda *args: calls.append(1) or original(*args))
             shared = [simulate_layer(hw, layer, tile, inputs, weights,
                                      replays=replays) for tile in tiles_]
