@@ -34,12 +34,13 @@ the fold is the first or the last.  So a wave's *signature* is
 Waves with one signature send the same payloads (the classes of the
 partitions) to the same leaves, so they take the same cycles and add the
 same counts.  The leaf of position (slot, e) is ``slot*real_vn_size +
-e``, a slot's forwarder (if clusters hold one) sits after its
-``vn_size`` leaves, and the reduction plan follows from the batch size
-and that cluster geometry.  So a wave's record depends only on the
-hardware, the geometry (``real_vn_size`` and the forwarder flag) and the
-signature, not on the layer, the tile or the data: with the first two
-prepended, the signature keys records shared between mappings.
+e``, a slot's forwarder (if clusters hold one) is its last leaf
+(``reduction.clusters``), and the batch's reduction plan and drain
+follow from the batch size and that width (``_drain``).  So a wave's
+record depends only on the hardware, the geometry (``real_vn_size`` and
+the forwarder flag) and the signature: with the first two prepended, the
+signature alone gives the record (``_record``) and keys records shared
+between mappings.
 ``treefab.fabric`` and ``memory.PrefetchBuffer`` model the same fabric
 step by step, on values; the test suite walks every wave through them
 as the reference that the counts must match.
@@ -92,7 +93,8 @@ from .config import (
     total_macs,
 )
 from .errors import AddressOutOfRange, OutputOverflow
-from .mapper import MappingPlan, build_mapping, theoretical_utilization
+from .mapper import (MappingPlan, build_mapping, cluster_plan,
+                     theoretical_utilization)
 from .memory import check_layer_data, output_dims, weight_dims
 
 # waves keyed together, and (output, element) products gathered together;
@@ -245,6 +247,7 @@ def _keyed_waves(mapping, batches, blocks, replays):
 
     key_ids: dict[int, int] = {}
     records: list[tuple[int, ...]] = []
+    drains: dict[tuple, tuple[int, ...]] = {}  # batch geometry -> _drain
     rows = max(1, CHUNK_WAVES // n_folds)
     for b0 in range(0, len(batches), rows):
         b = slice(b0, b0 + rows)
@@ -262,7 +265,7 @@ def _keyed_waves(mapping, batches, blocks, replays):
                                                      first[new])):
                 record = replays.get(signature)
                 if record is None:
-                    record = replays[signature] = _record(mapping, signature)
+                    record = replays[signature] = _record(signature, drains)
                 key_ids[keys[i]] = len(records)
                 records.append(record)
         ids = np.array([key_ids[key] for key in keys])
@@ -347,7 +350,7 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
         [0] + ends, ends)]
 
 
-def _record(mapping: MappingPlan, signature) -> tuple[int, ...]:
+def _record(signature, drains) -> tuple[int, ...]:
     """A wave's weight, input and wave cycles, then its ``COUNTED``
     counters, counted from its signature.
 
@@ -356,9 +359,9 @@ def _record(mapping: MappingPlan, signature) -> tuple[int, ...]:
     its leaves, and one traversal of each switch on its cover.  Each
     sub-tree injects one payload per cycle.  A forwarding fold adds one
     payload per slot, the partial sum for the slot's forwarder leaf.
-    After one multiply cycle, folds that drain send each cluster's sum
-    from its egress switch over bus ``as_index mod rn_bw``; a bus grants
-    one value per cycle, oldest arrival first, ties by switch index.
+    After one multiply cycle the batch reduces, and folds that drain send
+    its sums over the collector buses, as ``_drain`` counts once per batch
+    geometry into ``drains``, a dict of one ``simulate_layer`` call.
     """
     hw, width, forwarder, later, last, size, length, data = signature
     per_tree = hw.num_ms // hw.dn_bw
@@ -386,20 +389,33 @@ def _record(mapping: MappingPlan, signature) -> tuple[int, ...]:
     wc, w_reads, w_hops = distribute(w_heads)
     ic, i_reads, i_hops = distribute(i_heads, [
         slot * width + width - 1 for slot in range(size)] if forward else ())
-    plan = mapping.reduction_plan(size)
-    cycles, writes, conflicts = wc + ic + 1, 0, 0
-    if roundtrip or last:
-        free, final = {}, -1  # bus -> its next free cycle; the last grant
-        for arrival, index in sorted((t, i) for i, t in plan.egress.values()):
-            bus = index % hw.rn_bw
-            grant = max(arrival, free.get(bus, 0))
-            conflicts += grant > arrival
-            free[bus], final = grant + 1, max(final, grant)
-        cycles, writes = cycles + final + 1, size
-    return (wc, ic, cycles, size * length, size if forward else 0,
-            w_reads + i_reads, writes, w_hops + i_hops,
-            plan.adds_per_wave + (size if later and not roundtrip else 0),
-            len(plan.ops), writes, conflicts)
+    if (hw, width, size) not in drains:
+        drains[hw, width, size] = _drain(hw, width, size)
+    adds, pushes, drain, conflicts = drains[hw, width, size]
+    drained = roundtrip or last
+    if not drained:
+        drain = conflicts = 0
+    writes = size if drained else 0
+    return (wc, ic, wc + ic + 1 + drain, size * length,
+            size if forward else 0, w_reads + i_reads, writes,
+            w_hops + i_hops, adds + (size if later and not roundtrip else 0),
+            pushes, writes, conflicts)
+
+
+def _drain(hw: HardwareConfig, width: int, size: int) -> tuple[int, ...]:
+    """The additions, FIFO pushes (one per op), drain cycles and bus
+    conflicts of the reduction plan of ``size`` clusters of ``width``
+    leaves.  Each sum drains from its egress switch over bus ``as_index
+    mod rn_bw``; a bus grants one value per cycle, oldest arrival first,
+    ties by switch index."""
+    plan = cluster_plan(hw.num_ms, width, size)
+    free, final, conflicts = {}, -1, 0  # bus -> its next free cycle
+    for arrival, index in sorted((t, i) for i, t in plan.egress.values()):
+        bus = index % hw.rn_bw
+        grant = max(arrival, free.get(bus, 0))
+        conflicts += grant > arrival
+        free[bus], final = grant + 1, max(final, grant)
+    return plan.adds_per_wave, len(plan.ops), final + 1, conflicts
 
 
 def _check_range(coords, dims, what) -> None:

@@ -1,15 +1,15 @@
 """Datapath components: distribution trees, multipliers, reduction
 replay and collector buses.
 
-Each component models one bandwidth constraint of the fabric and keeps
-its own activity counters.  Together with ``memory.PrefetchBuffer`` they
-are the step-by-step reference: they move values, cycle by cycle, and
-the test suite's ``tests/wave_reference.py`` wires them together per
-wave to check the counts the engine takes from each wave's signature
-(``engine._record``).  The distribution network is modelled here whole:
-payload injection, the count of switches on each payload's multicast
-cover, and the bit-vector routing tables of those switches
-(``generate_dn_routes``).
+Each component models one bandwidth constraint of the fabric and counts
+its own activity as it moves values (the reduction replay counts the ops
+it executes, not the plan's totals).  With ``memory.PrefetchBuffer``
+they are the step-by-step reference: the test suite's
+``tests/wave_reference.py`` wires them together per wave to check the
+counts the engine takes from each wave's signature (``engine._record``).
+The distribution network is modelled here whole: payload injection, the
+count of switches on each payload's multicast cover, and the bit-vector
+routing tables of those switches (``generate_dn_routes``).
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ class ReductionNetwork:
                 total += (leaf_values.get(idx, 0) if kind == "leaf"
                           else op_values[idx])
             op_values[op.index] = total
+            self.counters.additions += len(op.sources) - 1
+            self.counters.fifo_pushes += 1
             if op.route == "egress":
                 sums[op.vn] = total
-        self.counters.additions += plan.adds_per_wave
-        self.counters.fifo_pushes += len(plan.ops)
         return sums
 
 

@@ -1,20 +1,23 @@
 """Tile-to-fabric compiler.
 
-Translates (hardware, layer, tile) into a mapping plan: cluster (VN)
-geometry, the leaf assignment of every multiplier switch, and the switch
-configuration of the reduction network.  The output schedule and the
-fold blocks are cut from the layer by one numpy function, ``_cut``, as
-flat coordinate arrays with one length per group; they are built when
-asked for, never stored.  Distribution routes depend only on each
-payload's destinations; ``fabric.generate_dn_routes`` builds them on
-request, and the engine counts the switches on each payload's cover in
-closed form.
+Translates (hardware, layer, tile) into a mapping plan, a plain
+description of the cluster (VN) geometry: the cluster size, plus a
+forwarder when folding needs one, and the clusters per batch.  The leaf
+assignment follows from it by ``reduction.clusters``, and the switch
+configuration of the reduction network, for a batch of any size, by
+``cluster_plan``; ``describe`` derives both on request.  The output
+schedule and the fold blocks are cut from the layer by one numpy
+function, ``_cut``, as flat coordinate arrays with one length per group;
+they are built when asked for, never stored.  Distribution routes depend
+only on each payload's destinations; ``fabric.generate_dn_routes``
+builds them on request, and the engine counts the switches on each
+payload's cover in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .config import (
     validate_tile,
 )
 from .errors import InfeasibleTile, VnTooLarge
-from .reduction import ReductionPlan, plan_reduction
+from .reduction import ReductionPlan, clusters, plan_reduction, switch_modes
 
 _OUTPUT_AXES = ("N", "G", "K", "X'", "Y'")  # schedule coords (n, g, k, ox, oy)
 _FOLD_AXES = ("C", "R", "S")  # fold block coords (c, r, s)
@@ -43,7 +46,7 @@ class TheoreticalUtilization:
     fraction: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingPlan:
     hw: HardwareConfig
     layer: LayerConfig
@@ -53,7 +56,6 @@ class MappingPlan:
     real_vn_size: int  # vn_size + 1 when folding needs a psum forwarder
     n_vns_mapped: int
     has_forwarder: bool
-    _rn_plans: dict[int, ReductionPlan] = field(default_factory=dict)
 
     def batch_array(self):
         """(coordinates, lengths): the schedule's output coordinates
@@ -84,43 +86,13 @@ class MappingPlan:
         """Fold blocks of weight coordinates, as lists of tuples."""
         return _groups(*self.block_array())
 
-    def slot_start(self, slot: int) -> int:
-        return slot * self.real_vn_size
-
-    def element_leaf(self, slot: int, elem_idx: int) -> int:
-        return self.slot_start(slot) + elem_idx
-
-    def forwarder_leaf(self, slot: int) -> int:
-        if not self.has_forwarder:
-            raise InfeasibleTile("mapping has no forwarder multipliers")
-        return self.slot_start(slot) + self.vn_size
-
-    def ms_assignment(self, n_occupied: int | None = None):
-        """Per-leaf (slot, role) records; role is multiplier/forwarder/idle."""
-        if n_occupied is None:
-            n_occupied = self.n_vns_mapped
-        assignment = [(None, "idle")] * self.hw.num_ms
-        for slot in range(n_occupied):
-            start = self.slot_start(slot)
-            for e in range(self.vn_size):
-                assignment[start + e] = (slot, "multiplier")
-            if self.has_forwarder:
-                assignment[start + self.vn_size] = (slot, "forwarder")
-        return assignment
-
-    def vn_of_leaf(self, n_occupied: int | None = None):
-        return [slot for slot, _ in self.ms_assignment(n_occupied)]
-
-    def reduction_plan(self, n_occupied: int) -> ReductionPlan:
-        if n_occupied not in self._rn_plans:
-            self._rn_plans[n_occupied] = plan_reduction(
-                self.vn_of_leaf(n_occupied)
-            )
-        return self._rn_plans[n_occupied]
-
     def describe(self) -> dict:
-        """Serializable summary for inspection."""
-        rn = self.reduction_plan(self.n_vns_mapped)
+        """Serializable summary for inspection, of a full batch."""
+        leaves = clusters(self.hw.num_ms, self.real_vn_size,
+                          self.n_vns_mapped)
+        rn = plan_reduction(leaves)
+        roles = (["multiplier"] * self.vn_size
+                 + ["forwarder"] * self.has_forwarder)
         return {
             "vn_size": self.vn_size,
             "real_vn_size": self.real_vn_size,
@@ -128,18 +100,25 @@ class MappingPlan:
             "n_vns_mapped": self.n_vns_mapped,
             "batches": len(self.batch_array()[1]),
             "ms_assignment": [
-                {"leaf": i, "vn": slot, "role": role}
-                for i, (slot, role) in enumerate(self.ms_assignment())
+                {"leaf": i, "vn": vn, "role": "idle" if vn is None
+                 else roles[i % self.real_vn_size]}
+                for i, vn in enumerate(leaves)
             ],
             "rn_modes": {
                 f"L{level}.{node}": mode.value
-                for (level, node), mode in sorted(rn.modes.items())
+                for (level, node), mode in sorted(switch_modes(rn).items())
             },
             "rn_egress": {
                 f"vn{vn}": {"as_index": idx, "latency": t}
                 for vn, (idx, t) in sorted(rn.egress.items())
             },
         }
+
+
+def cluster_plan(num_ms: int, width: int, count: int) -> ReductionPlan:
+    """The reduction plan of ``count`` clusters of ``width`` leaves; the
+    engine plans through here, where perfbench's tracer times it."""
+    return plan_reduction(clusters(num_ms, width, count))
 
 
 def compute_folds(layer: LayerConfig, tile: TileConfig) -> int:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LayerConfig, derive_output_dims
-from .errors import AddressOutOfRange, OutputOverflow, ShapeMismatch
+from .errors import (AddressOutOfRange, OutputOverflow, ShapeMismatch,
+                     ValidationError)
 
 
 @dataclass
@@ -60,8 +61,13 @@ def random_layer_data(layer: LayerConfig, seed):
 
 def check_layer_data(layer: LayerConfig, inputs, weights):
     """The layer's inputs and weights as arrays; raises ShapeMismatch
-    unless their shapes are the layer's."""
+    unless their shapes are the layer's, and ValidationError unless both
+    are integer or both are floating (integer widths may differ)."""
     inputs, weights = np.asarray(inputs), np.asarray(weights)
+    if not any(np.issubdtype(inputs.dtype, kind) and np.issubdtype(
+            weights.dtype, kind) for kind in (np.integer, np.floating)):
+        raise ValidationError(f"inputs ({inputs.dtype}) and weights "
+                              f"({weights.dtype}) mix integer and float")
     if inputs.shape != input_dims(layer):
         raise ShapeMismatch(
             f"input dims {inputs.shape} do not match layer "

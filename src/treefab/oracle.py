@@ -17,7 +17,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import LayerConfig, derive_output_dims, total_macs
-from .errors import DimsMismatch, OutputOverflow, ShapeMismatch
+from .errors import (DimsMismatch, OutputOverflow, ShapeMismatch,
+                     ValidationError)
 
 
 @dataclass
@@ -47,6 +48,12 @@ def conv_reference(layer: LayerConfig, inputs: np.ndarray,
     if weights.shape != (layer.g, layer.k, layer.c, layer.r, layer.s):
         raise ShapeMismatch(f"weight shape {weights.shape} does not match layer")
 
+    # integers (kinds "i", "u") or floats ("f"), not a mix: an integer
+    # accumulator would truncate float weights
+    if {a.dtype.kind.replace("u", "i") for a in (inputs, weights)} not in (
+            {"i"}, {"f"}):
+        raise ValidationError(f"inputs are {inputs.dtype} and weights "
+                              f"{weights.dtype}: both must be int or float")
     pad = layer.padding
     integer = np.issubdtype(inputs.dtype, np.integer)
     acc_dtype = np.float64

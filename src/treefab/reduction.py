@@ -7,13 +7,14 @@ parent.  Each adder switch runs in one of four modes (2:1 add, 3:1 add,
 contiguous, non-overlapping multiplier clusters reduce simultaneously
 without blocking each other.
 
-``plan_reduction`` turns a leaf-to-cluster assignment into a static plan:
-a time-ordered list of add/forward micro-ops, a per-switch mode map, and
-the egress switch plus completion latency of every cluster.  The engine
-counts a wave's additions, FIFO pushes and drain from the plan; the
-step-by-step reference ``fabric.ReductionNetwork`` replays it on
-concrete values, and it is independently checkable against a direct
-per-cluster sum.
+``plan_reduction`` turns a leaf-to-cluster assignment (of a batch:
+``clusters``) into a static plan: a time-ordered list of add/forward
+micro-ops and the egress switch plus completion latency of every
+cluster; ``switch_modes`` derives each switch's mode from the ops on
+request.  The engine counts a wave's additions, FIFO pushes and drain
+from the plan; the step-by-step reference ``fabric.ReductionNetwork``
+replays it on concrete values, and it is independently checkable
+against a direct per-cluster sum.
 
 Timing: values advance one tree level per cycle; a lateral hop costs one
 extra cycle (``AUG_HOP_EXTRA_CYCLES``).
@@ -56,15 +57,12 @@ class ReduceOp:
     time: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionPlan:
     num_leaves: int
     ops: list[ReduceOp]
-    modes: dict[tuple[int, int], ASMode]  # (level, node) -> mode
     egress: dict[int, tuple[int, int]]  # vn -> (as_index, completion time)
     adds_per_wave: int
-    # (level, node, port) -> [(vn, cycle), ...]; at most one vn per cycle
-    port_uses: dict[tuple, list[tuple[int, int]]]
 
     def as_index(self, level: int, node: int) -> int:
         """Level-major global numbering of adder switches."""
@@ -83,6 +81,14 @@ class _Frag:
     size: int  # leaves actually covered by the merged fragments
     arrival: int
     ref: tuple
+
+
+def clusters(num_leaves: int, width: int, count: int) -> list:
+    """The ``vn_of_leaf`` list of ``count`` clusters of ``width`` leaves
+    from leaf 0: cluster ``v`` holds leaves ``v*width`` to ``v*width +
+    width - 1``, its forwarder (if any) last; later leaves idle."""
+    return [leaf // width if leaf < width * count else None
+            for leaf in range(num_leaves)]
 
 
 def _vn_ranges(vn_of_leaf) -> dict[int, tuple[int, int]]:
@@ -114,18 +120,17 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
 
     ops: list[ReduceOp] = []
     egress: dict[int, tuple[int, int, int]] = {}  # vn -> (level, node, time)
-    port_uses: dict[tuple, list[tuple[int, int]]] = {}
+    busy: set[tuple] = set()  # (level, node, port, cycle)
 
-    def use_port(level, node, port, vn, time):
+    def use_port(level, node, port, time):
         # exclusivity is per cycle: a port may serve several clusters in
         # one wave, but never two values in the same cycle
-        users = port_uses.setdefault((level, node, port), [])
-        if any(t == time for _, t in users):
+        if (level, node, port, time) in busy:
             raise UnroutableVN(
                 f"switch ({level},{node}) port {port} carries two values "
                 f"at cycle {time}"
             )
-        users.append((vn, time))
+        busy.add((level, node, port, time))
 
     def emit(level, node, frags: list[_Frag], route: str,
              min_time: int = 0) -> _Frag:
@@ -136,7 +141,7 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
             time=max(min_time, max(f.arrival for f in frags)),
         )
         ops.append(op)
-        use_port(level, node, route, vn, op.time)
+        use_port(level, node, route, op.time)
         return _Frag(vn, sum(f.size for f in frags), op.time,
                      ("op", op.index))
 
@@ -225,7 +230,7 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
             vn = crossing(send_from)
             frags = groups[send_from].pop(vn)
             out = emit(level, send_from, frags, "aug")
-            use_port(level, left_j, ("link", link), vn, out.arrival)
+            use_port(level, left_j, ("link", link), out.arrival)
             out.arrival += AUG_HOP_EXTRA_CYCLES
             groups[recv].setdefault(vn, []).append(out)
 
@@ -265,40 +270,26 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
     if missing:
         raise UnroutableVN(f"clusters never completed: {sorted(missing)}")
 
-    plan = ReductionPlan(
-        num_leaves=n,
-        ops=ops,
-        modes={},
-        egress={},
-        adds_per_wave=sum(len(op.sources) - 1 for op in ops),
-        port_uses=port_uses,
-    )
+    plan = ReductionPlan(n, ops, {}, sum(len(op.sources) - 1 for op in ops))
     for vn, (level, j, time) in egress.items():
         plan.egress[vn] = (plan.as_index(level, j), time)
-    plan.modes = _derive_modes(n, levels, ops)
     return plan
 
 
-def _derive_modes(n, levels, ops) -> dict[tuple[int, int], ASMode]:
-    by_node: dict[tuple[int, int], list[ReduceOp]] = {}
-    for op in ops:
-        by_node.setdefault((op.level, op.node), []).append(op)
+def switch_modes(plan: ReductionPlan) -> dict[tuple[int, int], ASMode]:
+    """The mode of every adder switch, keyed by (level, node), from the
+    source counts of its ops."""
+    sources: dict[tuple[int, int], list[int]] = {}
+    for op in plan.ops:
+        sources.setdefault((op.level, op.node), []).append(len(op.sources))
     modes = {}
-    for level in range(1, levels + 1):
-        for j in range(n >> level):
-            node_ops = by_node.get((level, j), [])
-            has_add3 = any(len(op.sources) >= 3 for op in node_ops)
-            has_add2 = any(len(op.sources) == 2 for op in node_ops)
-            has_fwd = any(len(op.sources) == 1 for op in node_ops)
-            if not node_ops:
-                mode = ASMode.IDLE
-            elif has_add3:
-                mode = ASMode.ADD_3_1
-            elif has_add2 and (has_fwd or len(node_ops) > 1):
-                mode = ASMode.ADD_1_FWD_1
-            elif has_add2:
-                mode = ASMode.ADD_2_1
-            else:
-                mode = ASMode.FWD_2_2
-            modes[(level, j)] = mode
+    for level in range(1, plan.num_leaves.bit_length()):
+        for j in range(plan.num_leaves >> level):
+            counts = sources.get((level, j), [])
+            modes[level, j] = (
+                ASMode.IDLE if not counts
+                else ASMode.ADD_3_1 if max(counts) >= 3
+                else ASMode.FWD_2_2 if 2 not in counts
+                else ASMode.ADD_1_FWD_1 if len(counts) > 1
+                else ASMode.ADD_2_1)
     return modes

@@ -27,6 +27,20 @@ VALIDATION_TILE = TileConfig(3, 3, 1, 1, 1, 1, 3, 1)
 HW32 = HardwareConfig(num_ms=32, dn_bw=4, rn_bw=4)
 
 
+def port_uses(plan):
+    """The (level, node, port, cycle) of every switch port the plan's ops
+    drive: each op's route port at ``op.time``, and for an ``aug`` op
+    also the lateral link it crosses, named by the link's left node (the
+    link of an odd node runs right, of an even node left)."""
+    uses = []
+    for op in plan.ops:
+        uses.append((op.level, op.node, op.route, op.time))
+        if op.route == "aug":
+            link = op.node if op.node % 2 else op.node - 1
+            uses.append((op.level, link, ("link", link), op.time))
+    return uses
+
+
 def contiguous_partition(num_leaves, rng, allow_idle_tail=True):
     """Random contiguous cluster assignment over the leaves."""
     vn_of_leaf = []

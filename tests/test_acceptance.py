@@ -36,6 +36,7 @@ from common import (
     TINY,
     VALIDATION_TILE,
     contiguous_partition,
+    port_uses,
 )
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_cycles.yaml"
@@ -140,7 +141,8 @@ def test_criterion_3_three_clusters_of_five():
     assert plan.folds > 1
     assert plan.n_vns_mapped == 3
     assert plan.real_vn_size == 5
-    assignment = plan.ms_assignment()
+    assignment = [(a["vn"], a["role"])
+                  for a in plan.describe()["ms_assignment"]]
     for slot in range(3):
         block = assignment[slot * 5:(slot + 1) * 5]
         assert block[:4] == [(slot, "multiplier")] * 4
@@ -162,11 +164,10 @@ def test_criterion_4_reduction_nonblocking():
             if vn is not None:
                 brute[vn] = brute.get(vn, 0) + values[leaf]
         assert sums == brute, f"partition {i} sum mismatch"
-        for users in plan.port_uses.values():
-            cycles = [t for _, t in users]
-            assert len(cycles) == len(set(cycles)), (
-                f"partition {i}: port carries two values in one cycle"
-            )
+        uses = port_uses(plan)
+        assert len(uses) == len(set(uses)), (
+            f"partition {i}: port carries two values in one cycle"
+        )
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"budget exceeded: {elapsed:.1f}s"
     print(f"\n[PASS] criterion 4: 1000/1000 random partitions reduce "

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, documents, chaining."""
 
+import pathlib
+
 import pytest
 import yaml
 
@@ -9,19 +11,9 @@ HW32_DOC = "num_ms: 32\ndn_bw: 4\nrn_bw: 4\nfolding: roundtrip\n"
 TINY_DOC = "kind: conv\nR: 3\nS: 3\nC: 6\nK: 6\nX: 5\nY: 5\n"
 TILE_DOC = "T_R: 3\nT_S: 3\nT_C: 1\nT_X: 3\nT_Y: 1\n"
 
-MODEL_DOC = """\
-version: 1
-layers:
-  - name: conv1
-    layer: {kind: conv, R: 3, S: 3, C: 2, K: 4, X: 6, Y: 6}
-    tile: {T_R: 3, T_S: 3, T_C: 1, T_X: 2}
-  - name: conv2
-    layer: {kind: conv, R: 2, S: 2, C: 4, K: 3, X: 4, Y: 4}
-    tile: search
-  - name: fc1
-    layer: {kind: fc, R: 3, S: 3, C: 3, K: 5, X: 3, Y: 3}
-    tile: {T_R: 3, T_S: 1, T_C: 1}
-"""
+TESTS = pathlib.Path(__file__).parent
+# a three-layer chain; golden_model_stats.yaml holds its --seed 3 stats
+MODEL_DOC = (TESTS / "golden_model.yaml").read_text(encoding="utf-8")
 
 
 def write(tmp_path, name, text):
@@ -156,6 +148,17 @@ class TestRunModel:
             "cb_conflicts", "fold_roundtrips"}
         for key, total in doc["totals"].items():
             assert total == sum(e[key] for e in doc["layers"])
+
+    def test_golden_stats(self, tmp_path):
+        # the stats bytes of the three-layer chain, recorded before each
+        # wave's record was counted from its signature alone
+        hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        out = tmp_path / "stats.yaml"
+        assert cli.main(["run-model", "--hw", hw, "--model",
+                         str(TESTS / "golden_model.yaml"), "--seed", "3",
+                         "--stats-out", str(out)]) == cli.EXIT_OK
+        assert out.read_bytes() == \
+            (TESTS / "golden_model_stats.yaml").read_bytes()
 
     def test_layers_share_wave_replays(self, tmp_path, monkeypatch):
         # a layer repeated with the same tile counts no wave the first

@@ -1,8 +1,11 @@
 """Mapping arithmetic: folds, cluster placement, tiling, routing tables."""
 
+import dataclasses
 import math
+import pathlib
 
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +21,18 @@ from treefab import (
     build_mapping,
     compute_folds,
     derive_output_dims,
+    simulate_layer,
     theoretical_utilization,
     validate_tile,
 )
+from treefab.config import (
+    parse_hardware_config,
+    parse_layer_config,
+    parse_tile_config,
+)
 from treefab.fabric import ReductionNetwork, generate_dn_routes
+from treefab.memory import random_layer_data
+from treefab.reduction import clusters, plan_reduction
 
 from common import HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE, layers, tiles
 
@@ -56,7 +67,8 @@ class TestBuildMapping:
         assert plan.vn_size == 4
         assert plan.real_vn_size == 5
         assert plan.n_vns_mapped == 3
-        assignment = plan.ms_assignment()
+        assignment = [(a["vn"], a["role"])
+                      for a in plan.describe()["ms_assignment"]]
         used = [a for a in assignment if a[1] != "idle"]
         assert len(used) == 15
         for slot in range(3):
@@ -112,10 +124,55 @@ class TestBuildMapping:
         assert len(list(plan.fold_blocks)) == plan.folds
 
     def test_describe_is_serializable(self):
-        import yaml
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
         doc = plan.describe()
         assert yaml.safe_load(yaml.safe_dump(doc)) == doc
+
+    def test_equal_and_hashable_after_a_simulation(self):
+        # a mapping is a plain description: simulating one of two equal
+        # builds, or describing it, leaves nothing behind on it
+        first, second = (build_mapping(HW32, TINY, VALIDATION_TILE)
+                         for _ in range(2))
+        simulate_layer(HW32, TINY, VALIDATION_TILE,
+                       *random_layer_data(TINY, seed=0))
+        first.describe()
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.folds = 1
+
+
+TESTS = pathlib.Path(__file__).parent
+WORKLOADS = TESTS.parent / "perfbench" / "workloads"
+
+
+class TestDescribeGoldens:
+    """``describe()`` documents recorded before the leaf layout, the
+    switch modes and the reduction plans became views derived on request."""
+
+    def check(self, plan, name):
+        want = yaml.safe_load((TESTS / name).read_text(encoding="utf-8"))
+        assert plan.describe() == want
+
+    def test_three_clusters_of_five(self):
+        # criterion 3: clusters of 4 multipliers plus a forwarder
+        layer = LayerConfig(LayerKind.CONV, r=2, s=2, c=2, g=1, k=3, n=1,
+                            x=3, y=3)
+        tile = TileConfig(2, 2, 1, 1, 3, 1, 1, 1)
+        self.check(build_mapping(HardwareConfig(16, 4, 4), layer, tile),
+                   "golden_describe_three_clusters.yaml")
+
+    def test_wide_ideal(self):
+        # the benchmark's wide-ideal mapping: 28 clusters of 9 on 256 MS
+        hw, layer, tile = (
+            parse((WORKLOADS / name).read_text(encoding="utf-8"))
+            for parse, name in (
+                (parse_hardware_config, "hw256-ideal.yaml"),
+                (parse_layer_config, "wide-conv.yaml"),
+                (parse_tile_config, "tile-wide.yaml")))
+        self.check(build_mapping(hw, layer, tile),
+                   "golden_describe_wide_ideal.yaml")
 
 
 def loop_nest_fold_blocks(layer, tile):
@@ -264,8 +321,8 @@ class TestDnRoutes:
 class TestRnConfig:
     def test_reduces_each_cluster(self):
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
-        rn = plan.reduction_plan(plan.n_vns_mapped)
-        leaves = plan.vn_of_leaf()
+        leaves = clusters(HW32.num_ms, plan.real_vn_size, plan.n_vns_mapped)
+        rn = plan_reduction(leaves)
         values = [i + 1 if leaves[i] is not None else 0
                   for i in range(len(leaves))]
         sums = ReductionNetwork(HW32.num_ms).replay(rn,
@@ -276,5 +333,5 @@ class TestRnConfig:
 
     def test_partial_batch_occupancy(self):
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
-        rn = plan.reduction_plan(2)
+        rn = plan_reduction(clusters(HW32.num_ms, plan.real_vn_size, 2))
         assert set(rn.egress) == {0, 1}

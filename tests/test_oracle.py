@@ -12,6 +12,7 @@ from treefab import (
     LayerKind,
     OutputOverflow,
     TileConfig,
+    ValidationError,
     compare,
     conv_reference,
     simulate_layer,
@@ -100,6 +101,41 @@ def test_shape_rejection():
     inputs, weights = random_layer_data(TINY, seed=8)
     with pytest.raises(ShapeMismatch):
         conv_reference(TINY, inputs[:, :, :5], weights)
+
+
+class TestMixedDataKinds:
+    """Integer inputs with float weights, or the reverse, are rejected by
+    the simulator and the oracle alike: an integer sum would truncate the
+    float weights (all-zero outputs for weights of 0.5).  Integer widths
+    may differ."""
+
+    LAYER = LayerConfig(LayerKind.CONV, r=3, s=3, c=2, g=1, k=2, n=1, x=5,
+                        y=5)
+
+    def simulate(self, inputs, weights):
+        return simulate_layer(HardwareConfig(32, 4, 4), self.LAYER,
+                              TileConfig(3, 3, 1), inputs, weights).output
+
+    @pytest.mark.parametrize("input_dtype, weight_dtype", [
+        (np.int32, np.float32), (np.float32, np.int32)])
+    def test_integer_and_float_rejected(self, input_dtype, weight_dtype):
+        inputs = random_layer_data(self.LAYER, seed=4)[0].astype(input_dtype)
+        weights = np.full((1, 2, 2, 3, 3), 0.5).astype(weight_dtype)
+        with pytest.raises(ValidationError):
+            self.simulate(inputs, weights)
+        with pytest.raises(ValidationError):
+            conv_reference(self.LAYER, inputs, weights)
+
+    def test_int8_inputs_with_int32_weights(self):
+        inputs, weights = random_layer_data(self.LAYER, seed=4)
+        inputs = (inputs % 4).astype(np.int8)
+        simulated = self.simulate(inputs, weights)
+        reference = conv_reference(self.LAYER, inputs, weights).output
+        assert simulated.dtype == reference.dtype == np.int8
+        assert compare(simulated, reference).ok
+        want = np.einsum("gkcrs,gcrs->gk", weights.astype(np.int64),
+                         inputs[0, :, :, :3, :3].astype(np.int64))
+        assert (reference[0, :, :, 0, 0] == want).all()
 
 
 class TestOverflow:

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from treefab import ValidationError, plan_reduction
 from treefab.fabric import ReductionNetwork
-from treefab.reduction import ASMode
+from treefab.reduction import ASMode, clusters, switch_modes
 
-from common import contiguous_partition
+from common import contiguous_partition, port_uses
 
 
 def replay(plan, values):
@@ -35,9 +35,8 @@ def check_partition(vn_of_leaf, rng):
     plan = plan_reduction(vn_of_leaf)
     assert replay(plan, values) == brute_sums(vn_of_leaf, values)
     # a port may serve several clusters in a wave but only one per cycle
-    for users in plan.port_uses.values():
-        cycles = [t for _, t in users]
-        assert len(cycles) == len(set(cycles))
+    uses = port_uses(plan)
+    assert len(uses) == len(set(uses))
     return plan
 
 
@@ -49,7 +48,7 @@ class TestKnownShapes:
         assert sums == {0: 6, 1: 30}
         assert any(op.route == "aug" for op in plan.ops)
         assert any(len(op.sources) == 3 for op in plan.ops)
-        assert ASMode.ADD_3_1 in plan.modes.values()
+        assert ASMode.ADD_3_1 in switch_modes(plan).values()
 
     def test_quad_cluster(self):
         plan = plan_reduction([0, 0, 0, 0, None, None, None, None])
@@ -63,13 +62,14 @@ class TestKnownShapes:
         plan = plan_reduction([0] * 8)
         assert replay(plan, list(range(1, 9))) == {0: 36}
         assert plan.egress[0] == (plan.as_index(3, 0), 3)  # three levels
-        assert all(m in (ASMode.ADD_2_1,) for m in plan.modes.values())
+        assert all(m in (ASMode.ADD_2_1,)
+                   for m in switch_modes(plan).values())
 
     def test_two_even_clusters(self):
         plan = plan_reduction([0, 0, 0, 0, 1, 1, 1, 1])
         assert replay(plan, [1] * 8) == {0: 4, 1: 4}
-        assert plan.modes[(1, 0)] == ASMode.ADD_2_1
-        assert plan.modes[(3, 0)] == ASMode.IDLE  # root never used
+        assert switch_modes(plan)[(1, 0)] == ASMode.ADD_2_1
+        assert switch_modes(plan)[(3, 0)] == ASMode.IDLE  # root never used
 
     def test_single_leaf_cluster(self):
         plan = plan_reduction([0, None])
@@ -80,8 +80,7 @@ class TestKnownShapes:
         assert replay(plan, [1, 2, 3, 4]) == {0: 1, 1: 2, 2: 3, 3: 4}
         for node in (0, 1):
             times = sorted(
-                t for (lvl, n, port), users in plan.port_uses.items()
-                for _, t in users
+                t for lvl, n, port, t in port_uses(plan)
                 if lvl == 1 and n == node and port == "egress"
             )
             assert times == [times[0], times[0] + 1]
@@ -97,6 +96,12 @@ class TestKnownShapes:
         assert plan.adds_per_wave == sum(len(op.sources) - 1
                                          for op in plan.ops)
         assert plan.adds_per_wave == 5  # (3-1) + (2-1) + (3-1)
+
+    def test_clusters_from_leaf_zero(self):
+        # two clusters of three leaves, then idle leaves
+        assert clusters(8, 3, 2) == [0, 0, 0, 1, 1, 1, None, None]
+        plan = plan_reduction(clusters(8, 3, 2))
+        assert replay(plan, list(range(1, 9))) == {0: 6, 1: 15}
 
 
 class TestValidation:

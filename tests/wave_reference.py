@@ -21,6 +21,7 @@ from treefab.fabric import (
 )
 from treefab.mapper import build_mapping
 from treefab.memory import PrefetchBuffer
+from treefab.reduction import clusters, plan_reduction
 
 
 class Fabric:
@@ -42,9 +43,11 @@ class Fabric:
                 cb.grants, cb.conflicts)
 
 
-def run_wave(mapping, plan, batch, f, block, fabric, cycle, accum):
+def run_wave(mapping, plan, members, batch, f, block, fabric, cycle,
+             accum):
     """Run fold ``f`` (weight coordinates ``block``) of ``batch`` from
-    ``cycle``:
+    ``cycle``, on the clusters ``members`` (each slot's leaves, the
+    forwarder last) that ``plan`` reduces:
 
     1. distribute the fold's weights (shared weights multicast once),
     2. distribute the fold's inputs, plus the stored partial sum to the
@@ -69,9 +72,7 @@ def run_wave(mapping, plan, batch, f, block, fabric, cycle, accum):
     for slot, (n, g, k, ox, oy) in enumerate(batch):
         for e, (c, r, s) in enumerate(block):
             addr = ("weights", (g, k, c, r, s))
-            w_payloads.setdefault(addr, set()).add(
-                mapping.element_leaf(slot, e)
-            )
+            w_payloads.setdefault(addr, set()).add(members[slot][e])
     wc, leaf_w = dn.deliver(
         [Payload(a, frozenset(d)) for a, d in w_payloads.items()], pb, cycle,
     )
@@ -86,14 +87,10 @@ def run_wave(mapping, plan, batch, f, block, fabric, cycle, accum):
             iy = oy * layer.stride + s - layer.padding
             if 0 <= ix < layer.x and 0 <= iy < layer.y:
                 addr = ("inputs", (n, g, c, ix, iy))
-                i_payloads.setdefault(addr, set()).add(
-                    mapping.element_leaf(slot, e)
-                )
+                i_payloads.setdefault(addr, set()).add(members[slot][e])
         if forward:
             addr = ("psum", (n, g, k, ox, oy))
-            i_payloads.setdefault(addr, set()).add(
-                mapping.forwarder_leaf(slot)
-            )
+            i_payloads.setdefault(addr, set()).add(members[slot][-1])
     ic, leaf_i = dn.deliver(
         [Payload(a, frozenset(d)) for a, d in i_payloads.items()], pb, cycle,
     )
@@ -105,7 +102,7 @@ def run_wave(mapping, plan, batch, f, block, fabric, cycle, accum):
     leaf_vals = ms.multiply(leaf_w, leaf_i)
     if forward:
         for slot in range(len(batch)):
-            fwd = mapping.forwarder_leaf(slot)
+            fwd = members[slot][-1]
             leaf_vals.update(ms.forward(fwd, leaf_i[fwd]))
     cycle += 1
 
@@ -135,12 +132,16 @@ def wave_records(mapping, fabric):
     blocks = list(mapping.fold_blocks)
     cycle = 0
     for batch in mapping.schedule:
-        plan = mapping.reduction_plan(len(batch))
+        vn_of_leaf = clusters(mapping.hw.num_ms, mapping.real_vn_size,
+                              len(batch))
+        plan = plan_reduction(vn_of_leaf)
+        members = [[leaf for leaf, vn in enumerate(vn_of_leaf) if vn == slot]
+                   for slot in range(len(batch))]
         accum = dict.fromkeys(range(len(batch)), 0)
         for f, block in enumerate(blocks):
             before = fabric.counts()
-            cycles = run_wave(mapping, plan, batch, f, block, fabric, cycle,
-                              accum)
+            cycles = run_wave(mapping, plan, members, batch, f, block, fabric,
+                              cycle, accum)
             cycle += cycles[2]
             yield f, len(batch), cycles + tuple(
                 b - a for a, b in zip(before, fabric.counts()))
