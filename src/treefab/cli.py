@@ -90,8 +90,11 @@ def _check(layer, output, inputs, weights):
 def _emit(doc: dict, path: str | None) -> None:
     text = yaml.safe_dump(doc, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -18,11 +18,12 @@ With a single fold the two strategies execute identically.
 
 The engine moves no value through the fabric: it counts each distinct
 wave's cycles and counters once (``_record``).  Nothing in them depends
-on the data or on the absolute cycle: the buffer serves reads and writes
-whatever the cycle; the DN's cycles, reads and switch traversals depend
-only on each payload's set of destination leaves; the MS, RN and CB
-counters depend only on the batch size, its reduction plan, and whether
-the fold is the first or the last.  So a wave's *signature* is
+on the data or on the absolute cycle: the buffer has no ports, so it
+serves reads and writes whatever the cycle; the DN's cycles, reads and
+switch traversals depend only on each payload's set of destination
+leaves; the MS, RN and CB counters depend only on the batch size, its
+reduction plan, and whether the fold is the first or the last.  So a
+wave's *signature* is
 
 * its batch size and its fold block length,
 * whether its fold is the first and whether it is the last,
@@ -40,10 +41,12 @@ follow from the batch size and that width (``_drain``).  So a wave's
 record depends only on the hardware, the geometry (``real_vn_size`` and
 the forwarder flag) and the signature: with the first two prepended, the
 signature alone gives the record (``_record``) and keys records shared
-between mappings.
-``treefab.fabric`` and ``memory.PrefetchBuffer`` model the same fabric
-step by step, on values; the test suite walks every wave through them
-as the reference that the counts must match.
+between mappings.  The DN cycles and switch traversals and the bus
+grants come from ``fabric.distribution`` and ``fabric.bus_grants``, the
+one statement of each rule.  ``treefab.fabric`` and
+``memory.PrefetchBuffer`` model the same fabric step by step, on values,
+calling the same two functions; the test suite walks every wave through
+them as the reference that the counts must match.
 
 Each wave gets a closed-form *key*, one int64, built per chunk of waves
 from per-batch and per-block classes:
@@ -93,6 +96,7 @@ from .config import (
     total_macs,
 )
 from .errors import AddressOutOfRange, OutputOverflow
+from .fabric import bus_grants, distribution
 from .mapper import (MappingPlan, build_mapping, cluster_plan,
                      theoretical_utilization)
 from .memory import check_layer_data, output_dims, weight_dims
@@ -354,40 +358,32 @@ def _record(signature, drains) -> tuple[int, ...]:
     """A wave's weight, input and wave cycles, then its ``COUNTED``
     counters, counted from its signature.
 
-    Each class of the weight (input) partition is one payload: one PB
-    read, one injection on each distribution sub-tree that holds one of
-    its leaves, and one traversal of each switch on its cover.  Each
-    sub-tree injects one payload per cycle.  A forwarding fold adds one
-    payload per slot, the partial sum for the slot's forwarder leaf.
-    After one multiply cycle the batch reduces, and folds that drain send
-    its sums over the collector buses, as ``_drain`` counts once per batch
+    Each class of the weight (input) partition is one payload, read from
+    the PB once and distributed to the class's leaves as
+    ``fabric.distribution`` counts.  A forwarding fold adds one payload
+    per slot, the partial sum for the slot's forwarder leaf.  After one
+    multiply cycle the batch reduces, and folds that drain send its sums
+    over the collector buses, as ``_drain`` counts once per batch
     geometry into ``drains``, a dict of one ``simulate_layer`` call.
     """
     hw, width, forwarder, later, last, size, length, data = signature
-    per_tree = hw.num_ms // hw.dn_bw
     leaves = [p // length * width + p % length for p in range(size * length)]
     forward = forwarder and later
     roundtrip = hw.folding is FoldingStrategy.ROUNDTRIP
 
     def distribute(heads, extra=()):
-        # (cycles, PB reads, switch traversals)
+        # (PB reads, cycles, switch traversals)
         dests: dict[int, set[int]] = {}
         for leaf, head in zip(leaves, heads):
             if head >= 0:
                 dests.setdefault(head, set()).add(leaf)
         payloads = [*dests.values(), *({leaf} for leaf in extra)]
-        queued = [0] * hw.dn_bw
-        for d in payloads:
-            for tree in {leaf // per_tree for leaf in d}:
-                queued[tree] += 1
-        return max(queued), len(payloads), sum(
-            len({(h, leaf >> h) for leaf in d
-                 for h in range(1, per_tree.bit_length())})
-            for d in payloads)
+        return (len(payloads),
+                *distribution(hw.num_ms, hw.dn_bw, payloads))
 
     w_heads, i_heads = np.frombuffer(data, np.int32).reshape(-1, 2).T.tolist()
-    wc, w_reads, w_hops = distribute(w_heads)
-    ic, i_reads, i_hops = distribute(i_heads, [
+    w_reads, wc, w_hops = distribute(w_heads)
+    i_reads, ic, i_hops = distribute(i_heads, [
         slot * width + width - 1 for slot in range(size)] if forward else ())
     if (hw, width, size) not in drains:
         drains[hw, width, size] = _drain(hw, width, size)
@@ -405,17 +401,13 @@ def _record(signature, drains) -> tuple[int, ...]:
 def _drain(hw: HardwareConfig, width: int, size: int) -> tuple[int, ...]:
     """The additions, FIFO pushes (one per op), drain cycles and bus
     conflicts of the reduction plan of ``size`` clusters of ``width``
-    leaves.  Each sum drains from its egress switch over bus ``as_index
-    mod rn_bw``; a bus grants one value per cycle, oldest arrival first,
-    ties by switch index."""
+    leaves; ``bus_grants`` times each sum's drain from its egress
+    switch."""
     plan = cluster_plan(hw.num_ms, width, size)
-    free, final, conflicts = {}, -1, 0  # bus -> its next free cycle
-    for arrival, index in sorted((t, i) for i, t in plan.egress.values()):
-        bus = index % hw.rn_bw
-        grant = max(arrival, free.get(bus, 0))
-        conflicts += grant > arrival
-        free[bus], final = grant + 1, max(final, grant)
-    return plan.adds_per_wave, len(plan.ops), final + 1, conflicts
+    values = [(arrival, index) for index, arrival in plan.egress.values()]
+    grants = bus_grants(hw.rn_bw, values)
+    return (plan.adds_per_wave, len(plan.ops), max(grants, default=-1) + 1,
+            sum(g > t for g, (t, _) in zip(grants, values)))
 
 
 def _check_range(coords, dims, what) -> None:

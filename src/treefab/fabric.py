@@ -1,15 +1,19 @@
 """Datapath components: distribution trees, multipliers, reduction
 replay and collector buses.
 
-Each component models one bandwidth constraint of the fabric and counts
-its own activity as it moves values (the reduction replay counts the ops
-it executes, not the plan's totals).  With ``memory.PrefetchBuffer``
-they are the step-by-step reference: the test suite's
-``tests/wave_reference.py`` wires them together per wave to check the
-counts the engine takes from each wave's signature (``engine._record``).
-The distribution network is modelled here whole: payload injection, the
-count of switches on each payload's multicast cover, and the bit-vector
-routing tables of those switches (``generate_dn_routes``).
+The fabric's two bandwidth rules are stated once each, as count
+functions that the engine (``engine._record``) and the step-by-step
+components below both call: ``distribution`` for the DN sub-trees and
+``bus_grants`` for the collector buses.  The prefetch buffer
+(``memory.PrefetchBuffer``) has no ports of its own; the sub-trees
+bound its reads and the buses its writes.  The components move values
+and count their own activity (the reduction replay counts the ops it
+executes, not the plan's totals); ``tests/wave_reference.py`` wires
+them together per wave, on real data, to check the counts the engine
+takes from each wave's signature.  The distribution network is
+modelled here whole: payload injection, the count of switches on each
+payload's multicast cover, and the bit-vector routing tables of those
+switches (``generate_dn_routes``).
 """
 
 from __future__ import annotations
@@ -56,17 +60,37 @@ def generate_dn_routes(num_ms: int, dn_bw: int, dest_leaves) -> dict:
     return routes
 
 
+def distribution(num_ms: int, dn_bw: int, dests) -> tuple[int, int]:
+    """(cycles, switch traversals) of distributing one payload to each
+    destination set in ``dests``.
+
+    Each of the ``dn_bw`` sub-trees injects one payload per cycle, and a
+    payload is injected on every sub-tree that holds one of its leaves,
+    so the cycles are the most payloads on any sub-tree.  A payload
+    traverses each switch on its cover: each destination's ancestors.
+    """
+    per_tree = num_ms // dn_bw
+    queued = [0] * dn_bw  # sub-tree -> payloads injected on it
+    traversals = 0
+    for d in dests:
+        for tree in {leaf // per_tree for leaf in d}:
+            queued[tree] += 1
+        traversals += len({(h, leaf >> h) for leaf in d
+                           for h in range(1, per_tree.bit_length())})
+    return max(queued), traversals
+
+
 @dataclass
 class DNCounters:
     traversals: int = 0  # switch activations on multicast covers
 
 
 class DistributionNetwork:
-    """``dn_bw`` binary sub-trees, each injecting one value per cycle.
+    """``dn_bw`` binary sub-trees, each injecting one value per cycle
+    (``distribution``).
 
     A payload whose destinations span several sub-trees is injected on
-    each of them but read from the prefetch buffer only once, on its
-    first injection.
+    each of them but read from the prefetch buffer only once.
     """
 
     def __init__(self, num_ms: int, dn_bw: int):
@@ -74,35 +98,17 @@ class DistributionNetwork:
             raise ValidationError("dn_bw must divide num_ms")
         self.num_ms = num_ms
         self.dn_bw = dn_bw
-        self.per_tree = num_ms // dn_bw
         self.counters = DNCounters()
 
-    def deliver(self, payloads: list[Payload], pb: PrefetchBuffer,
-                base_cycle: int) -> tuple[int, dict[int, object]]:
+    def deliver(self, payloads: list[Payload],
+                pb: PrefetchBuffer) -> tuple[int, dict[int, object]]:
         """Distribute all payloads; returns (cycles used, leaf values)."""
-        queued: dict[int, int] = {}  # sub-tree -> payloads injected on it
-        first_reads: dict[int, list[Payload]] = {}  # cycle -> payloads
-        for p in payloads:
-            trees = {leaf // self.per_tree for leaf in p.dests}
-            first = min(queued.get(tree, 0) for tree in trees)
-            for tree in trees:
-                queued[tree] = queued.get(tree, 0) + 1
-            first_reads.setdefault(first, []).append(p)
-
-        leaf_values: dict[int, object] = {}
-        for t, batch in sorted(first_reads.items()):
-            served, deferred = pb.serve_reads([p.address for p in batch],
-                                              base_cycle + t)
-            # one first-read per sub-tree per cycle, never over ports
-            assert not deferred
-            for p, (_, value) in zip(batch, served):
-                # the cover's switches: each destination's ancestors
-                self.counters.traversals += len(
-                    {(h, leaf >> h) for leaf in p.dests
-                     for h in range(1, self.per_tree.bit_length())})
-                for leaf in p.dests:
-                    leaf_values[leaf] = value
-        return max(queued.values(), default=0), leaf_values
+        cycles, traversals = distribution(self.num_ms, self.dn_bw,
+                                          [p.dests for p in payloads])
+        self.counters.traversals += traversals
+        values = pb.serve_reads([p.address for p in payloads])
+        return cycles, {leaf: value for p, value in zip(payloads, values)
+                        for leaf in p.dests}
 
 
 @dataclass
@@ -164,6 +170,23 @@ class ReductionNetwork:
         return sums
 
 
+def bus_grants(rn_bw: int, values) -> list[int]:
+    """The grant cycle of each ``(arrival, egress index)`` in ``values``.
+
+    Egress switch ``i`` is wired to bus ``i mod rn_bw``; each bus grants
+    one value per cycle, oldest arrival first, ties to the lower switch
+    index.
+    """
+    grants = [0] * len(values)
+    free: dict[int, int] = {}  # bus -> its next free cycle
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        arrival, index = values[i]
+        bus = index % rn_bw
+        grants[i] = max(arrival, free.get(bus, 0))
+        free[bus] = grants[i] + 1
+    return grants
+
+
 @dataclass
 class CBCounters:
     grants: int = 0
@@ -179,41 +202,19 @@ class BusEvent:
 
 
 class CollectorBuses:
-    """``rn_bw`` buses from reduction egress ports to the PB write ports.
-
-    Egress switch ``i`` is wired to bus ``i mod rn_bw``; each bus grants
-    one value per cycle, oldest arrival first (ties by switch index).
-    """
+    """``rn_bw`` buses from the reduction egress ports to the PB, granted
+    as ``bus_grants`` rules."""
 
     def __init__(self, rn_bw: int):
         self.rn_bw = rn_bw
         self.counters = CBCounters()
 
-    def drain(self, events: list[BusEvent], pb: PrefetchBuffer,
-              base_cycle: int) -> int:
+    def drain(self, events: list[BusEvent], pb: PrefetchBuffer) -> int:
         """Write all events; returns the last grant cycle (relative)."""
-        if not events:
-            return -1
-        by_bus: dict[int, list[BusEvent]] = {}
-        for ev in events:
-            by_bus.setdefault(ev.as_index % self.rn_bw, []).append(ev)
-        writes_by_cycle: dict[int, list] = {}
-        last = -1
-        for bus in sorted(by_bus):
-            queue = sorted(by_bus[bus], key=lambda e: (e.arrival, e.as_index))
-            free = 0
-            for ev in queue:
-                grant = max(ev.arrival, free)
-                if grant > ev.arrival:
-                    self.counters.conflicts += 1
-                self.counters.grants += 1
-                free = grant + 1
-                last = max(last, grant)
-                writes_by_cycle.setdefault(grant, []).append(
-                    (ev.address, ev.value)
-                )
-        for t in sorted(writes_by_cycle):
-            _, deferred = pb.serve_writes(writes_by_cycle[t], base_cycle + t)
-            # one grant per bus per cycle, buses == write ports
-            assert not deferred
-        return last
+        grants = bus_grants(self.rn_bw,
+                            [(ev.arrival, ev.as_index) for ev in events])
+        self.counters.grants += len(events)
+        self.counters.conflicts += sum(
+            grant > ev.arrival for grant, ev in zip(grants, events))
+        pb.serve_writes([(ev.address, ev.value) for ev in events])
+        return max(grants, default=-1)

@@ -3,10 +3,10 @@
 The region dims and the seeded layer data serve every module.  The
 prefetch buffer (PB) holds the input, weight and output regions of the
 layer being simulated, as plain numpy arrays, plus a keyed store of
-partial sums.  Reads and writes are served through a bounded number of
-ports per cycle; excess requests are deferred to later cycles and
-counted as stalls.  The engine does not use the PB: it counts a wave's
-reads and writes from the wave's signature.  The PB and
+partial sums, and counts its reads and writes.  It models no ports: the
+DN sub-trees bound the reads and the collector buses the writes
+(``treefab.fabric``).  The engine does not use the PB: it counts a
+wave's reads and writes from the wave's signature.  The PB and
 ``treefab.fabric`` are the step-by-step reference that
 ``tests/wave_reference.py`` drives on real data.
 
@@ -30,8 +30,6 @@ from .errors import (AddressOutOfRange, OutputOverflow, ShapeMismatch,
 class MemCounters:
     reads: int = 0
     writes: int = 0
-    read_stalls: int = 0
-    write_stalls: int = 0
 
 
 def input_dims(layer: LayerConfig) -> tuple[int, ...]:
@@ -67,7 +65,8 @@ def check_layer_data(layer: LayerConfig, inputs, weights):
     if not any(np.issubdtype(inputs.dtype, kind) and np.issubdtype(
             weights.dtype, kind) for kind in (np.integer, np.floating)):
         raise ValidationError(f"inputs ({inputs.dtype}) and weights "
-                              f"({weights.dtype}) mix integer and float")
+                              f"({weights.dtype}) must both be integer or "
+                              "both floating")
     if inputs.shape != input_dims(layer):
         raise ShapeMismatch(
             f"input dims {inputs.shape} do not match layer "
@@ -92,18 +91,14 @@ def _check_key(key, dims, what) -> None:
 
 
 class PrefetchBuffer:
-    """On-chip global buffer with bounded read/write ports.
+    """On-chip global buffer: bounds-checked regions and a partial-sum
+    store, read and written in request order.
 
-    Capacity is unbounded; only port bandwidth is modeled.  Partial sums
-    are stored keyed by output coordinate so folding traffic can be
-    attributed in the statistics.
+    Capacity is unbounded.  Partial sums are stored keyed by output
+    coordinate so folding traffic can be attributed in the statistics.
     """
 
-    def __init__(self, read_ports: int, write_ports: int):
-        if read_ports < 1 or write_ports < 1:
-            raise ShapeMismatch("port counts must be >= 1")
-        self.read_ports = read_ports
-        self.write_ports = write_ports
+    def __init__(self):
         self.inputs: np.ndarray | None = None
         self.weights: np.ndarray | None = None
         self.outputs: np.ndarray | None = None
@@ -119,7 +114,7 @@ class PrefetchBuffer:
         self.psums = {}
         self.counters = MemCounters()
 
-    # -- port-limited access ---------------------------------------------
+    # -- access ------------------------------------------------------------
 
     def _region(self, name: str) -> np.ndarray:
         if name not in ("inputs", "weights", "outputs"):
@@ -130,7 +125,7 @@ class PrefetchBuffer:
         return region
 
     def peek(self, address):
-        """Read without consuming a port; returns a Python scalar."""
+        """Read without counting; returns a Python scalar."""
         region, key = address
         if region == "psum":
             _check_key(key, self._region("outputs").shape, "psum")
@@ -139,35 +134,16 @@ class PrefetchBuffer:
         _check_key(key, array.shape, region)
         return array.item(key)
 
-    def serve_reads(self, requests, cycle: int):
-        """Serve up to ``read_ports`` element reads, in request order.
+    def serve_reads(self, requests) -> list:
+        """The value at each address of ``requests``; one read each."""
+        values = [self.peek(req) for req in requests]
+        self.counters.reads += len(values)
+        return values
 
-        Returns ``(served, deferred)`` where served is a list of
-        ``(address, value)`` pairs.
-        """
-        served, deferred = [], []
-        for req in requests:
-            if len(served) < self.read_ports:
-                served.append((req, self.peek(req)))
-            else:
-                deferred.append(req)
-        self.counters.reads += len(served)
-        self.counters.read_stalls += len(deferred)
-        return served, deferred
-
-    def serve_writes(self, requests, cycle: int):
-        """Serve up to ``write_ports`` element writes, in request order.
-
-        Two same-cycle writes to one address serialize: the second is
-        deferred so accumulation order stays deterministic.
-        """
-        served, deferred = [], []
-        touched = set()
+    def serve_writes(self, requests) -> None:
+        """Write each ``(address, value)`` in order; one write each."""
         for address, value in requests:
             region, key = address
-            if len(served) >= self.write_ports or address in touched:
-                deferred.append((address, value))
-                continue
             if region == "psum":
                 _check_key(key, self._region("outputs").shape, "psum")
                 self.psums[key] = value
@@ -184,11 +160,7 @@ class PrefetchBuffer:
                 raise AddressOutOfRange(
                     f"region {region!r} is not writable during simulation"
                 )
-            touched.add(address)
-            served.append((address, value))
-        self.counters.writes += len(served)
-        self.counters.write_stalls += len(deferred)
-        return served, deferred
+            self.counters.writes += 1
 
     def output_array(self) -> np.ndarray:
         return self._region("outputs")

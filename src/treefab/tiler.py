@@ -1,8 +1,11 @@
-"""Exhaustive tile search.
+"""Tile search.
 
 Enumerates tiles whose edges divide the layer dimensions, keeps the ones
-that fit the fabric, and ranks them by predicted utilization; a second
-pass can re-rank the best candidates by simulated cycle count.
+that fit the fabric (at most ``ENUMERATION_CAP`` of them, in product
+order), and ranks them by predicted utilization; a second pass re-ranks
+a prefix of that order by simulated cycle count (``search-tile`` passes
+its ``4 * top_k`` best).  The search is not exhaustive: the best tile
+can fall past the cap or outside the prefix.
 """
 
 from __future__ import annotations

@@ -67,6 +67,15 @@ class TestRunLayer:
         waves = yaml.safe_load(out.read_text())["waves"]
         assert err.count("trace:") == waves
 
+    @pytest.mark.parametrize("target", ["missing/s.yaml", "."])
+    def test_unwritable_stats_out(self, tmp_path, capsys, target):
+        hw, layer, tile = standard_files(tmp_path)
+        code = cli.main(["run-layer", "--hw", hw, "--layer", layer,
+                         "--tile", tile, "--stats-out",
+                         str(tmp_path / target)])
+        assert code == cli.EXIT_PARSE
+        assert "parse error: cannot write" in capsys.readouterr().err
+
     def test_malformed_hw(self, tmp_path):
         _, layer, tile = standard_files(tmp_path)
         hw = write(tmp_path, "bad_hw.yaml", "num_ms: [oops\n")
@@ -333,6 +342,15 @@ class TestSearchTile:
         cycles = [c["predicted"]["estimated_cycles"]
                   for c in doc["candidates"]]
         assert cycles == sorted(cycles)
+
+    @pytest.mark.parametrize("target", ["missing/s.yaml", "."])
+    def test_unwritable_stats_out(self, tmp_path, capsys, target):
+        hw, layer, _ = standard_files(tmp_path)
+        code = cli.main(["search-tile", "--hw", hw, "--layer", layer,
+                         "--top-k", "1", "--stats-out",
+                         str(tmp_path / target)])
+        assert code == cli.EXIT_PARSE
+        assert "parse error: cannot write" in capsys.readouterr().err
 
     def test_negative_top_k_rejected(self, tmp_path, capsys):
         hw, layer, _ = standard_files(tmp_path)

@@ -14,6 +14,8 @@ from treefab.fabric import (
     MultiplierArray,
     Payload,
     ReductionNetwork,
+    bus_grants,
+    distribution,
     generate_dn_routes,
 )
 from treefab.memory import PrefetchBuffer, random_layer_data
@@ -21,8 +23,8 @@ from treefab.memory import PrefetchBuffer, random_layer_data
 from common import TINY
 
 
-def tiny_pb(read_ports=4, write_ports=4):
-    pb = PrefetchBuffer(read_ports, write_ports)
+def tiny_pb():
+    pb = PrefetchBuffer()
     pb.load_layer_data(TINY, *random_layer_data(TINY, seed=21))
     return pb
 
@@ -37,7 +39,7 @@ class TestDistribution:
         dn = DistributionNetwork(num_ms=32, dn_bw=4)
         # one leaf per sub-tree
         payloads = [input_payload(i, {i * 8}) for i in range(4)]
-        cycles, leaves = dn.deliver(payloads, pb, base_cycle=0)
+        cycles, leaves = dn.deliver(payloads, pb)
         assert cycles == 1
         assert leaves == {i * 8: pb.peek(p.address)
                           for i, p in enumerate(payloads)}
@@ -48,7 +50,7 @@ class TestDistribution:
         dn = DistributionNetwork(num_ms=32, dn_bw=4)
         # all five leaves in sub-tree 0
         payloads = [input_payload(i, {i}) for i in range(5)]
-        cycles, _ = dn.deliver(payloads, pb, base_cycle=0)
+        cycles, _ = dn.deliver(payloads, pb)
         assert cycles == 5
         assert pb.counters.reads == 5
 
@@ -56,7 +58,7 @@ class TestDistribution:
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=8, dn_bw=1)
         payload = input_payload(0, range(8))
-        cycles, leaves = dn.deliver([payload], pb, base_cycle=0)
+        cycles, leaves = dn.deliver([payload], pb)
         assert cycles == 1
         assert leaves == {i: pb.peek(payload.address) for i in range(8)}
         assert dn.counters.traversals == 7
@@ -65,38 +67,21 @@ class TestDistribution:
     def test_unicast_traversal_count(self):
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=8, dn_bw=1)
-        dn.deliver([input_payload(0, {3})], pb, base_cycle=0)
+        dn.deliver([input_payload(0, {3})], pb)
         assert dn.counters.traversals == 3
 
     def test_no_payloads(self):
         dn = DistributionNetwork(num_ms=8, dn_bw=2)
-        assert dn.deliver([], tiny_pb(), base_cycle=0) == (0, {})
+        assert dn.deliver([], tiny_pb()) == (0, {})
 
     def test_cross_subtree_payload_read_once(self):
         pb = tiny_pb()
         dn = DistributionNetwork(num_ms=32, dn_bw=4)
         payload = input_payload(0, {0, 8, 16})
-        cycles, leaves = dn.deliver([payload], pb, base_cycle=0)
+        cycles, leaves = dn.deliver([payload], pb)
         assert cycles == 1
         assert set(leaves) == {0, 8, 16}
         assert pb.counters.reads == 1
-
-    def test_payload_read_on_first_free_subtree_cycle(self):
-        pb = tiny_pb()
-        dn = DistributionNetwork(num_ms=32, dn_bw=4)
-        reads = []
-        serve_reads = pb.serve_reads
-        pb.serve_reads = lambda reqs, cycle: (
-            reads.append((cycle, list(reqs))) or serve_reads(reqs, cycle))
-        # sub-tree 0 is busy for two cycles; the shared payload is read
-        # in cycle 0 anyway, on its free sub-tree 1
-        payloads = [input_payload(0, {0}), input_payload(1, {1}),
-                    input_payload(2, {2, 8})]
-        cycles, leaves = dn.deliver(payloads, pb, base_cycle=10)
-        assert cycles == 3
-        assert reads == [(10, [payloads[0].address, payloads[2].address]),
-                         (11, [payloads[1].address])]
-        assert leaves[2] == leaves[8] == pb.peek(payloads[2].address)
 
 
 def per_switch_dn_routes(num_ms, dn_bw, dest_leaves):
@@ -136,8 +121,43 @@ class TestDnRouteWalk:
         routes = generate_dn_routes(num_ms, dn_bw, dests)
         assert routes == per_switch_dn_routes(num_ms, dn_bw, dests)
         dn = DistributionNetwork(num_ms, dn_bw)
-        dn.deliver([input_payload(0, dests)], tiny_pb(), base_cycle=0)
+        dn.deliver([input_payload(0, dests)], tiny_pb())
         assert dn.counters.traversals == len(routes)
+
+
+def stepped_distribution(num_ms, dn_bw, dests):
+    """Distribute one payload per destination set, cycle by cycle: each
+    sub-tree queues, in order, the payloads with a leaf under it and
+    injects one per cycle; a payload is read from the PB on the first
+    cycle that injects it.  Returns the PB reads of each cycle."""
+    per_tree = num_ms // dn_bw
+    queues = [[i for i, d in enumerate(dests)
+               if any(leaf // per_tree == tree for leaf in d)]
+              for tree in range(dn_bw)]
+    read, reads = set(), []
+    while any(queues):
+        injected = {queue.pop(0) for queue in queues if queue}
+        reads.append(len(injected - read))
+        read |= injected
+    return reads
+
+
+class TestDistributionRule:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_stepped_subtrees(self, data):
+        num_ms, dn_bw = data.draw(st.sampled_from(DN_SHAPES))
+        dests = data.draw(st.lists(
+            st.frozensets(st.integers(0, num_ms - 1), min_size=1),
+            max_size=10))
+        reads = stepped_distribution(num_ms, dn_bw, dests)
+        assert distribution(num_ms, dn_bw, dests) == (
+            len(reads),
+            sum(len(per_switch_dn_routes(num_ms, dn_bw, d)) for d in dests))
+        assert sum(reads) == len(dests)
+        # the PB is never asked for more reads in a cycle than the DN has
+        # sub-trees
+        assert all(n <= dn_bw for n in reads)
 
 
 class TestMultipliers:
@@ -177,14 +197,14 @@ class TestReductionReplay:
 
 class TestCollectorBuses:
     def test_shared_bus_serializes(self):
-        pb = tiny_pb(write_ports=1)
+        pb = tiny_pb()
         cb = CollectorBuses(rn_bw=1)
         events = [
             BusEvent(arrival=0, as_index=i,
                      address=("psum", (0, 0, i, 0, 0)), value=i)
             for i in range(3)
         ]
-        last = cb.drain(events, pb, base_cycle=0)
+        last = cb.drain(events, pb)
         assert last == 2  # three grants over three cycles
         assert cb.counters.grants == 3
         assert cb.counters.conflicts == 2
@@ -192,18 +212,50 @@ class TestCollectorBuses:
             [0, 1, 2]
 
     def test_parallel_buses(self):
-        pb = tiny_pb(write_ports=4)
+        pb = tiny_pb()
         cb = CollectorBuses(rn_bw=4)
         events = [
             BusEvent(arrival=2, as_index=i,
                      address=("psum", (0, 0, i, 0, 0)), value=1)
             for i in range(4)
         ]
-        assert cb.drain(events, pb, base_cycle=0) == 2
+        assert cb.drain(events, pb) == 2
         assert cb.counters.conflicts == 0
         assert cb.counters.grants == 4
 
     def test_empty(self):
         cb = CollectorBuses(rn_bw=2)
-        assert cb.drain([], tiny_pb(), base_cycle=0) == -1
+        assert cb.drain([], tiny_pb()) == -1
         assert cb.counters.grants == 0
+
+
+def stepped_buses(rn_bw, values):
+    """Drain ``(arrival, egress index)`` values cycle by cycle: bus
+    ``index mod rn_bw`` grants, each cycle, its oldest arrived value,
+    ties to the lower index.  Returns each value's grant cycle and the
+    grants of each cycle."""
+    grants = [None] * len(values)
+    per_cycle = []
+    while None in grants:
+        cycle, granted = len(per_cycle), 0
+        for bus in range(rn_bw):
+            ready = [i for i, (arrival, index) in enumerate(values)
+                     if grants[i] is None and index % rn_bw == bus
+                     and arrival <= cycle]
+            if ready:
+                grants[min(ready, key=values.__getitem__)] = cycle
+                granted += 1
+        per_cycle.append(granted)
+    return grants, per_cycle
+
+
+class TestBusRule:
+    @settings(max_examples=300, deadline=None)
+    @given(rn_bw=st.integers(1, 8), values=st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 40)), max_size=12))
+    def test_matches_stepped_buses(self, rn_bw, values):
+        grants, per_cycle = stepped_buses(rn_bw, values)
+        assert bus_grants(rn_bw, values) == grants
+        # the PB is never asked for more writes in a cycle than there are
+        # buses
+        assert all(n <= rn_bw for n in per_cycle)

@@ -1,4 +1,4 @@
-"""Prefetch buffer port limits, regions and accounting."""
+"""Prefetch buffer regions, bounds checks and accounting."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from treefab.memory import (
 from common import TINY
 
 
-def loaded_pb(read_ports=4, write_ports=4):
-    pb = PrefetchBuffer(read_ports, write_ports)
+def loaded_pb():
+    pb = PrefetchBuffer()
     inputs, weights = random_layer_data(TINY, seed=11)
     pb.load_layer_data(TINY, inputs, weights)
     return pb
@@ -33,7 +33,7 @@ class TestLoad:
         assert pb.counters.reads == pb.counters.writes == 0
 
     def test_shape_mismatch(self):
-        pb = PrefetchBuffer(4, 4)
+        pb = PrefetchBuffer()
         inputs, weights = random_layer_data(TINY, seed=1)
         with pytest.raises(ShapeMismatch):
             pb.load_layer_data(TINY, inputs, weights[:, :, :5])
@@ -55,29 +55,20 @@ class TestRandomData:
 
 
 class TestReads:
-    def test_excess_requests_deferred(self):
-        pb = loaded_pb(read_ports=4)
-        reqs = [("weights", (0, 0, 0, 0, i % 3)) for i in range(7)]
-        served, deferred = pb.serve_reads(reqs, cycle=0)
-        assert len(served) == 4 and len(deferred) == 3
-        assert pb.counters.reads == 4
-        assert pb.counters.read_stalls == 3
-
     def test_no_requests(self):
         pb = loaded_pb()
-        assert pb.serve_reads([], cycle=0) == ([], [])
+        assert pb.serve_reads([]) == []
 
     def test_exact_capacity(self):
-        pb = loaded_pb(read_ports=4)
+        pb = loaded_pb()
         reqs = [("inputs", (0, 0, 0, 0, i)) for i in range(4)]
-        served, deferred = pb.serve_reads(reqs, cycle=0)
-        assert len(served) == 4 and not deferred
-        assert pb.counters.read_stalls == 0
+        assert pb.serve_reads(reqs) == pb.inputs[0, 0, 0, 0, :4].tolist()
+        assert pb.counters.reads == 4
 
     def test_values_match_region(self):
         pb = loaded_pb()
         addr = ("inputs", (0, 0, 2, 3, 1))
-        (_, value), = pb.serve_reads([addr], cycle=0)[0]
+        value, = pb.serve_reads([addr])
         assert value == pb.inputs[0, 0, 2, 3, 1]
         assert type(value) is int
 
@@ -94,7 +85,7 @@ class TestReads:
             with pytest.raises(AddressOutOfRange):
                 pb.peek(address)
         with pytest.raises(AddressOutOfRange):
-            pb.serve_writes([(("outputs", (0, 0, 0, -1, 0)), 1)], cycle=0)
+            pb.serve_writes([(("outputs", (0, 0, 0, -1, 0)), 1)])
 
     def test_wrong_rank(self):
         pb = loaded_pb()
@@ -104,7 +95,7 @@ class TestReads:
             pb.peek(("outputs", (0, 0, 0, 0, 0, 0)))
 
     def test_unloaded_regions(self):
-        pb = PrefetchBuffer(4, 4)
+        pb = PrefetchBuffer()
         for address in [("inputs", (0, 0, 0, 0, 0)),
                         ("psum", (0, 0, 0, 0, 0))]:
             with pytest.raises(AddressOutOfRange):
@@ -113,49 +104,32 @@ class TestReads:
     def test_bad_address(self):
         pb = loaded_pb()
         with pytest.raises(AddressOutOfRange):
-            pb.serve_reads([("inputs", (0, 0, 0, 9, 9))], cycle=0)
+            pb.serve_reads([("inputs", (0, 0, 0, 9, 9))])
         with pytest.raises(AddressOutOfRange):
             pb.peek(("nowhere", (0,)))
 
 
 class TestWrites:
-    def test_port_limit(self):
-        pb = loaded_pb(write_ports=2)
-        reqs = [(("psum", (0, 0, i, 0, 0)), i) for i in range(3)]
-        served, deferred = pb.serve_writes(reqs, cycle=0)
-        assert len(served) == 2 and len(deferred) == 1
-        assert pb.counters.write_stalls == 1
-
     def test_single_write(self):
         pb = loaded_pb()
-        served, deferred = pb.serve_writes(
-            [(("outputs", (0, 0, 1, 2, 2)), 42)], cycle=0)
-        assert not deferred
+        pb.serve_writes([(("outputs", (0, 0, 1, 2, 2)), 42)])
         assert pb.outputs[0, 0, 1, 2, 2] == 42
+        assert pb.counters.writes == 1
 
     def test_output_value_out_of_dtype_range_raises(self):
         pb = loaded_pb()
         with pytest.raises(OverflowError):
-            pb.serve_writes([(("outputs", (0, 0, 0, 0, 0)), 2**40)], cycle=0)
-
-    def test_same_cycle_duplicate_address_serializes(self):
-        pb = loaded_pb()
-        addr = ("psum", (0, 0, 0, 0, 0))
-        served, deferred = pb.serve_writes([(addr, 5), (addr, 9)], cycle=0)
-        assert len(served) == 1 and deferred == [(addr, 9)]
-        assert pb.peek(addr) == 5
-        pb.serve_writes(deferred, cycle=1)
-        assert pb.peek(addr) == 9
+            pb.serve_writes([(("outputs", (0, 0, 0, 0, 0)), 2**40)])
 
     def test_psum_key_validated(self):
         pb = loaded_pb()
         with pytest.raises(AddressOutOfRange):
-            pb.serve_writes([(("psum", (0, 0, 9, 0, 0)), 1)], cycle=0)
+            pb.serve_writes([(("psum", (0, 0, 9, 0, 0)), 1)])
 
     def test_read_only_regions(self):
         pb = loaded_pb()
         with pytest.raises(AddressOutOfRange):
-            pb.serve_writes([(("weights", (0, 0, 0, 0, 0)), 1)], cycle=0)
+            pb.serve_writes([(("weights", (0, 0, 0, 0, 0)), 1)])
 
     def test_unloaded_psum_default(self):
         pb = loaded_pb()

@@ -106,8 +106,8 @@ def test_shape_rejection():
 class TestMixedDataKinds:
     """Integer inputs with float weights, or the reverse, are rejected by
     the simulator and the oracle alike: an integer sum would truncate the
-    float weights (all-zero outputs for weights of 0.5).  Integer widths
-    may differ."""
+    float weights (all-zero outputs for weights of 0.5).  So are data
+    that are neither (bool, complex).  Integer widths may differ."""
 
     LAYER = LayerConfig(LayerKind.CONV, r=3, s=3, c=2, g=1, k=2, n=1, x=5,
                         y=5)
@@ -124,6 +124,17 @@ class TestMixedDataKinds:
         with pytest.raises(ValidationError):
             self.simulate(inputs, weights)
         with pytest.raises(ValidationError):
+            conv_reference(self.LAYER, inputs, weights)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.complex128])
+    def test_neither_integer_nor_float_rejected(self, dtype):
+        inputs, weights = (a.astype(dtype)
+                           for a in random_layer_data(self.LAYER, seed=4))
+        with pytest.raises(ValidationError,
+                           match="must both be integer or both floating"):
+            self.simulate(inputs, weights)
+        with pytest.raises(ValidationError,
+                           match="both must be int or float"):
             conv_reference(self.LAYER, inputs, weights)
 
     def test_int8_inputs_with_int32_weights(self):

@@ -28,7 +28,7 @@ class Fabric:
     """The buffer and the datapath components of one fabric."""
 
     def __init__(self, hw):
-        self.pb = PrefetchBuffer(read_ports=hw.dn_bw, write_ports=hw.rn_bw)
+        self.pb = PrefetchBuffer()
         self.dn = DistributionNetwork(hw.num_ms, hw.dn_bw)
         self.ms = MultiplierArray(hw.num_ms)
         self.rn = ReductionNetwork(hw.num_ms)
@@ -74,8 +74,7 @@ def run_wave(mapping, plan, members, batch, f, block, fabric, cycle,
             addr = ("weights", (g, k, c, r, s))
             w_payloads.setdefault(addr, set()).add(members[slot][e])
     wc, leaf_w = dn.deliver(
-        [Payload(a, frozenset(d)) for a, d in w_payloads.items()], pb, cycle,
-    )
+        [Payload(a, frozenset(d)) for a, d in w_payloads.items()], pb)
     cycle += wc
 
     # -- input (and partial-sum) distribution -----------------------------
@@ -92,8 +91,7 @@ def run_wave(mapping, plan, members, batch, f, block, fabric, cycle,
             addr = ("psum", (n, g, k, ox, oy))
             i_payloads.setdefault(addr, set()).add(members[slot][-1])
     ic, leaf_i = dn.deliver(
-        [Payload(a, frozenset(d)) for a, d in i_payloads.items()], pb, cycle,
-    )
+        [Payload(a, frozenset(d)) for a, d in i_payloads.items()], pb)
     cycle += ic
 
     # -- multiply (one cycle) ---------------------------------------------
@@ -121,7 +119,7 @@ def run_wave(mapping, plan, members, batch, f, block, fabric, cycle,
             as_index, arrival = plan.egress[slot]
             events.append(BusEvent(arrival, as_index, (region, coord),
                                    sums[slot]))
-        cycle += cb.drain(events, pb, cycle) + 1
+        cycle += cb.drain(events, pb) + 1
     return wc, ic, cycle - start
 
 
