@@ -14,9 +14,7 @@ from .engine import SimResult, SimStats, simulate_layer
 from .errors import (
     AddressOutOfRange,
     DimsMismatch,
-    InfeasibleTile,
     MappingError,
-    NoFeasibleTile,
     OutputOverflow,
     ParseError,
     ShapeMismatch,
@@ -26,7 +24,7 @@ from .errors import (
     ValidationError,
     VnTooLarge,
 )
-from .mapper import MappingPlan, build_mapping, compute_folds, theoretical_utilization
+from .mapper import MappingPlan, build_mapping, compute_folds
 from .oracle import CompareResult, OracleResult, compare, conv_reference
 from .reduction import ReductionPlan, plan_reduction
 from .tiler import TileCandidate, enumerate_tiles, rank_by_simulation
@@ -39,12 +37,10 @@ __all__ = [
     "DimsMismatch",
     "FoldingStrategy",
     "HardwareConfig",
-    "InfeasibleTile",
     "LayerConfig",
     "LayerKind",
     "MappingError",
     "MappingPlan",
-    "NoFeasibleTile",
     "OracleResult",
     "OutputOverflow",
     "ParseError",
@@ -68,7 +64,6 @@ __all__ = [
     "plan_reduction",
     "rank_by_simulation",
     "simulate_layer",
-    "theoretical_utilization",
     "total_macs",
     "validate_tile",
     "__version__",

@@ -7,8 +7,8 @@ unknown keys, in each model entry too.  Schemas:
 hardware::
 
     num_ms: 32          # multiplier switches, power of two, >= 2
-    dn_bw: 4            # distribution bandwidth = PB read ports = sub-trees
-    rn_bw: 4            # reduction bandwidth = PB write ports = collector buses
+    dn_bw: 4            # distribution bandwidth = sub-trees
+    rn_bw: 4            # reduction bandwidth = collector buses
     folding: roundtrip  # "roundtrip" | "ideal"
 
 layer::
@@ -91,9 +91,9 @@ def is_power_of_two(value: int) -> bool:
 class HardwareConfig:
     """Shape of the accelerator fabric.
 
-    ``dn_bw`` is both the number of PB read ports and the number of
-    distribution sub-trees; ``rn_bw`` is both the number of PB write
-    ports and the number of collector buses.
+    ``dn_bw`` is the number of distribution sub-trees and ``rn_bw`` the
+    number of collector buses; they bound the PB's reads and writes per
+    cycle.
     """
 
     num_ms: int
@@ -357,8 +357,11 @@ def parse_model_config(
         if name in names:
             raise ValidationError(f"duplicate layer name {name!r}")
         names.add(name)
-        layer = from_doc(LayerConfig, entry["layer"])
-        tile = entry.get("tile", "search")
-        tile = None if tile == "search" else from_doc(TileConfig, tile)
+        try:
+            layer = from_doc(LayerConfig, entry["layer"])
+            tile = entry.get("tile", "search")
+            tile = None if tile == "search" else from_doc(TileConfig, tile)
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"model layer {i} ({name!r}): {exc}") from exc
         entries.append((name, layer, tile))
     return entries

@@ -97,8 +97,7 @@ from .config import (
 )
 from .errors import AddressOutOfRange, OutputOverflow
 from .fabric import bus_grants, distribution
-from .mapper import (MappingPlan, build_mapping, cluster_plan,
-                     theoretical_utilization)
+from .mapper import MappingPlan, build_mapping, cluster_plan
 from .memory import check_layer_data, output_dims, weight_dims
 
 # waves keyed together, and (output, element) products gathered together;
@@ -158,7 +157,7 @@ def layer_stats(mapping: MappingPlan, cycles: int, waves: int,
         total_cycles=cycles,
         busy_ms_cycles=busy,
         effective_ms_utilization=busy / (hw.num_ms * cycles),
-        theoretical_utilization=theoretical_utilization(hw, mapping).fraction,
+        theoretical_utilization=mapping.theoretical_utilization,
         fifo_pops=counted["fifo_pushes"],
         fold_roundtrips=counted["forwarder_injections"],
         folds=mapping.folds,

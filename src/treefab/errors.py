@@ -50,16 +50,8 @@ class VnTooLarge(MappingError):
     """A virtual neuron needs more multipliers than the fabric has."""
 
 
-class InfeasibleTile(MappingError):
-    """The tile admits no valid mapping for other reasons."""
-
-
 class UnroutableVN(MappingError):
     """The reduction tree cannot be configured for a cluster partition.
 
     Unreachable for contiguous partitions; assertion-grade.
     """
-
-
-class NoFeasibleTile(TreefabError):
-    """Tile enumeration produced no mappable candidate."""

@@ -31,19 +31,11 @@ from .config import (
     tile_extents,
     validate_tile,
 )
-from .errors import InfeasibleTile, VnTooLarge
+from .errors import VnTooLarge
 from .reduction import ReductionPlan, clusters, plan_reduction, switch_modes
 
 _OUTPUT_AXES = ("N", "G", "K", "X'", "Y'")  # schedule coords (n, g, k, ox, oy)
 _FOLD_AXES = ("C", "R", "S")  # fold block coords (c, r, s)
-
-
-@dataclass(frozen=True)
-class TheoreticalUtilization:
-    """Fraction of multipliers the tile maps (forwarders count as used)."""
-
-    mapped_ms: int
-    fraction: float
 
 
 @dataclass(frozen=True)
@@ -56,6 +48,11 @@ class MappingPlan:
     real_vn_size: int  # vn_size + 1 when folding needs a psum forwarder
     n_vns_mapped: int
     has_forwarder: bool
+
+    @property
+    def theoretical_utilization(self) -> float:
+        """Fraction of multipliers the tile maps (forwarders count as used)."""
+        return self.n_vns_mapped * self.real_vn_size / self.hw.num_ms
 
     def batch_array(self):
         """(coordinates, lengths): the schedule's output coordinates
@@ -171,9 +168,6 @@ def build_mapping(hw: HardwareConfig, layer: LayerConfig,
             f"(vn_size {vn_size}{' + 1 forwarder' if has_forwarder else ''}) "
             f"but the fabric has {hw.num_ms}"
         )
-    n_vns_mapped = min(tile.n_vns, hw.num_ms // real_vn_size)
-    if n_vns_mapped < 1:
-        raise InfeasibleTile("no cluster fits the fabric")
     return MappingPlan(
         hw=hw,
         layer=layer,
@@ -181,13 +175,7 @@ def build_mapping(hw: HardwareConfig, layer: LayerConfig,
         vn_size=vn_size,
         folds=folds,
         real_vn_size=real_vn_size,
-        n_vns_mapped=n_vns_mapped,
+        # >= 1: a tile maps at least one output and one cluster fits
+        n_vns_mapped=min(tile.n_vns, hw.num_ms // real_vn_size),
         has_forwarder=has_forwarder,
     )
-
-
-def theoretical_utilization(hw: HardwareConfig,
-                            plan: MappingPlan) -> TheoreticalUtilization:
-    mapped = plan.n_vns_mapped * plan.real_vn_size
-    return TheoreticalUtilization(mapped_ms=mapped,
-                                  fraction=mapped / hw.num_ms)

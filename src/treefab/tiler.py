@@ -1,11 +1,10 @@
 """Tile search.
 
-Enumerates tiles whose edges divide the layer dimensions, keeps the ones
-that fit the fabric (at most ``ENUMERATION_CAP`` of them, in product
-order), and ranks them by predicted utilization; a second pass re-ranks
-a prefix of that order by simulated cycle count (``search-tile`` passes
-its ``4 * top_k`` best).  The search is not exhaustive: the best tile
-can fall past the cap or outside the prefix.
+Enumerates every tile whose edges divide the layer dimensions, keeps
+all that fit the fabric, and ranks them by predicted utilization; a
+second pass re-ranks a prefix of that order by simulated cycle count
+(``search-tile`` passes its ``4 * top_k`` best).  Only that second pass
+is not exhaustive: the fastest tile can fall outside the prefix.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ from .config import (
     field_values,
     tile_extents,
 )
-from .errors import MappingError, NoFeasibleTile
-from .mapper import build_mapping, theoretical_utilization
+from .errors import MappingError
+from .mapper import build_mapping
 from .memory import random_layer_data
-
-ENUMERATION_CAP = 4096
 
 
 @dataclass
@@ -47,11 +44,10 @@ def _divisors(n: int) -> list[int]:
 
 def enumerate_tiles(hw: HardwareConfig,
                     layer: LayerConfig) -> list[TileCandidate]:
-    """Feasible divisor tiles ranked by (utilization desc, folds asc).
+    """Every feasible divisor tile, ranked by (utilization desc, folds asc).
 
-    Enumeration walks the divisor combinations in product order (``T_R``
-    outermost) and stops after ``ENUMERATION_CAP`` feasible candidates, so
-    a capped search favours small ``T_R``.
+    The all-ones tile always fits (one leaf plus a forwarder against
+    ``num_ms >= 2``), so the list is never empty.
     """
     candidates = []
     for combo in product(*map(_divisors, tile_extents(layer))):
@@ -60,20 +56,13 @@ def enumerate_tiles(hw: HardwareConfig,
             plan = build_mapping(hw, layer, tile)
         except MappingError:
             continue
-        util = theoretical_utilization(hw, plan)
         candidates.append(TileCandidate(
             tile=tile,
             predicted={
-                "theoretical_utilization": util.fraction,
+                "theoretical_utilization": plan.theoretical_utilization,
                 "folds": plan.folds,
             },
         ))
-        if len(candidates) >= ENUMERATION_CAP:
-            break
-    if not candidates:
-        raise NoFeasibleTile(
-            f"no divisor tile of the layer fits {hw.num_ms} multipliers"
-        )
     candidates.sort(key=TileCandidate.sort_key)
     return candidates
 

@@ -23,7 +23,6 @@ from treefab import (
     conv_reference,
     plan_reduction,
     simulate_layer,
-    theoretical_utilization,
 )
 from treefab.fabric import ReductionNetwork
 from treefab.memory import random_layer_data
@@ -124,7 +123,7 @@ def test_criterion_2_utilization_table():
     for vn_size, layer, tile, expected in rows:
         plan = build_mapping(hw, layer, tile)
         assert plan.vn_size == vn_size and plan.folds > 1
-        percent = round(100 * theoretical_utilization(hw, plan).fraction)
+        percent = round(100 * plan.theoretical_utilization)
         assert abs(percent - expected) <= 2, (
             f"vn_size {vn_size}: {percent}% vs expected {expected}%"
         )

@@ -220,6 +220,34 @@ layers:
         assert cli.main(["run-model", "--hw", hw, "--model", model]) == \
             cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("entry,code,message", [
+        ("layer: {R: 1, S: 1, C: 1, K: 1, X: 2}",
+         cli.EXIT_CONFIG, "configuration error: model layer 1 ('second'): "
+         "layer document is missing key Y"),
+        ("layer: {R: 3, S: 3, C: 1, K: 1, X: 6, Y: 6, stride: 2}",
+         cli.EXIT_CONFIG, "configuration error: model layer 1 ('second'): "
+         "(X + 2*padding - R) = 3 is not a non-negative multiple of "
+         "stride 2"),
+        ("layer: {R: 1, S: 1, C: 1, K: 1, X: 2, Y: 2}\n    tile: {T_Q: 1}",
+         cli.EXIT_CONFIG, "configuration error: model layer 1 ('second'): "
+         "unknown tile keys: T_Q"),
+        ("layer: 7",
+         cli.EXIT_PARSE, "parse error: model layer 1 ('second'): "
+         "layer document must be a mapping"),
+    ], ids=["missing-key", "stride", "tile-key", "non-mapping"])
+    def test_entry_errors_name_the_layer(self, tmp_path, capsys, entry, code,
+                                         message):
+        hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        model = write(tmp_path, "model.yaml", f"""\
+layers:
+  - name: first
+    layer: {{R: 1, S: 1, C: 1, K: 1, X: 2, Y: 2}}
+  - name: second
+    {entry}
+""")
+        assert cli.main(["run-model", "--hw", hw, "--model", model]) == code
+        assert capsys.readouterr().err.strip() == message
+
     def test_overflow_reports_the_layer(self, tmp_path, capsys):
         hw = write(tmp_path, "hw.yaml",
                    "num_ms: 64\ndn_bw: 8\nrn_bw: 8\nfolding: roundtrip\n")

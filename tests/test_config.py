@@ -221,6 +221,8 @@ TILE_DOC = "T_R: 3\nT_S: 3\nT_C: 1\n"
 MODEL_DOC = ("layers:\n  - name: a\n"
              "    layer: {R: 3, S: 3, C: 2, K: 4, X: 6, Y: 6%s}\n"
              "    tile: {T_R: 3, T_S: 3, T_C: 1%s}\n")
+# the prefix of an error inside that document's entry
+ENTRY = "model layer 0 ('a'): "
 PARSERS = {
     "hardware": parse_hardware_config,
     "layer": parse_layer_config,
@@ -292,15 +294,15 @@ BAD_DOCUMENTS = [
      ParseError, "model layer 0 must be a mapping with 'layer'"),
     ("model", "layer-missing-key",
      (MODEL_DOC % ("", "")).replace("R: 3, ", ""), ValidationError,
-     "layer document is missing key R"),
+     ENTRY + "layer document is missing key R"),
     ("model", "non-integer", MODEL_DOC % (", N: two", ""), ValidationError,
-     "layer key N must be an integer"),
+     ENTRY + "layer key N must be an integer"),
     ("model", "bool", MODEL_DOC % ("", ", T_K: true"), ValidationError,
-     "tile key T_K must be an integer"),
+     ENTRY + "tile key T_K must be an integer"),
     ("model", "unknown-key", MODEL_DOC % (", Q: 1", ""), ValidationError,
-     "unknown layer keys: Q"),
+     ENTRY + "unknown layer keys: Q"),
     ("model", "bad-enum", MODEL_DOC % (", kind: pool", ""), ValidationError,
-     ENUM_KIND),
+     ENTRY + ENUM_KIND),
     ("model", "bad-version", "version: 2\n" + MODEL_DOC % ("", ""),
      ValidationError, "unsupported model schema version 2"),
     ("model", "bool-version", "version: true\n" + MODEL_DOC % ("", ""),
@@ -315,15 +317,15 @@ BAD_DOCUMENTS = [
     ("model", "entry-version", MODEL_DOC % ("", "") + "    version: 1\n",
      ValidationError, "unknown model layer 0 keys: version"),
     ("model", "layer-bad-version", MODEL_DOC % (", version: 2", ""),
-     ValidationError, "unsupported layer schema version 2"),
+     ValidationError, ENTRY + "unsupported layer schema version 2"),
     ("model", "non-mapping", "- 1\n", ParseError,
      "model document must map 'layers' to a list"),
     ("model", "tile-non-mapping",
      (MODEL_DOC % ("", "")).replace("{T_R: 3, T_S: 3, T_C: 1}", "7"),
-     ParseError, "tile document must be a mapping"),
+     ParseError, ENTRY + "tile document must be a mapping"),
     ("model", "tile-null",
      (MODEL_DOC % ("", "")).replace("{T_R: 3, T_S: 3, T_C: 1}", "null"),
-     ParseError, "tile document must be a mapping"),
+     ParseError, ENTRY + "tile document must be a mapping"),
     ("model", "malformed", "layers: [\n", ParseError,
      "malformed model document: "),
     ("model", "duplicate-name",

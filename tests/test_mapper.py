@@ -22,7 +22,6 @@ from treefab import (
     compute_folds,
     derive_output_dims,
     simulate_layer,
-    theoretical_utilization,
     validate_tile,
 )
 from treefab.config import (
@@ -261,16 +260,15 @@ class TestUtilization:
                             x=6, y=6)
         plan = build_mapping(HardwareConfig(64, 4, 4), layer,
                              TileConfig(6, 6, 1))
-        util = theoretical_utilization(HardwareConfig(64, 4, 4), plan)
-        assert util.mapped_ms == 37
-        assert util.fraction == pytest.approx(37 / 64)
+        assert plan.n_vns_mapped * plan.real_vn_size == 37
+        assert plan.theoretical_utilization == pytest.approx(37 / 64)
 
     def test_full_fabric(self):
         layer = LayerConfig(LayerKind.CONV, r=4, s=4, c=2, g=1, k=1, n=1,
                             x=4, y=4)
         hw = HardwareConfig(32, 4, 4)
         plan = build_mapping(hw, layer, TileConfig(4, 4, 2))
-        assert theoretical_utilization(hw, plan).fraction == 1.0
+        assert plan.theoretical_utilization == 1.0
 
 
 class TestDnRoutes:

@@ -1,21 +1,31 @@
 """Tile enumeration and ranking."""
 
-import pytest
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefab import (
+    FoldingStrategy,
     HardwareConfig,
     LayerConfig,
     LayerKind,
-    NoFeasibleTile,
     TileConfig,
     build_mapping,
     enumerate_tiles,
     rank_by_simulation,
 )
-from treefab import tiler as tiler_mod
-from treefab.errors import VnTooLarge
+from treefab.config import tile_extents
 
-from common import HW32, TINY, VALIDATION_TILE
+from common import HW32, TINY, VALIDATION_TILE, layers
+
+HW64 = HardwareConfig(64, 8, 8)
+
+
+def resnet_layer(size):
+    """3x3, C=K=64, ``size`` x ``size``, padding 1."""
+    return LayerConfig(LayerKind.CONV, r=3, s=3, c=64, g=1, k=64, n=1,
+                       x=size, y=size, padding=1)
 
 
 def test_validation_tile_among_candidates():
@@ -44,15 +54,41 @@ def test_candidates_are_feasible_and_ranked():
     assert keys == sorted(keys)
 
 
-def test_no_feasible_tile(monkeypatch):
-    # infeasibility cannot arise from real configs (a 1-element cluster
-    # plus forwarder always fits num_ms >= 2), so force it
-    def always_too_large(hw, layer, tile):
-        raise VnTooLarge("forced")
+class TestExhaustive:
+    def test_every_feasible_tile_of_a_resnet_layer(self):
+        # brute force: a divisor tile fits when its cluster, plus a
+        # forwarder if it folds under roundtrip, fits the fabric
+        layer = resnet_layer(56)
+        divisors = [[d for d in range(1, n + 1) if n % d == 0]
+                    for n in tile_extents(layer)]
+        fits = 0
+        for t_r, t_s, t_c, *_ in product(*divisors):
+            folds = (3 // t_r) * (3 // t_s) * (64 // t_c)
+            forwarder = folds > 1  # HW64 folds by roundtrip
+            fits += t_r * t_s * t_c + forwarder <= HW64.num_ms
+        assert fits == 8512
+        assert len(enumerate_tiles(HW64, layer)) == fits
 
-    monkeypatch.setattr(tiler_mod, "build_mapping", always_too_large)
-    with pytest.raises(NoFeasibleTile):
-        enumerate_tiles(HW32, TINY)
+    def test_first_pick_of_a_large_layer(self):
+        # the full-utilization tile with the fewest folds lies past the
+        # first 4,096 feasible tiles in product order
+        first = enumerate_tiles(HW64, resnet_layer(112))[0]
+        assert first.predicted["folds"] == 192
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_all_ones_tile_always_fits(data):
+    # the invariant that makes an empty enumeration and an unmappable
+    # tile unreachable: one leaf plus a forwarder fits num_ms >= 2
+    hw = HardwareConfig(
+        num_ms=2 ** data.draw(st.integers(1, 8)), dn_bw=1, rn_bw=1,
+        folding=data.draw(st.sampled_from(FoldingStrategy)))
+    layer = data.draw(layers())
+    candidates = enumerate_tiles(hw, layer)
+    assert TileConfig(1, 1, 1, 1, 1, 1, 1, 1) in [c.tile for c in candidates]
+    for cand in candidates:
+        assert build_mapping(hw, layer, cand.tile).n_vns_mapped >= 1
 
 
 class TestRankBySimulation:
