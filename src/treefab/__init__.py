@@ -20,7 +20,6 @@ from .errors import (
     ShapeMismatch,
     TileExceedsLayer,
     TreefabError,
-    UnroutableVN,
     ValidationError,
     VnTooLarge,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "TileConfig",
     "TileExceedsLayer",
     "TreefabError",
-    "UnroutableVN",
     "ValidationError",
     "VnTooLarge",
     "build_mapping",

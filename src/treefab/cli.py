@@ -14,8 +14,8 @@ All documents (hardware, layer, tile, model, stats) are YAML with a
 byte-identical stats output.
 
 Exit codes: 0 success, 2 parse error, 3 invalid configuration or a
-simulated output that overflows the output's integer type, 4 mapping
-error, 5 verification failure.
+simulated output that overflows the output's integer type, 4 a cluster
+(plus forwarder) larger than the fabric, 5 verification failure.
 
 The input documents, the model file included, are described in
 ``treefab.config``.  Setting the environment variable
@@ -203,7 +203,7 @@ def _cmd_search_tile(args) -> int:
     layer = cfg.parse_layer_config(_read(args.layer))
     candidates = enumerate_tiles(hw, layer)
     top = rank_by_simulation(candidates[:4 * args.top_k],
-                             hw, layer, args.top_k, seed=args.seed)
+                             hw, layer, args.top_k)
     doc = {
         "version": cfg.SCHEMA_VERSION,
         "candidates": [

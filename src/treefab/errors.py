@@ -48,10 +48,3 @@ class MappingError(TreefabError):
 
 class VnTooLarge(MappingError):
     """A virtual neuron needs more multipliers than the fabric has."""
-
-
-class UnroutableVN(MappingError):
-    """The reduction tree cannot be configured for a cluster partition.
-
-    Unreachable for contiguous partitions; assertion-grade.
-    """

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnroutableVN, ValidationError
+from .errors import ValidationError
 
 AUG_HOP_EXTRA_CYCLES = 1
 
@@ -91,146 +91,87 @@ def clusters(num_leaves: int, width: int, count: int) -> list:
             for leaf in range(num_leaves)]
 
 
-def _vn_ranges(vn_of_leaf) -> dict[int, tuple[int, int]]:
-    ranges: dict[int, tuple[int, int]] = {}
+def _cluster_sizes(vn_of_leaf) -> dict[int, int]:
+    sizes: dict[int, int] = {}
     for i, vn in enumerate(vn_of_leaf):
-        if vn is None:
-            continue
-        if vn in ranges:
-            lo, hi = ranges[vn]
-            if i != hi:
+        if vn is not None:
+            if vn in sizes and vn_of_leaf[i - 1] != vn:
                 raise ValidationError(f"cluster {vn} is not contiguous")
-            ranges[vn] = (lo, i + 1)
-        else:
-            ranges[vn] = (i, i + 1)
-    return ranges
+            sizes[vn] = sizes.get(vn, 0) + 1
+    return sizes
 
 
 def plan_reduction(vn_of_leaf) -> ReductionPlan:
     """Build the reduction plan for a contiguous leaf-cluster assignment.
 
     ``vn_of_leaf[i]`` names the cluster of leaf ``i`` (``None`` = idle).
-    Raises ``UnroutableVN`` if the switch modes cannot realize the
-    partition; this is assertion-grade for contiguous clusters.
+    Every contiguous partition, with idle leaves anywhere, has a plan;
+    raises ``ValidationError`` if the leaf count is not a power of two of
+    at least 2 or a cluster is not contiguous.
     """
     n = len(vn_of_leaf)
     if n < 2 or n & (n - 1):
         raise ValidationError(f"leaf count must be a power of two >= 2, got {n}")
-    ranges = _vn_ranges(vn_of_leaf)
+    size = _cluster_sizes(vn_of_leaf)
 
     ops: list[ReduceOp] = []
     egress: dict[int, tuple[int, int, int]] = {}  # vn -> (level, node, time)
-    busy: set[tuple] = set()  # (level, node, port, cycle)
-
-    def use_port(level, node, port, time):
-        # exclusivity is per cycle: a port may serve several clusters in
-        # one wave, but never two values in the same cycle
-        if (level, node, port, time) in busy:
-            raise UnroutableVN(
-                f"switch ({level},{node}) port {port} carries two values "
-                f"at cycle {time}"
-            )
-        busy.add((level, node, port, time))
 
     def emit(level, node, frags: list[_Frag], route: str,
              min_time: int = 0) -> _Frag:
-        vn = frags[0].vn
-        op = ReduceOp(
-            index=len(ops), level=level, node=node, vn=vn,
-            sources=tuple(f.ref for f in frags), route=route,
-            time=max(min_time, max(f.arrival for f in frags)),
-        )
+        op = ReduceOp(index=len(ops), level=level, node=node, vn=frags[0].vn,
+                      sources=tuple(f.ref for f in frags), route=route,
+                      time=max(min_time, *(f.arrival for f in frags)))
         ops.append(op)
-        use_port(level, node, route, op.time)
-        return _Frag(vn, sum(f.size for f in frags), op.time,
+        return _Frag(op.vn, sum(f.size for f in frags), op.time,
                      ("op", op.index))
 
-    levels = n.bit_length() - 1
-    # fragments staged for the level currently being configured,
-    # keyed by node index within that level
-    staged: dict[int, list[_Frag]] = {}
+    # the fragments held by each node of the level being configured, by
+    # cluster in the order they arrive
+    groups: list[dict[int, list[_Frag]]] = [{} for _ in range(n // 2)]
     for i, vn in enumerate(vn_of_leaf):
-        if vn is None:
-            continue
-        staged.setdefault(i // 2, []).append(
-            _Frag(vn, 1, 1, ("leaf", i))
-        )
+        if vn is not None:
+            leaf = _Frag(vn, 1, 1, ("leaf", i))
+            groups[i // 2].setdefault(vn, []).append(leaf)
 
-    for level in range(1, levels + 1):
+    # No partition of contiguous clusters can over-subscribe a port or
+    # strand a cluster, because at every level:
+    # - a switch holds at most two unfinished clusters, one reaching past
+    #   each edge of its sub-tree;
+    # - a link carries at most one fragment per level;
+    # - the cluster that crosses a link lies inside the two sub-trees that
+    #   the link joins, so it completes at the receiver;
+    # - egresses at one switch are serialized by ``min_time``.
+    for level in range(1, n.bit_length()):
         node_count = n >> level
-        groups: list[dict[int, list[_Frag]]] = [dict() for _ in range(node_count)]
-        for j, frags in staged.items():
-            for frag in frags:
-                groups[j].setdefault(frag.vn, []).append(frag)
-        staged = {}
+        parents: list[dict] = [{} for _ in range(node_count // 2)]
 
         def covered(j, vn):
             return sum(f.size for f in groups[j][vn])
 
         def is_complete(j, vn):
-            lo, hi = ranges[vn]
-            return covered(j, vn) == hi - lo
+            return covered(j, vn) == size[vn]
 
-        # Decide lateral transfers: a switch holding two unfinished
-        # clusters pushes one across its single lateral link.  The link
-        # of node j runs rightward when j is odd and leftward when j is
-        # even (links exist exactly between same-level nodes that do not
-        # share a parent).
-        lateral: dict[int, list[int]] = {}  # link id (left node) -> senders
-        for j in range(node_count):
-            unfinished = [vn for vn in groups[j] if not is_complete(j, vn)]
-            if len(unfinished) < 2:
+        def sends(j):
+            # a switch holding two unfinished clusters pushes one across
+            # its single lateral link
+            return sum(not is_complete(j, vn) for vn in groups[j]) == 2
+
+        # Lateral links join same-level nodes that do not share a parent:
+        # node j (odd) and node j + 1.  The cluster crossing the link is
+        # the one that holds both leaves at its boundary.
+        for left_j in range(1, node_count - 1, 2):
+            right_j = left_j + 1
+            send_l, send_r = sends(left_j), sends(right_j)
+            if not (send_l or send_r):
                 continue
-            if len(unfinished) > 2:
-                raise UnroutableVN(
-                    f"switch ({level},{j}) holds {len(unfinished)} "
-                    f"unfinished clusters"
-                )
-            sub_lo, sub_hi = j << level, (j + 1) << level
-            left_ext = [vn for vn in unfinished if ranges[vn][0] < sub_lo]
-            right_ext = [vn for vn in unfinished if ranges[vn][1] > sub_hi]
-            if len(left_ext) != 1 or len(right_ext) != 1:
-                raise UnroutableVN(
-                    f"switch ({level},{j}) cannot split clusters {unfinished}"
-                )
-            if j % 2 == 1:
-                if j + 1 >= node_count:
-                    raise UnroutableVN(f"switch ({level},{j}) has no right link")
-                lateral.setdefault(j, []).append(j)
-            else:
-                if j == 0:
-                    raise UnroutableVN(f"switch ({level},{j}) has no left link")
-                lateral.setdefault(j - 1, []).append(j)
-
-        for link, senders in lateral.items():
-            left_j, right_j = link, link + 1
-            boundary = right_j << level
-            # the cluster crossing this link
-            def crossing(j):
-                for vn in groups[j]:
-                    lo, hi = ranges[vn]
-                    if lo < boundary < hi and not is_complete(j, vn):
-                        return vn
-                raise UnroutableVN(
-                    f"link ({level},{link}) has no crossing cluster at node {j}"
-                )
-            if len(senders) == 2:
-                vn_l, vn_r = crossing(left_j), crossing(right_j)
-                if vn_l != vn_r:
-                    raise UnroutableVN(
-                        f"link ({level},{link}) claimed by clusters "
-                        f"{vn_l} and {vn_r}"
-                    )
+            vn = vn_of_leaf[(right_j << level) - 1]
+            if send_l and send_r:
                 # both halves want to meet: the larger fragment receives
-                send_from = (left_j if covered(left_j, vn_l) <=
-                             covered(right_j, vn_r) else right_j)
-            else:
-                send_from = senders[0]
-            recv = right_j if send_from == left_j else left_j
-            vn = crossing(send_from)
-            frags = groups[send_from].pop(vn)
-            out = emit(level, send_from, frags, "aug")
-            use_port(level, left_j, ("link", link), out.arrival)
+                send_l = covered(left_j, vn) <= covered(right_j, vn)
+            send_from, recv = ((left_j, right_j) if send_l
+                               else (right_j, left_j))
+            out = emit(level, send_from, groups[send_from].pop(vn), "aug")
             out.arrival += AUG_HOP_EXTRA_CYCLES
             groups[recv].setdefault(vn, []).append(out)
 
@@ -238,7 +179,6 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
         # Several clusters may finish at one switch (adjacent single-leaf
         # clusters); their egresses serialize through the switch FIFO.
         for j in range(node_count):
-            parent_routed = 0
             egress_busy_until = -1
             for vn in sorted(
                 groups[j],
@@ -249,26 +189,12 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
                     out = emit(level, j, frags, "egress",
                                min_time=egress_busy_until + 1)
                     egress_busy_until = out.arrival
-                    if vn in egress:
-                        raise UnroutableVN(f"cluster {vn} completed twice")
                     egress[vn] = (level, j, out.arrival)
                 else:
-                    if level == levels:
-                        raise UnroutableVN(
-                            f"cluster {vn} incomplete at tree root"
-                        )
-                    parent_routed += 1
-                    if parent_routed > 1:
-                        raise UnroutableVN(
-                            f"switch ({level},{j}) parent port over-subscribed"
-                        )
                     out = emit(level, j, frags, "parent")
                     out.arrival += 1
-                    staged.setdefault(j // 2, []).append(out)
-
-    missing = set(ranges) - set(egress)
-    if missing:
-        raise UnroutableVN(f"clusters never completed: {sorted(missing)}")
+                    parents[j // 2].setdefault(vn, []).append(out)
+        groups = parents
 
     plan = ReductionPlan(n, ops, {}, sum(len(op.sources) - 1 for op in ops))
     for vn, (level, j, time) in egress.items():

@@ -68,17 +68,18 @@ def enumerate_tiles(hw: HardwareConfig,
 
 
 def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
-                       layer: LayerConfig, top_k: int,
-                       seed: int = 0) -> list[TileCandidate]:
+                       layer: LayerConfig, top_k: int) -> list[TileCandidate]:
     """Re-rank the candidates by simulated cycles; returns the best top_k.
 
     Ties break by utilization (desc) then lexicographic tile order, so
-    the result is a total deterministic order.  The simulations share one
-    dict of wave records, so each wave signature is counted once per call.
+    the result is a total deterministic order.  Cycle counts do not depend
+    on the data, so every ranking simulates on the seed-0 data.  The
+    simulations share one dict of wave records, so each wave signature is
+    counted once per call.
     """
     if top_k <= 0:
         return []
-    inputs, weights = random_layer_data(layer, seed)
+    inputs, weights = random_layer_data(layer, 0)
     replays: dict = {}
     ranked = []
     for cand in candidates:

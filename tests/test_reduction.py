@@ -1,8 +1,8 @@
 """Reduction-tree planning: sums, modes, latencies, port discipline.
 
 The planner is checked against a brute-force per-cluster sum for many
-random contiguous partitions, including idle tails and runs of
-single-leaf clusters.
+random contiguous partitions, including idle runs and runs of
+single-leaf clusters, and for every partition of 8 leaves.
 """
 
 import numpy as np
@@ -38,6 +38,37 @@ def check_partition(vn_of_leaf, rng):
     uses = port_uses(plan)
     assert len(uses) == len(set(uses))
     return plan
+
+
+def every_partition(num_leaves):
+    """Every contiguous partition of the leaves, idle leaves anywhere, with
+    clusters named in leaf order: each leaf is idle, opens the next
+    cluster, or joins the cluster of a busy leaf before it."""
+    partitions = [[]]
+    for _ in range(num_leaves):
+        partitions = [
+            p + [vn] for p in partitions
+            for vn in dict.fromkeys((None, len(set(p) - {None}),
+                                     p[-1] if p else None))]
+    return [p for p in partitions if p.count(None) < num_leaves]
+
+
+def layouts(num_leaves):
+    """Every ``clusters(num_leaves, width, count)`` that fits."""
+    return [clusters(num_leaves, width, count)
+            for width in range(1, num_leaves + 1)
+            for count in range(1, num_leaves // width + 1)]
+
+
+def check_plans(partitions):
+    """Check every partition's plan: the replayed sums, one value per port
+    per cycle, and exactly one egress per cluster.  Returns the count."""
+    rng = np.random.default_rng(0)
+    for vn_of_leaf in partitions:
+        plan = check_partition(vn_of_leaf, rng)
+        egresses = sorted(op.vn for op in plan.ops if op.route == "egress")
+        assert egresses == sorted({vn for vn in vn_of_leaf if vn is not None})
+    return len(partitions)
 
 
 class TestKnownShapes:
@@ -129,14 +160,24 @@ class TestRandomPartitions:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_arbitrary_contiguous_partitions(self, data):
+        # runs of clusters and of idle leaves, in any order and length
         num_leaves = data.draw(st.sampled_from([8, 16, 32]))
-        sizes = []
-        remaining = num_leaves
-        while remaining:
-            size = data.draw(st.integers(1, remaining))
-            sizes.append(size)
-            remaining -= size
         vn_of_leaf = []
-        for vn, size in enumerate(sizes):
-            vn_of_leaf.extend([vn] * size)
+        vn = 0
+        while len(vn_of_leaf) < num_leaves:
+            size = data.draw(st.integers(1, num_leaves - len(vn_of_leaf)))
+            if data.draw(st.booleans()):
+                vn_of_leaf.extend([None] * size)
+            else:
+                vn_of_leaf.extend([vn] * size)
+                vn += 1
         check_partition(vn_of_leaf, np.random.default_rng(0))
+
+
+class TestExhaustive:
+    def test_every_small_partition_and_layout(self):
+        # all 1,596 partitions of 8 leaves, idle leaves anywhere, and all
+        # 1,125 cluster layouts of 2 to 128 leaves; CI runs the 1,466
+        # layouts of 256 leaves
+        assert check_plans(every_partition(8)) == 1596
+        assert sum(check_plans(layouts(2 ** k)) for k in range(1, 8)) == 1125
