@@ -158,14 +158,6 @@ class LayerConfig:
                 )
         derive_output_dims(self)  # divisibility check
 
-    @property
-    def out_x(self) -> int:
-        return derive_output_dims(self)[0]
-
-    @property
-    def out_y(self) -> int:
-        return derive_output_dims(self)[1]
-
 
 def derive_output_dims(layer: LayerConfig) -> tuple[int, int]:
     """Output rows/cols of the layer; rejects non-divisible strides."""

@@ -77,9 +77,12 @@ caller that passes one ``replays`` dict to many calls (a tile search,
 the trials of ``verify``, the layers of a model) shares them across
 those calls too.
 
-The outputs are exact sums over (schedule output x fold element) pairs:
-one row contraction per chunk of outputs, reading the zero-padded input
-at a per-output base address plus a per-element offset.
+The outputs are exact sums over (schedule output x fold element) pairs,
+one contraction per image: every output window's taps at the fold
+blocks' elements, gathered from the zero-padded input, times each
+group's weights at the same elements.  The sum still follows the
+schedule: the element list is taken with its multiplicity, and
+``np.add.at`` adds each scheduled output once per occurrence.
 """
 
 from __future__ import annotations
@@ -100,10 +103,8 @@ from .fabric import bus_grants, distribution
 from .mapper import MappingPlan, build_mapping, cluster_plan
 from .memory import check_layer_data, output_dims, weight_dims
 
-# waves keyed together, and (output, element) products gathered together;
-# they bound the engine's working arrays
+# waves keyed together; it bounds the keying's working arrays
 CHUNK_WAVES = 1 << 15
-CHUNK_PRODUCTS = 1 << 13
 
 
 @dataclass
@@ -441,17 +442,18 @@ def _first_positions(addr):
 
 
 def _outputs(layer: LayerConfig, outs, elems, inputs, weights):
-    """Exact output sums: one row contraction per chunk of schedule
-    outputs, over the fold blocks' elements.
+    """Exact output sums over the schedule's outputs and the fold blocks'
+    elements: one contraction per image.
 
-    An output's taps lie at a base address (its ``(n, g)`` plane and
-    window corner) plus a per-element offset into the zero-padded input,
-    so a padding tap reads the border; its weights are row ``g*K + k`` at
-    the elements' columns.  Integer data sums in int64 when no output can
-    leave it (R*S*C times the largest input and weight magnitudes), else
-    in Python ints; float data sums in float64.  ``np.add.at`` adds every
-    occurrence, so a schedule that repeats or drops an output gives a
-    wrong sum.
+    Each output window's taps at the elements are gathered from the
+    zero-padded input, so a padding tap reads zero, and contracted
+    against each group's weights at the same elements, giving every
+    (n, g, ox, oy, k) sum over the element list.  The list is taken with
+    its multiplicity, and ``np.add.at`` adds each scheduled output's sum
+    once per occurrence, so a schedule that repeats or drops an output,
+    or a fold element, gives a wrong sum.  Integer data sums in int64
+    when no output can leave it (R*S*C times the largest input and
+    weight magnitudes), else in Python ints; float data sums in float64.
     """
     dims = output_dims(layer)
     acc = np.float64
@@ -464,23 +466,16 @@ def _outputs(layer: LayerConfig, outs, elems, inputs, weights):
     padded = np.zeros(inputs.shape[:3] + (layer.x + 2 * pad,
                                           layer.y + 2 * pad), acc)
     padded[..., pad:pad + layer.x, pad:pad + layer.y] = inputs
-    px, py = padded.shape[3:]
-    padded = padded.ravel()
-    n, g, k, ox, oy = outs.T
     c, r, s = elems.T
-    base = (((n * layer.g + g) * layer.c * px + ox * layer.stride) * py
-            + oy * layer.stride)
-    offset = (c * px + r) * py + s
-    w_rows = weights.astype(acc).reshape(layer.g * layer.k, -1)[
-        :, (c * layer.r + r) * layer.s + s]
-    gk = g * layer.k + k
-    at = np.ravel_multi_index(tuple(outs.T), dims)
-    sums = np.zeros(dims, dtype=acc).ravel()
-    rows = max(1, CHUNK_PRODUCTS // len(elems))
-    for o in (slice(o0, o0 + rows) for o0 in range(0, len(outs), rows)):
-        np.add.at(sums, at[o], np.einsum(
-            "ij,ij->i", w_rows[gk[o]], padded[base[o, None] + offset]))
-    sums = sums.reshape(dims)
+    # per image, every window's (G, X', Y', E) taps at the elements times
+    # each group's (E, K) weights at them
+    rows = np.arange(dims[3])[:, None, None] * layer.stride + r
+    cols = np.arange(dims[4])[None, :, None] * layer.stride + s
+    kernel = np.swapaxes(weights[:, :, c, r, s], 1, 2).astype(acc)[:, None]
+    dense = np.stack([image[:, c, rows, cols] @ kernel for image in padded])
+    n, g, k, ox, oy = outs.T
+    sums = np.zeros(dims, dtype=acc)
+    np.add.at(sums, (n, g, k, ox, oy), dense[n, g, ox, oy, k])
     if np.issubdtype(inputs.dtype, np.integer):
         info = np.iinfo(inputs.dtype)
         bad = (sums < info.min) | (sums > info.max)

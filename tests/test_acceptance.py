@@ -21,6 +21,7 @@ from treefab import (
     build_mapping,
     compare,
     conv_reference,
+    derive_output_dims,
     plan_reduction,
     simulate_layer,
 )
@@ -67,7 +68,7 @@ def _random_triple(rng):
                              if b <= num_ms]))
         strategy = rng.choice(list(FoldingStrategy))
         hw = HardwareConfig(num_ms, bw, bw, strategy)
-        ox, oy = layer.out_x, layer.out_y
+        ox, oy = derive_output_dims(layer)
         tile = TileConfig(
             t_r=int(rng.integers(1, layer.r + 1)),
             t_s=int(rng.integers(1, layer.s + 1)),

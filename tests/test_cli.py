@@ -263,6 +263,23 @@ layers:
         err = capsys.readouterr().err
         assert "conv6" in err and "int32" in err
 
+    def test_mapping_error_names_the_layer(self, tmp_path, capsys):
+        hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        model = write(tmp_path, "model.yaml", """\
+layers:
+  - name: wide
+    layer: {R: 3, S: 3, C: 4, K: 1, X: 3, Y: 3}
+    tile: {T_R: 3, T_S: 3, T_C: 4}
+""")
+        out = tmp_path / "stats.yaml"
+        assert cli.main(["run-model", "--hw", hw, "--model", model,
+                         "--stats-out", str(out)]) == cli.EXIT_MAPPING
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "mapping error in layer 'wide': cluster needs 36 multipliers "
+            "(vn_size 36) but the fabric has 32")
+        assert captured.out == "" and not out.exists()
+
     def test_strategy_override_reaches_tile_search(self, tmp_path, capsys):
         model = write(tmp_path, "model.yaml", """\
 layers:

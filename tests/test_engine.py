@@ -1,5 +1,6 @@
 """Whole-layer simulation: correctness, counters, timing properties."""
 
+import math
 import pathlib
 from dataclasses import replace
 from unittest.mock import patch
@@ -22,6 +23,7 @@ from treefab import (
     build_mapping,
     compare,
     conv_reference,
+    derive_output_dims,
     engine,
     enumerate_tiles,
     simulate_layer,
@@ -121,7 +123,7 @@ class TestCounters:
     def test_roundtrip_accounting(self):
         result, _, _ = run(HW32, TINY, VALIDATION_TILE)
         st = result.stats
-        outputs = TINY.k * TINY.out_x * TINY.out_y
+        outputs = TINY.k * math.prod(derive_output_dims(TINY))
         assert st.fold_roundtrips == (st.folds - 1) * outputs
         assert st.forwarder_injections == st.fold_roundtrips
         # every output leaves through a collector bus once per fold
@@ -138,14 +140,14 @@ class TestCounters:
     def test_structural_additions(self):
         result, _, _ = run(HW32, TINY, VALIDATION_TILE)
         st = result.stats
-        outputs = TINY.k * TINY.out_x * TINY.out_y
+        outputs = TINY.k * math.prod(derive_output_dims(TINY))
         assert st.as_additions == outputs * st.folds * (st.real_vn_size - 1)
 
     def test_ideal_additions_include_accumulator(self):
         result, _, _ = run(HW32, TINY, VALIDATION_TILE,
                            strategy=FoldingStrategy.IDEAL)
         st = result.stats
-        outputs = TINY.k * TINY.out_x * TINY.out_y
+        outputs = TINY.k * math.prod(derive_output_dims(TINY))
         assert st.as_additions == outputs * (st.folds * (st.vn_size - 1)
                                              + (st.folds - 1))
 
@@ -294,10 +296,8 @@ class TestMatchesPerWaveReference:
         sizes = [len(batch) for batch in plan.schedule]
         lengths = [len(block) for block in plan.fold_blocks]
         assert len(set(sizes)) > 1 and len(set(lengths)) > 1
-        # key three batches and gather five outputs at a time, so the
-        # layer takes several chunks of each
+        # key three batches at a time, so the layer takes several chunks
         monkeypatch.setattr(engine, "CHUNK_WAVES", 3 * plan.folds)
-        monkeypatch.setattr(engine, "CHUNK_PRODUCTS", 5 * sum(lengths))
         assert len(sizes) > 3 * 3 and sum(sizes) > 3 * 5
         inputs, weights = random_layer_data(layer, seed=11)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
