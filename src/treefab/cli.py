@@ -32,7 +32,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import yaml
 
 from . import config as cfg
 from .engine import COUNTED, simulate_layer
@@ -88,7 +87,7 @@ def _check(layer, output, inputs, weights):
 
 
 def _emit(doc: dict, path: str | None) -> None:
-    text = yaml.safe_dump(doc, sort_keys=True)
+    text = cfg.dump(doc)
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:

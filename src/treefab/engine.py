@@ -41,12 +41,20 @@ follow from the batch size and that width (``_drain``).  So a wave's
 record depends only on the hardware, the geometry (``real_vn_size`` and
 the forwarder flag) and the signature: with the first two prepended, the
 signature alone gives the record (``_record``) and keys records shared
-between mappings.  The DN cycles and switch traversals and the bus
-grants come from ``fabric.distribution`` and ``fabric.bus_grants``, the
-one statement of each rule.  ``treefab.fabric`` and
-``memory.PrefetchBuffer`` model the same fabric step by step, on values,
-calling the same two functions; the test suite walks every wave through
-them as the reference that the counts must match.
+between mappings.  A record has two parts, each counted once per
+distinct input: the DN part (``_distribute``: PB reads, cycles and
+switch traversals of both partitions), by the hardware, the geometry,
+the batch size, the block length, whether the fold forwards a partial
+sum, and the partitions; and the drain part (``_drain``), by the
+hardware and the batch geometry.  The fold flags only pick which counts
+apply, so the records of one batch's first, middle and last folds share
+both parts whenever their partitions agree.  The DN cycles and switch
+traversals and the bus grants come from ``fabric.distribution`` and
+``fabric.bus_grants``, the one statement of each rule.
+``treefab.fabric`` and ``memory.PrefetchBuffer`` model the same fabric
+step by step, on values, calling the same two functions; the test suite
+walks every wave through them as the reference that the counts must
+match.
 
 Each wave gets a closed-form *key*, one int64, built per chunk of waves
 from per-batch and per-block classes:
@@ -74,8 +82,9 @@ So ``simulate_layer`` builds the signature of each distinct key's first
 wave, counts one record per distinct signature, and sums count x record
 over the keys.  Keys that share a signature share one record, and a
 caller that passes one ``replays`` dict to many calls (a tile search,
-the trials of ``verify``, the layers of a model) shares them across
-those calls too.
+the trials of ``verify``, the layers of a model) shares the records and
+their parts across those calls too: a search plans each batch geometry
+once, not once per tile.
 
 The outputs are exact sums over (schedule output x fold element) pairs,
 one contraction per image: every output window's taps at the fold
@@ -182,8 +191,10 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
 
     ``replays``, if given, is a dict the caller owns, from a wave's
     signature (hardware and cluster geometry included) to its timing
-    record; it is read and filled, so calls that share it count each
-    signature once.  Without it the call uses a dict of its own.
+    record, and from the keys tagged ``"dn"`` and ``"drain"`` to the
+    records' parts (``_record``); it is read and filled, so calls that
+    share it count each signature, each DN part and each batch
+    geometry's drain once.  Without it the call uses a dict of its own.
     """
     mapping = build_mapping(hw, layer, tile)
     inputs, weights = check_layer_data(layer, inputs, weights)
@@ -251,7 +262,6 @@ def _keyed_waves(mapping, batches, blocks, replays):
 
     key_ids: dict[int, int] = {}
     records: list[tuple[int, ...]] = []
-    drains: dict[tuple, tuple[int, ...]] = {}  # batch geometry -> _drain
     rows = max(1, CHUNK_WAVES // n_folds)
     for b0 in range(0, len(batches), rows):
         b = slice(b0, b0 + rows)
@@ -269,7 +279,7 @@ def _keyed_waves(mapping, batches, blocks, replays):
                                                      first[new])):
                 record = replays.get(signature)
                 if record is None:
-                    record = replays[signature] = _record(signature, drains)
+                    record = replays[signature] = _record(signature, replays)
                 key_ids[keys[i]] = len(records)
                 records.append(record)
         ids = np.array([key_ids[key] for key in keys])
@@ -354,40 +364,32 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
         [0] + ends, ends)]
 
 
-def _record(signature, drains) -> tuple[int, ...]:
+def _record(signature, replays) -> tuple[int, ...]:
     """A wave's weight, input and wave cycles, then its ``COUNTED``
-    counters, counted from its signature.
+    counters, assembled from the two parts of its signature.
 
-    Each class of the weight (input) partition is one payload, read from
-    the PB once and distributed to the class's leaves as
-    ``fabric.distribution`` counts.  A forwarding fold adds one payload
-    per slot, the partial sum for the slot's forwarder leaf.  After one
-    multiply cycle the batch reduces, and folds that drain send its sums
-    over the collector buses, as ``_drain`` counts once per batch
-    geometry into ``drains``, a dict of one ``simulate_layer`` call.
+    The DN part (``_distribute``) depends on the geometry, the partitions
+    and whether the fold forwards a partial sum; the drain part
+    (``_drain``) on the batch geometry alone.  Each is counted once per
+    distinct input and kept in ``replays`` under a key tagged ``"dn"`` or
+    ``"drain"``, so records that differ only in the fold flags share
+    them, and so do the calls that share the dict.  The flags then pick
+    which counts apply: a forwarding fold injects one partial sum per
+    slot, an ideal fold after the first adds it at the egress, and only a
+    draining fold (every roundtrip fold, the last ideal one) pays the
+    drain and writes its sums.
     """
     hw, width, forwarder, later, last, size, length, data = signature
-    leaves = [p // length * width + p % length for p in range(size * length)]
     forward = forwarder and later
+    dn = ("dn", hw, width, size, length, forward, data)
+    if dn not in replays:
+        replays[dn] = _distribute(*dn[1:])
+    geometry = ("drain", hw, width, size)
+    if geometry not in replays:
+        replays[geometry] = _drain(*geometry[1:])
+    w_reads, wc, w_hops, i_reads, ic, i_hops = replays[dn]
+    adds, pushes, drain, conflicts = replays[geometry]
     roundtrip = hw.folding is FoldingStrategy.ROUNDTRIP
-
-    def distribute(heads, extra=()):
-        # (PB reads, cycles, switch traversals)
-        dests: dict[int, set[int]] = {}
-        for leaf, head in zip(leaves, heads):
-            if head >= 0:
-                dests.setdefault(head, set()).add(leaf)
-        payloads = [*dests.values(), *({leaf} for leaf in extra)]
-        return (len(payloads),
-                *distribution(hw.num_ms, hw.dn_bw, payloads))
-
-    w_heads, i_heads = np.frombuffer(data, np.int32).reshape(-1, 2).T.tolist()
-    w_reads, wc, w_hops = distribute(w_heads)
-    i_reads, ic, i_hops = distribute(i_heads, [
-        slot * width + width - 1 for slot in range(size)] if forward else ())
-    if (hw, width, size) not in drains:
-        drains[hw, width, size] = _drain(hw, width, size)
-    adds, pushes, drain, conflicts = drains[hw, width, size]
     drained = roundtrip or last
     if not drained:
         drain = conflicts = 0
@@ -396,6 +398,35 @@ def _record(signature, drains) -> tuple[int, ...]:
             size if forward else 0, w_reads + i_reads, writes,
             w_hops + i_hops, adds + (size if later and not roundtrip else 0),
             pushes, writes, conflicts)
+
+
+def _distribute(hw: HardwareConfig, width: int, size: int, length: int,
+                forward: bool, data: bytes) -> tuple[int, ...]:
+    """The PB reads, cycles and switch traversals of distributing a
+    wave's weight partition, then those of its input partition.
+
+    Each class of a partition is one payload, read from the PB once and
+    distributed to the class's leaves as ``fabric.distribution`` counts;
+    position ``slot*length + e`` sits on leaf ``slot*width + e``.  A
+    forwarding fold adds one input payload per slot, the partial sum for
+    the slot's forwarder leaf, its last.
+    """
+    leaves = [p // length * width + p % length for p in range(size * length)]
+
+    def payloads(heads):
+        dests: dict[int, set[int]] = {}
+        for leaf, head in zip(leaves, heads):
+            if head >= 0:
+                dests.setdefault(head, set()).add(leaf)
+        return list(dests.values())
+
+    w_heads, i_heads = np.frombuffer(data, np.int32).reshape(-1, 2).T.tolist()
+    weights = payloads(w_heads)
+    inputs = payloads(i_heads)
+    if forward:
+        inputs += [{slot * width + width - 1} for slot in range(size)]
+    return (len(weights), *distribution(hw.num_ms, hw.dn_bw, weights),
+            len(inputs), *distribution(hw.num_ms, hw.dn_bw, inputs))
 
 
 def _drain(hw: HardwareConfig, width: int, size: int) -> tuple[int, ...]:

@@ -68,15 +68,21 @@ def distribution(num_ms: int, dn_bw: int, dests) -> tuple[int, int]:
     payload is injected on every sub-tree that holds one of its leaves,
     so the cycles are the most payloads on any sub-tree.  A payload
     traverses each switch on its cover: each destination's ancestors.
+    The cover is counted level by level, on the set of the payload's
+    ancestors at that level, which shrinks as it climbs; above the top
+    switches (sub-trees hold a power of two of leaves) the set is the
+    payload's sub-trees.
     """
-    per_tree = num_ms // dn_bw
+    depth = (num_ms // dn_bw).bit_length() - 1  # switch levels per sub-tree
     queued = [0] * dn_bw  # sub-tree -> payloads injected on it
     traversals = 0
     for d in dests:
-        for tree in {leaf // per_tree for leaf in d}:
+        nodes = set(d)
+        for _ in range(depth):
+            nodes = {node >> 1 for node in nodes}
+            traversals += len(nodes)
+        for tree in nodes:
             queued[tree] += 1
-        traversals += len({(h, leaf >> h) for leaf in d
-                           for h in range(1, per_tree.bit_length())})
     return max(queued), traversals
 
 

@@ -70,17 +70,26 @@ class ReductionPlan:
 
 
 @dataclass
-class _Frag:
-    """A partial value of one cluster while the plan is being built.
+class _Group:
+    """The fragments of one cluster that one node holds while the plan is
+    being built: their refs, the leaves they cover, and the cycle the last
+    of them is usable at the node."""
 
-    ``arrival`` is the cycle the value is usable at the node whose input
-    group currently holds the fragment.
-    """
-
-    vn: int
-    size: int  # leaves actually covered by the merged fragments
+    refs: list
+    covered: int
     arrival: int
-    ref: tuple
+
+
+def _hold(groups: dict, node: int, vn: int, ref: tuple, covered: int,
+          arrival: int) -> None:
+    """Add a fragment of cluster ``vn`` to what ``node`` holds."""
+    group = groups.setdefault(node, {}).get(vn)
+    if group is None:
+        groups[node][vn] = _Group([ref], covered, arrival)
+    else:
+        group.refs.append(ref)
+        group.covered += covered
+        group.arrival = max(group.arrival, arrival)
 
 
 def clusters(num_leaves: int, width: int, count: int) -> list:
@@ -117,22 +126,20 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
     ops: list[ReduceOp] = []
     egress: dict[int, tuple[int, int, int]] = {}  # vn -> (level, node, time)
 
-    def emit(level, node, frags: list[_Frag], route: str,
-             min_time: int = 0) -> _Frag:
-        op = ReduceOp(index=len(ops), level=level, node=node, vn=frags[0].vn,
-                      sources=tuple(f.ref for f in frags), route=route,
-                      time=max(min_time, *(f.arrival for f in frags)))
+    def emit(level, node, vn, group: _Group, route: str,
+             min_time: int = 0) -> ReduceOp:
+        op = ReduceOp(index=len(ops), level=level, node=node, vn=vn,
+                      sources=tuple(group.refs), route=route,
+                      time=max(min_time, group.arrival))
         ops.append(op)
-        return _Frag(op.vn, sum(f.size for f in frags), op.time,
-                     ("op", op.index))
+        return op
 
-    # the fragments held by each node of the level being configured, by
-    # cluster in the order they arrive
-    groups: list[dict[int, list[_Frag]]] = [{} for _ in range(n // 2)]
+    # the fragments held by each busy node of the level being configured,
+    # by cluster in the order they arrive; idle nodes are absent
+    groups: dict[int, dict[int, _Group]] = {}
     for i, vn in enumerate(vn_of_leaf):
         if vn is not None:
-            leaf = _Frag(vn, 1, 1, ("leaf", i))
-            groups[i // 2].setdefault(vn, []).append(leaf)
+            _hold(groups, i // 2, vn, ("leaf", i), 1, 1)
 
     # No partition of contiguous clusters can over-subscribe a port or
     # strand a cluster, because at every level:
@@ -144,56 +151,49 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
     # - egresses at one switch are serialized by ``min_time``.
     for level in range(1, n.bit_length()):
         node_count = n >> level
-        parents: list[dict] = [{} for _ in range(node_count // 2)]
-
-        def covered(j, vn):
-            return sum(f.size for f in groups[j][vn])
-
-        def is_complete(j, vn):
-            return covered(j, vn) == size[vn]
-
-        def sends(j):
-            # a switch holding two unfinished clusters pushes one across
-            # its single lateral link
-            return sum(not is_complete(j, vn) for vn in groups[j]) == 2
+        parents: dict[int, dict[int, _Group]] = {}
 
         # Lateral links join same-level nodes that do not share a parent:
-        # node j (odd) and node j + 1.  The cluster crossing the link is
-        # the one that holds both leaves at its boundary.
-        for left_j in range(1, node_count - 1, 2):
-            right_j = left_j + 1
-            send_l, send_r = sends(left_j), sends(right_j)
-            if not (send_l or send_r):
+        # node j (odd) and node j + 1.  A switch holding two unfinished
+        # clusters pushes one across its single lateral link: the cluster
+        # that holds both leaves at the link's boundary.
+        senders = {j for j, held in groups.items()
+                   if sum(g.covered < size[vn] for vn, g in held.items())
+                   == 2}
+        for left_j in sorted({j - 1 + j % 2 for j in senders}):
+            if not 1 <= left_j < node_count - 1:
                 continue
+            right_j = left_j + 1
+            send_l, send_r = left_j in senders, right_j in senders
             vn = vn_of_leaf[(right_j << level) - 1]
             if send_l and send_r:
                 # both halves want to meet: the larger fragment receives
-                send_l = covered(left_j, vn) <= covered(right_j, vn)
+                send_l = (groups[left_j][vn].covered
+                          <= groups[right_j][vn].covered)
             send_from, recv = ((left_j, right_j) if send_l
                                else (right_j, left_j))
-            out = emit(level, send_from, groups[send_from].pop(vn), "aug")
-            out.arrival += AUG_HOP_EXTRA_CYCLES
-            groups[recv].setdefault(vn, []).append(out)
+            group = groups[send_from].pop(vn)
+            op = emit(level, send_from, vn, group, "aug")
+            _hold(groups, recv, vn, ("op", op.index), group.covered,
+                  op.time + AUG_HOP_EXTRA_CYCLES)
 
         # Route every remaining group: egress when finished, else upward.
         # Several clusters may finish at one switch (adjacent single-leaf
         # clusters); their egresses serialize through the switch FIFO.
-        for j in range(node_count):
+        for j in sorted(groups):
+            held = groups[j]
             egress_busy_until = -1
-            for vn in sorted(
-                groups[j],
-                key=lambda v: max(f.arrival for f in groups[j][v]),
-            ):
-                frags = groups[j][vn]
-                if is_complete(j, vn):
-                    out = emit(level, j, frags, "egress",
-                               min_time=egress_busy_until + 1)
-                    egress_busy_until = out.arrival
-                    egress[vn] = (level, j, out.arrival)
+            for vn in sorted(held, key=lambda v: held[v].arrival):
+                group = held[vn]
+                if group.covered == size[vn]:
+                    op = emit(level, j, vn, group, "egress",
+                              min_time=egress_busy_until + 1)
+                    egress_busy_until = op.time
+                    egress[vn] = (level, j, op.time)
                 else:
-                    out = emit(level, j, frags, "parent")
-                    out.arrival += 1
-                    parents[j // 2].setdefault(vn, []).append(out)
+                    op = emit(level, j, vn, group, "parent")
+                    _hold(parents, j // 2, vn, ("op", op.index),
+                          group.covered, op.time + 1)
         groups = parents
 
     plan = ReductionPlan(n, ops, {}, sum(len(op.sources) - 1 for op in ops))

@@ -74,8 +74,9 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     Ties break by utilization (desc) then lexicographic tile order, so
     the result is a total deterministic order.  Cycle counts do not depend
     on the data, so every ranking simulates on the seed-0 data.  The
-    simulations share one dict of wave records, so each wave signature is
-    counted once per call.
+    simulations share one dict of wave records and their parts, so each
+    wave signature, and each batch geometry's reduction plan, is counted
+    once per call.
     """
     if top_k <= 0:
         return []

@@ -1,5 +1,7 @@
 """Configuration parsing, validation and derived arithmetic."""
 
+import pathlib
+
 import pytest
 import yaml
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from treefab import (
     total_macs,
     validate_tile,
 )
+from treefab import config
 from treefab.config import (
     FoldingStrategy,
     from_doc,
@@ -351,6 +354,12 @@ class TestBadDocuments:
         else:
             assert str(exc.value) == message
 
+    def test_malformed_message_names_line_and_column(self):
+        # libyaml's message and the pure-Python loader's both place the
+        # fault; only the latter quotes the source line
+        with pytest.raises(ParseError, match="line 2, column 6"):
+            parse_tile_config("T_R: 3\n  T_S: 3\n")
+
     def test_non_string_key(self):
         with pytest.raises(ValidationError) as exc:
             parse_hardware_config(HW_DOC + "1: 2\nbogus: 3\n")
@@ -366,3 +375,39 @@ class TestBadDocuments:
                         x=6, y=6),
             TileConfig(3, 3, 1, t_x=2),
         )]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCUMENTS = sorted([*ROOT.glob("tests/*.yaml"),
+                    *ROOT.glob("perfbench/workloads/*.yaml"),
+                    *ROOT.glob("perfbench/expected/*.yaml")])
+# the documents that treefab wrote, byte for byte
+STATS_DOCUMENTS = sorted([*ROOT.glob("perfbench/expected/*.yaml"),
+                          ROOT / "tests" / "golden_model_stats.yaml"])
+
+
+def _name(path):
+    return str(path.relative_to(ROOT))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML without libyaml has only the "
+                           "pure-Python loader and dumper")
+class TestLibyaml:
+    def test_chosen_when_present(self):
+        assert (config._LOADER, config._DUMPER) == (yaml.CSafeLoader,
+                                                    yaml.CSafeDumper)
+
+    @pytest.mark.parametrize("path", DOCUMENTS, ids=_name)
+    def test_both_loaders_read_equal_values(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("path", STATS_DOCUMENTS, ids=_name)
+    def test_both_dumpers_write_the_committed_bytes(self, path):
+        text = path.read_text(encoding="utf-8")
+        doc = yaml.load(text, Loader=yaml.SafeLoader)
+        assert (yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=True)
+                == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=True)
+                == config.dump(doc) == text)

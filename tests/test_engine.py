@@ -459,17 +459,45 @@ class TestSharedReplays:
         inputs, weights = random_layer_data(layer, seed=0)
         calls = []
         original = engine._record
+        planned = []
+        cluster_plan = engine.cluster_plan
         replays = {}
         with monkeypatch.context() as m:
             m.setattr(engine, "_record",
                       lambda *args: calls.append(1) or original(*args))
+            m.setattr(engine, "cluster_plan",
+                      lambda *args: planned.append(args)
+                      or cluster_plan(*args))
             shared = [simulate_layer(hw, layer, tile, inputs, weights,
                                      replays=replays) for tile in tiles_]
+        # the dict also holds each wave's parts, under tagged keys
+        signatures = [key for key in replays if key[0] not in ("dn", "drain")]
         if replayed is not None:
-            assert len(calls) == len(replays) == replayed
+            assert len(calls) == len(signatures) == replayed
+        # one reduction plan per batch geometry over all the calls
+        assert sorted(planned) == sorted({
+            (hw.num_ms, plan.real_vn_size, size) for plan in plans
+            for size in plan.batch_array()[1].tolist()})
         for tile, got in zip(tiles_, shared):
             assert got.stats == simulate_layer(hw, layer, tile, inputs,
                                                weights).stats
+
+    def test_parts_shared_across_hardware(self):
+        # roundtrip, ideal, and other bandwidths on the same fabric size,
+        # tile after tile through one dict: a DN part counted for one
+        # hardware, or for a fold that forwards no partial sum, must not
+        # stand in for another's
+        configs = [HW32, replace(HW32, folding=FoldingStrategy.IDEAL),
+                   replace(HW32, dn_bw=1, rn_bw=2)]
+        tiles_ = [c.tile for c in enumerate_tiles(HW32, PADDED_10)[:12]]
+        inputs, weights = random_layer_data(PADDED_10, seed=0)
+        replays = {}
+        for tile in tiles_:
+            for hw in configs:
+                got = simulate_layer(hw, PADDED_10, tile, inputs, weights,
+                                     replays=replays)
+                assert got.stats == simulate_layer(
+                    hw, PADDED_10, tile, inputs, weights).stats
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_one_signature_on_clusters_of_two_sizes(self, strategy):

@@ -2,8 +2,11 @@
 
 The planner is checked against a brute-force per-cluster sum for many
 random contiguous partitions, including idle runs and runs of
-single-leaf clusters, and for every partition of 8 leaves.
+single-leaf clusters, and for every partition of 8 leaves; five plans
+are pinned op for op by digest.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -181,3 +184,35 @@ class TestExhaustive:
         # layouts of 256 leaves
         assert check_plans(every_partition(8)) == 1596
         assert sum(check_plans(layouts(2 ** k)) for k in range(1, 8)) == 1125
+
+
+def plan_digest(plan) -> str:
+    """sha256 of a plan's ops, in order and field by field, its egress
+    items and its additions per wave."""
+    ops = [(op.index, op.level, op.node, op.vn, op.sources, op.route,
+            op.time) for op in plan.ops]
+    return hashlib.sha256(repr(
+        (ops, sorted(plan.egress.items()), plan.adds_per_wave)).encode()
+    ).hexdigest()
+
+
+class TestPinnedPlans:
+    # The sums, ports and egress counts above leave an op's timing, route
+    # and order free: a plan that always sends left, or charges no lateral
+    # hop, passes them.  These digests pin five plans op for op.
+    @pytest.mark.parametrize("layout, ops, adds, digest", [
+        ((256, 9, 28), 259, 224, "abb298a892157cdc954b1c2c5a11c59c"
+                                 "7bcd5dfa89c8fbc16e076725ec4914d8"),
+        ((256, 9, 4), 37, 32, "e2b97fa2f13429a94b3e56fc55177cb9"
+                              "2b4c84a2b19dd4405961d8c10058fc95"),
+        ((32, 10, 3), 30, 27, "c553d1e155258fbec705ef8e4095b89c"
+                              "a199c925357b9b48f034f13650c9be58"),
+        ((64, 3, 21), 53, 42, "f5ef21a5d137648a8328bb2b2ff85543"
+                              "ded6541abb6c10e41b8103a03a81da3a"),
+        ((256, 1, 256), 256, 0, "178e4d27a31620334ea8089b6168bc3d"
+                                "8e85bca059c6c0a7b1f840bb8e421c6e"),
+    ])
+    def test_plan_op_for_op(self, layout, ops, adds, digest):
+        plan = plan_reduction(clusters(*layout))
+        assert (len(plan.ops), plan.adds_per_wave) == (ops, adds)
+        assert plan_digest(plan) == digest
