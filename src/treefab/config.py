@@ -220,11 +220,15 @@ def tile_extents(layer: LayerConfig) -> tuple[int, ...]:
     return (layer.r, layer.s, layer.c, layer.g, layer.k, layer.n, ox, oy)
 
 
-def validate_tile(layer: LayerConfig, tile: TileConfig) -> None:
-    """Check every tile dimension against the layer it partitions."""
-    for name, t, d in zip(TILE_AXES, field_values(tile), tile_extents(layer)):
+def validate_tile(layer: LayerConfig,
+                  tile: TileConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Check every tile dimension against the layer it partitions; returns
+    the layer extents and the tile steps it checked, in TILE_AXES order."""
+    extents, steps = tile_extents(layer), field_values(tile)
+    for name, t, d in zip(TILE_AXES, steps, extents):
         if t > d:
             raise TileExceedsLayer(name, t, d)
+    return extents, steps
 
 
 # --- documents ------------------------------------------------------------

@@ -86,12 +86,15 @@ the trials of ``verify``, the layers of a model) shares the records and
 their parts across those calls too: a search plans each batch geometry
 once, not once per tile.
 
-The outputs are exact sums over (schedule output x fold element) pairs,
-one contraction per image: every output window's taps at the fold
-blocks' elements, gathered from the zero-padded input, times each
-group's weights at the same elements.  The sum still follows the
-schedule: the element list is taken with its multiplicity, and
-``np.add.at`` adds each scheduled output once per occurrence.
+None of this reads the data, so a call without inputs and weights
+counts the same stats and trace events and stops there; the tile search
+ranks that way.  Given data, the outputs are exact sums over (schedule
+output x fold element) pairs, one contraction per image: every output
+window's taps at the fold blocks' elements, gathered from the
+zero-padded input, times each group's weights at the same elements.
+The sum still follows the schedule: the element list is taken with its
+multiplicity, and ``np.add.at`` adds each scheduled output once per
+occurrence.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ from .config import (
     TileConfig,
     total_macs,
 )
-from .errors import AddressOutOfRange, OutputOverflow
+from .errors import AddressOutOfRange, OutputOverflow, ValidationError
 from .fabric import bus_grants, distribution
 from .mapper import MappingPlan, build_mapping, cluster_plan
 from .memory import check_layer_data, output_dims, weight_dims
@@ -146,7 +149,7 @@ class SimStats:
 
 @dataclass
 class SimResult:
-    output: np.ndarray  # (N, G, K, X', Y')
+    output: np.ndarray | None  # (N, G, K, X', Y'); None without data
     stats: SimStats
     mapping: MappingPlan
 
@@ -181,9 +184,15 @@ def layer_stats(mapping: MappingPlan, cycles: int, waves: int,
 
 
 def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
-                   inputs: np.ndarray, weights: np.ndarray,
+                   inputs: np.ndarray | None = None,
+                   weights: np.ndarray | None = None,
                    trace=None, replays=None) -> SimResult:
     """Run one layer through the fabric; deterministic for fixed inputs.
+
+    The cycles and counters do not depend on the data, so ``inputs`` and
+    ``weights`` are optional: with both, the result holds the output
+    sums; with neither, the call only counts, and ``output`` is None.
+    Passing one without the other raises ``ValidationError``.
 
     ``trace``, if given, is called once per wave, in order, with the
     wave's number, fold, batch size, weight and input distribution
@@ -197,11 +206,14 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     geometry's drain once.  Without it the call uses a dict of its own.
     """
     mapping = build_mapping(hw, layer, tile)
-    inputs, weights = check_layer_data(layer, inputs, weights)
+    if (inputs is None) != (weights is None):
+        raise ValidationError("give both inputs and weights, or neither")
+    if inputs is not None:
+        inputs, weights = check_layer_data(layer, inputs, weights)
     batches = _Groups(*mapping.batch_array())
     blocks = _Groups(*mapping.block_array())
-    _check_range(batches.coords, output_dims(layer), "output")
-    _check_range(blocks.coords, weight_dims(layer)[2:], "weight (c, r, s)")
+    _check_range(batches, output_dims(layer), "output")
+    _check_range(blocks, weight_dims(layer)[2:], "weight (c, r, s)")
     n_folds = len(blocks)
     waves = len(batches) * n_folds
 
@@ -226,7 +238,8 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         cycle = ends[-1]
     stats = layer_stats(mapping, int(totals[2]), waves, totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
-    output = _outputs(layer, batches.coords, blocks.coords, inputs, weights)
+    output = None if inputs is None else _outputs(
+        layer, batches.coords, blocks.coords, inputs, weights)
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
@@ -242,10 +255,10 @@ def _keyed_waves(mapping, batches, blocks, replays):
     """
     layer = mapping.layer
     n_folds = len(blocks)
-    batch_ids, b_low, b_span = batches.classes(
+    batch_ids = batches.classes(
         (3, 4), lambda n, g, k, ox, oy: (g * layer.k + k, n * layer.g + g))
     fold = np.arange(n_folds)
-    block_ids, f_low, f_span = blocks.classes(
+    block_ids = blocks.classes(
         (0, 1, 2), lambda c, r, s: (), fold > 0, fold == n_folds - 1)
     block_ids = block_ids[None, :]
     n_classes = int(block_ids.max()) + 1
@@ -253,10 +266,10 @@ def _keyed_waves(mapping, batches, blocks, replays):
     def border(b, axis, fold_axis, extent):
         # 0 when every tap of the waves lies inside the input along the
         # axis, else the first tap's row (or column) made positive
-        base = (b_low[b, axis, None] * layer.stride - layer.padding
-                + f_low[None, :, fold_axis])
-        end = base + (b_span[b, axis, None] * layer.stride
-                      + f_span[None, :, fold_axis])
+        base = (batches.low[b, axis, None] * layer.stride - layer.padding
+                + blocks.low[None, :, fold_axis])
+        end = base + (batches.span[b, axis, None] * layer.stride
+                      + blocks.span[None, :, fold_axis])
         return np.where((base >= 0) & (end < extent), 0,
                         base + layer.padding + 1)
 
@@ -288,12 +301,15 @@ def _keyed_waves(mapping, batches, blocks, replays):
 
 class _Groups:
     """The batches of output coordinates, or the fold blocks of weight
-    coordinates: one flat (coordinates, rank) array and their lengths."""
+    coordinates: one flat (coordinates, rank) array and their lengths,
+    and per group the least coordinate and the spread of each axis."""
 
     def __init__(self, coords, lengths):
         self.coords, self.lengths = coords, lengths
         self.starts = np.cumsum(lengths) - lengths
         self.width = int(lengths.max())
+        self.low = np.minimum.reduceat(coords, self.starts)
+        self.span = np.maximum.reduceat(coords, self.starts) - self.low
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -308,8 +324,7 @@ class _Groups:
         return np.where(used, start + np.arange(self.width), start), used
 
     def classes(self, offsets, partitions, *extra):
-        """(ids, low, span): a class id per group, and per group the least
-        coordinate and the spread of each axis.
+        """A class id per group.
 
         Two groups share a class iff they have the same length and
         ``extra`` columns, the same offset of each axis in ``offsets``
@@ -317,16 +332,14 @@ class _Groups:
         their positions by each value of ``partitions(*axes)``.
         """
         at, used = self.positions()
-        low = np.minimum.reduceat(self.coords, self.starts)
-        span = np.maximum.reduceat(self.coords, self.starts) - low
         columns = [self.lengths, *extra]
-        columns += [np.where(used, self.coords[at, a] - low[:, a, None], -1)
-                    for a in offsets]
+        columns += [np.where(used, self.coords[at, a] - self.low[:, a, None],
+                             -1) for a in offsets]
         columns += [_first_positions(np.where(used, value[at], -1))
                     for value in partitions(*self.coords.T)]
         ids: dict[bytes, int] = {}
         return np.array([ids.setdefault(row, len(ids))
-                         for row in _row_keys(columns)]), low, span
+                         for row in _row_keys(columns)])
 
 
 def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
@@ -441,10 +454,12 @@ def _drain(hw: HardwareConfig, width: int, size: int) -> tuple[int, ...]:
             sum(g > t for g, (t, _) in zip(grants, values)))
 
 
-def _check_range(coords, dims, what) -> None:
-    """Raise unless every coordinate axis lies within its region extent."""
-    for axis, (lo, hi, dim) in enumerate(zip(coords.min(axis=0),
-                                             coords.max(axis=0), dims)):
+def _check_range(groups: _Groups, dims, what) -> None:
+    """Raise unless every coordinate axis of the groups lies within its
+    region extent; the bounds come from each group's ``low`` and ``span``."""
+    for axis, (lo, hi, dim) in enumerate(zip(
+            groups.low.min(axis=0), (groups.low + groups.span).max(axis=0),
+            dims)):
         if lo < 0 or hi >= dim:
             raise AddressOutOfRange(
                 f"{what} axis {axis} spans {lo}..{hi}, outside 0..{dim - 1}"

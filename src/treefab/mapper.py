@@ -121,9 +121,9 @@ def cluster_plan(num_ms: int, width: int, count: int) -> ReductionPlan:
 def compute_folds(layer: LayerConfig, tile: TileConfig) -> int:
     """Fold iterations needed for one output when the cluster cannot hold
     the whole R*S*C filter volume; folding is enabled iff the result > 1."""
-    validate_tile(layer, tile)
-    extents, steps = _axes(layer, tile, _FOLD_AXES)
-    return math.prod(math.ceil(e / t) for e, t in zip(extents, steps))
+    extents, steps = validate_tile(layer, tile)
+    # R, S and C are the first three tile axes
+    return math.prod(-(-e // t) for e, t in zip(extents[:3], steps[:3]))
 
 
 def _axes(layer: LayerConfig, tile: TileConfig, names):

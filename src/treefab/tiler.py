@@ -3,8 +3,9 @@
 Enumerates every tile whose edges divide the layer dimensions, keeps
 all that fit the fabric, and ranks them by predicted utilization; a
 second pass re-ranks a prefix of that order by simulated cycle count
-(``search-tile`` passes its ``4 * top_k`` best).  Only that second pass
-is not exhaustive: the fastest tile can fall outside the prefix.
+(``search-tile`` passes its ``4 * top_k`` best), counting cycles only,
+on no data.  Only that second pass is not exhaustive: the fastest tile
+can fall outside the prefix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .config import (
 )
 from .errors import MappingError
 from .mapper import build_mapping
-from .memory import random_layer_data
 
 
 @dataclass
@@ -73,22 +73,20 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
 
     Ties break by utilization (desc) then lexicographic tile order, so
     the result is a total deterministic order.  Cycle counts do not depend
-    on the data, so every ranking simulates on the seed-0 data.  The
-    simulations share one dict of wave records and their parts, so each
-    wave signature, and each batch geometry's reduction plan, is counted
-    once per call.
+    on the data, so every simulation runs without any: it counts cycles
+    and sums no output.  The simulations share one dict of wave records
+    and their parts, so each wave signature, and each batch geometry's
+    reduction plan, is counted once per call.
     """
     if top_k <= 0:
         return []
-    inputs, weights = random_layer_data(layer, 0)
     replays: dict = {}
     ranked = []
     for cand in candidates:
         # looked up at call time, so a wrapper installed on
         # treefab.engine.simulate_layer (perfbench counts MACs this way)
         # sees every simulation
-        result = engine.simulate_layer(hw, layer, cand.tile, inputs, weights,
-                                       replays=replays)
+        result = engine.simulate_layer(hw, layer, cand.tile, replays=replays)
         predicted = dict(cand.predicted)
         predicted["estimated_cycles"] = result.stats.total_cycles
         ranked.append(TileCandidate(tile=cand.tile, predicted=predicted))

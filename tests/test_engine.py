@@ -20,6 +20,7 @@ from treefab import (
     MappingPlan,
     OutputOverflow,
     TileConfig,
+    ValidationError,
     build_mapping,
     compare,
     conv_reference,
@@ -569,6 +570,58 @@ class TestSharedReplays:
             assert (got.output == want.output).all()
 
 
+class TestDataFree:
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_counts_equal_a_run_on_data(self, data, strategy):
+        hw, layer, tile = draw_case(data)
+        hw = replace(hw, folding=strategy)
+        try:
+            build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        inputs, weights = random_layer_data(layer,
+                                            data.draw(st.integers(0, 999)))
+        want_events, got_events = [], []
+        want = simulate_layer(hw, layer, tile, inputs, weights,
+                              trace=want_events.append)
+        got = simulate_layer(hw, layer, tile, trace=got_events.append)
+        assert got.output is None
+        assert got.stats == want.stats
+        assert got_events == want_events
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_one_dict_shared_with_and_without_data(self, strategy):
+        # tile after tile, a data-free call and a call on data through one
+        # dict, in both orders; the dict ends as a data-only run fills it
+        hw = replace(HW32, folding=strategy)
+        tiles_ = [c.tile for c in enumerate_tiles(hw, PADDED_10)[:12]]
+        inputs, weights = random_layer_data(PADDED_10, seed=0)
+        mixed, on_data = {}, {}
+        for i, tile in enumerate(tiles_):
+            fresh = simulate_layer(hw, PADDED_10, tile, inputs, weights).stats
+            calls = [(), (inputs, weights)]
+            if i % 2:
+                calls.reverse()
+            for args in calls:
+                got = simulate_layer(hw, PADDED_10, tile, *args,
+                                     replays=mixed)
+                assert got.stats == fresh
+                assert (got.output is None) == (not args)
+            simulate_layer(hw, PADDED_10, tile, inputs, weights,
+                           replays=on_data)
+        assert mixed == on_data
+
+    @pytest.mark.parametrize("present", ["inputs", "weights"])
+    def test_one_of_the_two_raises(self, present):
+        inputs, weights = random_layer_data(TINY, seed=0)
+        data = {"inputs": inputs, "weights": weights}
+        with pytest.raises(ValidationError):
+            simulate_layer(HW32, TINY, VALIDATION_TILE,
+                           **{present: data[present]})
+
+
 class TestEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -650,3 +703,40 @@ class TestAddressesAndOverflow:
             conv_reference(layer, inputs, weights)
         assert str(simulator.value) == str(oracle.value) \
             == "output (0, 0, 0, 0, 1) = 4294967296 does not fit int32"
+
+
+class TestRangeGuard:
+    DIMS = (2, 3, 4, 5, 6)
+
+    def groups(self, axis, value):
+        # three groups of random in-range coordinates, one of which is
+        # moved to ``value`` on ``axis``
+        rng = np.random.default_rng(axis)
+        coords = np.stack([rng.integers(0, d, 10) for d in self.DIMS], axis=1)
+        coords[5, axis] = value
+        return engine._Groups(coords, np.array([4, 3, 3])), coords
+
+    @pytest.mark.parametrize("axis", range(5))
+    @pytest.mark.parametrize("outside", ["below", "at the extent"])
+    def test_names_the_axis_and_its_span(self, axis, outside):
+        value = -1 if outside == "below" else self.DIMS[axis]
+        groups, coords = self.groups(axis, value)
+        with pytest.raises(AddressOutOfRange) as exc:
+            engine._check_range(groups, self.DIMS, "output")
+        lo, hi = coords[:, axis].min(), coords[:, axis].max()
+        assert str(exc.value) == (f"output axis {axis} spans {lo}..{hi}, "
+                                  f"outside 0..{self.DIMS[axis] - 1}")
+
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           seed=st.integers(0, 999))
+    def test_low_and_span_of_each_group(self, lengths, seed):
+        coords = np.random.default_rng(seed).integers(-3, 9,
+                                                      (sum(lengths), 3))
+        groups = engine._Groups(coords, np.array(lengths))
+        starts = np.cumsum(lengths) - lengths
+        for i, (start, length) in enumerate(zip(starts, lengths)):
+            part = coords[start:start + length]
+            assert (groups.low[i] == part.min(axis=0)).all()
+            assert (groups.span[i] == part.max(axis=0)
+                    - part.min(axis=0)).all()

@@ -1,5 +1,6 @@
 """Tile enumeration and ranking."""
 
+import inspect
 from itertools import product
 
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from treefab import (
     LayerKind,
     TileConfig,
     build_mapping,
+    engine,
     enumerate_tiles,
+    memory,
     rank_by_simulation,
 )
 from treefab.config import tile_extents
@@ -121,3 +124,36 @@ class TestRankBySimulation:
         a = rank_by_simulation(candidates, HW32, TINY, top_k=6)
         b = rank_by_simulation(candidates, HW32, TINY, top_k=6)
         assert [c.tile for c in a] == [c.tile for c in b]
+
+    def test_ranking_counts_through_the_engine_entry_without_data(
+            self, monkeypatch):
+        # the benchmark counts simulated MACs and waves by wrapping
+        # treefab.engine.simulate_layer, so every ranked tile must go
+        # through it; none may draw data or sum outputs
+        layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
+                            x=10, y=10, padding=1)
+        candidates = enumerate_tiles(HW32, layer)[:12]
+        want = rank_by_simulation(candidates, HW32, layer, top_k=12)
+        inputs, weights = memory.random_layer_data(layer, 0)
+        for cand in want:
+            assert cand.predicted["estimated_cycles"] == engine.simulate_layer(
+                HW32, layer, cand.tile, inputs, weights).stats.total_cycles
+
+        original = engine.simulate_layer
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(inspect.signature(original).bind(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ranking touched data")
+
+        monkeypatch.setattr(engine, "simulate_layer", counted)
+        monkeypatch.setattr(engine, "_outputs", refuse)
+        monkeypatch.setattr(memory, "random_layer_data", refuse)
+        assert rank_by_simulation(candidates, HW32, layer, top_k=12) == want
+        assert len(calls) == 12
+        for call in calls:
+            assert call.arguments.get("inputs") is None
+            assert call.arguments.get("weights") is None
