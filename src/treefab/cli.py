@@ -153,7 +153,7 @@ def _cmd_run_model(args) -> int:
     if not entries:
         raise ValidationError("model has no layers")
     rng = np.random.default_rng(args.seed)
-    replays: dict = {}  # wave timings, shared by the layers
+    replays: dict = {}  # the waves' DN and drain parts, for every layer
     per_layer = []
     totals: dict[str, int] = {}
     current = None
@@ -223,7 +223,7 @@ def _cmd_verify(args) -> int:
         print("warning: 0 trials requested, vacuous pass", file=sys.stderr)
         return EXIT_OK
     rng = np.random.default_rng(args.seed)
-    replays: dict = {}  # wave timings, shared by the trials
+    replays: dict = {}  # the waves' DN and drain parts, for every trial
     failures = []
     for trial in range(args.trials):
         inputs, weights = random_layer_data(layer, rng)

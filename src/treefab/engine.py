@@ -39,18 +39,18 @@ e``, a slot's forwarder (if clusters hold one) is its last leaf
 (``reduction.clusters``), and the batch's reduction plan and drain
 follow from the batch size and that width (``_drain``).  So a wave's
 record depends only on the hardware, the geometry (``real_vn_size`` and
-the forwarder flag) and the signature: with the first two prepended, the
-signature alone gives the record (``_record``) and keys records shared
-between mappings.  A record has two parts, each counted once per
-distinct input: the DN part (``_distribute``: PB reads, cycles and
-switch traversals of both partitions), by the hardware, the geometry,
-the batch size, the block length, whether the fold forwards a partial
-sum, and the partitions; and the drain part (``_drain``), by the
-hardware and the batch geometry.  The fold flags only pick which counts
-apply, so the records of one batch's first, middle and last folds share
-both parts whenever their partitions agree.  The DN cycles and switch
-traversals and the bus grants come from ``fabric.distribution`` and
-``fabric.bus_grants``, the one statement of each rule.
+the forwarder flag) and the signature (``_record``).  It is a few sums
+over two parts, each counted once per distinct key of the ints, bools
+and bytes it reads: the DN part (``_distribute``: PB reads, cycles and
+switch traversals of both partitions), by the multiplier count, the DN
+bandwidth, the cluster width, the batch size, the block length, whether
+the fold forwards a partial sum, and the partitions; and the drain part
+(``_drain``), by the multiplier count, the bus count and the batch
+geometry.  The fold flags only pick which counts apply, so the records
+of one batch's first, middle and last folds share both parts whenever
+their partitions agree.  The DN cycles and switch traversals and the
+bus grants come from ``fabric.distribution`` and ``fabric.bus_grants``,
+the one statement of each rule.
 ``treefab.fabric`` and ``memory.PrefetchBuffer`` model the same fabric
 step by step, on values, calling the same two functions; the test suite
 walks every wave through them as the reference that the counts must
@@ -79,12 +79,11 @@ position.  Whether a tap falls in the padding depends, given the offsets,
 only on ``base``, which the border class gives wherever it matters.
 
 So ``simulate_layer`` builds the signature of each distinct key's first
-wave, counts one record per distinct signature, and sums count x record
-over the keys.  Keys that share a signature share one record, and a
-caller that passes one ``replays`` dict to many calls (a tile search,
-the trials of ``verify``, the layers of a model) shares the records and
-their parts across those calls too: a search plans each batch geometry
-once, not once per tile.
+wave, assembles its record from the two parts, and sums count x record
+over the keys.  A caller that passes one ``replays`` dict to many calls
+(a tile search, the trials of ``verify``, the layers of a model) shares
+the parts across those calls: a search plans each batch geometry once,
+not once per tile.
 
 None of this reads the data, so a call without inputs and weights
 counts the same stats and trace events and stops there; the tile search
@@ -198,12 +197,11 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     wave's number, fold, batch size, weight and input distribution
     cycles, and the cycle at which it ends.
 
-    ``replays``, if given, is a dict the caller owns, from a wave's
-    signature (hardware and cluster geometry included) to its timing
-    record, and from the keys tagged ``"dn"`` and ``"drain"`` to the
-    records' parts (``_record``); it is read and filled, so calls that
-    share it count each signature, each DN part and each batch
-    geometry's drain once.  Without it the call uses a dict of its own.
+    ``replays``, if given, is a dict the caller owns, from the keys
+    tagged ``"dn"`` and ``"drain"`` to the parts of the waves' records
+    (``_record``); it is read and filled, so calls that share it count
+    each DN part and each batch geometry's drain once.  Without it the
+    call uses a dict of its own.
     """
     mapping = build_mapping(hw, layer, tile)
     if (inputs is None) != (weights is None):
@@ -249,9 +247,8 @@ def _keyed_waves(mapping, batches, blocks, replays):
 
     Key ids number the distinct keys in order of first appearance;
     ``records`` holds, per key id, the weight, input and wave cycles and
-    then the ``COUNTED`` counters of the key's first wave, taken from
-    ``replays`` by the wave's signature, or counted by ``_record`` and
-    stored there when missing.
+    then the ``COUNTED`` counters of the key's first wave, assembled by
+    ``_record`` from the parts in ``replays``.
     """
     layer = mapping.layer
     n_folds = len(blocks)
@@ -290,11 +287,8 @@ def _keyed_waves(mapping, batches, blocks, replays):
         if new:
             for i, signature in zip(new, _signatures(mapping, batches, blocks,
                                                      first[new])):
-                record = replays.get(signature)
-                if record is None:
-                    record = replays[signature] = _record(signature, replays)
                 key_ids[keys[i]] = len(records)
-                records.append(record)
+                records.append(_record(mapping, signature, replays))
         ids = np.array([key_ids[key] for key in keys])
         yield b0 * n_folds, ids[inverse.reshape(-1)], records
 
@@ -343,8 +337,9 @@ class _Groups:
 
 
 def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
-    """The signature of each of ``waves``, prefixed with the hardware and
-    the cluster geometry; hashable and comparable between mappings."""
+    """The signature of each of ``waves``: whether its fold is the first
+    and the last, its batch size and block length, and its partitions as
+    bytes."""
     layer = mapping.layer
     b, f = np.divmod(waves, len(blocks))
     (outs, slots), (elems, taps) = batches.positions(b), \
@@ -370,34 +365,35 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
     # per wave, its positions' (weight, input) pairs, 8 bytes each
     data = np.moveaxis(first, 0, -1)[used].astype(np.int32).tobytes()
     ends = (8 * np.cumsum(used.sum(axis=1))).tolist()
-    head = (mapping.hw, mapping.real_vn_size, mapping.has_forwarder)
-    return [(*head, *flags, data[start:end]) for flags, start, end in zip(
+    return [(*flags, data[start:end]) for flags, start, end in zip(
         zip((f > 0).tolist(), (f == len(blocks) - 1).tolist(),
             batches.lengths[b].tolist(), blocks.lengths[f].tolist()),
         [0] + ends, ends)]
 
 
-def _record(signature, replays) -> tuple[int, ...]:
+def _record(mapping: MappingPlan, signature, replays) -> tuple[int, ...]:
     """A wave's weight, input and wave cycles, then its ``COUNTED``
-    counters, assembled from the two parts of its signature.
+    counters, assembled from the two parts of its signature on the
+    mapping's hardware and cluster geometry.
 
-    The DN part (``_distribute``) depends on the geometry, the partitions
-    and whether the fold forwards a partial sum; the drain part
-    (``_drain``) on the batch geometry alone.  Each is counted once per
-    distinct input and kept in ``replays`` under a key tagged ``"dn"`` or
-    ``"drain"``, so records that differ only in the fold flags share
-    them, and so do the calls that share the dict.  The flags then pick
-    which counts apply: a forwarding fold injects one partial sum per
-    slot, an ideal fold after the first adds it at the egress, and only a
-    draining fold (every roundtrip fold, the last ideal one) pays the
-    drain and writes its sums.
+    The DN part (``_distribute``) and the drain part (``_drain``) are
+    kept in ``replays`` under keys tagged ``"dn"`` and ``"drain"`` that
+    hold just the values each part reads, and counted when missing.  So
+    records that differ only in the fold flags share them, and so do the
+    calls that share the dict, even on hardware that differs in a field
+    that a part does not read.  The flags then pick which counts apply: a
+    forwarding fold injects one partial sum per slot, an ideal fold after
+    the first adds it at the egress, and only a draining fold (every
+    roundtrip fold, the last ideal one) pays the drain and writes its
+    sums.
     """
-    hw, width, forwarder, later, last, size, length, data = signature
-    forward = forwarder and later
-    dn = ("dn", hw, width, size, length, forward, data)
+    hw, width = mapping.hw, mapping.real_vn_size
+    later, last, size, length, data = signature
+    forward = mapping.has_forwarder and later
+    dn = ("dn", hw.num_ms, hw.dn_bw, width, size, length, forward, data)
     if dn not in replays:
         replays[dn] = _distribute(*dn[1:])
-    geometry = ("drain", hw, width, size)
+    geometry = ("drain", hw.num_ms, hw.rn_bw, width, size)
     if geometry not in replays:
         replays[geometry] = _drain(*geometry[1:])
     w_reads, wc, w_hops, i_reads, ic, i_hops = replays[dn]
@@ -413,7 +409,7 @@ def _record(signature, replays) -> tuple[int, ...]:
             pushes, writes, conflicts)
 
 
-def _distribute(hw: HardwareConfig, width: int, size: int, length: int,
+def _distribute(num_ms: int, dn_bw: int, width: int, size: int, length: int,
                 forward: bool, data: bytes) -> tuple[int, ...]:
     """The PB reads, cycles and switch traversals of distributing a
     wave's weight partition, then those of its input partition.
@@ -438,18 +434,18 @@ def _distribute(hw: HardwareConfig, width: int, size: int, length: int,
     inputs = payloads(i_heads)
     if forward:
         inputs += [{slot * width + width - 1} for slot in range(size)]
-    return (len(weights), *distribution(hw.num_ms, hw.dn_bw, weights),
-            len(inputs), *distribution(hw.num_ms, hw.dn_bw, inputs))
+    return (len(weights), *distribution(num_ms, dn_bw, weights),
+            len(inputs), *distribution(num_ms, dn_bw, inputs))
 
 
-def _drain(hw: HardwareConfig, width: int, size: int) -> tuple[int, ...]:
+def _drain(num_ms: int, rn_bw: int, width: int, size: int) -> tuple[int, ...]:
     """The additions, FIFO pushes (one per op), drain cycles and bus
     conflicts of the reduction plan of ``size`` clusters of ``width``
     leaves; ``bus_grants`` times each sum's drain from its egress
     switch."""
-    plan = cluster_plan(hw.num_ms, width, size)
+    plan = cluster_plan(num_ms, width, size)
     values = [(arrival, index) for index, arrival in plan.egress.values()]
-    grants = bus_grants(hw.rn_bw, values)
+    grants = bus_grants(rn_bw, values)
     return (plan.adds_per_wave, len(plan.ops), max(grants, default=-1) + 1,
             sum(g > t for g, (t, _) in zip(grants, values)))
 

@@ -2,18 +2,18 @@
 replay and collector buses.
 
 The fabric's two bandwidth rules are stated once each, as count
-functions that the engine (``engine._record``) and the step-by-step
-components below both call: ``distribution`` for the DN sub-trees and
-``bus_grants`` for the collector buses.  The prefetch buffer
-(``memory.PrefetchBuffer``) has no ports of its own; the sub-trees
-bound its reads and the buses its writes.  The components move values
-and count their own activity (the reduction replay counts the ops it
-executes, not the plan's totals); ``tests/wave_reference.py`` wires
+functions that the engine (``engine._distribute`` and ``engine._drain``)
+and the step-by-step components below both call: ``distribution`` for
+the DN sub-trees and ``bus_grants`` for the collector buses.  The
+prefetch buffer (``memory.PrefetchBuffer``) has no ports of its own; the
+sub-trees bound its reads and the buses its writes.  The components move
+values and count their own activity (the reduction replay counts the ops
+it executes, not the plan's totals); ``tests/wave_reference.py`` wires
 them together per wave, on real data, to check the counts the engine
-takes from each wave's signature.  The distribution network is
-modelled here whole: payload injection, the count of switches on each
-payload's multicast cover, and the bit-vector routing tables of those
-switches (``generate_dn_routes``).
+takes from each wave's signature.  The distribution network is modelled
+here whole: payload injection, the count of switches on each payload's
+multicast cover, and the bit-vector routing tables of those switches
+(``generate_dn_routes``).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ function, ``_cut``, as flat coordinate arrays with one length per group;
 they are built when asked for, never stored.  Distribution routes depend
 only on each payload's destinations; ``fabric.generate_dn_routes``
 builds them on request, and the engine counts the switches on each
-payload's cover in closed form.
+payload's cover level by level through ``fabric.distribution``.
 """
 
 from __future__ import annotations

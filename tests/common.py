@@ -13,6 +13,7 @@ from treefab import (
     OutputOverflow,
     TileConfig,
     derive_output_dims,
+    engine,
 )
 
 TINY = LayerConfig(LayerKind.CONV, r=3, s=3, c=6, g=1, k=6, n=1, x=5, y=5)
@@ -25,6 +26,16 @@ PADDED_STRIDED = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
                              x=7, y=7, stride=2, padding=1)
 VALIDATION_TILE = TileConfig(3, 3, 1, 1, 1, 1, 3, 1)
 HW32 = HardwareConfig(num_ms=32, dn_bw=4, rn_bw=4)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``treefab.engine.<name>`` through ``monkeypatch``; returns the
+    list that each call appends its arguments to."""
+    calls = []
+    original = getattr(engine, name)
+    monkeypatch.setattr(engine, name,
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
 
 
 def port_uses(plan):

@@ -5,7 +5,9 @@ import pathlib
 import pytest
 import yaml
 
-from treefab import cli, engine
+from treefab import cli
+
+from common import count_calls
 
 HW32_DOC = "num_ms: 32\ndn_bw: 4\nrn_bw: 4\nfolding: roundtrip\n"
 TINY_DOC = "kind: conv\nR: 3\nS: 3\nC: 6\nK: 6\nX: 5\nY: 5\n"
@@ -170,18 +172,15 @@ class TestRunModel:
             (TESTS / "golden_model_stats.yaml").read_bytes()
 
     def test_layers_share_wave_replays(self, tmp_path, monkeypatch):
-        # a layer repeated with the same tile counts no wave the first
-        # copy counted: the layers of one command share a dict of records
+        # a layer repeated with the same tile counts no DN part the first
+        # copy counted: the layers of one command share a dict of parts
         hw = write(tmp_path, "hw.yaml", HW32_DOC)
         entry = """\
   - name: {}
     layer: {{kind: conv, R: 3, S: 3, C: 2, K: 2, X: 6, Y: 6, padding: 1}}
     tile: {{T_R: 3, T_S: 3, T_C: 1, T_X: 2}}
 """
-        calls = []
-        original = engine._record
-        monkeypatch.setattr(engine, "_record",
-                            lambda *args: calls.append(1) or original(*args))
+        calls = count_calls(monkeypatch, "_distribute")
         replays = []
         for names in (["a"], ["a", "b"]):
             model = write(tmp_path, "model.yaml", "layers:\n" + "".join(
@@ -308,13 +307,10 @@ class TestVerify:
         assert "5/5 trials passed" in capsys.readouterr().out
 
     def test_trials_share_wave_replays(self, tmp_path, monkeypatch):
-        # one command counts each wave signature once, however many trials
-        # it runs; the next command starts again from nothing
+        # one command counts each DN part once, however many trials it
+        # runs; the next command starts again from nothing
         hw, layer, tile = standard_files(tmp_path)
-        calls = []
-        original = engine._record
-        monkeypatch.setattr(engine, "_record",
-                            lambda *args: calls.append(1) or original(*args))
+        calls = count_calls(monkeypatch, "_distribute")
         replays = []
         for trials in ("1", "5"):
             before = len(calls)
@@ -422,3 +418,42 @@ class TestSearchTile:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0] != outputs[2]
+
+
+def workload(command, *docs):
+    """The argv of a benchmark workload's command, on its documents."""
+    argv = [command]
+    for flag, doc in zip(("--hw", "--layer", "--tile"), docs):
+        argv += [flag, str(TESTS.parent / "perfbench" / "workloads" / doc)]
+    return argv
+
+
+WORKLOADS = {
+    "fold-roundtrip": workload("run-layer", "hw32-roundtrip.yaml",
+                               "early-synthetic.yaml", "tile-early.yaml"),
+    "wide-ideal": workload("run-layer", "hw256-ideal.yaml", "wide-conv.yaml",
+                           "tile-wide.yaml"),
+    "tile-search": workload("search-tile", "hw32-roundtrip.yaml",
+                            "pointwise.yaml") + ["--top-k", "5"],
+}
+
+
+class TestBenchmarkTraffic:
+    # the records, DN parts and drains that the benchmark's three
+    # workloads count, under each strategy: one record per key, each
+    # part once per command (the search simulates 20 tiles)
+    @pytest.mark.parametrize("name, strategy, want", [
+        ("fold-roundtrip", "roundtrip", (3, 2, 1)),
+        ("fold-roundtrip", "ideal", (3, 1, 1)),
+        ("wide-ideal", "ideal", (6, 2, 2)),
+        ("wide-ideal", "roundtrip", (6, 4, 2)),
+        ("tile-search", "roundtrip", (41, 4, 4)),
+        ("tile-search", "ideal", (41, 4, 4)),
+    ])
+    def test_parts_counted_once(self, name, strategy, want, monkeypatch,
+                                capsys):
+        calls = [count_calls(monkeypatch, part)
+                 for part in ("_record", "_distribute", "_drain")]
+        assert cli.main(WORKLOADS[name] + ["--strategy", strategy]) \
+            == cli.EXIT_OK
+        assert tuple(map(len, calls)) == want

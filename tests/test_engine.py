@@ -41,6 +41,7 @@ from common import (
     TINY,
     VALIDATION_TILE,
     assert_same_outcome,
+    count_calls,
     kind_data,
     layers,
     outcome,
@@ -348,10 +349,7 @@ class TestMatchesOracle:
 
 class TestWaveKeys:
     def count_timed_waves(self, monkeypatch, hw, layer, tile):
-        calls = []
-        original = engine._record
-        monkeypatch.setattr(engine, "_record",
-                            lambda *args: calls.append(1) or original(*args))
+        calls = count_calls(monkeypatch, "_record")
         inputs, weights = random_layer_data(layer, seed=0)
         simulate_layer(hw, layer, tile, inputs, weights)
         return len(calls)
@@ -372,8 +370,9 @@ class TestWaveKeys:
     def test_keys_that_share_a_signature(self, strategy, monkeypatch):
         # the 9 waves of this pointwise tile fall into 6 keys but only 4
         # signatures: a key holds each slot's (ox, oy) offset, a signature
-        # only which positions share an address.  Each signature is
-        # counted once, and the 4 counts give just 2 distinct records.
+        # only which positions share an address.  Each key's record is
+        # assembled once, from 4 DN parts, and the 6 records hold just 2
+        # distinct ones.
         layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=2, g=1, k=4, n=1,
                             x=6, y=6)
         tile = TileConfig(1, 1, 2, t_k=4, t_x=6, t_y=6)
@@ -388,8 +387,9 @@ class TestWaveKeys:
 
         with monkeypatch.context() as m:
             m.setattr(engine, "_record", counted)
+            parts = count_calls(m, "_distribute")
             simulate_layer(hw, layer, tile, inputs, weights)
-        assert (len(records), len(set(records))) == (4, 2)
+        assert (len(records), len(parts), len(set(records))) == (6, 4, 2)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
         reference = conv_reference(layer, inputs, weights)
         assert compare(result.output, reference.output).ok
@@ -445,10 +445,10 @@ PADDED_10 = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
 
 class TestSharedReplays:
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
-    @pytest.mark.parametrize("layer, first, replayed", [
+    @pytest.mark.parametrize("layer, first, dn_parts", [
         (POINTWISE, 20, 4), (PADDED_10, 60, None)])
     def test_sharing_gives_the_stats_of_fresh_runs(self, layer, first,
-                                                   replayed, strategy,
+                                                   dn_parts, strategy,
                                                    monkeypatch):
         hw = replace(HW32, folding=strategy)
         tiles_ = [c.tile for c in enumerate_tiles(hw, layer)[:first]]
@@ -458,23 +458,16 @@ class TestSharedReplays:
             assert all(plan.has_forwarder for plan in plans) \
                 == (strategy is FoldingStrategy.ROUNDTRIP)
         inputs, weights = random_layer_data(layer, seed=0)
-        calls = []
-        original = engine._record
-        planned = []
-        cluster_plan = engine.cluster_plan
         replays = {}
         with monkeypatch.context() as m:
-            m.setattr(engine, "_record",
-                      lambda *args: calls.append(1) or original(*args))
-            m.setattr(engine, "cluster_plan",
-                      lambda *args: planned.append(args)
-                      or cluster_plan(*args))
+            calls = count_calls(m, "_distribute")
+            planned = count_calls(m, "cluster_plan")
             shared = [simulate_layer(hw, layer, tile, inputs, weights,
                                      replays=replays) for tile in tiles_]
-        # the dict also holds each wave's parts, under tagged keys
-        signatures = [key for key in replays if key[0] not in ("dn", "drain")]
-        if replayed is not None:
-            assert len(calls) == len(signatures) == replayed
+        # the dict holds only the waves' parts, under tagged keys
+        assert {key[0] for key in replays} == {"dn", "drain"}
+        if dn_parts is not None:
+            assert len(calls) == dn_parts
         # one reduction plan per batch geometry over all the calls
         assert sorted(planned) == sorted({
             (hw.num_ms, plan.real_vn_size, size) for plan in plans
@@ -499,6 +492,31 @@ class TestSharedReplays:
                                      replays=replays)
                 assert got.stats == simulate_layer(
                     hw, PADDED_10, tile, inputs, weights).stats
+
+    def test_parts_keyed_by_the_fields_they_read(self, monkeypatch):
+        # a DN part reads num_ms and dn_bw, a drain num_ms and rn_bw: after
+        # 12 tiles on HW32, the same tiles on another rn_bw count no DN
+        # part, and on another dn_bw no drain
+        tiles_ = [c.tile for c in enumerate_tiles(HW32, PADDED_10)[:12]]
+        replays = {}
+
+        def shared(hw):
+            with monkeypatch.context() as m:
+                parts = count_calls(m, "_distribute")
+                drains = count_calls(m, "_drain")
+                got = [simulate_layer(hw, PADDED_10, tile, replays=replays)
+                       for tile in tiles_]
+            for tile, result in zip(tiles_, got):
+                assert result.stats == simulate_layer(hw, PADDED_10,
+                                                      tile).stats
+            return len(parts), len(drains)
+
+        # (DN parts, drains) counted; a fresh dict counts (109, 4) each time
+        assert shared(HW32) == (109, 4)
+        assert shared(replace(HW32, rn_bw=2)) == (0, 4)
+        assert shared(replace(HW32, dn_bw=2)) == (109, 0)
+        assert all(isinstance(field, (str, int, bytes))
+                   for key in replays for field in key)
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_one_signature_on_clusters_of_two_sizes(self, strategy):
