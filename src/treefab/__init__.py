@@ -24,7 +24,7 @@ from .errors import (
     VnTooLarge,
 )
 from .mapper import MappingPlan, build_mapping, compute_folds
-from .oracle import CompareResult, OracleResult, compare, conv_reference
+from .oracle import CompareResult, compare, conv_reference
 from .reduction import ReductionPlan, plan_reduction
 from .tiler import TileCandidate, enumerate_tiles, rank_by_simulation
 
@@ -40,7 +40,6 @@ __all__ = [
     "LayerKind",
     "MappingError",
     "MappingPlan",
-    "OracleResult",
     "OutputOverflow",
     "ParseError",
     "ReductionPlan",

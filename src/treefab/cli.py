@@ -83,7 +83,7 @@ def _check(layer, output, inputs, weights):
     if os.environ.get(FAULT_ENV):
         output = output.copy()
         output.reshape(-1)[0] += 1
-    return compare(output, reference.output)
+    return compare(output, reference)
 
 
 def _emit(doc: dict, path: str | None) -> None:

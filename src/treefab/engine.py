@@ -109,10 +109,11 @@ from .config import (
     TileConfig,
     total_macs,
 )
-from .errors import AddressOutOfRange, OutputOverflow, ValidationError
+from .errors import AddressOutOfRange, ValidationError
 from .fabric import bus_grants, distribution
 from .mapper import MappingPlan, build_mapping, cluster_plan
-from .memory import check_layer_data, output_dims, weight_dims
+from .memory import (check_layer_data, fit_outputs, output_dims,
+                     padded_inputs, weight_dims)
 
 # waves keyed together; it bounds the keying's working arrays
 CHUNK_WAVES = 1 << 15
@@ -493,42 +494,21 @@ def _outputs(layer: LayerConfig, outs, elems, inputs, weights):
     (n, g, ox, oy, k) sum over the element list.  The list is taken with
     its multiplicity, and ``np.add.at`` adds each scheduled output's sum
     once per occurrence, so a schedule that repeats or drops an output,
-    or a fold element, gives a wrong sum.  Integer data sums in int64
-    when no output can leave it (R*S*C times the largest input and
-    weight magnitudes), else in Python ints; float data sums in float64.
+    or a fold element, gives a wrong sum.  The padded input and its
+    accumulator dtype come from ``memory.padded_inputs``, and
+    ``memory.fit_outputs`` checks and casts the sums, as in the oracle.
     """
     dims = output_dims(layer)
-    acc = np.float64
-    if np.issubdtype(inputs.dtype, np.integer):
-        peak = (_magnitude(inputs) * _magnitude(weights)
-                * layer.r * layer.s * layer.c)
-        acc = np.int64 if peak <= np.iinfo(np.int64).max else object
-    pad = layer.padding
-    # np.zeros, not np.pad: an object array's zeros must be Python ints
-    padded = np.zeros(inputs.shape[:3] + (layer.x + 2 * pad,
-                                          layer.y + 2 * pad), acc)
-    padded[..., pad:pad + layer.x, pad:pad + layer.y] = inputs
+    padded = padded_inputs(layer, inputs, weights)
     c, r, s = elems.T
     # per image, every window's (G, X', Y', E) taps at the elements times
     # each group's (E, K) weights at them
     rows = np.arange(dims[3])[:, None, None] * layer.stride + r
     cols = np.arange(dims[4])[None, :, None] * layer.stride + s
-    kernel = np.swapaxes(weights[:, :, c, r, s], 1, 2).astype(acc)[:, None]
+    kernel = np.swapaxes(weights[:, :, c, r, s], 1, 2).astype(
+        padded.dtype)[:, None]
     dense = np.stack([image[:, c, rows, cols] @ kernel for image in padded])
     n, g, k, ox, oy = outs.T
-    sums = np.zeros(dims, dtype=acc)
+    sums = np.zeros(dims, dtype=padded.dtype)
     np.add.at(sums, (n, g, k, ox, oy), dense[n, g, ox, oy, k])
-    if np.issubdtype(inputs.dtype, np.integer):
-        info = np.iinfo(inputs.dtype)
-        bad = (sums < info.min) | (sums > info.max)
-        if bad.any():
-            coord = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise OutputOverflow(
-                f"output {coord} = {sums[coord]} does not fit {inputs.dtype}"
-            )
-    return sums.astype(inputs.dtype)
-
-
-def _magnitude(a: np.ndarray) -> int:
-    """Largest absolute value in the array, as a Python int."""
-    return max(-int(a.min()), int(a.max()))
+    return fit_outputs(sums, inputs.dtype)

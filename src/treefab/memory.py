@@ -1,8 +1,14 @@
 """Layer data and the prefetch buffer.
 
-The region dims and the seeded layer data serve every module.  The
-prefetch buffer (PB) holds the input, weight and output regions of the
-layer being simulated, as plain numpy arrays, plus a keyed store of
+The region dims and the seeded layer data serve every module.  So do
+the layer-data rules, each stated once: the data check
+(``check_layer_data``), the exact accumulator and the zero-padded input
+in it (``padded_inputs``), and the overflow check on the final outputs
+(``fit_outputs``).  The engine and the oracle both call them; each
+gathers its own windows.
+
+The prefetch buffer (PB) holds the input, weight and output regions of
+the layer being simulated, as plain numpy arrays, plus a keyed store of
 partial sums, and counts its reads and writes.  It models no ports: the
 DN sub-trees bound the reads and the collector buses the writes
 (``treefab.fabric``).  The engine does not use the PB: it counts a
@@ -78,6 +84,42 @@ def check_layer_data(layer: LayerConfig, inputs, weights):
             f"{weight_dims(layer)}"
         )
     return inputs, weights
+
+
+def padded_inputs(layer: LayerConfig, inputs, weights) -> np.ndarray:
+    """The inputs, zero-padded by the layer's padding, in the exact
+    accumulator dtype: float64 for float data; for integer data int64
+    when no output sum can leave it (R*S*C times the largest input and
+    weight magnitudes), else Python ints (``object``)."""
+    acc = np.float64
+    if np.issubdtype(inputs.dtype, np.integer):
+        peak = (_magnitude(inputs) * _magnitude(weights)
+                * layer.r * layer.s * layer.c)
+        acc = np.int64 if peak <= np.iinfo(np.int64).max else object
+    pad = layer.padding
+    # np.zeros, not np.pad: an object array's zeros must be Python ints
+    padded = np.zeros(inputs.shape[:3] + (layer.x + 2 * pad,
+                                          layer.y + 2 * pad), acc)
+    padded[..., pad:pad + layer.x, pad:pad + layer.y] = inputs
+    return padded
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """Largest absolute value in the array, as a Python int."""
+    return max(-int(a.min()), int(a.max()))
+
+
+def fit_outputs(sums: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The exact ``sums`` cast to ``dtype``; raises OutputOverflow for the
+    first output, in C order, that does not fit an integer ``dtype``."""
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        bad = (sums < info.min) | (sums > info.max)
+        if bad.any():
+            coord = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise OutputOverflow(
+                f"output {coord} = {sums[coord]} does not fit {dtype}")
+    return sums.astype(dtype)
 
 
 def _check_key(key, dims, what) -> None:

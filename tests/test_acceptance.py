@@ -95,7 +95,7 @@ def test_criterion_1_oracle_equivalence():
         inputs, weights = random_layer_data(layer, seed=i)
         result = simulate_layer(hw, layer, tile, inputs, weights)
         reference = conv_reference(layer, inputs, weights)
-        verdict = compare(result.output, reference.output)
+        verdict = compare(result.output, reference)
         assert verdict.ok, (
             f"triple {i} (hw={hw}, layer={layer}, tile={tile}): "
             f"{verdict.report()}"
@@ -304,8 +304,7 @@ layers:
             -8, 9, size=(layer.g, layer.k, layer.c, layer.r, layer.s),
             dtype=np.int32)
         current = simulate_layer(HW32, layer, tile, current, weights).output
-        oracle_current = conv_reference(layer, oracle_current,
-                                        weights).output
+        oracle_current = conv_reference(layer, oracle_current, weights)
     assert compare(current, oracle_current).ok
     print("\n[PASS] criterion 8: 3-layer model chain equals the composed "
           "oracle end to end")

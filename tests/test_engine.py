@@ -62,7 +62,7 @@ class TestCorrectness:
     def test_tiny_matches_oracle(self):
         result, inputs, weights = run(HW32, TINY, VALIDATION_TILE)
         reference = conv_reference(TINY, inputs, weights)
-        assert compare(result.output, reference.output).ok
+        assert compare(result.output, reference).ok
         assert result.stats.total_cycles > 0
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
@@ -73,7 +73,7 @@ class TestCorrectness:
         result, inputs, weights = run(HW32, layer, tile, seed=2,
                                       strategy=strategy)
         assert compare(result.output,
-                       conv_reference(layer, inputs, weights).output).ok
+                       conv_reference(layer, inputs, weights)).ok
 
     def test_fully_connected(self):
         layer = LayerConfig(LayerKind.FC, r=2, s=6, c=3, g=1, k=10, n=2,
@@ -81,7 +81,7 @@ class TestCorrectness:
         tile = TileConfig(2, 6, 1, 1, 2, 1, 1, 1)
         result, inputs, weights = run(HW32, layer, tile, seed=3)
         assert compare(result.output,
-                       conv_reference(layer, inputs, weights).output).ok
+                       conv_reference(layer, inputs, weights)).ok
 
     def test_float_data(self):
         layer = LayerConfig(LayerKind.CONV, r=2, s=2, c=2, g=1, k=2, n=1,
@@ -92,7 +92,7 @@ class TestCorrectness:
         result = simulate_layer(HW32, layer, TileConfig(2, 2, 1), inputs,
                                 weights)
         reference = conv_reference(layer, inputs, weights)
-        assert compare(result.output, reference.output, tolerance=1e-4).ok
+        assert compare(result.output, reference, tolerance=1e-4).ok
 
 
 class TestDeterminism:
@@ -285,7 +285,7 @@ class TestMatchesPerWaveReference:
             result = assert_matches_per_wave(hw, layer, tile, inputs,
                                              weights)
         assert compare(result.output,
-                       conv_reference(layer, inputs, weights).output).ok
+                       conv_reference(layer, inputs, weights)).ok
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_several_chunks_with_edge_batches_and_blocks(self, strategy,
@@ -304,7 +304,7 @@ class TestMatchesPerWaveReference:
         inputs, weights = random_layer_data(layer, seed=11)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
         assert compare(result.output,
-                       conv_reference(layer, inputs, weights).output).ok
+                       conv_reference(layer, inputs, weights)).ok
 
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
@@ -343,8 +343,7 @@ class TestMatchesOracle:
         assert_same_outcome(
             outcome(lambda *a: simulate_layer(hw, a[0], tile, *a[1:]).output,
                     layer, inputs, weights),
-            outcome(lambda *a: conv_reference(*a).output, layer, inputs,
-                    weights), kind)
+            outcome(conv_reference, layer, inputs, weights), kind)
 
 
 class TestWaveKeys:
@@ -392,7 +391,7 @@ class TestWaveKeys:
         assert (len(records), len(parts), len(set(records))) == (6, 4, 2)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
         reference = conv_reference(layer, inputs, weights)
-        assert compare(result.output, reference.output).ok
+        assert compare(result.output, reference).ok
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_blocks_that_differ_only_in_channels(self, strategy,
@@ -700,7 +699,7 @@ class TestAddressesAndOverflow:
         monkeypatch.setattr(MappingPlan, name, lambda plan: (coords, lengths))
         result, inputs, weights = run(HW32, PADDED_STRIDED, VALIDATION_TILE)
         assert not compare(result.output, conv_reference(
-            PADDED_STRIDED, inputs, weights).output).ok
+            PADDED_STRIDED, inputs, weights)).ok
 
     def test_overflow_names_the_first_output_in_c_order(self):
         # tile T_X=2, T_Y=1 runs output (1, 0) before (0, 1); both overflow

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from treefab import LayerConfig, LayerKind
 from treefab.errors import AddressOutOfRange, ShapeMismatch
 from treefab.memory import (
     PrefetchBuffer,
     input_dims,
     output_dims,
+    padded_inputs,
     random_layer_data,
     weight_dims,
 )
@@ -52,6 +54,35 @@ class TestRandomData:
         first = random_layer_data(TINY, rng)
         second = random_layer_data(TINY, rng)
         assert not (first[0] == second[0]).all()
+
+
+class TestAccumulator:
+    PADDED = LayerConfig(LayerKind.CONV, r=1, s=1, c=1, g=1, k=1, n=1, x=1,
+                         y=1, padding=1)
+
+    @staticmethod
+    def unit(value, dtype):
+        return np.full((1, 1, 1, 1, 1), value, dtype=dtype)
+
+    # 64,897 * 142,123,242,012,031 = 2**63 - 1; 2**31 * 2**32 = 2**63
+    @pytest.mark.parametrize("value, weight, dtype", [
+        (64_897, 142_123_242_012_031, np.int64),
+        (-2 ** 31, 2 ** 32, object),
+    ])
+    def test_int64_bound(self, value, weight, dtype):
+        padded = padded_inputs(self.PADDED, self.unit(value, np.int64),
+                               self.unit(weight, np.int64))
+        assert padded.dtype == dtype
+        assert padded[0, 0, 0].tolist() == [[0, 0, 0], [0, value, 0],
+                                            [0, 0, 0]]
+        if dtype is object:
+            assert all(type(v) is int for v in padded.flat)
+
+    def test_float_data_sum_in_float64(self):
+        padded = padded_inputs(self.PADDED, self.unit(0.5, np.float32),
+                               self.unit(3, np.float32))
+        assert padded.dtype == np.float64
+        assert padded[0, 0, 0, 1, 1] == 0.5
 
 
 class TestReads:
