@@ -40,17 +40,21 @@ e``, a slot's forwarder (if clusters hold one) is its last leaf
 follow from the batch size and that width (``_drain``).  So a wave's
 record depends only on the hardware, the geometry (``real_vn_size`` and
 the forwarder flag) and the signature (``_record``).  It is a few sums
-over two parts, each counted once per distinct key of the ints, bools
-and bytes it reads: the DN part (``_distribute``: PB reads, cycles and
-switch traversals of both partitions), by the multiplier count, the DN
-bandwidth, the cluster width, the batch size, the block length, whether
-the fold forwards a partial sum, and the partitions; and the drain part
-(``_drain``), by the multiplier count, the bus count and the batch
-geometry.  The fold flags only pick which counts apply, so the records
-of one batch's first, middle and last folds share both parts whenever
-their partitions agree.  The DN cycles and switch traversals and the
-bus grants come from ``fabric.distribution`` and ``fabric.bus_grants``,
-the one statement of each rule.
+over three parts, each counted once per distinct key of the ints, bools
+and bytes it reads.  The weights and then the inputs are distributed in
+two phases, and each phase's PB reads, cycles and switch traversals
+depend only on its own payloads' leaf sets, so each distribution is a
+part (``_distribute``), keyed by the multiplier count, the DN bandwidth,
+the cluster width, the block length, whether it forwards a partial sum
+(only an input distribution may) and its partition's bytes: a weight
+distribution and an input distribution that forwards nothing, with the
+same bytes, are one part.  The drain (``_drain``) is keyed by the
+multiplier count, the bus count and the batch geometry.  The fold flags
+only pick which counts apply, so a batch's folds share the drain, and
+waves whose input partitions differ can share a weight distribution.
+The DN cycles and switch traversals and the bus grants come from
+``fabric.distribution`` and ``fabric.bus_grants``, the one statement of
+each rule.
 ``treefab.fabric`` and ``memory.PrefetchBuffer`` model the same fabric
 step by step, on values, calling the same two functions; the test suite
 walks every wave through them as the reference that the counts must
@@ -79,7 +83,7 @@ position.  Whether a tap falls in the padding depends, given the offsets,
 only on ``base``, which the border class gives wherever it matters.
 
 So ``simulate_layer`` builds the signature of each distinct key's first
-wave, assembles its record from the two parts, and sums count x record
+wave, assembles its record from the three parts, and sums count x record
 over the keys.  A caller that passes one ``replays`` dict to many calls
 (a tile search, the trials of ``verify``, the layers of a model) shares
 the parts across those calls: a search plans each batch geometry once,
@@ -201,7 +205,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     ``replays``, if given, is a dict the caller owns, from the keys
     tagged ``"dn"`` and ``"drain"`` to the parts of the waves' records
     (``_record``); it is read and filled, so calls that share it count
-    each DN part and each batch geometry's drain once.  Without it the
+    each distribution and each batch geometry's drain once.  Without it the
     call uses a dict of its own.
     """
     mapping = build_mapping(hw, layer, tile)
@@ -339,8 +343,9 @@ class _Groups:
 
 def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
     """The signature of each of ``waves``: whether its fold is the first
-    and the last, its batch size and block length, and its partitions as
-    bytes."""
+    and the last, its batch size and block length, and its weight and its
+    input partition, each as the int32 bytes of its used positions' heads
+    (-1 for a padding tap)."""
     layer = mapping.layer
     b, f = np.divmod(waves, len(blocks))
     (outs, slots), (elems, taps) = batches.positions(b), \
@@ -363,42 +368,41 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
     length = blocks.lengths[f, None]
     first = np.where(first < 0, -1, first // blocks.width * length
                      + first % blocks.width)
-    # per wave, its positions' (weight, input) pairs, 8 bytes each
-    data = np.moveaxis(first, 0, -1)[used].astype(np.int32).tobytes()
-    ends = (8 * np.cumsum(used.sum(axis=1))).tolist()
-    return [(*flags, data[start:end]) for flags, start, end in zip(
-        zip((f > 0).tolist(), (f == len(blocks) - 1).tolist(),
-            batches.lengths[b].tolist(), blocks.lengths[f].tolist()),
-        [0] + ends, ends)]
+    # per wave, each partition's heads at its positions, 4 bytes each
+    w_data, i_data = (h[used].astype(np.int32).tobytes() for h in first)
+    ends = (4 * np.cumsum(used.sum(axis=1))).tolist()
+    flags = zip((f > 0).tolist(), (f == len(blocks) - 1).tolist(),
+                batches.lengths[b].tolist(), blocks.lengths[f].tolist())
+    return [(*flag, w_data[start:end], i_data[start:end])
+            for flag, start, end in zip(flags, [0] + ends, ends)]
 
 
 def _record(mapping: MappingPlan, signature, replays) -> tuple[int, ...]:
     """A wave's weight, input and wave cycles, then its ``COUNTED``
-    counters, assembled from the two parts of its signature on the
+    counters, assembled from the three parts of its signature on the
     mapping's hardware and cluster geometry.
 
-    The DN part (``_distribute``) and the drain part (``_drain``) are
-    kept in ``replays`` under keys tagged ``"dn"`` and ``"drain"`` that
-    hold just the values each part reads, and counted when missing.  So
-    records that differ only in the fold flags share them, and so do the
-    calls that share the dict, even on hardware that differs in a field
-    that a part does not read.  The flags then pick which counts apply: a
-    forwarding fold injects one partial sum per slot, an ideal fold after
-    the first adds it at the egress, and only a draining fold (every
-    roundtrip fold, the last ideal one) pays the drain and writes its
-    sums.
+    The weight and the input distribution (``_distribute``, tagged
+    ``"dn"``) and the drain (``_drain``) are kept in ``replays`` under
+    keys that hold just the values each part reads, and counted when
+    missing, so records and calls that agree in a key share its part,
+    even on hardware that differs in a field the part does not read.
+    The fold flags then pick which counts apply: a forwarding fold
+    injects one partial sum per slot, an ideal fold after the first adds
+    it at the egress, and only a draining fold (every roundtrip fold, the
+    last ideal one) pays the drain and writes its sums.
     """
     hw, width = mapping.hw, mapping.real_vn_size
-    later, last, size, length, data = signature
+    later, last, size, length, w_data, i_data = signature
     forward = mapping.has_forwarder and later
-    dn = ("dn", hw.num_ms, hw.dn_bw, width, size, length, forward, data)
-    if dn not in replays:
-        replays[dn] = _distribute(*dn[1:])
-    geometry = ("drain", hw.num_ms, hw.rn_bw, width, size)
-    if geometry not in replays:
-        replays[geometry] = _drain(*geometry[1:])
-    w_reads, wc, w_hops, i_reads, ic, i_hops = replays[dn]
-    adds, pushes, drain, conflicts = replays[geometry]
+    dn = ("dn", hw.num_ms, hw.dn_bw, width, length)
+    parts = ((*dn, False, w_data), (*dn, forward, i_data),
+             ("drain", hw.num_ms, hw.rn_bw, width, size))
+    for key, count in zip(parts, (_distribute, _distribute, _drain)):
+        if key not in replays:
+            replays[key] = count(*key[1:])
+    (w_reads, wc, w_hops), (i_reads, ic, i_hops), \
+        (adds, pushes, drain, conflicts) = (replays[key] for key in parts)
     roundtrip = hw.folding is FoldingStrategy.ROUNDTRIP
     drained = roundtrip or last
     if not drained:
@@ -410,33 +414,28 @@ def _record(mapping: MappingPlan, signature, replays) -> tuple[int, ...]:
             pushes, writes, conflicts)
 
 
-def _distribute(num_ms: int, dn_bw: int, width: int, size: int, length: int,
-                forward: bool, data: bytes) -> tuple[int, ...]:
-    """The PB reads, cycles and switch traversals of distributing a
-    wave's weight partition, then those of its input partition.
+def _distribute(num_ms: int, dn_bw: int, width: int, length: int,
+                forward: bool, data: bytes) -> tuple[int, int, int]:
+    """The PB reads, cycles and switch traversals of distributing one of
+    a wave's partitions, its weights or its inputs.
 
-    Each class of a partition is one payload, read from the PB once and
+    Each class of the partition is one payload, read from the PB once and
     distributed to the class's leaves as ``fabric.distribution`` counts;
-    position ``slot*length + e`` sits on leaf ``slot*width + e``.  A
-    forwarding fold adds one input payload per slot, the partial sum for
-    the slot's forwarder leaf, its last.
+    position ``slot*length + e`` sits on leaf ``slot*width + e``, and the
+    batch holds ``len(data) / 4 / length`` slots.  A forwarding input
+    distribution adds one payload per slot, the partial sum for the
+    slot's forwarder leaf, its last.
     """
-    leaves = [p // length * width + p % length for p in range(size * length)]
-
-    def payloads(heads):
-        dests: dict[int, set[int]] = {}
-        for leaf, head in zip(leaves, heads):
-            if head >= 0:
-                dests.setdefault(head, set()).add(leaf)
-        return list(dests.values())
-
-    w_heads, i_heads = np.frombuffer(data, np.int32).reshape(-1, 2).T.tolist()
-    weights = payloads(w_heads)
-    inputs = payloads(i_heads)
+    heads = np.frombuffer(data, np.int32).tolist()
+    dests: dict[int, set[int]] = {}
+    for p, head in enumerate(heads):
+        if head >= 0:
+            dests.setdefault(head, set()).add(p // length * width + p % length)
+    payloads = list(dests.values())
     if forward:
-        inputs += [{slot * width + width - 1} for slot in range(size)]
-    return (len(weights), *distribution(num_ms, dn_bw, weights),
-            len(inputs), *distribution(num_ms, dn_bw, inputs))
+        payloads += [{slot * width + width - 1}
+                     for slot in range(len(heads) // length)]
+    return (len(payloads), *distribution(num_ms, dn_bw, payloads))
 
 
 def _drain(num_ms: int, rn_bw: int, width: int, size: int) -> tuple[int, ...]:

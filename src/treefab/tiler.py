@@ -75,7 +75,7 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     the result is a total deterministic order.  Cycle counts do not depend
     on the data, so every simulation runs without any: it counts cycles
     and sums no output.  The simulations share one dict of the waves'
-    DN and drain parts, so each DN part, and each batch geometry's
+    DN and drain parts, so each distribution, and each batch geometry's
     reduction plan, is counted once per call.
     """
     if top_k <= 0:

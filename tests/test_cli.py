@@ -439,16 +439,16 @@ WORKLOADS = {
 
 
 class TestBenchmarkTraffic:
-    # the records, DN parts and drains that the benchmark's three
+    # the records, distributions and drains that the benchmark's three
     # workloads count, under each strategy: one record per key, each
     # part once per command (the search simulates 20 tiles)
     @pytest.mark.parametrize("name, strategy, want", [
-        ("fold-roundtrip", "roundtrip", (3, 2, 1)),
-        ("fold-roundtrip", "ideal", (3, 1, 1)),
-        ("wide-ideal", "ideal", (6, 2, 2)),
-        ("wide-ideal", "roundtrip", (6, 4, 2)),
-        ("tile-search", "roundtrip", (41, 4, 4)),
-        ("tile-search", "ideal", (41, 4, 4)),
+        ("fold-roundtrip", "roundtrip", (3, 3, 1)),
+        ("fold-roundtrip", "ideal", (3, 2, 1)),
+        ("wide-ideal", "ideal", (6, 4, 2)),
+        ("wide-ideal", "roundtrip", (6, 6, 2)),
+        ("tile-search", "roundtrip", (41, 8, 4)),
+        ("tile-search", "ideal", (41, 8, 4)),
     ])
     def test_parts_counted_once(self, name, strategy, want, monkeypatch,
                                 capsys):

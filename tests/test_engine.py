@@ -370,8 +370,8 @@ class TestWaveKeys:
         # the 9 waves of this pointwise tile fall into 6 keys but only 4
         # signatures: a key holds each slot's (ox, oy) offset, a signature
         # only which positions share an address.  Each key's record is
-        # assembled once, from 4 DN parts, and the 6 records hold just 2
-        # distinct ones.
+        # assembled once, from 5 distributions, and the 6 records hold
+        # just 2 distinct ones.
         layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=2, g=1, k=4, n=1,
                             x=6, y=6)
         tile = TileConfig(1, 1, 2, t_k=4, t_x=6, t_y=6)
@@ -388,7 +388,7 @@ class TestWaveKeys:
             m.setattr(engine, "_record", counted)
             parts = count_calls(m, "_distribute")
             simulate_layer(hw, layer, tile, inputs, weights)
-        assert (len(records), len(parts), len(set(records))) == (6, 4, 2)
+        assert (len(records), len(parts), len(set(records))) == (6, 5, 2)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
         reference = conv_reference(layer, inputs, weights)
         assert compare(result.output, reference).ok
@@ -445,7 +445,7 @@ PADDED_10 = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
 class TestSharedReplays:
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     @pytest.mark.parametrize("layer, first, dn_parts", [
-        (POINTWISE, 20, 4), (PADDED_10, 60, None)])
+        (POINTWISE, 20, 8), (PADDED_10, 60, None)])
     def test_sharing_gives_the_stats_of_fresh_runs(self, layer, first,
                                                    dn_parts, strategy,
                                                    monkeypatch):
@@ -510,12 +510,38 @@ class TestSharedReplays:
                                                       tile).stats
             return len(parts), len(drains)
 
-        # (DN parts, drains) counted; a fresh dict counts (109, 4) each time
-        assert shared(HW32) == (109, 4)
+        # (distributions, drains) counted; a fresh dict counts (108, 4)
+        # each time
+        assert shared(HW32) == (108, 4)
         assert shared(replace(HW32, rn_bw=2)) == (0, 4)
-        assert shared(replace(HW32, dn_bw=2)) == (109, 0)
+        assert shared(replace(HW32, dn_bw=2)) == (108, 0)
         assert all(isinstance(field, (str, int, bytes))
                    for key in replays for field in key)
+
+    def test_one_distribution_per_dn_part(self, monkeypatch):
+        # each "dn" key is one distribution, of the weights or of the
+        # inputs, counted by one fabric.distribution call; so a weight
+        # distribution is shared by waves whose inputs differ
+        tiles_ = [c.tile for c in enumerate_tiles(HW32, PADDED_10)[:12]]
+        replays = {}
+        inputs_by_weights = {}
+        original = engine._record
+
+        def record(mapping, signature, memo):
+            *_, length, w_data, i_data = signature
+            inputs_by_weights.setdefault(
+                (mapping.real_vn_size, length, w_data), set()).add(i_data)
+            return original(mapping, signature, memo)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_record", record)
+            calls = count_calls(m, "distribution")
+            for strategy in FoldingStrategy:
+                for tile in tiles_:
+                    simulate_layer(replace(HW32, folding=strategy),
+                                   PADDED_10, tile, replays=replays)
+        assert len(calls) == sum(key[0] == "dn" for key in replays) > 0
+        assert max(map(len, inputs_by_weights.values())) > 1
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_one_signature_on_clusters_of_two_sizes(self, strategy):
