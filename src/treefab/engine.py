@@ -61,7 +61,7 @@ walks every wave through them as the reference that the counts must
 match.
 
 Each wave gets a closed-form *key*, one int64, built per chunk of waves
-from per-batch and per-block classes:
+from a batch class, a block class and two border classes:
 
 * batch class: the batch size; the partition of its slots by
   ``g*K + k`` and by ``n*G + g`` (each slot's first slot with the same
@@ -81,6 +81,15 @@ their ``c``, their ``ox*stride + r`` and their ``oy*stride + s`` are
 equal, and the offsets give these up to the same shift for every
 position.  Whether a tap falls in the padding depends, given the offsets,
 only on ``base``, which the border class gives wherever it matters.
+
+The mapper cuts the batches and the blocks as ``mapper.Cut``s: each
+group is an origin plus one of a few shapes.  An origin shifts every
+coordinate of its group alike, so it changes no offset from the least
+and no partition by a value linear in the coordinates: the batch and
+block classes are counted once per shape, not per group.  Only the
+borders read the origins, through each group's least coordinate.  A
+schedule given as flat groups is exact too: each group is a shape of
+its own, at origin 0 (``Cut.flat``).
 
 So ``simulate_layer`` builds the signature of each distinct key's first
 wave, assembles its record from the three parts, and sums count x record
@@ -115,7 +124,7 @@ from .config import (
 )
 from .errors import AddressOutOfRange, ValidationError
 from .fabric import bus_grants, distribution
-from .mapper import MappingPlan, build_mapping, cluster_plan
+from .mapper import Cut, MappingPlan, build_mapping, cluster_plan
 from .memory import (check_layer_data, fit_outputs, output_dims,
                      padded_inputs, weight_dims)
 
@@ -213,8 +222,8 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         raise ValidationError("give both inputs and weights, or neither")
     if inputs is not None:
         inputs, weights = check_layer_data(layer, inputs, weights)
-    batches = _Groups(*mapping.batch_array())
-    blocks = _Groups(*mapping.block_array())
+    batches = _Groups(mapping.batch_cut())
+    blocks = _Groups(mapping.block_cut())
     _check_range(batches, output_dims(layer), "output")
     _check_range(blocks, weight_dims(layer)[2:], "weight (c, r, s)")
     n_folds = len(blocks)
@@ -242,7 +251,8 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     stats = layer_stats(mapping, int(totals[2]), waves, totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
     output = None if inputs is None else _outputs(
-        layer, batches.coords, blocks.coords, inputs, weights)
+        layer, batches.cut.expand()[0], blocks.cut.expand()[0], inputs,
+        weights)
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
@@ -259,10 +269,10 @@ def _keyed_waves(mapping, batches, blocks, replays):
     n_folds = len(blocks)
     batch_ids = batches.classes(
         (3, 4), lambda n, g, k, ox, oy: (g * layer.k + k, n * layer.g + g))
+    # a block's class, then whether its fold is the first and the last
     fold = np.arange(n_folds)
-    block_ids = blocks.classes(
-        (0, 1, 2), lambda c, r, s: (), fold > 0, fold == n_folds - 1)
-    block_ids = block_ids[None, :]
+    block_ids = ((blocks.classes((0, 1, 2), lambda c, r, s: ()) * 2
+                  + (fold > 0)) * 2 + (fold == n_folds - 1))[None, :]
     n_classes = int(block_ids.max()) + 1
 
     def border(b, axis, fold_axis, extent):
@@ -300,45 +310,59 @@ def _keyed_waves(mapping, batches, blocks, replays):
 
 class _Groups:
     """The batches of output coordinates, or the fold blocks of weight
-    coordinates: one flat (coordinates, rank) array and their lengths,
-    and per group the least coordinate and the spread of each axis."""
+    coordinates, as a ``mapper.Cut``: the shapes' offsets, and per group
+    an origin and a shape index; and per group the least coordinate and
+    the spread of each axis, from its shape's."""
 
-    def __init__(self, coords, lengths):
-        self.coords, self.lengths = coords, lengths
-        self.starts = np.cumsum(lengths) - lengths
-        self.width = int(lengths.max())
-        self.low = np.minimum.reduceat(coords, self.starts)
-        self.span = np.maximum.reduceat(coords, self.starts) - self.low
+    def __init__(self, cut: Cut):
+        self.cut = cut
+        self.offsets, self.sizes, self.origins, self.shape = cut
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.lengths = self.sizes[self.shape]
+        self.width = int(self.sizes.max())
+        self.shape_low = np.minimum.reduceat(self.offsets, self.starts)
+        self.span = (np.maximum.reduceat(self.offsets, self.starts)
+                     - self.shape_low)[self.shape]
+        self.low = self.origins + self.shape_low[self.shape]
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return len(self.shape)
 
-    def positions(self, groups=slice(None)):
-        """(at, used): the index in ``coords`` of each position of
-        ``groups``, shape (groups, width), and the mask of the positions
-        within each group.  A position past a group's end repeats the
-        group's first one."""
-        used = np.arange(self.width) < self.lengths[groups, None]
-        start = self.starts[groups, None]
+    def positions(self, shapes):
+        """(at, used): the index in ``offsets`` of each position of
+        ``shapes``, shape (shapes, width), and the mask of the positions
+        within each shape.  A position past a shape's end repeats the
+        shape's first one."""
+        used = np.arange(self.width) < self.sizes[shapes, None]
+        start = self.starts[shapes, None]
         return np.where(used, start + np.arange(self.width), start), used
 
-    def classes(self, offsets, partitions, *extra):
-        """A class id per group.
+    def coordinates(self, groups):
+        """(coordinates, used): each position's coordinates in ``groups``,
+        shape (groups, width, axes), and the mask of the used ones."""
+        at, used = self.positions(self.shape[groups])
+        return self.offsets[at] + self.origins[groups, None], used
 
-        Two groups share a class iff they have the same length and
-        ``extra`` columns, the same offset of each axis in ``offsets``
-        from the group's least coordinate, and the same partition of
-        their positions by each value of ``partitions(*axes)``.
+    def classes(self, axes, partitions):
+        """A class id per group, counted once per shape.
+
+        Two groups share a class iff they have the same length, the same
+        offset of each of ``axes`` from the group's least coordinate, and
+        the same partition of their positions by each value of
+        ``partitions(*coordinates)``.  An origin shifts every coordinate
+        of its group alike, so for values linear in the coordinates
+        these are the shape's own.
         """
-        at, used = self.positions()
-        columns = [self.lengths, *extra]
-        columns += [np.where(used, self.coords[at, a] - self.low[:, a, None],
-                             -1) for a in offsets]
+        at, used = self.positions(np.arange(len(self.sizes)))
+        columns = [self.sizes]
+        columns += [np.where(used, self.offsets[at, a]
+                             - self.shape_low[:, a, None], -1)
+                    for a in axes]
         columns += [_first_positions(np.where(used, value[at], -1))
-                    for value in partitions(*self.coords.T)]
+                    for value in partitions(*self.offsets.T)]
         ids: dict[bytes, int] = {}
         return np.array([ids.setdefault(row, len(ids))
-                         for row in _row_keys(columns)])
+                         for row in _row_keys(columns)])[self.shape]
 
 
 def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
@@ -348,11 +372,11 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
     (-1 for a padding tap)."""
     layer = mapping.layer
     b, f = np.divmod(waves, len(blocks))
-    (outs, slots), (elems, taps) = batches.positions(b), \
-        blocks.positions(f)
+    (outs, slots), (elems, taps) = batches.coordinates(b), \
+        blocks.coordinates(f)
     used = (slots[:, :, None] & taps[:, None, :]).reshape(len(waves), -1)
-    n, g, k, ox, oy = np.moveaxis(batches.coords[outs][:, :, None], -1, 0)
-    c, r, s = np.moveaxis(blocks.coords[elems][:, None], -1, 0)
+    n, g, k, ox, oy = np.moveaxis(outs[:, :, None], -1, 0)
+    c, r, s = np.moveaxis(elems[:, None], -1, 0)
     ix = ox * layer.stride + r - layer.padding
     iy = oy * layer.stride + s - layer.padding
     tap = (ix >= 0) & (ix < layer.x) & (iy >= 0) & (iy < layer.y)

@@ -7,8 +7,12 @@ assignment follows from it by ``reduction.clusters``, and the switch
 configuration of the reduction network, for a batch of any size, by
 ``cluster_plan``; ``describe`` derives both on request.  The output
 schedule and the fold blocks are cut from the layer by one numpy
-function, ``_cut``, as flat coordinate arrays with one length per group;
-they are built when asked for, never stored.  Distribution routes depend
+function, ``_cut``, as a factored ``Cut``: each tile is an origin plus
+one of a few shapes (per axis the step, or the clamped remainder), and
+each tile of outputs splits into batches, so a batch is a tile origin
+plus one batch shape.  ``batch_array`` and ``block_array`` expand a cut
+into flat coordinates with one length per group.  Nothing is stored;
+each is built when asked for.  Distribution routes depend
 only on each payload's destinations; ``fabric.generate_dn_routes``
 builds them on request, and the engine counts the switches on each
 payload's cover level by level through ``fabric.distribution``.
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +44,37 @@ _OUTPUT_AXES = ("N", "G", "K", "X'", "Y'")  # schedule coords (n, g, k, ox, oy)
 _FOLD_AXES = ("C", "R", "S")  # fold block coords (c, r, s)
 
 
+class Cut(NamedTuple):
+    """Groups of coordinates, factored into shapes placed at origins:
+    group ``i`` is the offsets of shape ``shape[i]`` plus ``origins[i]``.
+    ``offsets`` holds every shape's offsets in turn, shape (rows, axes),
+    and ``sizes`` the number of each shape's rows."""
+
+    offsets: np.ndarray
+    sizes: np.ndarray
+    origins: np.ndarray  # (groups, axes)
+    shape: np.ndarray  # (groups,)
+
+    @classmethod
+    def flat(cls, coords, lengths) -> Cut:
+        """The trivial factoring of groups given as flat coordinates and
+        lengths: each group is a shape of its own, at origin 0."""
+        return cls(coords, lengths,
+                   np.zeros((len(lengths), coords.shape[1]), coords.dtype),
+                   np.arange(len(lengths)))
+
+    def expand(self):
+        """(coordinates, lengths): every group's coordinates in turn,
+        shape (rows, axes), and the length of each group."""
+        lengths = self.sizes[self.shape]
+        ends = np.cumsum(lengths)
+        group = np.repeat(np.arange(len(lengths)), lengths)
+        # row j of a group is row j of its shape
+        shift = (np.cumsum(self.sizes)[self.shape] - ends)[group]
+        return (self.offsets[np.arange(len(group)) + shift]
+                + self.origins[group], lengths)
+
+
 @dataclass(frozen=True)
 class MappingPlan:
     hw: HardwareConfig
@@ -54,24 +91,41 @@ class MappingPlan:
         """Fraction of multipliers the tile maps (forwarders count as used)."""
         return self.n_vns_mapped * self.real_vn_size / self.hw.num_ms
 
+    def batch_cut(self) -> Cut:
+        """The schedule's batches of output coordinates (n, g, k, ox, oy),
+        in issue order.  Each tile splits into batches of
+        ``n_vns_mapped``, the last shorter, so batch ``j`` of a tile is
+        its origin plus slice ``j`` of its shape.  Each batch maps one
+        output per cluster slot and runs through every fold before the
+        next batch starts."""
+        offsets, sizes, origins, shape = _cut(
+            *_axes(self.layer, self.tile, _OUTPUT_AXES))
+        n = self.n_vns_mapped
+        per_shape = -(-sizes // n)
+        ends = np.cumsum(per_shape)
+        lengths = np.full(ends[-1], n)
+        lengths[ends - 1] = sizes - (per_shape - 1) * n
+        per_tile = per_shape[shape]
+        tile_ends = np.cumsum(per_tile)
+        # a tile's first batch takes its shape's first slice
+        first = (ends - per_shape)[shape] - (tile_ends - per_tile)
+        return Cut(offsets, lengths, np.repeat(origins, per_tile, axis=0),
+                   np.repeat(first, per_tile) + np.arange(tile_ends[-1]))
+
+    def block_cut(self) -> Cut:
+        """The fold blocks of (c, r, s) weight coordinates, in issue
+        order."""
+        return _cut(*_axes(self.layer, self.tile, _FOLD_AXES))
+
     def batch_array(self):
-        """(coordinates, lengths): the schedule's output coordinates
-        (n, g, k, ox, oy) in issue order, shape (outputs, 5), and the
-        length of each batch.  Each batch maps one output per cluster slot
-        and runs through every fold before the next batch starts."""
-        coords, tiles = _cut(*_axes(self.layer, self.tile, _OUTPUT_AXES))
-        # each tile splits into batches of n_vns_mapped, the last shorter
-        per_tile = -(-tiles // self.n_vns_mapped)
-        lengths = np.full(per_tile.sum(), self.n_vns_mapped)
-        lengths[np.cumsum(per_tile) - 1] = \
-            tiles - (per_tile - 1) * self.n_vns_mapped
-        return coords, lengths
+        """(coordinates, lengths): the schedule's output coordinates in
+        issue order, shape (outputs, 5), and the length of each batch."""
+        return self.batch_cut().expand()
 
     def block_array(self):
-        """(coordinates, lengths): the fold blocks' (c, r, s) weight
-        coordinates in issue order, shape (elements, 3), and the length
-        of each block."""
-        return _cut(*_axes(self.layer, self.tile, _FOLD_AXES))
+        """(coordinates, lengths): the fold blocks' weight coordinates in
+        issue order, shape (elements, 3), and the length of each block."""
+        return self.block_cut().expand()
 
     @property
     def schedule(self):
@@ -95,7 +149,7 @@ class MappingPlan:
             "real_vn_size": self.real_vn_size,
             "folds": self.folds,
             "n_vns_mapped": self.n_vns_mapped,
-            "batches": len(self.batch_array()[1]),
+            "batches": len(self.batch_cut().shape),
             "ms_assignment": [
                 {"leaf": i, "vn": vn, "role": "idle" if vn is None
                  else roles[i % self.real_vn_size]}
@@ -133,17 +187,26 @@ def _axes(layer: LayerConfig, tile: TileConfig, names):
     return tuple(zip(*(pairs[name] for name in names)))
 
 
-def _cut(extents, steps):
-    """Cut the box ``extents`` into tiles of ``steps``: (coordinates,
-    lengths), the coordinates of every tile in turn, outermost axis first
-    and each tile in product order, and the length of each tile."""
-    coords = np.indices(extents).reshape(len(extents), -1)
-    tiles = np.ravel_multi_index(
-        tuple(coords // np.array(steps)[:, None]),
-        tuple(-(-e // t) for e, t in zip(extents, steps)))
-    # a stable sort keeps product order within each tile
-    order = np.argsort(tiles, kind="stable")
-    return coords.T[order], np.bincount(tiles)
+def _cut(extents, steps) -> Cut:
+    """Cut the box ``extents`` into tiles of ``steps``, in row-major
+    order over the tile grid: each tile's origin and shape index, and
+    each distinct shape's offsets in product order.  Along each axis a
+    tile spans the step, or the remainder where the last tile is
+    clamped, so the shapes are the products of those sizes."""
+    grid = tuple(-(-e // t) for e, t in zip(extents, steps))
+    sizes = [(t,) if e % t == 0 else (t, e % t)
+             for e, t in zip(extents, steps)]
+    # shape indices run row-major over the axes' sizes, as ``product``
+    # lists the shapes; a clamped last tile takes its axis's second size
+    shape = np.zeros(grid, dtype=np.int64)
+    for axis, kinds in enumerate(sizes):
+        shape *= len(kinds)
+        shape[(slice(None),) * axis + (-1,)] += len(kinds) - 1
+    boxes = [np.indices(box).reshape(len(box), -1).T
+             for box in product(*sizes)]
+    return Cut(np.concatenate(boxes), np.array([len(b) for b in boxes]),
+               np.indices(grid).reshape(len(grid), -1).T * np.array(steps),
+               shape.ravel())
 
 
 def _groups(coords, lengths):

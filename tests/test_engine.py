@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+from contextlib import ExitStack
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -30,7 +31,12 @@ from treefab import (
     simulate_layer,
     total_macs,
 )
-from treefab.config import parse_layer_config
+from treefab.config import (
+    parse_hardware_config,
+    parse_layer_config,
+    parse_tile_config,
+)
+from treefab.mapper import Cut
 from treefab.memory import random_layer_data
 
 from common import (
@@ -47,6 +53,7 @@ from common import (
     outcome,
     tiles,
 )
+import cut_reference
 from wave_reference import Fabric, simulate_per_wave, wave_records
 
 
@@ -257,12 +264,15 @@ class TestMatchesPerWaveReference:
         fabric.pb.load_layer_data(layer, *random_layer_data(
             layer, data.draw(st.integers(0, 999))))
         want = [record for _, _, record in wave_records(mapping, fabric)]
-        got = []
-        for _, key, records in engine._keyed_waves(
-                mapping, engine._Groups(*mapping.batch_array()),
-                engine._Groups(*mapping.block_array()), {}):
-            got += [records[i] for i in key.tolist()]
-        assert got == want
+        # the factored cuts, and their trivial factoring
+        for cuts in ((mapping.batch_cut(), mapping.block_cut()),
+                     (Cut.flat(*mapping.batch_array()),
+                      Cut.flat(*mapping.block_array()))):
+            got = []
+            for _, key, records in engine._keyed_waves(
+                    mapping, *map(engine._Groups, cuts), {}):
+                got += [records[i] for i in key.tolist()]
+            assert got == want
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -278,10 +288,10 @@ class TestMatchesPerWaveReference:
         elems = elems[data.draw(st.permutations(range(len(elems))))]
         inputs, weights = random_layer_data(layer,
                                             data.draw(st.integers(0, 999)))
-        with patch.object(MappingPlan, "batch_array",
-                          lambda _: (outs, batch_lengths)), \
-                patch.object(MappingPlan, "block_array",
-                             lambda _: (elems, block_lengths)):
+        with patch.object(MappingPlan, "batch_cut",
+                          lambda _: Cut.flat(outs, batch_lengths)), \
+                patch.object(MappingPlan, "block_cut",
+                             lambda _: Cut.flat(elems, block_lengths)):
             result = assert_matches_per_wave(hw, layer, tile, inputs,
                                              weights)
         assert compare(result.output,
@@ -402,7 +412,7 @@ class TestWaveKeys:
         layer = LayerConfig(LayerKind.CONV, r=2, s=1, c=4, g=1, k=1, n=1,
                             x=3, y=1)
         tile = TileConfig(2, 1, 1, t_x=2)
-        monkeypatch.setattr(MappingPlan, "block_array", lambda plan: (
+        monkeypatch.setattr(MappingPlan, "block_cut", lambda plan: Cut.flat(
             np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0],
                       [2, 0, 0], [3, 1, 0], [3, 0, 0], [2, 1, 0]]),
             np.array([2, 2, 2, 2])))
@@ -433,11 +443,15 @@ class TestWaveKeys:
         assert_matches_per_wave(hw, layer, tile, inputs, weights)
 
 
+def workload(parse, name):
+    """A document of the benchmark's workloads, parsed."""
+    return parse((pathlib.Path(__file__).parents[1] / "perfbench"
+                  / "workloads" / name).read_text(encoding="utf-8"))
+
+
 # the layer of the benchmark's tile-search workload, and a padded layer
 # whose first candidate tiles all fold
-POINTWISE = parse_layer_config(
-    (pathlib.Path(__file__).parents[1] / "perfbench" / "workloads"
-     / "pointwise.yaml").read_text(encoding="utf-8"))
+POINTWISE = workload(parse_layer_config, "pointwise.yaml")
 PADDED_10 = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
                         x=10, y=10, padding=1)
 
@@ -700,7 +714,7 @@ class TestDataIndependence:
 class TestAddressesAndOverflow:
     def test_out_of_range_address_raises(self, monkeypatch):
         # a schedule that names output row 99 of a 3-row output
-        monkeypatch.setattr(MappingPlan, "batch_array", lambda plan: (
+        monkeypatch.setattr(MappingPlan, "batch_cut", lambda plan: Cut.flat(
             np.array([[0, 0, 0, 99, 0]]), np.array([1])))
         inputs, weights = random_layer_data(TINY, seed=0)
         with pytest.raises(AddressOutOfRange):
@@ -708,7 +722,7 @@ class TestAddressesAndOverflow:
 
     def test_out_of_range_fold_block_raises(self, monkeypatch):
         # a fold block that names channel 6 of a 6-channel filter
-        monkeypatch.setattr(MappingPlan, "block_array", lambda plan: (
+        monkeypatch.setattr(MappingPlan, "block_cut", lambda plan: Cut.flat(
             np.array([[0, 0, 0], [6, 0, 0]]), np.array([2])))
         inputs, weights = random_layer_data(TINY, seed=0)
         with pytest.raises(AddressOutOfRange):
@@ -722,7 +736,8 @@ class TestAddressesAndOverflow:
         coords, lengths = getattr(
             build_mapping(HW32, PADDED_STRIDED, VALIDATION_TILE), name)()
         coords[-1] = coords[0]
-        monkeypatch.setattr(MappingPlan, name, lambda plan: (coords, lengths))
+        monkeypatch.setattr(MappingPlan, name.replace("array", "cut"),
+                            lambda plan: Cut.flat(coords, lengths))
         result, inputs, weights = run(HW32, PADDED_STRIDED, VALIDATION_TILE)
         assert not compare(result.output, conv_reference(
             PADDED_STRIDED, inputs, weights)).ok
@@ -757,7 +772,7 @@ class TestRangeGuard:
         rng = np.random.default_rng(axis)
         coords = np.stack([rng.integers(0, d, 10) for d in self.DIMS], axis=1)
         coords[5, axis] = value
-        return engine._Groups(coords, np.array([4, 3, 3])), coords
+        return engine._Groups(Cut.flat(coords, np.array([4, 3, 3]))), coords
 
     @pytest.mark.parametrize("axis", range(5))
     @pytest.mark.parametrize("outside", ["below", "at the extent"])
@@ -776,10 +791,111 @@ class TestRangeGuard:
     def test_low_and_span_of_each_group(self, lengths, seed):
         coords = np.random.default_rng(seed).integers(-3, 9,
                                                       (sum(lengths), 3))
-        groups = engine._Groups(coords, np.array(lengths))
+        groups = engine._Groups(Cut.flat(coords, np.array(lengths)))
         starts = np.cumsum(lengths) - lengths
         for i, (start, length) in enumerate(zip(starts, lengths)):
             part = coords[start:start + length]
             assert (groups.low[i] == part.min(axis=0)).all()
             assert (groups.span[i] == part.max(axis=0)
                     - part.min(axis=0)).all()
+
+
+def run_on_cuts(hw, layer, tile, inputs, weights, cuts=None):
+    """Stats, trace events, output and replays of one run; ``cuts``, if
+    given, stand in for the mapping's batch and block cuts."""
+    events, replays = [], {}
+    with ExitStack() as stack:
+        for name, cut in zip(("batch_cut", "block_cut"), cuts or ()):
+            stack.enter_context(
+                patch.object(MappingPlan, name, lambda _, cut=cut: cut))
+        result = simulate_layer(hw, layer, tile, inputs, weights,
+                                trace=events.append, replays=replays)
+    return result.stats, events, result.output, replays
+
+
+def assert_cuts_match_the_reference(hw, layer, tile, inputs, weights):
+    """The expanded cuts equal the argsort reference's arrays byte for
+    byte, and a run on the trivial factoring of the cuts gives the
+    factored run's stats, trace events, outputs and replays."""
+    plan = build_mapping(hw, layer, tile)
+    for got, want in ((plan.batch_array(), cut_reference.batch_array(plan)),
+                      (plan.block_array(), cut_reference.block_array(plan))):
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) \
+                == (b.dtype, b.shape, b.tobytes())
+    flat = (Cut.flat(*plan.batch_array()), Cut.flat(*plan.block_array()))
+    factored = run_on_cuts(hw, layer, tile, inputs, weights)
+    trivial = run_on_cuts(hw, layer, tile, inputs, weights, flat)
+    assert factored[:2] == trivial[:2]
+    assert (factored[2] == trivial[2]).all()
+    assert factored[3].keys() == trivial[3].keys()
+    assert factored[3] == trivial[3]
+
+
+class TestFactoredCut:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_expands_to_the_reference_and_counts_alike(self, data):
+        # the drawn tiles include clamped ones, on any axis
+        hw, layer, tile = draw_case(data)
+        inputs, weights = random_layer_data(layer,
+                                            data.draw(st.integers(0, 999)))
+        assert_cuts_match_the_reference(hw, layer, tile, inputs, weights)
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_clamped_on_every_axis(self, strategy):
+        # steps of 2 on odd extents: two sizes per axis, so 32 tile
+        # shapes of outputs and 8 of blocks
+        layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=3, g=3, k=3, n=3,
+                            x=7, y=7)
+        tile = TileConfig(2, 2, 2, 2, 2, 2, 2, 2)
+        hw = replace(HardwareConfig(64, 4, 4), folding=strategy)
+        plan = build_mapping(hw, layer, tile)
+        assert len(plan.block_cut().sizes) == 8
+        assert len(plan.batch_cut().sizes) >= 32
+        inputs, weights = random_layer_data(layer, seed=6)
+        assert_cuts_match_the_reference(hw, layer, tile, inputs, weights)
+
+    @staticmethod
+    def batch_rows_classified(monkeypatch, runs):
+        # the rows of the class keys built while batches (the groups
+        # whose offsets are ox and oy) are classified
+        rows, batches = [], []
+        classes, row_keys = engine._Groups.classes, engine._row_keys
+
+        def counted_classes(groups, offsets, *args):
+            batches.append(offsets == (3, 4))
+            try:
+                return classes(groups, offsets, *args)
+            finally:
+                batches.pop()
+
+        def counted_row_keys(columns):
+            keys = row_keys(columns)
+            if batches[-1]:
+                rows.append(len(keys))
+            return keys
+
+        with monkeypatch.context() as m:
+            m.setattr(engine._Groups, "classes", counted_classes)
+            m.setattr(engine, "_row_keys", counted_row_keys)
+            for hw, layer, tile in runs:
+                simulate_layer(hw, layer, tile)
+        return sum(rows)
+
+    def test_one_row_per_batch_shape(self, monkeypatch):
+        # EARLY_SYNTHETIC's 648 batches share 1 shape, wide-conv's 64
+        # batches 2, and the 3,472 batches of tile-search's 20 simulated
+        # candidates 59
+        hw32 = workload(parse_hardware_config, "hw32-roundtrip.yaml")
+        early = (hw32, workload(parse_layer_config, "early-synthetic.yaml"),
+                 workload(parse_tile_config, "tile-early.yaml"))
+        wide = (workload(parse_hardware_config, "hw256-ideal.yaml"),
+                workload(parse_layer_config, "wide-conv.yaml"),
+                workload(parse_tile_config, "tile-wide.yaml"))
+        search = [(hw32, POINTWISE, c.tile)
+                  for c in enumerate_tiles(hw32, POINTWISE)[:20]]
+        assert [sum(len(build_mapping(*run).batch_array()[1]) for run in runs)
+                for runs in ([early], [wide], search)] == [648, 64, 3472]
+        assert [self.batch_rows_classified(monkeypatch, runs)
+                for runs in ([early], [wide], search)] == [1, 2, 59]
