@@ -2,7 +2,8 @@
 
 Configuration documents are YAML mappings.  Every document accepts an
 optional integer ``version`` field (current version: 1) and rejects
-unknown keys, in each model entry too.  Schemas:
+unknown keys, in each model entry too, and a mapping that repeats a key
+at any depth (a key merged in by ``<<`` may be overridden).  Schemas:
 
 hardware::
 
@@ -260,9 +261,27 @@ _LOADER, _DUMPER = (
     else (yaml.SafeLoader, yaml.SafeDumper))
 
 
+class _Loader(_LOADER):
+    """``_LOADER``, raising on a mapping that repeats one of its own
+    keys; a key merged in by ``<<`` may still be overridden."""
+
+    def flatten_mapping(self, node):
+        # until its first flattening, a mapping holds only its own keys
+        if not hasattr(node, "own_keys"):
+            node.own_keys = set()
+            for key, _ in node.value:
+                if (key.tag, str(key.value)) in node.own_keys:
+                    raise yaml.MarkedYAMLError(
+                        problem=f"duplicate key {key.value!r}",
+                        problem_mark=key.start_mark)
+                if key.tag != "tag:yaml.org,2002:merge":
+                    node.own_keys.add((key.tag, str(key.value)))
+        super().flatten_mapping(node)
+
+
 def _load(text: str, what: str):
     try:
-        return yaml.load(text, Loader=_LOADER)
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed {what} document: {exc}") from exc
 

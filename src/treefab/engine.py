@@ -82,14 +82,14 @@ equal, and the offsets give these up to the same shift for every
 position.  Whether a tap falls in the padding depends, given the offsets,
 only on ``base``, which the border class gives wherever it matters.
 
-The mapper cuts the batches and the blocks as ``mapper.Cut``s: each
-group is an origin plus one of a few shapes.  An origin shifts every
-coordinate of its group alike, so it changes no offset from the least
-and no partition by a value linear in the coordinates: the batch and
-block classes are counted once per shape, not per group.  Only the
-borders read the origins, through each group's least coordinate.  A
-schedule given as flat groups is exact too: each group is a shape of
-its own, at origin 0 (``Cut.flat``).
+The mapper cuts the batches and the blocks as ``mapper.Cut``s, which
+hold their geometry: each group is an origin plus one of a few shapes.
+An origin shifts every coordinate of its group alike, so it changes no
+offset from the least and no partition by a value linear in the
+coordinates: the batch and block classes are counted once per shape,
+not per group.  Only the borders read the origins, through each group's
+least coordinate.  A schedule given as flat groups is exact too: each
+group is a shape of its own, at origin 0 (``Cut.flat``).
 
 So ``simulate_layer`` builds the signature of each distinct key's first
 wave, assembles its record from the three parts, and sums count x record
@@ -310,38 +310,21 @@ def _keyed_waves(mapping, batches, blocks, replays):
 
 class _Groups:
     """The batches of output coordinates, or the fold blocks of weight
-    coordinates, as a ``mapper.Cut``: the shapes' offsets, and per group
-    an origin and a shape index; and per group the least coordinate and
-    the spread of each axis, from its shape's."""
+    coordinates, as a ``mapper.Cut``, which holds their geometry; and
+    what the keying derives from it: per group the length, the least
+    coordinate and the spread of each axis, from its shape's."""
 
     def __init__(self, cut: Cut):
         self.cut = cut
-        self.offsets, self.sizes, self.origins, self.shape = cut
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.lengths = self.sizes[self.shape]
-        self.width = int(self.sizes.max())
-        self.shape_low = np.minimum.reduceat(self.offsets, self.starts)
-        self.span = (np.maximum.reduceat(self.offsets, self.starts)
-                     - self.shape_low)[self.shape]
-        self.low = self.origins + self.shape_low[self.shape]
+        starts = np.cumsum(cut.sizes) - cut.sizes
+        self.lengths = cut.sizes[cut.shape]
+        self.shape_low = np.minimum.reduceat(cut.offsets, starts)
+        self.span = (np.maximum.reduceat(cut.offsets, starts)
+                     - self.shape_low)[cut.shape]
+        self.low = cut.origins + self.shape_low[cut.shape]
 
     def __len__(self) -> int:
-        return len(self.shape)
-
-    def positions(self, shapes):
-        """(at, used): the index in ``offsets`` of each position of
-        ``shapes``, shape (shapes, width), and the mask of the positions
-        within each shape.  A position past a shape's end repeats the
-        shape's first one."""
-        used = np.arange(self.width) < self.sizes[shapes, None]
-        start = self.starts[shapes, None]
-        return np.where(used, start + np.arange(self.width), start), used
-
-    def coordinates(self, groups):
-        """(coordinates, used): each position's coordinates in ``groups``,
-        shape (groups, width, axes), and the mask of the used ones."""
-        at, used = self.positions(self.shape[groups])
-        return self.offsets[at] + self.origins[groups, None], used
+        return len(self.cut.shape)
 
     def classes(self, axes, partitions):
         """A class id per group, counted once per shape.
@@ -353,16 +336,16 @@ class _Groups:
         of its group alike, so for values linear in the coordinates
         these are the shape's own.
         """
-        at, used = self.positions(np.arange(len(self.sizes)))
-        columns = [self.sizes]
-        columns += [np.where(used, self.offsets[at, a]
+        at, used = self.cut.positions(np.arange(len(self.cut.sizes)))
+        columns = [self.cut.sizes]
+        columns += [np.where(used, self.cut.offsets[at, a]
                              - self.shape_low[:, a, None], -1)
                     for a in axes]
         columns += [_first_positions(np.where(used, value[at], -1))
-                    for value in partitions(*self.offsets.T)]
+                    for value in partitions(*self.cut.offsets.T)]
         ids: dict[bytes, int] = {}
         return np.array([ids.setdefault(row, len(ids))
-                         for row in _row_keys(columns)])[self.shape]
+                         for row in _row_keys(columns)])[self.cut.shape]
 
 
 def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
@@ -372,8 +355,8 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
     (-1 for a padding tap)."""
     layer = mapping.layer
     b, f = np.divmod(waves, len(blocks))
-    (outs, slots), (elems, taps) = batches.coordinates(b), \
-        blocks.coordinates(f)
+    (outs, slots), (elems, taps) = batches.cut.coordinates(b), \
+        blocks.cut.coordinates(f)
     used = (slots[:, :, None] & taps[:, None, :]).reshape(len(waves), -1)
     n, g, k, ox, oy = np.moveaxis(outs[:, :, None], -1, 0)
     c, r, s = np.moveaxis(elems[:, None], -1, 0)
@@ -389,9 +372,8 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
         used, np.stack([w_addr, i_addr]).reshape(2, len(waves), -1), -1,
     ).reshape(2 * len(waves), -1)).reshape(2, len(waves), -1)
     # number position slot*width + e as slot*length + e instead
-    length = blocks.lengths[f, None]
-    first = np.where(first < 0, -1, first // blocks.width * length
-                     + first % blocks.width)
+    length, width = blocks.lengths[f, None], taps.shape[1]
+    first = np.where(first < 0, -1, first // width * length + first % width)
     # per wave, each partition's heads at its positions, 4 bytes each
     w_data, i_data = (h[used].astype(np.int32).tobytes() for h in first)
     ends = (4 * np.cumsum(used.sum(axis=1))).tolist()

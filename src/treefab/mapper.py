@@ -10,10 +10,11 @@ schedule and the fold blocks are cut from the layer by one numpy
 function, ``_cut``, as a factored ``Cut``: each tile is an origin plus
 one of a few shapes (per axis the step, or the clamped remainder), and
 each tile of outputs splits into batches, so a batch is a tile origin
-plus one batch shape.  ``batch_array`` and ``block_array`` expand a cut
-into flat coordinates with one length per group.  Nothing is stored;
-each is built when asked for.  Distribution routes depend
-only on each payload's destinations; ``fabric.generate_dn_routes``
+plus one batch shape.  The two cuts are the mapping's only schedule,
+built when asked for, and ``Cut`` holds their geometry: ``expand`` gives
+flat coordinates with one length per group, and ``coordinates`` some
+groups' coordinates padded to the widest shape.  Distribution routes
+depend only on each payload's destinations; ``fabric.generate_dn_routes``
 builds them on request, and the engine counts the switches on each
 payload's cover level by level through ``fabric.distribution``.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,21 @@ class Cut(NamedTuple):
         return (self.offsets[np.arange(len(group)) + shift]
                 + self.origins[group], lengths)
 
+    def positions(self, shapes):
+        """(at, used): the index in ``offsets`` of each position of
+        ``shapes``, shape (shapes, width) for the widest shape's width,
+        and the mask of the positions within each shape.  A position past
+        a shape's end repeats the shape's first one."""
+        used = np.arange(self.sizes.max()) < self.sizes[shapes, None]
+        start = (np.cumsum(self.sizes) - self.sizes)[shapes, None]
+        return np.where(used, start + np.arange(used.shape[1]), start), used
+
+    def coordinates(self, groups):
+        """(coordinates, used): each position's coordinates in ``groups``,
+        shape (groups, width, axes), and the mask of the used ones."""
+        at, used = self.positions(self.shape[groups])
+        return self.offsets[at] + self.origins[groups, None], used
+
 
 @dataclass(frozen=True)
 class MappingPlan:
@@ -117,25 +133,12 @@ class MappingPlan:
         order."""
         return _cut(*_axes(self.layer, self.tile, _FOLD_AXES))
 
-    def batch_array(self):
-        """(coordinates, lengths): the schedule's output coordinates in
-        issue order, shape (outputs, 5), and the length of each batch."""
-        return self.batch_cut().expand()
-
-    def block_array(self):
-        """(coordinates, lengths): the fold blocks' weight coordinates in
-        issue order, shape (elements, 3), and the length of each block."""
-        return self.block_cut().expand()
-
     @property
     def schedule(self):
         """Batches of output coordinates, as lists of tuples."""
-        return _groups(*self.batch_array())
-
-    @property
-    def fold_blocks(self):
-        """Fold blocks of weight coordinates, as lists of tuples."""
-        return _groups(*self.block_array())
+        coords, lengths = self.batch_cut().expand()
+        rows = map(tuple, coords.tolist())
+        return [list(islice(rows, length)) for length in lengths.tolist()]
 
     def describe(self) -> dict:
         """Serializable summary for inspection, of a full batch."""
@@ -207,15 +210,6 @@ def _cut(extents, steps) -> Cut:
     return Cut(np.concatenate(boxes), np.array([len(b) for b in boxes]),
                np.indices(grid).reshape(len(grid), -1).T * np.array(steps),
                shape.ravel())
-
-
-def _groups(coords, lengths):
-    """Yield each group of ``coords`` as a list of tuples."""
-    rows = list(map(tuple, coords.tolist()))
-    start = 0
-    for length in lengths.tolist():
-        yield rows[start:start + length]
-        start += length
 
 
 def build_mapping(hw: HardwareConfig, layer: LayerConfig,

@@ -148,9 +148,10 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
     # - a link carries at most one fragment per level;
     # - the cluster that crosses a link lies inside the two sub-trees that
     #   the link joins, so it completes at the receiver;
-    # - egresses at one switch are serialized by ``min_time``.
+    # - egresses at one switch are serialized by ``min_time``;
+    # - no cluster crosses the tree's edges, so neither edge node is ever
+    #   a sender, and every lateral link joins two nodes inside the level.
     for level in range(1, n.bit_length()):
-        node_count = n >> level
         parents: dict[int, dict[int, _Group]] = {}
 
         # Lateral links join same-level nodes that do not share a parent:
@@ -161,8 +162,6 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
                    if sum(g.covered < size[vn] for vn, g in held.items())
                    == 2}
         for left_j in sorted({j - 1 + j % 2 for j in senders}):
-            if not 1 <= left_j < node_count - 1:
-                continue
             right_j = left_j + 1
             send_l, send_r = left_j in senders, right_j in senders
             vn = vn_of_leaf[(right_j << level) - 1]

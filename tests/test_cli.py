@@ -85,6 +85,15 @@ class TestRunLayer:
                          "--tile", tile])
         assert code == cli.EXIT_PARSE
 
+    def test_repeated_key_hw(self, tmp_path, capsys):
+        _, layer, tile = standard_files(tmp_path)
+        hw = write(tmp_path, "repeated_hw.yaml", HW32_DOC + "num_ms: 64\n")
+        code = cli.main(["run-layer", "--hw", hw, "--layer", layer,
+                         "--tile", tile])
+        assert code == cli.EXIT_PARSE
+        assert ("parse error: malformed hardware document: duplicate key "
+                "'num_ms'") in capsys.readouterr().err
+
     def test_non_utf8_hw(self, tmp_path, capsys):
         _, layer, tile = standard_files(tmp_path)
         hw = tmp_path / "latin1_hw.yaml"

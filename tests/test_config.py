@@ -377,6 +377,47 @@ class TestBadDocuments:
         )]
 
 
+# (document kind, text, the key its mapping repeats): YAML keeps the last
+# value, so each would parse, as num_ms 64 or X 7, if not rejected
+REPEATED_KEYS = [
+    ("hardware", HW_DOC + "num_ms: 64\n", "num_ms"),
+    ("layer", LAYER_DOC + "X: 7\n", "X"),
+    ("tile", TILE_DOC + "T_R: 1\n", "T_R"),
+    ("model", MODEL_DOC % (", X: 7", ""), "X"),
+]
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("what,text,key", REPEATED_KEYS,
+                             ids=[case[0] for case in REPEATED_KEYS])
+    def test_rejected(self, what, text, key):
+        with pytest.raises(ParseError) as exc:
+            PARSERS[what](text)
+        assert str(exc.value).startswith(
+            f"malformed {what} document: duplicate key {key!r}\n")
+        assert isinstance(exc.value.__cause__, yaml.YAMLError)
+
+    def test_merged_keys_may_be_overridden(self):
+        assert config._load("a: &A {p: 1, q: 2}\ny: {<<: *A, q: 3}\n",
+                            "test") == {"a": {"p": 1, "q": 2},
+                                        "y": {"p": 1, "q": 3}}
+        # a mapping merged in after it has merged and overridden a key
+        # itself, and merged twice
+        assert config._load(
+            "z: &Z {q: 0}\na: {m: &M {<<: *Z, q: 1}}\nb: {<<: *M}\n"
+            "c: {<<: *M, p: 2}\n", "test") == {
+                "z": {"q": 0}, "a": {"m": {"q": 1}}, "b": {"q": 1},
+                "c": {"q": 1, "p": 2}}
+        # a later model layer that overrides one key of an earlier one
+        model = parse_model_config(
+            "layers:\n"
+            "  - {name: a, layer: &L {R: 3, S: 3, C: 2, K: 4, X: 6, Y: 6},"
+            " tile: {T_R: 3, T_S: 3, T_C: 1}}\n"
+            "  - {name: b, layer: {<<: *L, X: 8},"
+            " tile: {T_R: 3, T_S: 3, T_C: 1}}\n")
+        assert [layer.x for _, layer, _ in model] == [6, 8]
+
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENTS = sorted([*ROOT.glob("tests/*.yaml"),
                     *ROOT.glob("perfbench/workloads/*.yaml"),
@@ -397,6 +438,8 @@ class TestLibyaml:
     def test_chosen_when_present(self):
         assert (config._LOADER, config._DUMPER) == (yaml.CSafeLoader,
                                                     yaml.CSafeDumper)
+        # documents are read through libyaml too
+        assert config._Loader.__bases__ == (yaml.CSafeLoader,)
 
     @pytest.mark.parametrize("path", DOCUMENTS, ids=_name)
     def test_both_loaders_read_equal_values(self, path):

@@ -54,7 +54,8 @@ from common import (
     tiles,
 )
 import cut_reference
-from wave_reference import Fabric, simulate_per_wave, wave_records
+from wave_reference import (Fabric, fold_blocks, simulate_per_wave,
+                            wave_records)
 
 
 def run(hw, layer, tile, seed=0, strategy=None, trace=None):
@@ -266,8 +267,8 @@ class TestMatchesPerWaveReference:
         want = [record for _, _, record in wave_records(mapping, fabric)]
         # the factored cuts, and their trivial factoring
         for cuts in ((mapping.batch_cut(), mapping.block_cut()),
-                     (Cut.flat(*mapping.batch_array()),
-                      Cut.flat(*mapping.block_array()))):
+                     (Cut.flat(*mapping.batch_cut().expand()),
+                      Cut.flat(*mapping.block_cut().expand()))):
             got = []
             for _, key, records in engine._keyed_waves(
                     mapping, *map(engine._Groups, cuts), {}):
@@ -282,8 +283,8 @@ class TestMatchesPerWaveReference:
         # every weight coordinate into any block, keeping their lengths
         hw, layer, tile = draw_case(data)
         plan = build_mapping(hw, layer, tile)
-        outs, batch_lengths = plan.batch_array()
-        elems, block_lengths = plan.block_array()
+        outs, batch_lengths = plan.batch_cut().expand()
+        elems, block_lengths = plan.block_cut().expand()
         outs = outs[data.draw(st.permutations(range(len(outs))))]
         elems = elems[data.draw(st.permutations(range(len(elems))))]
         inputs, weights = random_layer_data(layer,
@@ -306,7 +307,7 @@ class TestMatchesPerWaveReference:
         hw = HardwareConfig(32, 8, 4, strategy)
         plan = build_mapping(hw, layer, tile)
         sizes = [len(batch) for batch in plan.schedule]
-        lengths = [len(block) for block in plan.fold_blocks]
+        lengths = [len(block) for block in fold_blocks(plan)]
         assert len(set(sizes)) > 1 and len(set(lengths)) > 1
         # key three batches at a time, so the layer takes several chunks
         monkeypatch.setattr(engine, "CHUNK_WAVES", 3 * plan.folds)
@@ -430,7 +431,7 @@ class TestWaveKeys:
         # input rows (columns) touched by each batch against each block
         spans = {axis: set() for axis in (0, 1)}
         for batch in plan.schedule:
-            for block in plan.fold_blocks:
+            for block in fold_blocks(plan):
                 for axis in (0, 1):
                     taps = [o[3 + axis] * layer.stride + e[1 + axis]
                             - layer.padding for o in batch for e in block]
@@ -484,7 +485,7 @@ class TestSharedReplays:
         # one reduction plan per batch geometry over all the calls
         assert sorted(planned) == sorted({
             (hw.num_ms, plan.real_vn_size, size) for plan in plans
-            for size in plan.batch_array()[1].tolist()})
+            for size in plan.batch_cut().expand()[1].tolist()})
         for tile, got in zip(tiles_, shared):
             assert got.stats == simulate_layer(hw, layer, tile, inputs,
                                                weights).stats
@@ -728,15 +729,16 @@ class TestAddressesAndOverflow:
         with pytest.raises(AddressOutOfRange):
             simulate_layer(HW32, TINY, VALIDATION_TILE, inputs, weights)
 
-    @pytest.mark.parametrize("name", ["batch_array", "block_array"])
+    @pytest.mark.parametrize("name", ["batch_cut", "block_cut"])
     def test_sums_follow_the_schedule(self, name, monkeypatch):
         # the last output of the schedule (or element of the fold blocks)
         # is replaced by the first: every length and coordinate stays
         # valid, but one output (or tap) is summed twice and one never
         coords, lengths = getattr(
-            build_mapping(HW32, PADDED_STRIDED, VALIDATION_TILE), name)()
+            build_mapping(HW32, PADDED_STRIDED, VALIDATION_TILE),
+            name)().expand()
         coords[-1] = coords[0]
-        monkeypatch.setattr(MappingPlan, name.replace("array", "cut"),
+        monkeypatch.setattr(MappingPlan, name,
                             lambda plan: Cut.flat(coords, lengths))
         result, inputs, weights = run(HW32, PADDED_STRIDED, VALIDATION_TILE)
         assert not compare(result.output, conv_reference(
@@ -818,12 +820,13 @@ def assert_cuts_match_the_reference(hw, layer, tile, inputs, weights):
     byte, and a run on the trivial factoring of the cuts gives the
     factored run's stats, trace events, outputs and replays."""
     plan = build_mapping(hw, layer, tile)
-    for got, want in ((plan.batch_array(), cut_reference.batch_array(plan)),
-                      (plan.block_array(), cut_reference.block_array(plan))):
+    batches, blocks = plan.batch_cut().expand(), plan.block_cut().expand()
+    for got, want in ((batches, cut_reference.batch_array(plan)),
+                      (blocks, cut_reference.block_array(plan))):
         for a, b in zip(got, want):
             assert (a.dtype, a.shape, a.tobytes()) \
                 == (b.dtype, b.shape, b.tobytes())
-    flat = (Cut.flat(*plan.batch_array()), Cut.flat(*plan.block_array()))
+    flat = (Cut.flat(*batches), Cut.flat(*blocks))
     factored = run_on_cuts(hw, layer, tile, inputs, weights)
     trivial = run_on_cuts(hw, layer, tile, inputs, weights, flat)
     assert factored[:2] == trivial[:2]
@@ -895,7 +898,8 @@ class TestFactoredCut:
                 workload(parse_tile_config, "tile-wide.yaml"))
         search = [(hw32, POINTWISE, c.tile)
                   for c in enumerate_tiles(hw32, POINTWISE)[:20]]
-        assert [sum(len(build_mapping(*run).batch_array()[1]) for run in runs)
+        assert [sum(len(build_mapping(*run).batch_cut().shape)
+                    for run in runs)
                 for runs in ([early], [wide], search)] == [648, 64, 3472]
         assert [self.batch_rows_classified(monkeypatch, runs)
                 for runs in ([early], [wide], search)] == [1, 2, 59]

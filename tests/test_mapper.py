@@ -34,6 +34,7 @@ from treefab.memory import random_layer_data
 from treefab.reduction import clusters, plan_reduction
 
 from common import HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE, layers, tiles
+from wave_reference import fold_blocks
 
 
 class TestFolds:
@@ -118,9 +119,9 @@ class TestBuildMapping:
 
     def test_fold_blocks_cover_filter_volume(self):
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
-        elems = [e for block in plan.fold_blocks for e in block]
+        elems = [e for block in fold_blocks(plan) for e in block]
         assert len(elems) == len(set(elems)) == TINY.r * TINY.s * TINY.c
-        assert len(list(plan.fold_blocks)) == plan.folds
+        assert len(fold_blocks(plan)) == plan.folds
 
     def test_describe_is_serializable(self):
         plan = build_mapping(HW32, TINY, VALIDATION_TILE)
@@ -237,8 +238,8 @@ class TestTilingMatchesLoopNests:
             assume(False)
         assert list(plan.schedule) == loop_nest_schedule(
             layer, tile, plan.n_vns_mapped)
-        assert list(plan.fold_blocks) == loop_nest_fold_blocks(layer, tile)
-        assert len(list(plan.fold_blocks)) == plan.folds
+        assert fold_blocks(plan) == loop_nest_fold_blocks(layer, tile)
+        assert len(fold_blocks(plan)) == plan.folds
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -2,8 +2,9 @@
 
 The planner is checked against a brute-force per-cluster sum for many
 random contiguous partitions, including idle runs and runs of
-single-leaf clusters, and for every partition of 8 leaves; five plans
-are pinned op for op by digest.
+single-leaf clusters, and for every partition of 8 leaves; every
+cluster layout of 2 to 128 leaves, and five plans besides, are pinned op
+for op by digest.
 """
 
 import hashlib
@@ -196,10 +197,24 @@ def plan_digest(plan) -> str:
     ).hexdigest()
 
 
+def layouts_digest(sizes) -> str:
+    """sha256 of the plan digests of every layout of each leaf count in
+    ``sizes``, concatenated in ``layouts`` order."""
+    return hashlib.sha256("".join(
+        plan_digest(plan_reduction(vn_of_leaf))
+        for n in sizes for vn_of_leaf in layouts(n)).encode()).hexdigest()
+
+
 class TestPinnedPlans:
     # The sums, ports and egress counts above leave an op's timing, route
     # and order free: a plan that always sends left, or charges no lateral
-    # hop, passes them.  These digests pin five plans op for op.
+    # hop, passes them.  These digests pin plans op for op: every layout
+    # the engine can plan on up to 128 leaves (CI pins the 1,466 of 256),
+    # and five plans whose op and addition counts are spelled out.
+    def test_every_layout_op_for_op(self):
+        assert layouts_digest(2 ** k for k in range(1, 8)) == (
+            "f4c4d9ed8274f9ce318e786f97df0b28a7974bf6f9965b5a79d0eda59c8aabb7")
+
     @pytest.mark.parametrize("layout, ops, adds, digest", [
         ((256, 9, 28), 259, 224, "abb298a892157cdc954b1c2c5a11c59c"
                                  "7bcd5dfa89c8fbc16e076725ec4914d8"),

@@ -9,6 +9,8 @@ its signature and must give the same stats, outputs, trace events and
 per-wave records.
 """
 
+from itertools import islice
+
 from treefab import engine
 from treefab.config import FoldingStrategy
 from treefab.fabric import (
@@ -123,11 +125,18 @@ def run_wave(mapping, plan, members, batch, f, block, fabric, cycle,
     return wc, ic, cycle - start
 
 
+def fold_blocks(mapping):
+    """The fold blocks of weight coordinates, as lists of tuples."""
+    elems, lengths = mapping.block_cut().expand()
+    rows = map(tuple, elems.tolist())
+    return [list(islice(rows, length)) for length in lengths.tolist()]
+
+
 def wave_records(mapping, fabric):
     """Run every wave of ``mapping`` on ``fabric`` in issue order; yield
     each wave's fold, batch size and record: its weight, input and wave
     cycles, then how much each ``engine.COUNTED`` counter rose."""
-    blocks = list(mapping.fold_blocks)
+    blocks = fold_blocks(mapping)
     cycle = 0
     for batch in mapping.schedule:
         vn_of_leaf = clusters(mapping.hw.num_ms, mapping.real_vn_size,
