@@ -60,8 +60,8 @@ step by step, on values, calling the same two functions; the test suite
 walks every wave through them as the reference that the counts must
 match.
 
-Each wave gets a closed-form *key*, one int64, built per chunk of waves
-from a batch class, a block class and two border classes:
+Each wave gets a closed-form *key* from a batch class, a block class
+and two border classes:
 
 * batch class: the batch size; the partition of its slots by
   ``g*K + k`` and by ``n*G + g`` (each slot's first slot with the same
@@ -91,12 +91,16 @@ not per group.  Only the borders read the origins, through each group's
 least coordinate.  A schedule given as flat groups is exact too: each
 group is a shape of its own, at origin 0 (``Cut.flat``).
 
-So ``simulate_layer`` builds the signature of each distinct key's first
-wave, assembles its record from the three parts, and sums count x record
-over the keys.  A caller that passes one ``replays`` dict to many calls
-(a tile search, the trials of ``verify``, the layers of a model) shares
-the parts across those calls: a search plans each batch geometry once,
-not once per tile.
+A key reads a batch only through its *row*, its class and least ``ox``
+and ``oy`` (the class fixes their spreads), and a block only through its
+row, its class, fold flags and least ``r`` and ``s``.  So
+``_pair_table`` keys the (batch row, block row) pairs, never the waves,
+and builds one wave's signature per key and its record from the three
+parts; the totals weight each pair's record by its rows' counts.  A
+caller that passes one ``replays`` dict to many calls (a tile search,
+the trials of ``verify``, the layers of a model) shares the parts
+across those calls: a search plans each batch geometry once, not once
+per tile.
 
 None of this reads the data, so a call without inputs and weights
 counts the same stats and trace events and stops there; the tile search
@@ -127,10 +131,6 @@ from .fabric import bus_grants, distribution
 from .mapper import Cut, MappingPlan, build_mapping, cluster_plan
 from .memory import (check_layer_data, fit_outputs, output_dims,
                      padded_inputs, weight_dims)
-
-# waves keyed together; it bounds the keying's working arrays
-CHUNK_WAVES = 1 << 15
-
 
 @dataclass
 class SimStats:
@@ -229,25 +229,24 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     n_folds = len(blocks)
     waves = len(batches) * n_folds
 
-    sizes = batches.lengths.tolist()
-    totals = cycle = 0
-    for w0, key, records in _keyed_waves(
-            mapping, batches, blocks, {} if replays is None else replays):
-        records = np.array(records, dtype=np.int64)
-        totals += np.bincount(key, minlength=len(records)) @ records
-        if trace is None:
-            continue
-        weight_cycles, input_cycles, ends = (
-            records[key, 0].tolist(), records[key, 1].tolist(),
-            (cycle + np.cumsum(records[key, 2])).tolist())
-        for w, wc, ic, end in zip(range(w0, w0 + len(ends)), weight_cycles,
-                                  input_cycles, ends):
-            b, f = divmod(w, n_folds)
-            trace({
-                "wave": w + 1, "fold": f, "batch_size": sizes[b],
-                "cycle": end, "weight_cycles": wc, "input_cycles": ic,
-            })
-        cycle = ends[-1]
+    batch_row, block_row, ids, records = _pair_table(
+        mapping, batches, blocks, {} if replays is None else replays)
+    # waves per (batch row, block row) pair, times each pair's record
+    totals = np.bincount(batch_row) @ (np.bincount(block_row) @ records[ids])
+    if trace is not None:
+        # per batch row, its waves' weight, input and wave cycles
+        rows = [records[ids[row, block_row], :3].T.tolist()
+                for row in range(len(ids))]
+        cycle = 0
+        for b, (size, row) in enumerate(zip(batches.lengths.tolist(),
+                                             batch_row.tolist())):
+            for f, wc, ic, wave in zip(range(n_folds), *rows[row]):
+                cycle += wave
+                trace({
+                    "wave": b * n_folds + f + 1, "fold": f,
+                    "batch_size": size, "cycle": cycle,
+                    "weight_cycles": wc, "input_cycles": ic,
+                })
     stats = layer_stats(mapping, int(totals[2]), waves, totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
     output = None if inputs is None else _outputs(
@@ -256,15 +255,11 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
-def _keyed_waves(mapping, batches, blocks, replays):
-    """Yield (first wave, key ids, records) for each chunk of waves, in
-    issue order.
-
-    Key ids number the distinct keys in order of first appearance;
-    ``records`` holds, per key id, the weight, input and wave cycles and
-    then the ``COUNTED`` counters of the key's first wave, assembled by
-    ``_record`` from the parts in ``replays``.
-    """
+def _pair_table(mapping, batches, blocks, replays):
+    """(batch rows, block rows, ids, records): each batch's and each fold
+    block's row, the key id of each (batch row, block row) pair, and per
+    key id the weight, input and wave cycles and then the ``COUNTED``
+    counters of its waves, assembled by ``_record`` from ``replays``."""
     layer = mapping.layer
     n_folds = len(blocks)
     batch_ids = batches.classes(
@@ -272,41 +267,42 @@ def _keyed_waves(mapping, batches, blocks, replays):
     # a block's class, then whether its fold is the first and the last
     fold = np.arange(n_folds)
     block_ids = ((blocks.classes((0, 1, 2), lambda c, r, s: ()) * 2
-                  + (fold > 0)) * 2 + (fold == n_folds - 1))[None, :]
-    n_classes = int(block_ids.max()) + 1
+                  + (fold > 0)) * 2 + (fold == n_folds - 1))
+    batch_row, batch_first = _number([batch_ids, *batches.low[:, 3:].T])
+    block_row, block_first = _number([block_ids, *blocks.low[:, 1:].T])
+    b, f = batch_first[:, None], block_first[None, :]
+    borders = []
+    for axis, fold_axis, extent in ((3, 1, layer.x), (4, 2, layer.y)):
+        # 0 when every tap of the pair's waves lies inside the input along
+        # the axis, else the first tap's row (or column) made positive
+        base = (batches.low[b, axis] * layer.stride - layer.padding
+                + blocks.low[f, fold_axis])
+        end = base + (batches.span[b, axis] * layer.stride
+                      + blocks.span[f, fold_axis])
+        borders.append(np.where((base >= 0) & (end < extent), 0,
+                                base + layer.padding + 1))
+    ids, first = _number([batch_ids[b], block_ids[f], *borders])
+    b, f = np.divmod(first, len(block_first))
+    records = [_record(mapping, signature, replays)
+               for signature in _signatures(
+                   mapping, batches, blocks,
+                   batch_first[b] * n_folds + block_first[f])]
+    return batch_row, block_row, ids, np.array(records, dtype=np.int64)
 
-    def border(b, axis, fold_axis, extent):
-        # 0 when every tap of the waves lies inside the input along the
-        # axis, else the first tap's row (or column) made positive
-        base = (batches.low[b, axis, None] * layer.stride - layer.padding
-                + blocks.low[None, :, fold_axis])
-        end = base + (batches.span[b, axis, None] * layer.stride
-                      + blocks.span[None, :, fold_axis])
-        return np.where((base >= 0) & (end < extent), 0,
-                        base + layer.padding + 1)
 
-    key_ids: dict[int, int] = {}
-    records: list[tuple[int, ...]] = []
-    rows = max(1, CHUNK_WAVES // n_folds)
-    for b0 in range(0, len(batches), rows):
-        b = slice(b0, b0 + rows)
-        # below waves * radix_x * radix_y, far inside int64
-        keys = batch_ids[b, None] * n_classes + block_ids
-        for axis, fold_axis, extent in ((3, 1, layer.x), (4, 2, layer.y)):
-            keys = (keys * (extent + 2 * layer.padding + 1)
-                    + border(b, axis, fold_axis, extent))
-        keys, first, inverse = np.unique(
-            keys, return_index=True, return_inverse=True)
-        keys, first = keys.tolist(), b0 * n_folds + first
-        new = [i for i, key in enumerate(keys) if key not in key_ids]
-        if new:
-            for i, signature in zip(new, _signatures(mapping, batches, blocks,
-                                                     first[new])):
-                key_ids[keys[i]] = len(records)
-                records.append(_record(mapping, signature, replays))
-        ids = np.array([key_ids[key] for key in keys])
-        yield b0 * n_folds, ids[inverse.reshape(-1)], records
-
+def _number(columns):
+    """(ids, first): each row of the broadcast ``columns`` (non-negative
+    ints) numbered among the distinct rows, and each id's first flat
+    index.  A row is one mixed-radix int64, each column's radix its
+    largest value plus one, so it stays below the radices' product:
+    classes x X' x Y' for the batch rows, 4 x classes x R x S for the
+    block rows, and batch classes x block classes x (X + 2 padding + 1) x
+    (Y + 2 padding + 1) for the pairs."""
+    number = 0
+    for column in columns:
+        number = number * (int(column.max()) + 1) + column
+    _, first, ids = np.unique(number, return_index=True, return_inverse=True)
+    return ids.reshape(np.shape(number)), first
 
 class _Groups:
     """The batches of output coordinates, or the fold blocks of weight

@@ -67,13 +67,8 @@ class Cut(NamedTuple):
     def expand(self):
         """(coordinates, lengths): every group's coordinates in turn,
         shape (rows, axes), and the length of each group."""
-        lengths = self.sizes[self.shape]
-        ends = np.cumsum(lengths)
-        group = np.repeat(np.arange(len(lengths)), lengths)
-        # row j of a group is row j of its shape
-        shift = (np.cumsum(self.sizes)[self.shape] - ends)[group]
-        return (self.offsets[np.arange(len(group)) + shift]
-                + self.origins[group], lengths)
+        coords, used = self.coordinates(np.arange(len(self.shape)))
+        return coords[used], self.sizes[self.shape]
 
     def positions(self, shapes):
         """(at, used): the index in ``offsets`` of each position of

@@ -269,11 +269,12 @@ class TestMatchesPerWaveReference:
         for cuts in ((mapping.batch_cut(), mapping.block_cut()),
                      (Cut.flat(*mapping.batch_cut().expand()),
                       Cut.flat(*mapping.block_cut().expand()))):
-            got = []
-            for _, key, records in engine._keyed_waves(
-                    mapping, *map(engine._Groups, cuts), {}):
-                got += [records[i] for i in key.tolist()]
-            assert got == want
+            batch_row, block_row, ids, records = engine._pair_table(
+                mapping, *map(engine._Groups, cuts), {})
+            # each wave's record, from its pair, in issue order
+            got = records[ids[batch_row[:, None], block_row]]
+            assert list(map(tuple, got.reshape(-1, got.shape[-1]).tolist())) \
+                == want
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -299,8 +300,7 @@ class TestMatchesPerWaveReference:
                        conv_reference(layer, inputs, weights)).ok
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
-    def test_several_chunks_with_edge_batches_and_blocks(self, strategy,
-                                                         monkeypatch):
+    def test_edge_batches_and_blocks(self, strategy):
         layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=5, g=2, k=3, n=2,
                             x=9, y=8, stride=1, padding=1)
         tile = TileConfig(2, 3, 2, 1, 2, 1, 2, 3)
@@ -309,8 +309,6 @@ class TestMatchesPerWaveReference:
         sizes = [len(batch) for batch in plan.schedule]
         lengths = [len(block) for block in fold_blocks(plan)]
         assert len(set(sizes)) > 1 and len(set(lengths)) > 1
-        # key three batches at a time, so the layer takes several chunks
-        monkeypatch.setattr(engine, "CHUNK_WAVES", 3 * plan.folds)
         assert len(sizes) > 3 * 3 and sum(sizes) > 3 * 5
         inputs, weights = random_layer_data(layer, seed=11)
         result = assert_matches_per_wave(hw, layer, tile, inputs, weights)
@@ -903,3 +901,44 @@ class TestFactoredCut:
                 for runs in ([early], [wide], search)] == [648, 64, 3472]
         assert [self.batch_rows_classified(monkeypatch, runs)
                 for runs in ([early], [wide], search)] == [1, 2, 59]
+
+
+# CI's ResNet-scale layer and tile: 2,752,512 waves on HW 64/8/8
+RESNET = (HardwareConfig(64, 8, 8),
+          LayerConfig(LayerKind.CONV, r=3, s=3, c=64, g=1, k=64, n=1,
+                      x=56, y=56, padding=1),
+          TileConfig(1, 3, 1, t_y=28))
+
+
+class TestPairTable:
+    @staticmethod
+    def pair_table(hw, layer, tile):
+        plan = build_mapping(hw, layer, tile)
+        return engine._pair_table(plan, engine._Groups(plan.batch_cut()),
+                                  engine._Groups(plan.block_cut()), {})
+
+    @pytest.mark.parametrize("case, want", [
+        ((HW32, EARLY_SYNTHETIC, TileConfig(3, 3, 1, t_x=3)), (108, 3, 3)),
+        (RESNET, (224, 5, 28))])
+    def test_keys_a_table_of_rows_not_of_waves(self, case, want):
+        # (batch rows, block rows, keys): EARLY_SYNTHETIC's 3,888 waves
+        # and the ResNet-scale tile's 2,752,512 are keyed on the pairs
+        batch_row, block_row, ids, records = self.pair_table(*case)
+        assert (*ids.shape, len(records)) == want
+        plan = build_mapping(*case)
+        assert (len(batch_row), len(block_row)) \
+            == (len(plan.batch_cut().shape), plan.folds)
+
+    def test_resnet_scale_counted_without_data(self):
+        # the factored cuts and their trivial factoring count alike
+        hw, layer, tile = RESNET
+        plan = build_mapping(hw, layer, tile)
+        factored = simulate_layer(hw, layer, tile).stats
+        flat = (Cut.flat(*plan.batch_cut().expand()),
+                Cut.flat(*plan.block_cut().expand()))
+        with patch.object(MappingPlan, "batch_cut", lambda _: flat[0]), \
+                patch.object(MappingPlan, "block_cut", lambda _: flat[1]):
+            trivial = simulate_layer(hw, layer, tile).stats
+        assert factored == trivial
+        assert (factored.total_cycles, factored.waves) \
+            == (38_375_424, 2_752_512)
