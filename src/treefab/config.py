@@ -45,8 +45,9 @@ model::
         tile: search
 
 Each model entry holds a layer document and a tile document; ``tile:
-search`` (the default) picks the best enumerated tile.  Names default to
-``layer<i>`` and must be unique.
+search`` (the default) takes the first tile in ``enumerate_tiles``'
+order of predicted utilization.  Names default to ``layer<i>`` and must
+be unique.
 
 A fully-connected layer is expressed in the convolution parameterization
 with G=1, X=R, Y=S, padding=0, so that the output is 1x1 and the

@@ -87,9 +87,11 @@ hold their geometry: each group is an origin plus one of a few shapes.
 An origin shifts every coordinate of its group alike, so it changes no
 offset from the least and no partition by a value linear in the
 coordinates: the batch and block classes are counted once per shape,
-not per group.  Only the borders read the origins, through each group's
-least coordinate.  A schedule given as flat groups is exact too: each
-group is a shape of its own, at origin 0 (``Cut.flat``).
+not per group (``_classes``).  Only the borders and the range check read
+the origins, through each group's least coordinate, its origin plus its
+shape's least offset (``Cut.bounds``).  A schedule given as flat groups
+is exact too: each group is a shape of its own, at origin 0
+(``Cut.flat``).
 
 A key reads a batch only through its *row*, its class and least ``ox``
 and ``oy`` (the class fixes their spreads), and a block only through its
@@ -222,12 +224,9 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         raise ValidationError("give both inputs and weights, or neither")
     if inputs is not None:
         inputs, weights = check_layer_data(layer, inputs, weights)
-    batches = _Groups(mapping.batch_cut())
-    blocks = _Groups(mapping.block_cut())
-    _check_range(batches, output_dims(layer), "output")
-    _check_range(blocks, weight_dims(layer)[2:], "weight (c, r, s)")
-    n_folds = len(blocks)
-    waves = len(batches) * n_folds
+    batches, blocks = mapping.batch_cut(), mapping.block_cut()
+    n_folds = len(blocks.shape)
+    waves = len(batches.shape) * n_folds
 
     batch_row, block_row, ids, records = _pair_table(
         mapping, batches, blocks, {} if replays is None else replays)
@@ -238,8 +237,8 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         rows = [records[ids[row, block_row], :3].T.tolist()
                 for row in range(len(ids))]
         cycle = 0
-        for b, (size, row) in enumerate(zip(batches.lengths.tolist(),
-                                             batch_row.tolist())):
+        for b, (size, row) in enumerate(zip(
+                batches.sizes[batches.shape].tolist(), batch_row.tolist())):
             for f, wc, ic, wave in zip(range(n_folds), *rows[row]):
                 cycle += wave
                 trace({
@@ -250,43 +249,48 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     stats = layer_stats(mapping, int(totals[2]), waves, totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
     output = None if inputs is None else _outputs(
-        layer, batches.cut.expand()[0], blocks.cut.expand()[0], inputs,
-        weights)
+        layer, batches.expand()[0], blocks.expand()[0], inputs, weights)
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
-def _pair_table(mapping, batches, blocks, replays):
+def _pair_table(mapping, batches: Cut, blocks: Cut, replays):
     """(batch rows, block rows, ids, records): each batch's and each fold
     block's row, the key id of each (batch row, block row) pair, and per
     key id the weight, input and wave cycles and then the ``COUNTED``
-    counters of its waves, assembled by ``_record`` from ``replays``."""
+    counters of its waves, assembled by ``_record`` from ``replays``.
+    Raises ``AddressOutOfRange`` where a cut leaves its region
+    (``_check_range``)."""
     layer = mapping.layer
-    n_folds = len(blocks)
-    batch_ids = batches.classes(
-        (3, 4), lambda n, g, k, ox, oy: (g * layer.k + k, n * layer.g + g))
+    n_folds = len(blocks.shape)
+    batch_low, batch_spread, batch_least = _check_range(
+        batches, output_dims(layer), "output")
+    block_low, block_spread, block_least = _check_range(
+        blocks, weight_dims(layer)[2:], "weight (c, r, s)")
+    batch_ids = _classes(
+        batches, batch_low, (3, 4),
+        lambda n, g, k, ox, oy: (g * layer.k + k, n * layer.g + g))
     # a block's class, then whether its fold is the first and the last
     fold = np.arange(n_folds)
-    block_ids = ((blocks.classes((0, 1, 2), lambda c, r, s: ()) * 2
-                  + (fold > 0)) * 2 + (fold == n_folds - 1))
-    batch_row, batch_first = _number([batch_ids, *batches.low[:, 3:].T])
-    block_row, block_first = _number([block_ids, *blocks.low[:, 1:].T])
+    block_ids = ((_classes(blocks, block_low, (0, 1, 2), lambda c, r, s: ())
+                  * 2 + (fold > 0)) * 2 + (fold == n_folds - 1))
+    batch_row, batch_first = _number([batch_ids, *batch_least[:, 3:].T])
+    block_row, block_first = _number([block_ids, *block_least[:, 1:].T])
     b, f = batch_first[:, None], block_first[None, :]
     borders = []
     for axis, fold_axis, extent in ((3, 1, layer.x), (4, 2, layer.y)):
         # 0 when every tap of the pair's waves lies inside the input along
         # the axis, else the first tap's row (or column) made positive
-        base = (batches.low[b, axis] * layer.stride - layer.padding
-                + blocks.low[f, fold_axis])
-        end = base + (batches.span[b, axis] * layer.stride
-                      + blocks.span[f, fold_axis])
+        base = (batch_least[b, axis] * layer.stride - layer.padding
+                + block_least[f, fold_axis])
+        end = base + (batch_spread[batches.shape[b], axis] * layer.stride
+                      + block_spread[blocks.shape[f], fold_axis])
         borders.append(np.where((base >= 0) & (end < extent), 0,
                                 base + layer.padding + 1))
     ids, first = _number([batch_ids[b], block_ids[f], *borders])
     b, f = np.divmod(first, len(block_first))
     records = [_record(mapping, signature, replays)
-               for signature in _signatures(
-                   mapping, batches, blocks,
-                   batch_first[b] * n_folds + block_first[f])]
+               for signature in _signatures(mapping, batches, blocks,
+                                            batch_first[b], block_first[f])]
     return batch_row, block_row, ids, np.array(records, dtype=np.int64)
 
 
@@ -304,56 +308,40 @@ def _number(columns):
     _, first, ids = np.unique(number, return_index=True, return_inverse=True)
     return ids.reshape(np.shape(number)), first
 
-class _Groups:
-    """The batches of output coordinates, or the fold blocks of weight
-    coordinates, as a ``mapper.Cut``, which holds their geometry; and
-    what the keying derives from it: per group the length, the least
-    coordinate and the spread of each axis, from its shape's."""
 
-    def __init__(self, cut: Cut):
-        self.cut = cut
-        starts = np.cumsum(cut.sizes) - cut.sizes
-        self.lengths = cut.sizes[cut.shape]
-        self.shape_low = np.minimum.reduceat(cut.offsets, starts)
-        self.span = (np.maximum.reduceat(cut.offsets, starts)
-                     - self.shape_low)[cut.shape]
-        self.low = cut.origins + self.shape_low[cut.shape]
+def _classes(cut: Cut, low, axes, partitions):
+    """A class id per group of ``cut``, counted once per shape; ``low``
+    holds each shape's least offsets (``Cut.bounds``).
 
-    def __len__(self) -> int:
-        return len(self.cut.shape)
-
-    def classes(self, axes, partitions):
-        """A class id per group, counted once per shape.
-
-        Two groups share a class iff they have the same length, the same
-        offset of each of ``axes`` from the group's least coordinate, and
-        the same partition of their positions by each value of
-        ``partitions(*coordinates)``.  An origin shifts every coordinate
-        of its group alike, so for values linear in the coordinates
-        these are the shape's own.
-        """
-        at, used = self.cut.positions(np.arange(len(self.cut.sizes)))
-        columns = [self.cut.sizes]
-        columns += [np.where(used, self.cut.offsets[at, a]
-                             - self.shape_low[:, a, None], -1)
-                    for a in axes]
-        columns += [_first_positions(np.where(used, value[at], -1))
-                    for value in partitions(*self.cut.offsets.T)]
-        ids: dict[bytes, int] = {}
-        return np.array([ids.setdefault(row, len(ids))
-                         for row in _row_keys(columns)])[self.cut.shape]
+    Two groups share a class iff they have the same length, the same
+    offset of each of ``axes`` from the group's least coordinate, and the
+    same partition of their positions by each value of
+    ``partitions(*coordinates)``.  An origin shifts every coordinate of
+    its group alike, so for values linear in the coordinates these are
+    the shape's own.
+    """
+    at, used = cut.positions(np.arange(len(cut.sizes)))
+    columns = [cut.sizes]
+    columns += [np.where(used, cut.offsets[at, a] - low[:, a, None], -1)
+                for a in axes]
+    columns += [_first_positions(np.where(used, value[at], -1))
+                for value in partitions(*cut.offsets.T)]
+    # each shape's row of the stacked int32 columns, as bytes
+    rows = np.column_stack([np.asarray(c, dtype=np.int32) for c in columns])
+    ids: dict[bytes, int] = {}
+    return np.array([ids.setdefault(row, len(ids)) for row in rows.view(
+        f"V{rows.shape[1] * 4}").ravel().tolist()])[cut.shape]
 
 
-def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
-    """The signature of each of ``waves``: whether its fold is the first
-    and the last, its batch size and block length, and its weight and its
-    input partition, each as the int32 bytes of its used positions' heads
-    (-1 for a padding tap)."""
+def _signatures(mapping: MappingPlan, batches: Cut, blocks: Cut, b, f):
+    """The signature of each wave of batch ``b[i]`` and fold block
+    ``f[i]``: whether its fold is the first and the last, its batch size
+    and block length, and its weight and its input partition, each as the
+    int32 bytes of its used positions' heads (-1 for a padding tap)."""
     layer = mapping.layer
-    b, f = np.divmod(waves, len(blocks))
-    (outs, slots), (elems, taps) = batches.cut.coordinates(b), \
-        blocks.cut.coordinates(f)
-    used = (slots[:, :, None] & taps[:, None, :]).reshape(len(waves), -1)
+    (outs, slots), (elems, taps) = batches.coordinates(b), \
+        blocks.coordinates(f)
+    used = (slots[:, :, None] & taps[:, None, :]).reshape(len(b), -1)
     n, g, k, ox, oy = np.moveaxis(outs[:, :, None], -1, 0)
     c, r, s = np.moveaxis(elems[:, None], -1, 0)
     ix = ox * layer.stride + r - layer.padding
@@ -365,16 +353,17 @@ def _signatures(mapping: MappingPlan, batches, blocks, waves) -> list:
         -1)
     # both partitions at once, as 2 x waves rows
     first = _first_positions(np.where(
-        used, np.stack([w_addr, i_addr]).reshape(2, len(waves), -1), -1,
-    ).reshape(2 * len(waves), -1)).reshape(2, len(waves), -1)
+        used, np.stack([w_addr, i_addr]).reshape(2, len(b), -1), -1,
+    ).reshape(2 * len(b), -1)).reshape(2, len(b), -1)
     # number position slot*width + e as slot*length + e instead
-    length, width = blocks.lengths[f, None], taps.shape[1]
+    lengths = blocks.sizes[blocks.shape[f]]
+    length, width = lengths[:, None], taps.shape[1]
     first = np.where(first < 0, -1, first // width * length + first % width)
     # per wave, each partition's heads at its positions, 4 bytes each
     w_data, i_data = (h[used].astype(np.int32).tobytes() for h in first)
     ends = (4 * np.cumsum(used.sum(axis=1))).tolist()
-    flags = zip((f > 0).tolist(), (f == len(blocks) - 1).tolist(),
-                batches.lengths[b].tolist(), blocks.lengths[f].tolist())
+    flags = zip((f > 0).tolist(), (f == len(blocks.shape) - 1).tolist(),
+                batches.sizes[batches.shape[b]].tolist(), lengths.tolist())
     return [(*flag, w_data[start:end], i_data[start:end])
             for flag, start, end in zip(flags, [0] + ends, ends)]
 
@@ -452,22 +441,21 @@ def _drain(num_ms: int, rn_bw: int, width: int, size: int) -> tuple[int, ...]:
             sum(g > t for g, (t, _) in zip(grants, values)))
 
 
-def _check_range(groups: _Groups, dims, what) -> None:
-    """Raise unless every coordinate axis of the groups lies within its
-    region extent; the bounds come from each group's ``low`` and ``span``."""
+def _check_range(cut: Cut, dims, what):
+    """(low, spread, least): ``cut.bounds()``, and each group's least
+    coordinate, its origin plus its shape's low.  Raises unless every
+    coordinate axis of the groups lies within its region extent, from
+    the least coordinate to it plus the shape's spread."""
+    low, spread = cut.bounds()
+    least = cut.origins + low[cut.shape]
     for axis, (lo, hi, dim) in enumerate(zip(
-            groups.low.min(axis=0), (groups.low + groups.span).max(axis=0),
+            least.min(axis=0), (least + spread[cut.shape]).max(axis=0),
             dims)):
         if lo < 0 or hi >= dim:
             raise AddressOutOfRange(
                 f"{what} axis {axis} spans {lo}..{hi}, outside 0..{dim - 1}"
             )
-
-
-def _row_keys(columns) -> list[bytes]:
-    """The rows of the stacked int32 ``columns``, as bytes."""
-    rows = np.column_stack([np.asarray(c, dtype=np.int32) for c in columns])
-    return rows.view(f"V{rows.shape[1] * 4}").ravel().tolist()
+    return low, spread, least
 
 
 def _first_positions(addr):

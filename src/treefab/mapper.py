@@ -12,11 +12,12 @@ one of a few shapes (per axis the step, or the clamped remainder), and
 each tile of outputs splits into batches, so a batch is a tile origin
 plus one batch shape.  The two cuts are the mapping's only schedule,
 built when asked for, and ``Cut`` holds their geometry: ``expand`` gives
-flat coordinates with one length per group, and ``coordinates`` some
-groups' coordinates padded to the widest shape.  Distribution routes
-depend only on each payload's destinations; ``fabric.generate_dn_routes``
-builds them on request, and the engine counts the switches on each
-payload's cover level by level through ``fabric.distribution``.
+flat coordinates with one length per group, ``coordinates`` some groups'
+coordinates padded to the widest shape, and ``bounds`` each shape's
+least offsets and spreads.  Distribution routes depend only on each
+payload's destinations; ``fabric.generate_dn_routes`` builds them on
+request, and the engine counts the switches on each payload's cover
+level by level through ``fabric.distribution``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ class Cut(NamedTuple):
         shape (rows, axes), and the length of each group."""
         coords, used = self.coordinates(np.arange(len(self.shape)))
         return coords[used], self.sizes[self.shape]
+
+    def bounds(self):
+        """(low, spread): each shape's least offset along each axis, and
+        the spread of its offsets from there, shape (shapes, axes)."""
+        starts = np.cumsum(self.sizes) - self.sizes
+        low = np.minimum.reduceat(self.offsets, starts)
+        return low, np.maximum.reduceat(self.offsets, starts) - low
 
     def positions(self, shapes):
         """(at, used): the index in ``offsets`` of each position of

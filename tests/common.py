@@ -67,22 +67,37 @@ def contiguous_partition(num_leaves, rng, allow_idle_tail=True):
     return vn_of_leaf
 
 
+def ints(draw):
+    """Hypothesis's ``draw`` as an ``integers(lo, hi)`` choice, both ends
+    included, as ``random.Random.randint`` makes it."""
+    return lambda lo, hi: draw(st.integers(lo, hi))
+
+
+def random_layer(integers):
+    """A small conv layer, each choice made by ``integers(lo, hi)``; None
+    when the input is smaller than one window."""
+    r, s = integers(1, 4), integers(1, 4)
+    stride, padding = integers(1, 2), integers(0, 1)
+    x = r - 2 * padding + stride * integers(0, 3)
+    y = s - 2 * padding + stride * integers(0, 3)
+    if x < 1 or y < 1:
+        return None
+    return LayerConfig(LayerKind.CONV, r=r, s=s, c=integers(1, 5),
+                       g=integers(1, 3), k=integers(1, 4), n=integers(1, 2),
+                       x=x, y=y, stride=stride, padding=padding)
+
+
 @st.composite
 def layers(draw):
-    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
-    x = r - 2 * padding + stride * draw(st.integers(0, 3))
-    y = s - 2 * padding + stride * draw(st.integers(0, 3))
-    assume(x >= 1 and y >= 1)
-    return LayerConfig(LayerKind.CONV, r=r, s=s, c=draw(st.integers(1, 5)),
-                       g=draw(st.integers(1, 3)), k=draw(st.integers(1, 4)),
-                       n=draw(st.integers(1, 2)), x=x, y=y, stride=stride,
-                       padding=padding)
+    layer = random_layer(ints(draw))
+    assume(layer is not None)
+    return layer
 
 
-def tiles(draw, layer, overshoot=0):
+def tiles(integers, layer, overshoot=0):
+    """A tile of the layer, each step made by ``integers(lo, hi)``."""
     ox, oy = derive_output_dims(layer)
-    return TileConfig(*(draw(st.integers(1, d + overshoot)) for d in (
+    return TileConfig(*(integers(1, d + overshoot) for d in (
         layer.r, layer.s, layer.c, layer.g, layer.k, layer.n, ox, oy)))
 
 

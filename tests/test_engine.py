@@ -1,7 +1,9 @@
 """Whole-layer simulation: correctness, counters, timing properties."""
 
+import hashlib
 import math
 import pathlib
+import random
 from contextlib import ExitStack
 from dataclasses import replace
 from unittest.mock import patch
@@ -48,9 +50,11 @@ from common import (
     VALIDATION_TILE,
     assert_same_outcome,
     count_calls,
+    ints,
     kind_data,
     layers,
     outcome,
+    random_layer,
     tiles,
 )
 import cut_reference
@@ -207,7 +211,7 @@ def draw_case(data, dn_headroom=1):
     """A random mappable (hardware, layer, tile); ``dn_bw`` leaves room
     for ``dn_headroom`` times itself."""
     layer = data.draw(layers())
-    tile = tiles(data.draw, layer)
+    tile = tiles(ints(data.draw), layer)
     num_ms = data.draw(st.sampled_from([8, 16, 32, 64]))
     dn_bw = data.draw(st.sampled_from(
         [b for b in (1, 2, 4, 8, 16, 32, 64) if b * dn_headroom <= num_ms]))
@@ -270,7 +274,7 @@ class TestMatchesPerWaveReference:
                      (Cut.flat(*mapping.batch_cut().expand()),
                       Cut.flat(*mapping.block_cut().expand()))):
             batch_row, block_row, ids, records = engine._pair_table(
-                mapping, *map(engine._Groups, cuts), {})
+                mapping, *cuts, {})
             # each wave's record, from its pair, in issue order
             got = records[ids[batch_row[:, None], block_row]]
             assert list(map(tuple, got.reshape(-1, got.shape[-1]).tolist())) \
@@ -582,7 +586,7 @@ class TestSharedReplays:
         hw, layer, tile = draw_case(data)
         replays = {}
         for other in (layer, data.draw(layers())):
-            other_tile = tiles(data.draw, other)
+            other_tile = tiles(ints(data.draw), other)
             try:
                 build_mapping(hw, other, other_tile)
             except MappingError:
@@ -766,38 +770,66 @@ class TestAddressesAndOverflow:
 class TestRangeGuard:
     DIMS = (2, 3, 4, 5, 6)
 
-    def groups(self, axis, value):
+    def flat(self, axis, value):
         # three groups of random in-range coordinates, one of which is
         # moved to ``value`` on ``axis``
         rng = np.random.default_rng(axis)
         coords = np.stack([rng.integers(0, d, 10) for d in self.DIMS], axis=1)
         coords[5, axis] = value
-        return engine._Groups(Cut.flat(coords, np.array([4, 3, 3]))), coords
+        return Cut.flat(coords, np.array([4, 3, 3]))
+
+    def factored(self, axis, origin):
+        # two shapes of offsets within half of each extent, placed at five
+        # origins that keep them inside, except that the third group's
+        # origin on ``axis`` is ``origin``
+        rng = np.random.default_rng(axis)
+        half = [d // 2 for d in self.DIMS]
+        offsets = np.stack([rng.integers(0, h + 1, 7) for h in half], axis=1)
+        origins = np.stack([rng.integers(0, d - h, 5)
+                            for d, h in zip(self.DIMS, half)], axis=1)
+        origins[2, axis] = origin
+        return Cut(offsets, np.array([4, 3]), origins,
+                   np.array([0, 1, 1, 0, 1]))
+
+    def assert_names_the_axis_and_its_span(self, cut, axis):
+        with pytest.raises(AddressOutOfRange) as exc:
+            engine._check_range(cut, self.DIMS, "output")
+        coords = cut.expand()[0][:, axis]
+        assert str(exc.value) == (
+            f"output axis {axis} spans {coords.min()}..{coords.max()}, "
+            f"outside 0..{self.DIMS[axis] - 1}")
 
     @pytest.mark.parametrize("axis", range(5))
     @pytest.mark.parametrize("outside", ["below", "at the extent"])
     def test_names_the_axis_and_its_span(self, axis, outside):
         value = -1 if outside == "below" else self.DIMS[axis]
-        groups, coords = self.groups(axis, value)
-        with pytest.raises(AddressOutOfRange) as exc:
-            engine._check_range(groups, self.DIMS, "output")
-        lo, hi = coords[:, axis].min(), coords[:, axis].max()
-        assert str(exc.value) == (f"output axis {axis} spans {lo}..{hi}, "
-                                  f"outside 0..{self.DIMS[axis] - 1}")
+        self.assert_names_the_axis_and_its_span(self.flat(axis, value), axis)
+
+    @pytest.mark.parametrize("axis", range(5))
+    @pytest.mark.parametrize("outside", ["below", "past the extent"])
+    def test_an_origin_carries_a_group_outside(self, axis, outside):
+        # every shape lies inside the dims, and so does every group but
+        # the third: only its origin moves it out, wholly, on ``axis``
+        dim = self.DIMS[axis]
+        cut = self.factored(axis, -dim if outside == "below" else dim)
+        assert (cut.offsets >= 0).all() and (cut.offsets < self.DIMS).all()
+        inside = np.delete(cut.expand()[0], np.s_[7:10], axis=0)
+        assert (inside >= 0).all() and (inside < self.DIMS).all()
+        self.assert_names_the_axis_and_its_span(cut, axis)
 
     @settings(max_examples=50, deadline=None)
     @given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
            seed=st.integers(0, 999))
     def test_low_and_span_of_each_group(self, lengths, seed):
+        # on a flat cut each group is a shape of its own
         coords = np.random.default_rng(seed).integers(-3, 9,
                                                       (sum(lengths), 3))
-        groups = engine._Groups(Cut.flat(coords, np.array(lengths)))
+        low, spread = Cut.flat(coords, np.array(lengths)).bounds()
         starts = np.cumsum(lengths) - lengths
         for i, (start, length) in enumerate(zip(starts, lengths)):
             part = coords[start:start + length]
-            assert (groups.low[i] == part.min(axis=0)).all()
-            assert (groups.span[i] == part.max(axis=0)
-                    - part.min(axis=0)).all()
+            assert (low[i] == part.min(axis=0)).all()
+            assert (spread[i] == part.max(axis=0) - part.min(axis=0)).all()
 
 
 def run_on_cuts(hw, layer, tile, inputs, weights, cuts=None):
@@ -859,27 +891,18 @@ class TestFactoredCut:
 
     @staticmethod
     def batch_rows_classified(monkeypatch, runs):
-        # the rows of the class keys built while batches (the groups
-        # whose offsets are ox and oy) are classified
-        rows, batches = [], []
-        classes, row_keys = engine._Groups.classes, engine._row_keys
+        # the shapes classified as batches (the groups whose offsets are
+        # ox and oy), one class key row each
+        rows = []
+        classes = engine._classes
 
-        def counted_classes(groups, offsets, *args):
-            batches.append(offsets == (3, 4))
-            try:
-                return classes(groups, offsets, *args)
-            finally:
-                batches.pop()
-
-        def counted_row_keys(columns):
-            keys = row_keys(columns)
-            if batches[-1]:
-                rows.append(len(keys))
-            return keys
+        def counted_classes(cut, low, offsets, partitions):
+            if offsets == (3, 4):
+                rows.append(len(cut.sizes))
+            return classes(cut, low, offsets, partitions)
 
         with monkeypatch.context() as m:
-            m.setattr(engine._Groups, "classes", counted_classes)
-            m.setattr(engine, "_row_keys", counted_row_keys)
+            m.setattr(engine, "_classes", counted_classes)
             for hw, layer, tile in runs:
                 simulate_layer(hw, layer, tile)
         return sum(rows)
@@ -914,8 +937,8 @@ class TestPairTable:
     @staticmethod
     def pair_table(hw, layer, tile):
         plan = build_mapping(hw, layer, tile)
-        return engine._pair_table(plan, engine._Groups(plan.batch_cut()),
-                                  engine._Groups(plan.block_cut()), {})
+        return engine._pair_table(plan, plan.batch_cut(), plan.block_cut(),
+                                  {})
 
     @pytest.mark.parametrize("case, want", [
         ((HW32, EARLY_SYNTHETIC, TileConfig(3, 3, 1, t_x=3)), (108, 3, 3)),
@@ -942,3 +965,43 @@ class TestPairTable:
         assert factored == trivial
         assert (factored.total_cycles, factored.waves) \
             == (38_375_424, 2_752_512)
+
+
+def random_cases(count, seed):
+    """``count`` (hardware, layer, tile) cases over ``draw_case``'s
+    ranges, drawn by ``random.Random(seed)``, so the same cases every
+    run; unlike ``draw_case``, tiles that no cluster holds are kept."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        layer = random_layer(rng.randint)
+        if layer is None:
+            continue
+        num_ms = rng.choice([8, 16, 32, 64])
+        hw = HardwareConfig(
+            num_ms, rng.choice([b for b in (1, 2, 4, 8, 16, 32, 64)
+                                if b <= num_ms]),
+            rng.randint(1, num_ms), rng.choice(list(FoldingStrategy)))
+        cases.append((hw, layer, tiles(rng.randint, layer)))
+    return cases
+
+
+class TestCountedDigest:
+    # recorded before the keying took the cuts without a per-group wrapper
+    DIGEST = ("f52b83fdbef867b94002a2e90baca9b6"
+              "b95c8a67023710c898c810105c994600")
+
+    def test_stats_traces_and_errors_unchanged(self):
+        # one sha256 over the stats and trace events of 600 fixed random
+        # cases, and the message of each of the 63 that raise MappingError
+        digest, errors = hashlib.sha256(), 0
+        for hw, layer, tile in random_cases(600, seed=7919):
+            events = []
+            try:
+                result = simulate_layer(hw, layer, tile, trace=events.append)
+            except MappingError as exc:
+                errors += 1
+                digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                continue
+            digest.update(f"{result.stats.as_dict()!r} {events!r}\n".encode())
+        assert (errors, digest.hexdigest()) == (63, self.DIGEST)

@@ -33,7 +33,8 @@ from treefab.fabric import ReductionNetwork, generate_dn_routes
 from treefab.memory import random_layer_data
 from treefab.reduction import clusters, plan_reduction
 
-from common import HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE, layers, tiles
+from common import (HW32, LATE_SYNTHETIC, TINY, VALIDATION_TILE, ints, layers,
+                    tiles)
 from wave_reference import fold_blocks
 
 
@@ -229,7 +230,7 @@ class TestTilingMatchesLoopNests:
     @given(data=st.data())
     def test_schedule_and_fold_blocks(self, data):
         layer = data.draw(layers())
-        tile = tiles(data.draw, layer)
+        tile = tiles(ints(data.draw), layer)
         hw = HardwareConfig(data.draw(st.sampled_from([8, 16, 64, 128])), 2,
                             2, data.draw(st.sampled_from(FoldingStrategy)))
         try:
@@ -245,7 +246,7 @@ class TestTilingMatchesLoopNests:
     @given(data=st.data())
     def test_validate_tile_names_the_first_offender(self, data):
         layer = data.draw(layers())
-        tile = tiles(data.draw, layer, overshoot=2)
+        tile = tiles(ints(data.draw), layer, overshoot=2)
         want = bounds_first_offender(layer, tile)
         if want is None:
             validate_tile(layer, tile)
