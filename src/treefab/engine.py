@@ -102,7 +102,10 @@ parts; the totals weight each pair's record by its rows' counts.  A
 caller that passes one ``replays`` dict to many calls (a tile search,
 the trials of ``verify``, the layers of a model) shares the parts
 across those calls: a search plans each batch geometry once, not once
-per tile.
+per tile.  The dict also holds each fold-block cut with its rows
+(``_block_rows``), keyed by the only values the blocks read, the
+layer's C, R and S and the tile's steps along them; so the tiles of a
+search that agree in those cut and key their blocks once.
 
 None of this reads the data, so a call without inputs and weights
 counts the same stats and trace events and stops there; the tile search
@@ -118,6 +121,7 @@ occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,8 +219,10 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
 
     ``replays``, if given, is a dict the caller owns, from the keys
     tagged ``"dn"`` and ``"drain"`` to the parts of the waves' records
-    (``_record``); it is read and filled, so calls that share it count
-    each distribution and each batch geometry's drain once.  Without it the
+    (``_record``), and from the keys tagged ``"blocks"`` to a fold-block
+    cut and its rows (``_block_rows``); it is read and filled, so calls
+    that share it count each distribution and each batch geometry's drain
+    once, and cut and key each fold-block geometry once.  Without it the
     call uses a dict of its own.
     """
     mapping = build_mapping(hw, layer, tile)
@@ -224,21 +230,30 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         raise ValidationError("give both inputs and weights, or neither")
     if inputs is not None:
         inputs, weights = check_layer_data(layer, inputs, weights)
-    batches, blocks = mapping.batch_cut(), mapping.block_cut()
-    n_folds = len(blocks.shape)
-    waves = len(batches.shape) * n_folds
+    if replays is None:
+        replays = {}
+    batches = _batch_rows(layer, mapping.batch_cut())
+    # the fold blocks read only these fields, so every call that agrees
+    # in them shares one keying of the block cut
+    key = ("blocks", layer.c, layer.r, layer.s, tile.t_c, tile.t_r, tile.t_s)
+    if key not in replays:
+        replays[key] = _block_rows(layer, mapping.block_cut())
+    blocks = replays[key]
+    n_folds = len(blocks.cut.shape)
+    waves = len(batches.cut.shape) * n_folds
 
-    batch_row, block_row, ids, records = _pair_table(
-        mapping, batches, blocks, {} if replays is None else replays)
+    ids, records = _pair_table(mapping, batches, blocks, replays)
     # waves per (batch row, block row) pair, times each pair's record
-    totals = np.bincount(batch_row) @ (np.bincount(block_row) @ records[ids])
+    totals = np.bincount(batches.row) @ (np.bincount(blocks.row)
+                                         @ records[ids])
     if trace is not None:
         # per batch row, its waves' weight, input and wave cycles
-        rows = [records[ids[row, block_row], :3].T.tolist()
+        rows = [records[ids[row, blocks.row], :3].T.tolist()
                 for row in range(len(ids))]
         cycle = 0
         for b, (size, row) in enumerate(zip(
-                batches.sizes[batches.shape].tolist(), batch_row.tolist())):
+                batches.cut.sizes[batches.cut.shape].tolist(),
+                batches.row.tolist())):
             for f, wc, ic, wave in zip(range(n_folds), *rows[row]):
                 cycle += wave
                 trace({
@@ -249,49 +264,76 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     stats = layer_stats(mapping, int(totals[2]), waves, totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
     output = None if inputs is None else _outputs(
-        layer, batches.expand()[0], blocks.expand()[0], inputs, weights)
+        layer, batches.cut.expand()[0], blocks.cut.expand()[0], inputs,
+        weights)
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
-def _pair_table(mapping, batches: Cut, blocks: Cut, replays):
-    """(batch rows, block rows, ids, records): each batch's and each fold
-    block's row, the key id of each (batch row, block row) pair, and per
-    key id the weight, input and wave cycles and then the ``COUNTED``
-    counters of its waves, assembled by ``_record`` from ``replays``.
-    Raises ``AddressOutOfRange`` where a cut leaves its region
-    (``_check_range``)."""
+class _Rows(NamedTuple):
+    """A cut's groups numbered by the rows that wave keys read: each
+    group's row, and per row its first group, its class, and that group's
+    least coordinate and spread along the two axes that step over the
+    input's rows and columns, shape (2, rows)."""
+
+    cut: Cut
+    row: np.ndarray
+    first: np.ndarray
+    ids: np.ndarray
+    least: np.ndarray
+    spread: np.ndarray
+
+
+def _batch_rows(layer: LayerConfig, batches: Cut) -> _Rows:
+    """The batches' rows: a batch's class, its least ``ox`` and ``oy``.
+    Raises ``AddressOutOfRange`` where a batch leaves the output."""
+    low, spread, least = _check_range(batches, output_dims(layer), "output")
+    ids = _classes(batches, low, (3, 4), lambda n, g, k, ox, oy: (
+        g * layer.k + k, n * layer.g + g))
+    return _rows(batches, ids, least, spread, (3, 4))
+
+
+def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
+    """The fold blocks' rows: a block's class, whether its fold is the
+    first and the last, its least ``r`` and ``s``.  Raises
+    ``AddressOutOfRange`` where a block leaves the filter."""
+    low, spread, least = _check_range(blocks, weight_dims(layer)[2:],
+                                      "weight (c, r, s)")
+    fold = np.arange(len(blocks.shape))
+    ids = ((_classes(blocks, low, (0, 1, 2), lambda c, r, s: ()) * 2
+            + (fold > 0)) * 2 + (fold == len(fold) - 1))
+    return _rows(blocks, ids, least, spread, (1, 2))
+
+
+def _rows(cut: Cut, ids, least, spread, axes) -> _Rows:
+    least, spread = least[list(axes)], spread[:, list(axes)]
+    row, first = _number([ids, *least])
+    return _Rows(cut, row, first, ids[first], least[:, first],
+                 spread[cut.shape[first]].T)
+
+
+def _pair_table(mapping, batches: _Rows, blocks: _Rows, replays):
+    """(ids, records): the key id of each (batch row, block row) pair,
+    and per key id the weight, input and wave cycles and then the
+    ``COUNTED`` counters of its waves, assembled by ``_record`` from
+    ``replays``."""
     layer = mapping.layer
-    n_folds = len(blocks.shape)
-    batch_low, batch_spread, batch_least = _check_range(
-        batches, output_dims(layer), "output")
-    block_low, block_spread, block_least = _check_range(
-        blocks, weight_dims(layer)[2:], "weight (c, r, s)")
-    batch_ids = _classes(
-        batches, batch_low, (3, 4),
-        lambda n, g, k, ox, oy: (g * layer.k + k, n * layer.g + g))
-    # a block's class, then whether its fold is the first and the last
-    fold = np.arange(n_folds)
-    block_ids = ((_classes(blocks, block_low, (0, 1, 2), lambda c, r, s: ())
-                  * 2 + (fold > 0)) * 2 + (fold == n_folds - 1))
-    batch_row, batch_first = _number([batch_ids, *batch_least[:, 3:].T])
-    block_row, block_first = _number([block_ids, *block_least[:, 1:].T])
-    b, f = batch_first[:, None], block_first[None, :]
     borders = []
-    for axis, fold_axis, extent in ((3, 1, layer.x), (4, 2, layer.y)):
+    for axis, extent in enumerate((layer.x, layer.y)):
         # 0 when every tap of the pair's waves lies inside the input along
         # the axis, else the first tap's row (or column) made positive
-        base = (batch_least[b, axis] * layer.stride - layer.padding
-                + block_least[f, fold_axis])
-        end = base + (batch_spread[batches.shape[b], axis] * layer.stride
-                      + block_spread[blocks.shape[f], fold_axis])
+        base = (batches.least[axis, :, None] * layer.stride - layer.padding
+                + blocks.least[axis])
+        end = base + (batches.spread[axis, :, None] * layer.stride
+                      + blocks.spread[axis])
         borders.append(np.where((base >= 0) & (end < extent), 0,
                                 base + layer.padding + 1))
-    ids, first = _number([batch_ids[b], block_ids[f], *borders])
-    b, f = np.divmod(first, len(block_first))
+    ids, first = _number([batches.ids[:, None], blocks.ids, *borders])
+    b, f = np.divmod(first, len(blocks.first))
     records = [_record(mapping, signature, replays)
-               for signature in _signatures(mapping, batches, blocks,
-                                            batch_first[b], block_first[f])]
-    return batch_row, block_row, ids, np.array(records, dtype=np.int64)
+               for signature in _signatures(mapping, batches.cut, blocks.cut,
+                                            batches.first[b],
+                                            blocks.first[f])]
+    return ids, np.array(records, dtype=np.int64)
 
 
 def _number(columns):
@@ -443,13 +485,16 @@ def _drain(num_ms: int, rn_bw: int, width: int, size: int) -> tuple[int, ...]:
 
 def _check_range(cut: Cut, dims, what):
     """(low, spread, least): ``cut.bounds()``, and each group's least
-    coordinate, its origin plus its shape's low.  Raises unless every
-    coordinate axis of the groups lies within its region extent, from
-    the least coordinate to it plus the shape's spread."""
+    coordinate, its origin plus its shape's low, shape (axes, groups).
+    Raises unless every coordinate axis of the groups lies within its
+    region extent, from the least coordinate to it plus the shape's
+    spread."""
     low, spread = cut.bounds()
-    least = cut.origins + low[cut.shape]
+    # one axis per row, so each axis reduces over contiguous values
+    least = cut.origins.T + np.take(low.T, cut.shape, axis=1)
     for axis, (lo, hi, dim) in enumerate(zip(
-            least.min(axis=0), (least + spread[cut.shape]).max(axis=0),
+            least.min(axis=1),
+            (least + np.take(spread.T, cut.shape, axis=1)).max(axis=1),
             dims)):
         if lo < 0 or hi >= dim:
             raise AddressOutOfRange(

@@ -2,7 +2,8 @@
 
 Translates (hardware, layer, tile) into a mapping plan, a plain
 description of the cluster (VN) geometry: the cluster size, plus a
-forwarder when folding needs one, and the clusters per batch.  The leaf
+forwarder when folding needs one, and the clusters per batch, all from
+``cluster_fit``, which the tile search calls on plain ints.  The leaf
 assignment follows from it by ``reduction.clusters``, and the switch
 configuration of the reduction network, for a batch of any size, by
 ``cluster_plan``; ``describe`` derives both on request.  The output
@@ -181,9 +182,28 @@ def cluster_plan(num_ms: int, width: int, count: int) -> ReductionPlan:
 def compute_folds(layer: LayerConfig, tile: TileConfig) -> int:
     """Fold iterations needed for one output when the cluster cannot hold
     the whole R*S*C filter volume; folding is enabled iff the result > 1."""
-    extents, steps = validate_tile(layer, tile)
+    return _folds(*validate_tile(layer, tile))
+
+
+def _folds(extents, steps) -> int:
     # R, S and C are the first three tile axes
-    return math.prod(-(-e // t) for e, t in zip(extents[:3], steps[:3]))
+    return math.prod([-(-e // t) for e, t in zip(extents[:3], steps[:3])])
+
+
+def cluster_fit(hw: HardwareConfig, extents, steps):
+    """(folds, has_forwarder, real_vn_size, n_vns_mapped) of a tile of
+    ``steps`` over ``extents``, both in ``TILE_AXES`` order, on ``hw``.
+
+    A cluster holds the tile's R*S*C volume, plus a psum forwarder when
+    it folds by roundtrip, and as many clusters map as the fabric holds,
+    up to the tile's outputs: ``n_vns_mapped`` is 0 when one cluster does
+    not fit.
+    """
+    folds = _folds(extents, steps)
+    has_forwarder = folds > 1 and hw.folding is FoldingStrategy.ROUNDTRIP
+    real_vn_size = math.prod(steps[:3]) + has_forwarder
+    return (folds, has_forwarder, real_vn_size,
+            min(math.prod(steps[3:]), hw.num_ms // real_vn_size))
 
 
 def _axes(layer: LayerConfig, tile: TileConfig, names):
@@ -218,11 +238,10 @@ def _cut(extents, steps) -> Cut:
 def build_mapping(hw: HardwareConfig, layer: LayerConfig,
                   tile: TileConfig) -> MappingPlan:
     """Compile the tile onto the fabric; deterministic."""
-    folds = compute_folds(layer, tile)
+    folds, has_forwarder, real_vn_size, n_vns_mapped = cluster_fit(
+        hw, *validate_tile(layer, tile))
     vn_size = tile.vn_size
-    has_forwarder = folds > 1 and hw.folding is FoldingStrategy.ROUNDTRIP
-    real_vn_size = vn_size + 1 if has_forwarder else vn_size
-    if real_vn_size > hw.num_ms:
+    if not n_vns_mapped:
         raise VnTooLarge(
             f"cluster needs {real_vn_size} multipliers "
             f"(vn_size {vn_size}{' + 1 forwarder' if has_forwarder else ''}) "
@@ -235,7 +254,6 @@ def build_mapping(hw: HardwareConfig, layer: LayerConfig,
         vn_size=vn_size,
         folds=folds,
         real_vn_size=real_vn_size,
-        # >= 1: a tile maps at least one output and one cluster fits
-        n_vns_mapped=min(tile.n_vns, hw.num_ms // real_vn_size),
+        n_vns_mapped=n_vns_mapped,
         has_forwarder=has_forwarder,
     )

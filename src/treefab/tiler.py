@@ -1,11 +1,12 @@
 """Tile search.
 
 Enumerates every tile whose edges divide the layer dimensions, keeps
-all that fit the fabric, and ranks them by predicted utilization; a
-second pass re-ranks a prefix of that order by simulated cycle count
-(``search-tile`` passes its ``4 * top_k`` best), counting cycles only,
-on no data.  Only that second pass is not exhaustive: the fastest tile
-can fall outside the prefix.
+all that fit the fabric, and ranks them by predicted utilization,
+worked out from each tile's steps by arithmetic: enumeration builds no
+mapping.  A second pass re-ranks a prefix of that order by simulated
+cycle count (``search-tile`` passes its ``4 * top_k`` best), counting
+cycles only, on no data.  Only that second pass is not exhaustive: the
+fastest tile can fall outside the prefix.
 """
 
 from __future__ import annotations
@@ -21,21 +22,16 @@ from .config import (
     field_values,
     tile_extents,
 )
-from .errors import MappingError
-from .mapper import build_mapping
+from .mapper import cluster_fit
+# unused here, but kept for callers that wrap this module's names
+# (perfbench's tracer times ``treefab.tiler.build_mapping``)
+from .mapper import build_mapping  # noqa: F401
 
 
 @dataclass
 class TileCandidate:
     tile: TileConfig
     predicted: dict  # theoretical_utilization, folds, estimated_cycles
-
-    def sort_key(self):
-        return (
-            -self.predicted["theoretical_utilization"],
-            self.predicted["folds"],
-            field_values(self.tile),
-        )
 
 
 def _divisors(n: int) -> list[int]:
@@ -44,27 +40,25 @@ def _divisors(n: int) -> list[int]:
 
 def enumerate_tiles(hw: HardwareConfig,
                     layer: LayerConfig) -> list[TileCandidate]:
-    """Every feasible divisor tile, ranked by (utilization desc, folds asc).
+    """Every feasible divisor tile, ranked by (utilization desc, folds asc),
+    then by the tile's fields.
 
-    The all-ones tile always fits (one leaf plus a forwarder against
-    ``num_ms >= 2``), so the list is never empty.
+    Each tile's fit comes from ``mapper.cluster_fit`` on plain ints, and
+    its utilization is ``MappingPlan.theoretical_utilization``'s, so no
+    mapping is built.  The all-ones tile always fits (one leaf plus a
+    forwarder against ``num_ms >= 2``), so the list is never empty.
     """
-    candidates = []
-    for combo in product(*map(_divisors, tile_extents(layer))):
-        tile = TileConfig(*combo)
-        try:
-            plan = build_mapping(hw, layer, tile)
-        except MappingError:
-            continue
-        candidates.append(TileCandidate(
-            tile=tile,
-            predicted={
-                "theoretical_utilization": plan.theoretical_utilization,
-                "folds": plan.folds,
-            },
-        ))
-    candidates.sort(key=TileCandidate.sort_key)
-    return candidates
+    extents = tile_extents(layer)
+    ranked = []
+    for steps in product(*map(_divisors, extents)):
+        folds, _, real_vn_size, n_vns_mapped = cluster_fit(hw, extents, steps)
+        if n_vns_mapped:
+            ranked.append((-(n_vns_mapped * real_vn_size / hw.num_ms), folds,
+                           steps))
+    ranked.sort()
+    return [TileCandidate(tile=TileConfig(*steps), predicted={
+                "theoretical_utilization": -negated, "folds": folds})
+            for negated, folds, steps in ranked]
 
 
 def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
@@ -75,8 +69,9 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     the result is a total deterministic order.  Cycle counts do not depend
     on the data, so every simulation runs without any: it counts cycles
     and sums no output.  The simulations share one dict of the waves'
-    DN and drain parts, so each distribution, and each batch geometry's
-    reduction plan, is counted once per call.
+    DN and drain parts and of the fold blocks' rows, so each
+    distribution, each batch geometry's reduction plan and each fold-block
+    cut is counted once per call.
     """
     if top_k <= 0:
         return []

@@ -28,14 +28,35 @@ VALIDATION_TILE = TileConfig(3, 3, 1, 1, 1, 1, 3, 1)
 HW32 = HardwareConfig(num_ms=32, dn_bw=4, rn_bw=4)
 
 
-def count_calls(monkeypatch, name):
-    """Wrap ``treefab.engine.<name>`` through ``monkeypatch``; returns the
-    list that each call appends its arguments to."""
+def count_calls(monkeypatch, name, owner=engine):
+    """Wrap ``owner.<name>`` (by default ``treefab.engine.<name>``; a
+    class's method counts its calls on every instance) through
+    ``monkeypatch``; returns the list that each call appends its arguments
+    to."""
     calls = []
-    original = getattr(engine, name)
-    monkeypatch.setattr(engine, name,
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
                         lambda *args: calls.append(args) or original(*args))
     return calls
+
+
+def assert_same_replays(got, want):
+    """Two ``replays`` dicts hold the same keys and equal entries; an
+    entry that holds arrays (the fold blocks' rows) is compared array by
+    array, dtype included."""
+    assert got.keys() == want.keys()
+    for key in got:
+        assert _same_entry(got[key], want[key]), key
+
+
+def _same_entry(got, want):
+    if isinstance(got, np.ndarray) or isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and isinstance(want, np.ndarray)
+                and got.dtype == want.dtype and np.array_equal(got, want))
+    if isinstance(got, tuple):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(map(_same_entry, got, want)))
+    return got == want
 
 
 def port_uses(plan):

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 import yaml
 
-from treefab import cli
+from treefab import MappingPlan, cli
 
 from common import count_calls
 
@@ -328,6 +328,19 @@ class TestVerify:
                 == cli.EXIT_OK
             replays.append(len(calls) - before)
         assert replays[0] == replays[1] > 0
+
+    def test_trials_cut_the_fold_blocks_once(self, tmp_path, monkeypatch):
+        # the trials share the fold blocks' keying through the same dict
+        hw, layer, tile = standard_files(tmp_path)
+        cuts = count_calls(monkeypatch, "block_cut", MappingPlan)
+        counted = []
+        for trials in ("1", "5"):
+            before = len(cuts)
+            assert cli.main(["verify", "--hw", hw, "--layer", layer,
+                             "--tile", tile, "--trials", trials]) \
+                == cli.EXIT_OK
+            counted.append(len(cuts) - before)
+        assert counted == [1, 1]
 
     def test_zero_trials_vacuous(self, tmp_path, capsys):
         hw, layer, tile = standard_files(tmp_path)

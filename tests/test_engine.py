@@ -49,6 +49,7 @@ from common import (
     TINY,
     VALIDATION_TILE,
     assert_same_outcome,
+    assert_same_replays,
     count_calls,
     ints,
     kind_data,
@@ -270,13 +271,15 @@ class TestMatchesPerWaveReference:
             layer, data.draw(st.integers(0, 999))))
         want = [record for _, _, record in wave_records(mapping, fabric)]
         # the factored cuts, and their trivial factoring
-        for cuts in ((mapping.batch_cut(), mapping.block_cut()),
-                     (Cut.flat(*mapping.batch_cut().expand()),
-                      Cut.flat(*mapping.block_cut().expand()))):
-            batch_row, block_row, ids, records = engine._pair_table(
-                mapping, *cuts, {})
+        for batches, blocks in (
+                (mapping.batch_cut(), mapping.block_cut()),
+                (Cut.flat(*mapping.batch_cut().expand()),
+                 Cut.flat(*mapping.block_cut().expand()))):
+            batches = engine._batch_rows(layer, batches)
+            blocks = engine._block_rows(layer, blocks)
+            ids, records = engine._pair_table(mapping, batches, blocks, {})
             # each wave's record, from its pair, in issue order
-            got = records[ids[batch_row[:, None], block_row]]
+            got = records[ids[batches.row[:, None], blocks.row]]
             assert list(map(tuple, got.reshape(-1, got.shape[-1]).tolist())) \
                 == want
 
@@ -480,8 +483,9 @@ class TestSharedReplays:
             planned = count_calls(m, "cluster_plan")
             shared = [simulate_layer(hw, layer, tile, inputs, weights,
                                      replays=replays) for tile in tiles_]
-        # the dict holds only the waves' parts, under tagged keys
-        assert {key[0] for key in replays} == {"dn", "drain"}
+        # the dict holds only the waves' parts and the fold blocks' rows,
+        # under tagged keys
+        assert {key[0] for key in replays} == {"dn", "drain", "blocks"}
         if dn_parts is not None:
             assert len(calls) == dn_parts
         # one reduction plan per batch geometry over all the calls
@@ -491,6 +495,37 @@ class TestSharedReplays:
         for tile, got in zip(tiles_, shared):
             assert got.stats == simulate_layer(hw, layer, tile, inputs,
                                                weights).stats
+
+    def test_each_fold_block_cut_keyed_once(self, monkeypatch):
+        # the fold blocks read only the layer's C, R and S and the tile's
+        # steps along them, so one dict cuts and keys them once per
+        # distinct (T_C, T_R, T_S), whatever the hardware: once for the 20
+        # candidates of the benchmark's tile search, and once for each of
+        # the two fold geometries that lead PADDED_10's enumeration under
+        # the two strategies, its first 12 tiles under each, every one run
+        # under both
+        configs = [replace(HW32, folding=strategy)
+                   for strategy in FoldingStrategy]
+        inputs, weights = random_layer_data(PADDED_10, seed=0)
+        for layer, hws, tiles_, data, want in (
+                (POINTWISE, [HW32], [
+                    c.tile for c in enumerate_tiles(HW32, POINTWISE)[:20]],
+                 (), 1),
+                (PADDED_10, configs, [
+                    c.tile for hw in configs
+                    for c in enumerate_tiles(hw, PADDED_10)[:12]],
+                 (inputs, weights), 2)):
+            assert len({(t.t_c, t.t_r, t.t_s) for t in tiles_}) == want
+            replays = {}
+            with monkeypatch.context() as m:
+                cuts = count_calls(m, "block_cut", MappingPlan)
+                shared = [simulate_layer(hw, layer, tile, *data,
+                                         replays=replays)
+                          for hw in hws for tile in tiles_]
+            assert len(cuts) == want
+            assert [got.stats for got in shared] == [
+                simulate_layer(hw, layer, tile, *data).stats
+                for hw in hws for tile in tiles_]
 
     def test_parts_shared_across_hardware(self):
         # roundtrip, ideal, and other bandwidths on the same fabric size,
@@ -671,7 +706,7 @@ class TestDataFree:
                 assert (got.output is None) == (not args)
             simulate_layer(hw, PADDED_10, tile, inputs, weights,
                            replays=on_data)
-        assert mixed == on_data
+        assert_same_replays(mixed, on_data)
 
     @pytest.mark.parametrize("present", ["inputs", "weights"])
     def test_one_of_the_two_raises(self, present):
@@ -862,7 +897,18 @@ def assert_cuts_match_the_reference(hw, layer, tile, inputs, weights):
     assert factored[:2] == trivial[:2]
     assert (factored[2] == trivial[2]).all()
     assert factored[3].keys() == trivial[3].keys()
-    assert factored[3] == trivial[3]
+    # the parts are equal; the fold blocks' entries hold two factorings
+    # of one cut, which expand alike and put the blocks in the same rows
+    parts = [{key: value for key, value in run[3].items()
+              if key[0] != "blocks"} for run in (factored, trivial)]
+    assert parts[0] == parts[1]
+    key, = factored[3].keys() - parts[0].keys()
+    got, want = factored[3][key], trivial[3][key]
+    for a, b in zip(got.cut.expand(), want.cut.expand()):
+        assert (a.dtype, a.shape, a.tobytes()) \
+            == (b.dtype, b.shape, b.tobytes())
+    assert len(set(zip(got.row.tolist(), want.row.tolist()))) \
+        == len(got.first) == len(want.first)
 
 
 class TestFactoredCut:
@@ -937,8 +983,10 @@ class TestPairTable:
     @staticmethod
     def pair_table(hw, layer, tile):
         plan = build_mapping(hw, layer, tile)
-        return engine._pair_table(plan, plan.batch_cut(), plan.block_cut(),
-                                  {})
+        batches = engine._batch_rows(layer, plan.batch_cut())
+        blocks = engine._block_rows(layer, plan.block_cut())
+        return (batches.row, blocks.row,
+                *engine._pair_table(plan, batches, blocks, {}))
 
     @pytest.mark.parametrize("case, want", [
         ((HW32, EARLY_SYNTHETIC, TileConfig(3, 3, 1, t_x=3)), (108, 3, 3)),

@@ -1,6 +1,7 @@
 """Tile enumeration and ranking."""
 
 import inspect
+from dataclasses import astuple
 from itertools import product
 
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from treefab import (
     HardwareConfig,
     LayerConfig,
     LayerKind,
+    MappingError,
+    TileCandidate,
     TileConfig,
     build_mapping,
     engine,
@@ -92,6 +95,43 @@ def test_all_ones_tile_always_fits(data):
     assert TileConfig(1, 1, 1, 1, 1, 1, 1, 1) in [c.tile for c in candidates]
     for cand in candidates:
         assert build_mapping(hw, layer, cand.tile).n_vns_mapped >= 1
+
+
+def enumerate_by_mapping(hw, layer):
+    """The reference enumeration: a mapping built for every divisor tile,
+    each tile that maps kept with its mapping's utilization and folds,
+    ranked by (utilization desc, folds asc, the tile's fields)."""
+    candidates = []
+    for combo in product(*([d for d in range(1, n + 1) if n % d == 0]
+                           for n in tile_extents(layer))):
+        tile = TileConfig(*combo)
+        try:
+            plan = build_mapping(hw, layer, tile)
+        except MappingError:
+            continue
+        candidates.append(TileCandidate(tile=tile, predicted={
+            "theoretical_utilization": plan.theoretical_utilization,
+            "folds": plan.folds,
+        }))
+    candidates.sort(key=lambda c: (-c.predicted["theoretical_utilization"],
+                                   c.predicted["folds"], astuple(c.tile)))
+    return candidates
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_enumeration_equals_one_mapping_per_tile(data):
+    # the same tiles in the same order, with equal predicted dicts (floats
+    # compared exactly), on any fabric size and either strategy
+    log_ms = data.draw(st.integers(1, 8))
+    hw = HardwareConfig(
+        num_ms=2 ** log_ms, dn_bw=2 ** data.draw(st.integers(0, log_ms)),
+        rn_bw=data.draw(st.integers(1, 2 ** log_ms)),
+        folding=data.draw(st.sampled_from(FoldingStrategy)))
+    layer = data.draw(layers())
+    got, want = enumerate_tiles(hw, layer), enumerate_by_mapping(hw, layer)
+    assert [c.tile for c in got] == [c.tile for c in want]
+    assert [c.predicted for c in got] == [c.predicted for c in want]
 
 
 class TestRankBySimulation:
