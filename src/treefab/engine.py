@@ -60,42 +60,34 @@ step by step, on values, calling the same two functions; the test suite
 walks every wave through them as the reference that the counts must
 match.
 
-Each wave gets a closed-form *key* from a batch class, a block class
-and two border classes:
+The mapper cuts the batches and the blocks as ``mapper.Cut``s, which
+hold their geometry: each group is an origin plus one of a few shapes,
+so two groups of one shape hold the same coordinates, position by
+position, up to a shift of their origin.  Each wave gets a closed-form
+*key*:
 
-* batch class: the batch size; the partition of its slots by
-  ``g*K + k`` and by ``n*G + g`` (each slot's first slot with the same
-  value); and each slot's ``ox`` and ``oy`` offset from the batch's least;
-* block class: the block length; each element's ``c``, ``r`` and ``s``
-  offset from the block's least; whether the fold is the first and
-  whether it is the last;
+* its batch's shape and its block's shape;
+* whether its fold is the first and whether it is the last;
 * X border class: with ``base = ox_min*stride + r_min - padding`` and
   ``span`` the spread of ``ox*stride + r`` over the wave, 0 when
   ``[base, base + span]`` lies inside ``[0, X)``, else ``base + padding +
   1``; the Y border class likewise.
 
-The key fixes the signature.  Two weight addresses are equal iff their
-``(g, k)`` and their elements are equal, which the batch partition and the
-block length give.  Two input addresses are equal iff their ``(n, g)``,
-their ``c``, their ``ox*stride + r`` and their ``oy*stride + s`` are
-equal, and the offsets give these up to the same shift for every
-position.  Whether a tap falls in the padding depends, given the offsets,
-only on ``base``, which the border class gives wherever it matters.
-
-The mapper cuts the batches and the blocks as ``mapper.Cut``s, which
-hold their geometry: each group is an origin plus one of a few shapes.
-An origin shifts every coordinate of its group alike, so it changes no
-offset from the least and no partition by a value linear in the
-coordinates: the batch and block classes are counted once per shape,
-not per group (``_classes``).  Only the borders and the range check read
+The key fixes the signature.  The shapes fix the batch size, the block
+length and each position's coordinates up to one shift of ``(n, g, k,
+ox, oy)`` and one of ``(c, r, s)``.  A weight address is linear in ``(g,
+k, c, r, s)``, and an input address in ``(n, g, c, ox*stride + r,
+oy*stride + s)``, so the shifts move every address of the wave alike
+and keep which positions share one.  Whether a tap falls in the padding
+depends, given the shapes, only on ``base``, which the border class
+gives wherever it matters.  Only the borders and the range check read
 the origins, through each group's least coordinate, its origin plus its
-shape's least offset (``Cut.bounds``).  A schedule given as flat groups
-is exact too: each group is a shape of its own, at origin 0
-(``Cut.flat``).
+shape's least offset (``Cut.bounds``).  So the keying is exact on any
+cut; one that is not canonical (``Cut.canonical``) only yields more keys.
 
-A key reads a batch only through its *row*, its class and least ``ox``
-and ``oy`` (the class fixes their spreads), and a block only through its
-row, its class, fold flags and least ``r`` and ``s``.  So
+A key reads a batch only through its *row*, its shape and least ``ox``
+and ``oy`` (the shape fixes their spreads), and a block only through its
+row, its shape, fold flags and least ``r`` and ``s``.  So
 ``_pair_table`` keys the (batch row, block row) pairs, never the waves,
 and builds one wave's signature per key and its record from the three
 parts; the totals weight each pair's record by its rows' counts.  A
@@ -271,9 +263,10 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
 
 class _Rows(NamedTuple):
     """A cut's groups numbered by the rows that wave keys read: each
-    group's row, and per row its first group, its class, and that group's
-    least coordinate and spread along the two axes that step over the
-    input's rows and columns, shape (2, rows)."""
+    group's row, and per row its first group, its shape (with the fold
+    flags, for a block), and that group's least coordinate and spread
+    along the two axes that step over the input's rows and columns,
+    shape (2, rows)."""
 
     cut: Cut
     row: np.ndarray
@@ -284,23 +277,20 @@ class _Rows(NamedTuple):
 
 
 def _batch_rows(layer: LayerConfig, batches: Cut) -> _Rows:
-    """The batches' rows: a batch's class, its least ``ox`` and ``oy``.
+    """The batches' rows: a batch's shape, its least ``ox`` and ``oy``.
     Raises ``AddressOutOfRange`` where a batch leaves the output."""
-    low, spread, least = _check_range(batches, output_dims(layer), "output")
-    ids = _classes(batches, low, (3, 4), lambda n, g, k, ox, oy: (
-        g * layer.k + k, n * layer.g + g))
-    return _rows(batches, ids, least, spread, (3, 4))
+    spread, least = _check_range(batches, output_dims(layer), "output")
+    return _rows(batches, batches.shape, least, spread, (3, 4))
 
 
 def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
-    """The fold blocks' rows: a block's class, whether its fold is the
+    """The fold blocks' rows: a block's shape, whether its fold is the
     first and the last, its least ``r`` and ``s``.  Raises
     ``AddressOutOfRange`` where a block leaves the filter."""
-    low, spread, least = _check_range(blocks, weight_dims(layer)[2:],
-                                      "weight (c, r, s)")
+    spread, least = _check_range(blocks, weight_dims(layer)[2:],
+                                 "weight (c, r, s)")
     fold = np.arange(len(blocks.shape))
-    ids = ((_classes(blocks, low, (0, 1, 2), lambda c, r, s: ()) * 2
-            + (fold > 0)) * 2 + (fold == len(fold) - 1))
+    ids = (blocks.shape * 2 + (fold > 0)) * 2 + (fold == len(fold) - 1)
     return _rows(blocks, ids, least, spread, (1, 2))
 
 
@@ -341,38 +331,14 @@ def _number(columns):
     ints) numbered among the distinct rows, and each id's first flat
     index.  A row is one mixed-radix int64, each column's radix its
     largest value plus one, so it stays below the radices' product:
-    classes x X' x Y' for the batch rows, 4 x classes x R x S for the
-    block rows, and batch classes x block classes x (X + 2 padding + 1) x
+    shapes x X' x Y' for the batch rows, 4 x shapes x R x S for the
+    block rows, and batch shapes x 4 x block shapes x (X + 2 padding + 1) x
     (Y + 2 padding + 1) for the pairs."""
     number = 0
     for column in columns:
         number = number * (int(column.max()) + 1) + column
     _, first, ids = np.unique(number, return_index=True, return_inverse=True)
     return ids.reshape(np.shape(number)), first
-
-
-def _classes(cut: Cut, low, axes, partitions):
-    """A class id per group of ``cut``, counted once per shape; ``low``
-    holds each shape's least offsets (``Cut.bounds``).
-
-    Two groups share a class iff they have the same length, the same
-    offset of each of ``axes`` from the group's least coordinate, and the
-    same partition of their positions by each value of
-    ``partitions(*coordinates)``.  An origin shifts every coordinate of
-    its group alike, so for values linear in the coordinates these are
-    the shape's own.
-    """
-    at, used = cut.positions(np.arange(len(cut.sizes)))
-    columns = [cut.sizes]
-    columns += [np.where(used, cut.offsets[at, a] - low[:, a, None], -1)
-                for a in axes]
-    columns += [_first_positions(np.where(used, value[at], -1))
-                for value in partitions(*cut.offsets.T)]
-    # each shape's row of the stacked int32 columns, as bytes
-    rows = np.column_stack([np.asarray(c, dtype=np.int32) for c in columns])
-    ids: dict[bytes, int] = {}
-    return np.array([ids.setdefault(row, len(ids)) for row in rows.view(
-        f"V{rows.shape[1] * 4}").ravel().tolist()])[cut.shape]
 
 
 def _signatures(mapping: MappingPlan, batches: Cut, blocks: Cut, b, f):
@@ -484,8 +450,9 @@ def _drain(num_ms: int, rn_bw: int, width: int, size: int) -> tuple[int, ...]:
 
 
 def _check_range(cut: Cut, dims, what):
-    """(low, spread, least): ``cut.bounds()``, and each group's least
-    coordinate, its origin plus its shape's low, shape (axes, groups).
+    """(spread, least): each shape's spread (``Cut.bounds``), and each
+    group's least coordinate, its origin plus its shape's least offset,
+    shape (axes, groups).
     Raises unless every coordinate axis of the groups lies within its
     region extent, from the least coordinate to it plus the shape's
     spread."""
@@ -500,7 +467,7 @@ def _check_range(cut: Cut, dims, what):
             raise AddressOutOfRange(
                 f"{what} axis {axis} spans {lo}..{hi}, outside 0..{dim - 1}"
             )
-    return low, spread, least
+    return spread, least
 
 
 def _first_positions(addr):

@@ -10,15 +10,18 @@ configuration of the reduction network, for a batch of any size, by
 schedule and the fold blocks are cut from the layer by one numpy
 function, ``_cut``, as a factored ``Cut``: each tile is an origin plus
 one of a few shapes (per axis the step, or the clamped remainder), and
-each tile of outputs splits into batches, so a batch is a tile origin
-plus one batch shape.  The two cuts are the mapping's only schedule,
-built when asked for, and ``Cut`` holds their geometry: ``expand`` gives
-flat coordinates with one length per group, ``coordinates`` some groups'
-coordinates padded to the widest shape, and ``bounds`` each shape's
-least offsets and spreads.  Distribution routes depend only on each
-payload's destinations; ``fabric.generate_dn_routes`` builds them on
-request, and the engine counts the switches on each payload's cover
-level by level through ``fabric.distribution``.
+each tile of outputs splits into batches, so a batch is an origin plus
+one batch shape.  Both cuts are canonical (``Cut.canonical``): each
+shape's least offset is 0, so a group's least coordinate is its origin,
+and no two shapes are equal up to a shift.  The two cuts are the
+mapping's only schedule, built when asked for, and ``Cut`` holds their
+geometry: ``expand`` gives flat coordinates with one length per group,
+``coordinates`` some groups' coordinates padded to the widest shape, and
+``bounds`` each shape's least offsets and spreads.  Distribution routes
+depend only on each payload's destinations;
+``fabric.generate_dn_routes`` builds them on request, and the engine
+counts the switches on each payload's cover level by level through
+``fabric.distribution``.
 """
 
 from __future__ import annotations
@@ -60,11 +63,32 @@ class Cut(NamedTuple):
 
     @classmethod
     def flat(cls, coords, lengths) -> Cut:
-        """The trivial factoring of groups given as flat coordinates and
-        lengths: each group is a shape of its own, at origin 0."""
+        """The canonical cut of groups given as flat coordinates and
+        lengths."""
         return cls(coords, lengths,
                    np.zeros((len(lengths), coords.shape[1]), coords.dtype),
-                   np.arange(len(lengths)))
+                   np.arange(len(lengths))).canonical()
+
+    def canonical(self) -> Cut:
+        """The same groups, each shape moved to least offset 0 with that
+        least added to its groups' origins, and shapes equal up to a shift
+        (the same size and offsets in position order) merged into one,
+        numbered by first use: a group's least coordinate is its origin."""
+        low, _ = self.bounds()
+        offsets = self.offsets - np.repeat(low, self.sizes, axis=0)
+        ends = np.cumsum(self.sizes)
+        first = np.sort(np.unique(self.shape, return_index=True)[1])
+        number = np.zeros(len(self.sizes), dtype=np.int64)
+        merged: dict[bytes, int] = {}
+        kept = []
+        for old in self.shape[first].tolist():
+            rows = offsets[ends[old] - self.sizes[old]:ends[old]]
+            number[old] = merged.setdefault(rows.tobytes(), len(merged))
+            if number[old] == len(kept):
+                kept.append(old)
+        at, inside = self.positions(np.array(kept))
+        return Cut(offsets[at[inside]], self.sizes[kept],
+                   self.origins + low[self.shape], number[self.shape])
 
     def expand(self):
         """(coordinates, lengths): every group's coordinates in turn,
@@ -113,8 +137,8 @@ class MappingPlan:
 
     def batch_cut(self) -> Cut:
         """The schedule's batches of output coordinates (n, g, k, ox, oy),
-        in issue order.  Each tile splits into batches of
-        ``n_vns_mapped``, the last shorter, so batch ``j`` of a tile is
+        in issue order, as a canonical cut.  Each tile splits into batches
+        of ``n_vns_mapped``, the last shorter, so batch ``j`` of a tile is
         its origin plus slice ``j`` of its shape.  Each batch maps one
         output per cluster slot and runs through every fold before the
         next batch starts."""
@@ -125,16 +149,20 @@ class MappingPlan:
         ends = np.cumsum(per_shape)
         lengths = np.full(ends[-1], n)
         lengths[ends - 1] = sizes - (per_shape - 1) * n
+        # the tile shapes are numbered by first use, so are the slices
+        slices = Cut.flat(offsets, lengths)
         per_tile = per_shape[shape]
         tile_ends = np.cumsum(per_tile)
         # a tile's first batch takes its shape's first slice
         first = (ends - per_shape)[shape] - (tile_ends - per_tile)
-        return Cut(offsets, lengths, np.repeat(origins, per_tile, axis=0),
-                   np.repeat(first, per_tile) + np.arange(tile_ends[-1]))
+        at = np.repeat(first, per_tile) + np.arange(tile_ends[-1])
+        return Cut(slices.offsets, slices.sizes,
+                   np.repeat(origins, per_tile, axis=0) + slices.origins[at],
+                   slices.shape[at])
 
     def block_cut(self) -> Cut:
         """The fold blocks of (c, r, s) weight coordinates, in issue
-        order."""
+        order, as a canonical cut."""
         return _cut(*_axes(self.layer, self.tile, _FOLD_AXES))
 
     @property
@@ -218,7 +246,9 @@ def _cut(extents, steps) -> Cut:
     order over the tile grid: each tile's origin and shape index, and
     each distinct shape's offsets in product order.  Along each axis a
     tile spans the step, or the remainder where the last tile is
-    clamped, so the shapes are the products of those sizes."""
+    clamped, so the shapes are the products of those sizes; the cut is
+    canonical, since each shape starts at 0 and the row-major grid uses
+    the shapes in product order."""
     grid = tuple(-(-e // t) for e, t in zip(extents, steps))
     sizes = [(t,) if e % t == 0 else (t, e % t)
              for e, t in zip(extents, steps)]

@@ -6,6 +6,7 @@ import pathlib
 import random
 from contextlib import ExitStack
 from dataclasses import replace
+from itertools import product
 from unittest.mock import patch
 
 import numpy as np
@@ -38,6 +39,7 @@ from treefab.config import (
     parse_layer_config,
     parse_tile_config,
 )
+from treefab import mapper
 from treefab.mapper import Cut
 from treefab.memory import random_layer_data
 
@@ -270,11 +272,11 @@ class TestMatchesPerWaveReference:
         fabric.pb.load_layer_data(layer, *random_layer_data(
             layer, data.draw(st.integers(0, 999))))
         want = [record for _, _, record in wave_records(mapping, fabric)]
-        # the factored cuts, and their trivial factoring
+        # the factored cuts, and the same groups cut one shape per group
         for batches, blocks in (
                 (mapping.batch_cut(), mapping.block_cut()),
-                (Cut.flat(*mapping.batch_cut().expand()),
-                 Cut.flat(*mapping.block_cut().expand()))):
+                (per_group(*mapping.batch_cut().expand()),
+                 per_group(*mapping.block_cut().expand()))):
             batches = engine._batch_rows(layer, batches)
             blocks = engine._block_rows(layer, blocks)
             ids, records = engine._pair_table(mapping, batches, blocks, {})
@@ -856,15 +858,20 @@ class TestRangeGuard:
     @given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
            seed=st.integers(0, 999))
     def test_low_and_span_of_each_group(self, lengths, seed):
-        # on a flat cut each group is a shape of its own
+        # on a cut where each group is a shape of its own, at origin 0,
+        # the bounds are each group's; the canonical cut of the same
+        # groups holds each group's least coordinate in its origin
         coords = np.random.default_rng(seed).integers(-3, 9,
                                                       (sum(lengths), 3))
-        low, spread = Cut.flat(coords, np.array(lengths)).bounds()
+        lengths = np.array(lengths)
+        low, spread = per_group(coords, lengths).bounds()
+        origins = Cut.flat(coords, lengths).origins
         starts = np.cumsum(lengths) - lengths
         for i, (start, length) in enumerate(zip(starts, lengths)):
             part = coords[start:start + length]
             assert (low[i] == part.min(axis=0)).all()
             assert (spread[i] == part.max(axis=0) - part.min(axis=0)).all()
+            assert (origins[i] == part.min(axis=0)).all()
 
 
 def run_on_cuts(hw, layer, tile, inputs, weights, cuts=None):
@@ -880,10 +887,29 @@ def run_on_cuts(hw, layer, tile, inputs, weights, cuts=None):
     return result.stats, events, result.output, replays
 
 
+def assert_same_cut(got, want):
+    """Two cuts are equal byte for byte in all four fields."""
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) \
+            == (b.dtype, b.shape, b.tobytes())
+
+
+def per_group(coords, lengths):
+    """The cut of groups given as flat coordinates and lengths with each
+    group a shape of its own, at origin 0: not canonical wherever a
+    group's least coordinate is not 0 or two groups are equal up to a
+    shift."""
+    return Cut(coords, lengths,
+               np.zeros((len(lengths), coords.shape[1]), coords.dtype),
+               np.arange(len(lengths)))
+
+
 def assert_cuts_match_the_reference(hw, layer, tile, inputs, weights):
     """The expanded cuts equal the argsort reference's arrays byte for
-    byte, and a run on the trivial factoring of the cuts gives the
-    factored run's stats, trace events, outputs and replays."""
+    byte; a run on the canonical cuts of the expanded groups gives the
+    factored run's stats, trace events, outputs and replays; and a run on
+    the expanded groups cut one shape per group gives the same stats,
+    trace events, outputs and parts."""
     plan = build_mapping(hw, layer, tile)
     batches, blocks = plan.batch_cut().expand(), plan.block_cut().expand()
     for got, want in ((batches, cut_reference.batch_array(plan)),
@@ -891,24 +917,26 @@ def assert_cuts_match_the_reference(hw, layer, tile, inputs, weights):
         for a, b in zip(got, want):
             assert (a.dtype, a.shape, a.tobytes()) \
                 == (b.dtype, b.shape, b.tobytes())
-    flat = (Cut.flat(*batches), Cut.flat(*blocks))
     factored = run_on_cuts(hw, layer, tile, inputs, weights)
-    trivial = run_on_cuts(hw, layer, tile, inputs, weights, flat)
-    assert factored[:2] == trivial[:2]
-    assert (factored[2] == trivial[2]).all()
-    assert factored[3].keys() == trivial[3].keys()
+    flat = run_on_cuts(hw, layer, tile, inputs, weights,
+                       (Cut.flat(*batches), Cut.flat(*blocks)))
+    assert factored[:2] == flat[:2]
+    assert (factored[2] == flat[2]).all()
+    assert_same_replays(flat[3], factored[3])
+    raw = run_on_cuts(hw, layer, tile, inputs, weights,
+                      (per_group(*batches), per_group(*blocks)))
+    assert factored[:2] == raw[:2]
+    assert (factored[2] == raw[2]).all()
+    assert factored[3].keys() == raw[3].keys()
     # the parts are equal; the fold blocks' entries hold two factorings
-    # of one cut, which expand alike and put the blocks in the same rows
+    # of one cut, which expand alike
     parts = [{key: value for key, value in run[3].items()
-              if key[0] != "blocks"} for run in (factored, trivial)]
+              if key[0] != "blocks"} for run in (factored, raw)]
     assert parts[0] == parts[1]
     key, = factored[3].keys() - parts[0].keys()
-    got, want = factored[3][key], trivial[3][key]
-    for a, b in zip(got.cut.expand(), want.cut.expand()):
+    for a, b in zip(factored[3][key].cut.expand(), raw[3][key].cut.expand()):
         assert (a.dtype, a.shape, a.tobytes()) \
             == (b.dtype, b.shape, b.tobytes())
-    assert len(set(zip(got.row.tolist(), want.row.tolist()))) \
-        == len(got.first) == len(want.first)
 
 
 class TestFactoredCut:
@@ -922,41 +950,49 @@ class TestFactoredCut:
         assert_cuts_match_the_reference(hw, layer, tile, inputs, weights)
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cuts_are_canonical(self, data, strategy):
+        # the batch and block cuts are the canonical cuts of their own
+        # groups, byte for byte, and the tile cuts (the fold blocks among
+        # them) are canonical as cut: each shape's least offset is 0
+        layer = data.draw(layers())
+        tile = tiles(ints(data.draw), layer)
+        hw = HardwareConfig(data.draw(st.sampled_from([8, 16, 32, 64])), 4,
+                            4, strategy)
+        try:
+            plan = build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        for cut in (plan.batch_cut(), plan.block_cut()):
+            assert_same_cut(Cut.flat(*cut.expand()), cut)
+            assert (cut.bounds()[0] == 0).all()
+        for axes in (mapper._OUTPUT_AXES, mapper._FOLD_AXES):
+            cut = mapper._cut(*mapper._axes(layer, tile, axes))
+            assert_same_cut(cut.canonical(), cut)
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_clamped_on_every_axis(self, strategy):
         # steps of 2 on odd extents: two sizes per axis, so 32 tile
-        # shapes of outputs and 8 of blocks
+        # shapes of outputs, one per clamp combination, and 8 of blocks
         layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=3, g=3, k=3, n=3,
                             x=7, y=7)
         tile = TileConfig(2, 2, 2, 2, 2, 2, 2, 2)
         hw = replace(HardwareConfig(64, 4, 4), folding=strategy)
         plan = build_mapping(hw, layer, tile)
         assert len(plan.block_cut().sizes) == 8
-        assert len(plan.batch_cut().sizes) >= 32
+        tiles = mapper._cut(*mapper._axes(layer, tile, mapper._OUTPUT_AXES))
+        low, spread = tiles.bounds()
+        assert (low == 0).all()
+        assert sorted(map(tuple, (spread + 1).tolist())) \
+            == sorted(product((1, 2), repeat=5))
         inputs, weights = random_layer_data(layer, seed=6)
         assert_cuts_match_the_reference(hw, layer, tile, inputs, weights)
 
-    @staticmethod
-    def batch_rows_classified(monkeypatch, runs):
-        # the shapes classified as batches (the groups whose offsets are
-        # ox and oy), one class key row each
-        rows = []
-        classes = engine._classes
-
-        def counted_classes(cut, low, offsets, partitions):
-            if offsets == (3, 4):
-                rows.append(len(cut.sizes))
-            return classes(cut, low, offsets, partitions)
-
-        with monkeypatch.context() as m:
-            m.setattr(engine, "_classes", counted_classes)
-            for hw, layer, tile in runs:
-                simulate_layer(hw, layer, tile)
-        return sum(rows)
-
-    def test_one_row_per_batch_shape(self, monkeypatch):
+    def test_one_row_per_batch_shape(self):
         # EARLY_SYNTHETIC's 648 batches share 1 shape, wide-conv's 64
         # batches 2, and the 3,472 batches of tile-search's 20 simulated
-        # candidates 59
+        # candidates 41, once shapes equal up to a shift are one
         hw32 = workload(parse_hardware_config, "hw32-roundtrip.yaml")
         early = (hw32, workload(parse_layer_config, "early-synthetic.yaml"),
                  workload(parse_tile_config, "tile-early.yaml"))
@@ -965,11 +1001,12 @@ class TestFactoredCut:
                 workload(parse_tile_config, "tile-wide.yaml"))
         search = [(hw32, POINTWISE, c.tile)
                   for c in enumerate_tiles(hw32, POINTWISE)[:20]]
-        assert [sum(len(build_mapping(*run).batch_cut().shape)
-                    for run in runs)
-                for runs in ([early], [wide], search)] == [648, 64, 3472]
-        assert [self.batch_rows_classified(monkeypatch, runs)
-                for runs in ([early], [wide], search)] == [1, 2, 59]
+        cuts = [[build_mapping(*run).batch_cut() for run in runs]
+                for runs in ([early], [wide], search)]
+        assert [sum(len(cut.shape) for cut in run) for run in cuts] \
+            == [648, 64, 3472]
+        assert [sum(len(cut.sizes) for cut in run) for run in cuts] \
+            == [1, 2, 41]
 
 
 # CI's ResNet-scale layer and tile: 2,752,512 waves on HW 64/8/8
@@ -1001,7 +1038,8 @@ class TestPairTable:
             == (len(plan.batch_cut().shape), plan.folds)
 
     def test_resnet_scale_counted_without_data(self):
-        # the factored cuts and their trivial factoring count alike
+        # the factored cuts and the canonical cuts of their expanded
+        # groups count alike
         hw, layer, tile = RESNET
         plan = build_mapping(hw, layer, tile)
         factored = simulate_layer(hw, layer, tile).stats
