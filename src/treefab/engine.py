@@ -419,20 +419,21 @@ def _distribute(num_ms: int, dn_bw: int, width: int, length: int,
     a wave's partitions, its weights or its inputs.
 
     Each class of the partition is one payload, read from the PB once and
-    distributed to the class's leaves as ``fabric.distribution`` counts;
-    position ``slot*length + e`` sits on leaf ``slot*width + e``, and the
+    distributed to the class's leaves, listed in position order, as
+    ``fabric.distribution`` counts; position ``slot*length + e`` sits on
+    leaf ``slot*width + e`` (so the leaves are listed sorted), and the
     batch holds ``len(data) / 4 / length`` slots.  A forwarding input
     distribution adds one payload per slot, the partial sum for the
     slot's forwarder leaf, its last.
     """
     heads = np.frombuffer(data, np.int32).tolist()
-    dests: dict[int, set[int]] = {}
+    dests: dict[int, list[int]] = {}
     for p, head in enumerate(heads):
         if head >= 0:
-            dests.setdefault(head, set()).add(p // length * width + p % length)
+            dests.setdefault(head, []).append(p // length * width + p % length)
     payloads = list(dests.values())
     if forward:
-        payloads += [{slot * width + width - 1}
+        payloads += [[slot * width + width - 1]
                      for slot in range(len(heads) // length)]
     return (len(payloads), *distribution(num_ms, dn_bw, payloads))
 

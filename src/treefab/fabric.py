@@ -67,22 +67,33 @@ def distribution(num_ms: int, dn_bw: int, dests) -> tuple[int, int]:
     Each of the ``dn_bw`` sub-trees injects one payload per cycle, and a
     payload is injected on every sub-tree that holds one of its leaves,
     so the cycles are the most payloads on any sub-tree.  A payload
-    traverses each switch on its cover: each destination's ancestors.
-    The cover is counted level by level, on the set of the payload's
-    ancestors at that level, which shrinks as it climbs; above the top
-    switches (sub-trees hold a power of two of leaves) the set is the
-    payload's sub-trees.
+    traverses each switch on its cover: each destination's ``depth``
+    ancestors in its sub-tree of ``2**depth`` leaves.  The cover is
+    counted over the payload's sorted leaves.  The first adds its
+    ``depth`` ancestors and its sub-tree.  Each next leaf meets the leaf
+    before it, and no earlier leaf lower, at height ``split + 1``, for
+    ``split`` the highest bit in which the two differ; it adds the
+    ``split`` ancestors below that, or all ``depth`` and a new sub-tree
+    when the split reaches ``depth``.  A repeated leaf adds nothing.
     """
     depth = (num_ms // dn_bw).bit_length() - 1  # switch levels per sub-tree
     queued = [0] * dn_bw  # sub-tree -> payloads injected on it
     traversals = 0
     for d in dests:
-        nodes = set(d)
-        for _ in range(depth):
-            nodes = {node >> 1 for node in nodes}
-            traversals += len(nodes)
-        for tree in nodes:
-            queued[tree] += 1
+        leaves = sorted(d)
+        if not leaves:
+            continue
+        prev = leaves[0]
+        queued[prev >> depth] += 1
+        traversals += depth
+        for leaf in leaves[1:]:
+            split = (prev ^ leaf).bit_length() - 1
+            if split >= depth:
+                queued[leaf >> depth] += 1
+                traversals += depth
+            elif split > 0:
+                traversals += split
+            prev = leaf
     return max(queued), traversals
 
 

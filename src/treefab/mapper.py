@@ -20,8 +20,8 @@ geometry: ``expand`` gives flat coordinates with one length per group,
 ``bounds`` each shape's least offsets and spreads.  Distribution routes
 depend only on each payload's destinations;
 ``fabric.generate_dn_routes`` builds them on request, and the engine
-counts the switches on each payload's cover level by level through
-``fabric.distribution``.
+counts the switches on each payload's cover from its sorted leaves
+through ``fabric.distribution``.
 """
 
 from __future__ import annotations

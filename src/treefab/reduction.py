@@ -14,7 +14,10 @@ cluster; ``switch_modes`` derives each switch's mode from the ops on
 request.  The engine counts a wave's additions, FIFO pushes and drain
 from the plan; the step-by-step reference ``fabric.ReductionNetwork``
 replays it on concrete values, and it is independently checkable
-against a direct per-cluster sum.
+against a direct per-cluster sum.  The planner climbs the tree a level
+at a time, visiting only the switches that hold a fragment, each
+cluster's fragments at a switch held as one plain list; the leaves pair
+straight into level 1.
 
 Timing: values advance one tree level per cycle; a lateral hop costs one
 extra cycle (``AUG_HOP_EXTRA_CYCLES``).
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -38,8 +43,7 @@ class ASMode(Enum):
     IDLE = "idle"
 
 
-@dataclass(frozen=True)
-class ReduceOp:
+class ReduceOp(NamedTuple):
     """One action of one adder switch during a reduction wave.
 
     ``sources`` are ``("leaf", i)`` or ``("op", idx)`` references; more
@@ -69,29 +73,6 @@ class ReductionPlan:
         return self.num_leaves - (self.num_leaves >> (level - 1)) + node
 
 
-@dataclass
-class _Group:
-    """The fragments of one cluster that one node holds while the plan is
-    being built: their refs, the leaves they cover, and the cycle the last
-    of them is usable at the node."""
-
-    refs: list
-    covered: int
-    arrival: int
-
-
-def _hold(groups: dict, node: int, vn: int, ref: tuple, covered: int,
-          arrival: int) -> None:
-    """Add a fragment of cluster ``vn`` to what ``node`` holds."""
-    group = groups.setdefault(node, {}).get(vn)
-    if group is None:
-        groups[node][vn] = _Group([ref], covered, arrival)
-    else:
-        group.refs.append(ref)
-        group.covered += covered
-        group.arrival = max(group.arrival, arrival)
-
-
 def clusters(num_leaves: int, width: int, count: int) -> list:
     """The ``vn_of_leaf`` list of ``count`` clusters of ``width`` leaves
     from leaf 0: cluster ``v`` holds leaves ``v*width`` to ``v*width +
@@ -102,11 +83,11 @@ def clusters(num_leaves: int, width: int, count: int) -> list:
 
 def _cluster_sizes(vn_of_leaf) -> dict[int, int]:
     sizes: dict[int, int] = {}
-    for i, vn in enumerate(vn_of_leaf):
+    for vn, run in groupby(vn_of_leaf):
         if vn is not None:
-            if vn in sizes and vn_of_leaf[i - 1] != vn:
+            if vn in sizes:
                 raise ValidationError(f"cluster {vn} is not contiguous")
-            sizes[vn] = sizes.get(vn, 0) + 1
+            sizes[vn] = sum(1 for _ in run)
     return sizes
 
 
@@ -116,30 +97,29 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
     ``vn_of_leaf[i]`` names the cluster of leaf ``i`` (``None`` = idle).
     Every contiguous partition, with idle leaves anywhere, has a plan;
     raises ``ValidationError`` if the leaf count is not a power of two of
-    at least 2 or a cluster is not contiguous.
+    at least 2 or a cluster is not contiguous.  A cluster of ``k`` leaves
+    takes ``k - 1`` additions, whatever its ops.
     """
     n = len(vn_of_leaf)
     if n < 2 or n & (n - 1):
         raise ValidationError(f"leaf count must be a power of two >= 2, got {n}")
     size = _cluster_sizes(vn_of_leaf)
-
     ops: list[ReduceOp] = []
-    egress: dict[int, tuple[int, int, int]] = {}  # vn -> (level, node, time)
+    plan = ReductionPlan(n, ops, {}, sum(size.values()) - len(size))
 
-    def emit(level, node, vn, group: _Group, route: str,
-             min_time: int = 0) -> ReduceOp:
-        op = ReduceOp(index=len(ops), level=level, node=node, vn=vn,
-                      sources=tuple(group.refs), route=route,
-                      time=max(min_time, group.arrival))
-        ops.append(op)
-        return op
-
-    # the fragments held by each busy node of the level being configured,
-    # by cluster in the order they arrive; idle nodes are absent
-    groups: dict[int, dict[int, _Group]] = {}
+    # what each busy node of the level being configured holds: per
+    # cluster, in the order they arrive, ``[refs, covered, arrival]``, the
+    # fragments' refs, the leaves they cover and the cycle the last of
+    # them is usable at the node; idle nodes are absent, and the busy ones
+    # are listed in order.  The leaves pair straight into level 1, all
+    # usable at cycle 1.
+    groups: dict[int, dict[int, list]] = {}
     for i, vn in enumerate(vn_of_leaf):
         if vn is not None:
-            _hold(groups, i // 2, vn, ("leaf", i), 1, 1)
+            fragment = groups.setdefault(i >> 1, {}).setdefault(
+                vn, [[], 0, 1])
+            fragment[0].append(("leaf", i))
+            fragment[1] += 1
 
     # No partition of contiguous clusters can over-subscribe a port or
     # strand a cluster, because at every level:
@@ -147,57 +127,60 @@ def plan_reduction(vn_of_leaf) -> ReductionPlan:
     #   each edge of its sub-tree;
     # - a link carries at most one fragment per level;
     # - the cluster that crosses a link lies inside the two sub-trees that
-    #   the link joins, so it completes at the receiver;
-    # - egresses at one switch are serialized by ``min_time``;
+    #   the link joins, so it completes at the receiver, which holds the
+    #   rest of it;
+    # - egresses at one switch are serialized in order of arrival;
     # - no cluster crosses the tree's edges, so neither edge node is ever
     #   a sender, and every lateral link joins two nodes inside the level.
     for level in range(1, n.bit_length()):
-        parents: dict[int, dict[int, _Group]] = {}
+        parents: dict[int, dict[int, list]] = {}
 
         # Lateral links join same-level nodes that do not share a parent:
         # node j (odd) and node j + 1.  A switch holding two unfinished
         # clusters pushes one across its single lateral link: the cluster
         # that holds both leaves at the link's boundary.
-        senders = {j for j, held in groups.items()
-                   if sum(g.covered < size[vn] for vn, g in held.items())
-                   == 2}
+        senders = {j for j, held in groups.items() if len(held) > 1
+                   and sum(f[1] < size[vn] for vn, f in held.items()) == 2}
         for left_j in sorted({j - 1 + j % 2 for j in senders}):
             right_j = left_j + 1
             send_l, send_r = left_j in senders, right_j in senders
             vn = vn_of_leaf[(right_j << level) - 1]
             if send_l and send_r:
                 # both halves want to meet: the larger fragment receives
-                send_l = (groups[left_j][vn].covered
-                          <= groups[right_j][vn].covered)
+                send_l = groups[left_j][vn][1] <= groups[right_j][vn][1]
             send_from, recv = ((left_j, right_j) if send_l
                                else (right_j, left_j))
-            group = groups[send_from].pop(vn)
-            op = emit(level, send_from, vn, group, "aug")
-            _hold(groups, recv, vn, ("op", op.index), group.covered,
-                  op.time + AUG_HOP_EXTRA_CYCLES)
+            refs, covered, arrival = groups[send_from].pop(vn)
+            fragment = groups[recv][vn]
+            fragment[0].append(("op", len(ops)))
+            fragment[1] += covered
+            fragment[2] = max(fragment[2], arrival + AUG_HOP_EXTRA_CYCLES)
+            ops.append(ReduceOp(len(ops), level, send_from, vn, tuple(refs),
+                                "aug", arrival))
 
-        # Route every remaining group: egress when finished, else upward.
-        # Several clusters may finish at one switch (adjacent single-leaf
-        # clusters); their egresses serialize through the switch FIFO.
-        for j in sorted(groups):
-            held = groups[j]
+        # Route every node's fragments by arrival, ties in the order they
+        # were held: egress when finished, else upward.  Several clusters
+        # may finish at one switch (adjacent single-leaf clusters); their
+        # egresses serialize through the switch FIFO.
+        for j, held in groups.items():
             egress_busy_until = -1
-            for vn in sorted(held, key=lambda v: held[v].arrival):
-                group = held[vn]
-                if group.covered == size[vn]:
-                    op = emit(level, j, vn, group, "egress",
-                              min_time=egress_busy_until + 1)
-                    egress_busy_until = op.time
-                    egress[vn] = (level, j, op.time)
+            for vn, (refs, covered, arrival) in (
+                    sorted(held.items(), key=lambda item: item[1][2])
+                    if len(held) > 1 else held.items()):
+                if covered == size[vn]:
+                    route, time = "egress", max(egress_busy_until + 1, arrival)
+                    egress_busy_until = time
+                    plan.egress[vn] = (plan.as_index(level, j), time)
                 else:
-                    op = emit(level, j, vn, group, "parent")
-                    _hold(parents, j // 2, vn, ("op", op.index),
-                          group.covered, op.time + 1)
+                    route, time = "parent", arrival
+                    fragment = parents.setdefault(j >> 1, {}).setdefault(
+                        vn, [[], 0, 0])
+                    fragment[0].append(("op", len(ops)))
+                    fragment[1] += covered
+                    fragment[2] = max(fragment[2], arrival + 1)
+                ops.append(ReduceOp(len(ops), level, j, vn, tuple(refs), route,
+                                    time))
         groups = parents
-
-    plan = ReductionPlan(n, ops, {}, sum(len(op.sources) - 1 for op in ops))
-    for vn, (level, j, time) in egress.items():
-        plan.egress[vn] = (plan.as_index(level, j), time)
     return plan
 
 

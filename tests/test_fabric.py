@@ -1,6 +1,8 @@
 """Datapath components in isolation: distribution, multiply, reduce,
 collect."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,59 @@ class TestDistributionRule:
         # the PB is never asked for more reads in a cycle than the DN has
         # sub-trees
         assert all(n <= dn_bw for n in reads)
+
+
+def level_walk_distribution(num_ms, dn_bw, dests):
+    """Reference definition of the DN count, level by level: each
+    payload's cover is counted on the set of its ancestors at each level,
+    which shrinks as it climbs; above the top switches (sub-trees hold a
+    power of two of leaves) the set is the payload's sub-trees."""
+    depth = (num_ms // dn_bw).bit_length() - 1  # switch levels per sub-tree
+    queued = [0] * dn_bw  # sub-tree -> payloads injected on it
+    traversals = 0
+    for d in dests:
+        nodes = set(d)
+        for _ in range(depth):
+            nodes = {node >> 1 for node in nodes}
+            traversals += len(nodes)
+        for tree in nodes:
+            queued[tree] += 1
+    return max(queued), traversals
+
+
+class TestDistributionCover:
+    def test_every_leaf_set_of_small_fabrics(self):
+        # every nonempty leaf set of 2, 4 and 8 leaves, under every dn_bw
+        checked = 0
+        for num_ms in (2, 4, 8):
+            for dn_bw in (1 << b for b in range(num_ms.bit_length())):
+                for mask in range(1, 1 << num_ms):
+                    leaves = [leaf for leaf in range(num_ms)
+                              if mask >> leaf & 1]
+                    assert distribution(num_ms, dn_bw, [leaves]) == (
+                        level_walk_distribution(num_ms, dn_bw, [leaves]))
+                    checked += 1
+        assert checked == 2 * 3 + 3 * 15 + 4 * 255
+
+    @pytest.mark.parametrize("num_ms", [16, 32, 64, 128, 256])
+    def test_seeded_payload_lists(self, num_ms):
+        # lists of up to 12 payloads, each up to the whole fabric, leaves
+        # in any order and, in half the lists, repeated
+        rng = random.Random(num_ms)
+        for _ in range(200):
+            dn_bw = 1 << rng.randrange(num_ms.bit_length())
+            draw = rng.choice((rng.sample, rng.choices))
+            dests = [draw(range(num_ms), k=rng.randint(
+                         1, num_ms >> rng.randrange(num_ms.bit_length())))
+                     for _ in range(rng.randint(1, 12))]
+            assert distribution(num_ms, dn_bw, dests) == (
+                level_walk_distribution(num_ms, dn_bw, dests))
+
+    def test_empty_destination_set(self):
+        for dests in ([], [set()], [set(), {3}, set()]):
+            assert distribution(8, 2, dests) == (
+                level_walk_distribution(8, 2, dests))
+        assert distribution(8, 2, [set()]) == (0, 0)
 
 
 class TestMultipliers:

@@ -3,11 +3,13 @@
 The planner is checked against a brute-force per-cluster sum for many
 random contiguous partitions, including idle runs and runs of
 single-leaf clusters, and for every partition of 8 leaves; every
-cluster layout of 2 to 128 leaves, and five plans besides, are pinned op
-for op by digest.
+cluster layout of 2 to 128 leaves, every partition of 8 leaves, seeded
+random partitions of 16 to 128 leaves and five plans besides are pinned
+op for op by digest.
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -62,6 +64,28 @@ def layouts(num_leaves):
     return [clusters(num_leaves, width, count)
             for width in range(1, num_leaves + 1)
             for count in range(1, num_leaves // width + 1)]
+
+
+def random_partitions(num_leaves, count, seed):
+    """``count`` contiguous partitions of the leaves drawn by
+    ``random.Random(seed)``: runs of clusters and of idle leaves in any
+    order, a quarter of them idle.  Each partition's runs are up to
+    ``num_leaves >> k`` leaves long, for its own random ``k``, so some
+    hold a few long clusters and some many single leaves."""
+    rng = random.Random(seed)
+    partitions = []
+    for _ in range(count):
+        vn_of_leaf, vn = [], 0
+        longest = num_leaves >> rng.randrange(num_leaves.bit_length())
+        while len(vn_of_leaf) < num_leaves:
+            run = min(rng.randint(1, longest), num_leaves - len(vn_of_leaf))
+            if rng.random() < 0.25:
+                vn_of_leaf += [None] * run
+            else:
+                vn_of_leaf += [vn] * run
+                vn += 1
+        partitions.append(vn_of_leaf)
+    return partitions
 
 
 def check_plans(partitions):
@@ -197,12 +221,18 @@ def plan_digest(plan) -> str:
     ).hexdigest()
 
 
-def layouts_digest(sizes) -> str:
-    """sha256 of the plan digests of every layout of each leaf count in
-    ``sizes``, concatenated in ``layouts`` order."""
+def plans_digest(partitions) -> str:
+    """sha256 of the plan digests of ``partitions``, concatenated in
+    order."""
     return hashlib.sha256("".join(
         plan_digest(plan_reduction(vn_of_leaf))
-        for n in sizes for vn_of_leaf in layouts(n)).encode()).hexdigest()
+        for vn_of_leaf in partitions).encode()).hexdigest()
+
+
+def layouts_digest(sizes) -> str:
+    """``plans_digest`` of every layout of each leaf count in ``sizes``,
+    in ``layouts`` order."""
+    return plans_digest(vn_of_leaf for n in sizes for vn_of_leaf in layouts(n))
 
 
 class TestPinnedPlans:
@@ -210,10 +240,23 @@ class TestPinnedPlans:
     # and order free: a plan that always sends left, or charges no lateral
     # hop, passes them.  These digests pin plans op for op: every layout
     # the engine can plan on up to 128 leaves (CI pins the 1,466 of 256),
-    # and five plans whose op and addition counts are spelled out.
+    # every partition of 8 leaves, 1,000 seeded partitions of 16 to 128
+    # leaves with idle runs anywhere (CI pins 500 of 256), and five plans
+    # whose op and addition counts are spelled out.
     def test_every_layout_op_for_op(self):
         assert layouts_digest(2 ** k for k in range(1, 8)) == (
             "f4c4d9ed8274f9ce318e786f97df0b28a7974bf6f9965b5a79d0eda59c8aabb7")
+
+    def test_every_partition_op_for_op(self):
+        assert plans_digest(every_partition(8)) == (
+            "2d8f5b23816a186a0fd018f192086dfbee976d0b745afdcbc1c15ce678dcd03e")
+
+    def test_random_partitions_op_for_op(self):
+        partitions = [vn_of_leaf for n in (16, 32, 64, 128)
+                      for vn_of_leaf in random_partitions(n, 250, n)]
+        assert check_plans(partitions) == 1000
+        assert plans_digest(partitions) == (
+            "5932512f61b0b686bf380dd726aef7ef524b69712a034b64f495f3d89d39a7a1")
 
     @pytest.mark.parametrize("layout, ops, adds, digest", [
         ((256, 9, 28), 259, 224, "abb298a892157cdc954b1c2c5a11c59c"
