@@ -60,11 +60,10 @@ step by step, on values, calling the same two functions; the test suite
 walks every wave through them as the reference that the counts must
 match.
 
-The mapper cuts the batches and the blocks as ``mapper.Cut``s, which
-hold their geometry: each group is an origin plus one of a few shapes,
-so two groups of one shape hold the same coordinates, position by
-position, up to a shift of their origin.  Each wave gets a closed-form
-*key*:
+The mapper gives the batches as a ``mapper.Grid`` (each entry a batch
+shape at one arithmetic progression of origins per axis) and the blocks
+as a ``mapper.Cut``; two groups of one shape hold the same coordinates,
+position by position, up to a shift.  Each wave gets a closed-form *key*:
 
 * its batch's shape and its block's shape;
 * whether its fold is the first and whether it is the last;
@@ -80,24 +79,23 @@ k, c, r, s)``, and an input address in ``(n, g, c, ox*stride + r,
 oy*stride + s)``, so the shifts move every address of the wave alike
 and keep which positions share one.  Whether a tap falls in the padding
 depends, given the shapes, only on ``base``, which the border class
-gives wherever it matters.  Only the borders and the range check read
-the origins, through each group's least coordinate, its origin plus its
-shape's least offset (``Cut.bounds``).  So the keying is exact on any
-cut; one that is not canonical (``Cut.canonical``) only yields more keys.
+gives wherever it matters.  So the keying is exact on any grid; one
+whose shapes are not canonical only yields more keys.
 
-A key reads a batch only through its *row*, its shape and least ``ox``
-and ``oy`` (the shape fixes their spreads), and a block only through its
-row, its shape, fold flags and least ``r`` and ``s``.  So
-``_pair_table`` keys the (batch row, block row) pairs, never the waves,
-and builds one wave's signature per key and its record from the three
-parts; the totals weight each pair's record by its rows' counts.  A
-caller that passes one ``replays`` dict to many calls (a tile search,
-the trials of ``verify``, the layers of a model) shares the parts
-across those calls: a search plans each batch geometry once, not once
-per tile.  The dict also holds each fold-block cut with its rows
-(``_block_rows``), keyed by the only values the blocks read, the
-layer's C, R and S and the tile's steps along them; so the tiles of a
-search that agree in those cut and key their blocks once.
+No key needs a batch of its own.  A *slice row* (``_slice_rows``) holds
+the grid entries that agree in shape, least ``ox`` and ``oy`` and X and
+Y origin counts, weighted by their N, G and K origin counts; a block row
+(``_block_rows``) the blocks that agree in shape, fold flags and least
+``r`` and ``s``.  Along X, a (slice row, block row) pair's ``base`` at
+origin position ``p`` is ``base_0 + p*step*stride``, growing with ``p``,
+so its positions inside the input are one range ``lo..hi``, in closed
+form, and each other position is a border class of its own.
+``_pair_table`` keys the (slice row, block row, X class, Y class)
+tuples, counts each key's waves from the rows' weights and the classes'
+sizes, and builds one wave's signature per key and its record from the
+three parts, shared through ``replays`` (``simulate_layer``).  The range
+check reads each entry's first and last origin; only a trace or an
+output sum walks the batches one by one (``Grid.issue``).
 
 None of this reads the data, so a call without inputs and weights
 counts the same stats and trace events and stops there; the tile search
@@ -126,7 +124,8 @@ from .config import (
 )
 from .errors import AddressOutOfRange, ValidationError
 from .fabric import bus_grants, distribution
-from .mapper import Cut, MappingPlan, build_mapping, cluster_plan
+from .mapper import (Cut, Grid, MappingPlan, _number, build_mapping,
+                     cluster_plan)
 from .memory import (check_layer_data, fit_outputs, output_dims,
                      padded_inputs, weight_dims)
 
@@ -224,49 +223,56 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
         inputs, weights = check_layer_data(layer, inputs, weights)
     if replays is None:
         replays = {}
-    batches = _batch_rows(layer, mapping.batch_cut())
+    grid = mapping.batch_grid()
+    slices = _slice_rows(layer, grid)
     # the fold blocks read only these fields, so every call that agrees
     # in them shares one keying of the block cut
     key = ("blocks", layer.c, layer.r, layer.s, tile.t_c, tile.t_r, tile.t_s)
     if key not in replays:
         replays[key] = _block_rows(layer, mapping.block_cut())
     blocks = replays[key]
-    n_folds = len(blocks.cut.shape)
-    waves = len(batches.cut.shape) * n_folds
-
-    ids, records = _pair_table(mapping, batches, blocks, replays)
-    # waves per (batch row, block row) pair, times each pair's record
-    totals = np.bincount(batches.row) @ (np.bincount(blocks.row)
-                                         @ records[ids])
+    ids, counts, records, classes = _pair_table(mapping, grid, slices,
+                                                blocks, replays)
+    totals = counts @ records  # waves per key, times each key's record
     if trace is not None:
-        # per batch row, its waves' weight, input and wave cycles
-        rows = [records[ids[row, blocks.row], :3].T.tolist()
-                for row in range(len(ids))]
+        entry, keys = _wave_keys(grid, slices, classes, ids)
         cycle = 0
-        for b, (size, row) in enumerate(zip(
-                batches.cut.sizes[batches.cut.shape].tolist(),
-                batches.row.tolist())):
-            for f, wc, ic, wave in zip(range(n_folds), *rows[row]):
+        for b, (size, batch) in enumerate(zip(
+                grid.cut.sizes[grid.cut.shape[entry]].tolist(), keys)):
+            for f, (wc, ic, wave) in enumerate(
+                    records[batch[blocks.row], :3].tolist()):
                 cycle += wave
                 trace({
-                    "wave": b * n_folds + f + 1, "fold": f,
+                    "wave": b * len(blocks.row) + f + 1, "fold": f,
                     "batch_size": size, "cycle": cycle,
                     "weight_cycles": wc, "input_cycles": ic,
                 })
-    stats = layer_stats(mapping, int(totals[2]), waves, totals[3:].tolist())
+    stats = layer_stats(mapping, int(totals[2]), int(counts.sum()),
+                        totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
     output = None if inputs is None else _outputs(
-        layer, batches.cut.expand()[0], blocks.cut.expand()[0], inputs,
-        weights)
+        layer, grid.expand().expand()[0], blocks.cut.expand()[0],
+        inputs, weights)
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
+class _Slices(NamedTuple):
+    """Each grid entry's slice row, and per row its first entry, least
+    ``ox`` and ``oy``, their spreads and counts, shape (2, rows), and
+    weight: its entries' N, G and K counts, multiplied, summed."""
+
+    row: np.ndarray
+    first: np.ndarray
+    least: np.ndarray
+    spread: np.ndarray
+    count: np.ndarray
+    weight: np.ndarray
+
+
 class _Rows(NamedTuple):
-    """A cut's groups numbered by the rows that wave keys read: each
-    group's row, and per row its first group, its shape (with the fold
-    flags, for a block), and that group's least coordinate and spread
-    along the two axes that step over the input's rows and columns,
-    shape (2, rows)."""
+    """Each fold block's row, and per row its first block, shape with fold
+    flags, least ``r`` and ``s`` and their spreads, shape (2, rows), and
+    that block's ``Cut.coordinates``."""
 
     cut: Cut
     row: np.ndarray
@@ -274,13 +280,26 @@ class _Rows(NamedTuple):
     ids: np.ndarray
     least: np.ndarray
     spread: np.ndarray
+    elems: np.ndarray
+    taps: np.ndarray
 
 
-def _batch_rows(layer: LayerConfig, batches: Cut) -> _Rows:
-    """The batches' rows: a batch's shape, its least ``ox`` and ``oy``.
-    Raises ``AddressOutOfRange`` where a batch leaves the output."""
-    spread, least = _check_range(batches, output_dims(layer), "output")
-    return _rows(batches, batches.shape, least, spread, (3, 4))
+def _slice_rows(layer: LayerConfig, grid: Grid) -> _Slices:
+    """The batch grid's slice rows: (shape, least ``ox`` and ``oy``, X
+    and Y counts).  Raises ``AddressOutOfRange`` where a batch leaves the
+    output."""
+    dims = output_dims(layer)
+    spread, least = _check_range(grid.cut, dims, "output",
+                                 (grid.count - 1) * grid.step)
+    count = grid.count[:, 3:].T
+    row, first = _number(
+        [grid.cut.shape, least[3], count[0], least[4], count[1]],
+        (len(grid.cut.sizes), dims[3], dims[3] + 1, dims[4], dims[4] + 1))
+    weight = np.zeros(len(first), np.int64)
+    np.add.at(weight, row, np.multiply.reduce(grid.count[:, :3], axis=1))
+    return _Slices(row, first, least[3:, first],
+                   spread[grid.cut.shape[first], 3:].T, count[:, first],
+                   weight)
 
 
 def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
@@ -291,87 +310,118 @@ def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
                                  "weight (c, r, s)")
     fold = np.arange(len(blocks.shape))
     ids = (blocks.shape * 2 + (fold > 0)) * 2 + (fold == len(fold) - 1)
-    return _rows(blocks, ids, least, spread, (1, 2))
+    row, first = _number([ids, least[1], least[2]],
+                         (4 * len(blocks.sizes), layer.r, layer.s))
+    return _Rows(blocks, row, first, ids[first], least[1:, first],
+                 spread[blocks.shape[first], 1:].T,
+                 *blocks.coordinates(first))
 
 
-def _rows(cut: Cut, ids, least, spread, axes) -> _Rows:
-    least, spread = least[list(axes)], spread[:, list(axes)]
-    row, first = _number([ids, *least])
-    return _Rows(cut, row, first, ids[first], least[:, first],
-                 spread[cut.shape[first]].T)
-
-
-def _pair_table(mapping, batches: _Rows, blocks: _Rows, replays):
-    """(ids, records): the key id of each (batch row, block row) pair,
-    and per key id the weight, input and wave cycles and then the
-    ``COUNTED`` counters of its waves, assembled by ``_record`` from
-    ``replays``."""
+def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Slices,
+                blocks: _Rows, replays):
+    """(ids, counts, records, classes): the key id of each (slice row,
+    block row, X class, Y class), listed per (slice row, block row) pair,
+    X class outermost; per key its waves' count, and their weight, input
+    and wave cycles and ``COUNTED`` counters (``_record``); and each
+    pair's (lo, hi, classes) along X and Y, shape (2, slice rows, block
+    rows): class index ``q`` runs over the positions below ``lo``, then
+    the range ``lo..hi`` inside the input, at ``lo``, then those past."""
     layer = mapping.layer
-    borders = []
-    for axis, extent in enumerate((layer.x, layer.y)):
-        # 0 when every tap of the pair's waves lies inside the input along
-        # the axis, else the first tap's row (or column) made positive
-        base = (batches.least[axis, :, None] * layer.stride - layer.padding
-                + blocks.least[axis])
-        end = base + (batches.spread[axis, :, None] * layer.stride
-                      + blocks.spread[axis])
-        borders.append(np.where((base >= 0) & (end < extent), 0,
-                                base + layer.padding + 1))
-    ids, first = _number([batches.ids[:, None], blocks.ids, *borders])
-    b, f = np.divmod(first, len(blocks.first))
+    base = (slices.least[:, :, None] * layer.stride - layer.padding
+            + blocks.least[:, None])
+    span = slices.spread[:, :, None] * layer.stride + blocks.spread[:, None]
+    count = slices.count[:, :, None]
+    step = grid.step[3:, None, None] * layer.stride
+    last = np.array([layer.x - 1, layer.y - 1])[:, None, None] - span
+    lo = np.maximum(-(base // step), 0)
+    hi = np.minimum((last - base) // step, count - 1)
+    classes = lo, hi, n = lo, hi, count - np.maximum(hi - lo, 0)
+    per = (n[0] * n[1]).ravel()
+    pair = np.repeat(np.arange(len(per)), per)
+    index = np.arange(len(pair)) - np.repeat(per.cumsum() - per, per)
+    q = np.array(np.divmod(index, n[1].ravel()[pair]))
+    base, lo, hi = (a.reshape(2, -1)[:, pair] for a in (base, lo, hi))
+    # each class's first position; the range's is lo
+    width = hi - lo
+    p = q + (q > lo) * np.maximum(width, 0)
+    inside = (lo <= p) & (p <= hi)
+    value = np.where(inside, 0, base + p * step[:, 0] + layer.padding + 1)
+    size = np.where(inside, width + 1, 1)
+    r, j = np.divmod(pair, len(blocks.first))
+    at = slices.first[r]
+    # an edge class is at most X + 2 padding (Y + 2 padding)
+    ids, first = _number([grid.cut.shape[at], blocks.ids[j], *value], (
+        len(grid.cut.sizes), 4 * len(blocks.cut.sizes),
+        layer.x + 2 * layer.padding + 1, layer.y + 2 * layer.padding + 1))
+    waves = np.zeros(len(first), np.int64)
+    np.add.at(waves, ids, slices.weight[r] * size[0] * size[1]
+              * np.bincount(blocks.row)[j])
+    # one batch of each key: its row's first entry, moved to the class's
+    # first positions
+    at, j = at[first], j[first]
+    origins = grid.cut.origins[at]
+    origins[:, 3:] += (p[:, first] * grid.step[3:, None]).T
+    batches = Cut(grid.cut.offsets, grid.cut.sizes, origins,
+                  grid.cut.shape[at])
     records = [_record(mapping, signature, replays)
-               for signature in _signatures(mapping, batches.cut, blocks.cut,
-                                            batches.first[b],
-                                            blocks.first[f])]
-    return ids, np.array(records, dtype=np.int64)
+               for signature in _signatures(mapping, batches,
+                                            np.arange(len(first)), blocks, j)]
+    return ids, waves, np.array(records, dtype=np.int64), classes
 
 
-def _number(columns):
-    """(ids, first): each row of the broadcast ``columns`` (non-negative
-    ints) numbered among the distinct rows, and each id's first flat
-    index.  A row is one mixed-radix int64, each column's radix its
-    largest value plus one, so it stays below the radices' product:
-    shapes x X' x Y' for the batch rows, 4 x shapes x R x S for the
-    block rows, and batch shapes x 4 x block shapes x (X + 2 padding + 1) x
-    (Y + 2 padding + 1) for the pairs."""
-    number = 0
-    for column in columns:
-        number = number * (int(column.max()) + 1) + column
-    _, first, ids = np.unique(number, return_index=True, return_inverse=True)
-    return ids.reshape(np.shape(number)), first
+def _wave_keys(grid: Grid, slices: _Slices, classes, ids):
+    """(entry, keys): each batch's entry, in issue order, and the key id
+    of its waves with each block row, shape (batches, block rows)."""
+    entry, p = grid.issue()
+    r, at = slices.row[entry], p[:, 3:].T[:, :, None]
+    lo, hi, n = classes
+    # a position's class index: past lo, the range counts as one
+    q = at - np.maximum(np.minimum(at, hi[:, r]) - lo[:, r], 0)
+    pairs = (n[0] * n[1]).ravel()
+    start = (pairs.cumsum() - pairs).reshape(n.shape[1:])
+    return entry, ids[start[r] + q[0] * n[1, r] + q[1]]
 
 
-def _signatures(mapping: MappingPlan, batches: Cut, blocks: Cut, b, f):
-    """The signature of each wave of batch ``b[i]`` and fold block
-    ``f[i]``: whether its fold is the first and the last, its batch size
-    and block length, and its weight and its input partition, each as the
-    int32 bytes of its used positions' heads (-1 for a padding tap)."""
+def _signatures(mapping: MappingPlan, batches: Cut, b, blocks: _Rows, j):
+    """The signature of each wave of batch ``b[i]`` and the first fold
+    block of block row ``j[i]``: whether its fold is the first and the
+    last, its batch size and block length, and its weight and its input
+    partition, each as the int32 bytes of its used positions' heads (-1
+    for a padding tap)."""
     layer = mapping.layer
-    (outs, slots), (elems, taps) = batches.coordinates(b), \
-        blocks.coordinates(f)
-    used = (slots[:, :, None] & taps[:, None, :]).reshape(len(b), -1)
-    n, g, k, ox, oy = np.moveaxis(outs[:, :, None], -1, 0)
-    c, r, s = np.moveaxis(elems[:, None], -1, 0)
-    ix = ox * layer.stride + r - layer.padding
-    iy = oy * layer.stride + s - layer.padding
-    tap = (ix >= 0) & (ix < layer.x) & (iy >= 0) & (iy < layer.y)
-    w_addr = (((g * layer.k + k) * layer.c + c) * layer.r + r) * layer.s + s
-    i_addr = np.where(
-        tap, (((n * layer.g + g) * layer.c + c) * layer.x + ix) * layer.y + iy,
-        -1)
-    # both partitions at once, as 2 x waves rows
-    first = _first_positions(np.where(
-        used, np.stack([w_addr, i_addr]).reshape(2, len(b), -1), -1,
-    ).reshape(2 * len(b), -1)).reshape(2, len(b), -1)
-    # number position slot*width + e as slot*length + e instead
-    lengths = blocks.sizes[blocks.shape[f]]
-    length, width = lengths[:, None], taps.shape[1]
-    first = np.where(first < 0, -1, first // width * length + first % width)
-    # per wave, each partition's heads at its positions, 4 bytes each
-    w_data, i_data = (h[used].astype(np.int32).tobytes() for h in first)
-    ends = (4 * np.cumsum(used.sum(axis=1))).tolist()
-    flags = zip((f > 0).tolist(), (f == len(blocks.shape) - 1).tolist(),
-                batches.sizes[batches.shape[b]].tolist(), lengths.tolist())
+    outs, slots = batches.coordinates(b)
+    elems, taps, f = blocks.elems[j], blocks.taps[j], blocks.first[j]
+    used = slots[:, :, None] & taps[:, None]
+    # per used position (slot, e), in wave order and each wave's in
+    # slot*length + e order: its weight address, input address and input
+    # row and column, each an output part plus an element part
+    c, r, s, x, y, u, pad = (layer.c, layer.r, layer.s, layer.x, layer.y,
+                             layer.stride, layer.padding)
+    outs = outs @ np.array([
+        [0, layer.g * c * x * y, 0, 0], [layer.k * c * r * s, c * x * y, 0, 0],
+        [c * r * s, 0, 0, 0], [0, u * y, u, 0], [0, u, 0, u]])
+    elems = elems @ np.array([[r * s, x * y, 0, 0], [s, y, 1, 0],
+                              [1, 1, 0, 1]])
+    w_addr, i_addr, ix, iy = (outs[:, :, None] + elems[:, None]
+                              - [0, pad * (y + 1), pad, pad])[used].T
+    i_addr = np.where((ix >= 0) & (ix < x) & (iy >= 0) & (iy < y), i_addr, -1)
+    # each position's head, the first position of its wave with its
+    # address, numbered from the wave's first position
+    counts = np.count_nonzero(used, axis=(1, 2))
+    ends = np.cumsum(counts)
+    start = np.repeat(ends - counts, counts)
+    addr = np.stack([w_addr, i_addr])
+    span = [[0], [ends[-1]]]
+    ids, first = _number([start + span, addr + 1],
+                         (2 * ends[-1], int(addr.max()) + 2))
+    heads = first[ids] - span - start
+    # per wave, each partition's heads (-1 for a padding tap), 4 bytes each
+    w_data, i_data = (h.astype(np.int32).tobytes()
+                      for h in np.where(addr < 0, -1, heads))
+    ends = (4 * ends).tolist()
+    flags = zip((f > 0).tolist(), (f == len(blocks.row) - 1).tolist(),
+                batches.sizes[batches.shape[b]].tolist(),
+                blocks.cut.sizes[blocks.cut.shape[f]].tolist())
     return [(*flag, w_data[start:end], i_data[start:end])
             for flag, start, end in zip(flags, [0] + ends, ends)]
 
@@ -450,40 +500,20 @@ def _drain(num_ms: int, rn_bw: int, width: int, size: int) -> tuple[int, ...]:
             sum(g > t for g, (t, _) in zip(grants, values)))
 
 
-def _check_range(cut: Cut, dims, what):
+def _check_range(cut: Cut, dims, what, reach=0):
     """(spread, least): each shape's spread (``Cut.bounds``), and each
-    group's least coordinate, its origin plus its shape's least offset,
-    shape (axes, groups).
-    Raises unless every coordinate axis of the groups lies within its
-    region extent, from the least coordinate to it plus the shape's
-    spread."""
+    group's least coordinate, shape (axes, groups).  Raises unless every
+    group, moved on by up to its ``reach``, lies within ``dims``."""
     low, spread = cut.bounds()
-    # one axis per row, so each axis reduces over contiguous values
-    least = cut.origins.T + np.take(low.T, cut.shape, axis=1)
+    least = cut.origins + low[cut.shape]
+    most = least + spread[cut.shape] + reach
     for axis, (lo, hi, dim) in enumerate(zip(
-            least.min(axis=1),
-            (least + np.take(spread.T, cut.shape, axis=1)).max(axis=1),
-            dims)):
+            least.min(axis=0).tolist(), most.max(axis=0).tolist(), dims)):
         if lo < 0 or hi >= dim:
             raise AddressOutOfRange(
                 f"{what} axis {axis} spans {lo}..{hi}, outside 0..{dim - 1}"
             )
-    return spread, least
-
-
-def _first_positions(addr):
-    """Per row, the first position holding each position's address; -1
-    where the address is -1."""
-    rows = np.arange(len(addr))[:, None]
-    order = np.argsort(addr, axis=1, kind="stable")
-    ranked = addr[rows, order]
-    head = np.ones(addr.shape, dtype=bool)
-    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    start = np.maximum.accumulate(
-        np.where(head, np.arange(addr.shape[1]), 0), axis=1)
-    first = np.empty_like(order)
-    first[rows, order] = order[rows, start]
-    return np.where(addr < 0, -1, first)
+    return spread, least.T
 
 
 def _outputs(layer: LayerConfig, outs, elems, inputs, weights):

@@ -6,22 +6,23 @@ forwarder when folding needs one, and the clusters per batch, all from
 ``cluster_fit``, which the tile search calls on plain ints.  The leaf
 assignment follows from it by ``reduction.clusters``, and the switch
 configuration of the reduction network, for a batch of any size, by
-``cluster_plan``; ``describe`` derives both on request.  The output
-schedule and the fold blocks are cut from the layer by one numpy
-function, ``_cut``, as a factored ``Cut``: each tile is an origin plus
-one of a few shapes (per axis the step, or the clamped remainder), and
-each tile of outputs splits into batches, so a batch is an origin plus
-one batch shape.  Both cuts are canonical (``Cut.canonical``): each
-shape's least offset is 0, so a group's least coordinate is its origin,
-and no two shapes are equal up to a shift.  The two cuts are the
-mapping's only schedule, built when asked for, and ``Cut`` holds their
-geometry: ``expand`` gives flat coordinates with one length per group,
-``coordinates`` some groups' coordinates padded to the widest shape, and
-``bounds`` each shape's least offsets and spreads.  Distribution routes
-depend only on each payload's destinations;
-``fabric.generate_dn_routes`` builds them on request, and the engine
-counts the switches on each payload's cover from its sorted leaves
-through ``fabric.distribution``.
+``cluster_plan``; ``describe`` derives both on request.  One numpy
+function, ``_grid``, cuts the output schedule and the fold blocks from
+the layer, per tile shape and never per batch, as a ``Grid``: along each
+axis the tiles of one size (the step, or the clamped remainder) have
+their origins on one arithmetic progression, and each entry is a slice
+of ``n_vns_mapped`` outputs of one tile shape (a fold block is a whole
+tile), placed at the product of its axes' progressions.  ``Grid.expand``
+lists the groups in issue order as a ``Cut`` (``batch_cut``,
+``block_cut``), which holds their geometry: ``expand`` gives flat
+coordinates with one length per group, ``coordinates`` some groups'
+coordinates padded to the widest shape, and ``bounds`` each shape's
+least offsets and spreads.  Both are canonical: each shape's least
+offset is 0, so a group's least coordinate is its origin, and no two
+shapes are equal up to a shift.  Distribution routes depend only on each
+payload's destinations; ``fabric.generate_dn_routes`` builds them on
+request, and the engine counts the switches on each payload's cover from
+its sorted leaves through ``fabric.distribution``.
 """
 
 from __future__ import annotations
@@ -61,35 +62,6 @@ class Cut(NamedTuple):
     origins: np.ndarray  # (groups, axes)
     shape: np.ndarray  # (groups,)
 
-    @classmethod
-    def flat(cls, coords, lengths) -> Cut:
-        """The canonical cut of groups given as flat coordinates and
-        lengths."""
-        return cls(coords, lengths,
-                   np.zeros((len(lengths), coords.shape[1]), coords.dtype),
-                   np.arange(len(lengths))).canonical()
-
-    def canonical(self) -> Cut:
-        """The same groups, each shape moved to least offset 0 with that
-        least added to its groups' origins, and shapes equal up to a shift
-        (the same size and offsets in position order) merged into one,
-        numbered by first use: a group's least coordinate is its origin."""
-        low, _ = self.bounds()
-        offsets = self.offsets - np.repeat(low, self.sizes, axis=0)
-        ends = np.cumsum(self.sizes)
-        first = np.sort(np.unique(self.shape, return_index=True)[1])
-        number = np.zeros(len(self.sizes), dtype=np.int64)
-        merged: dict[bytes, int] = {}
-        kept = []
-        for old in self.shape[first].tolist():
-            rows = offsets[ends[old] - self.sizes[old]:ends[old]]
-            number[old] = merged.setdefault(rows.tobytes(), len(merged))
-            if number[old] == len(kept):
-                kept.append(old)
-        at, inside = self.positions(np.array(kept))
-        return Cut(offsets[at[inside]], self.sizes[kept],
-                   self.origins + low[self.shape], number[self.shape])
-
     def expand(self):
         """(coordinates, lengths): every group's coordinates in turn,
         shape (rows, axes), and the length of each group."""
@@ -99,24 +71,54 @@ class Cut(NamedTuple):
     def bounds(self):
         """(low, spread): each shape's least offset along each axis, and
         the spread of its offsets from there, shape (shapes, axes)."""
-        starts = np.cumsum(self.sizes) - self.sizes
+        starts = self.sizes.cumsum() - self.sizes
         low = np.minimum.reduceat(self.offsets, starts)
         return low, np.maximum.reduceat(self.offsets, starts) - low
 
-    def positions(self, shapes):
-        """(at, used): the index in ``offsets`` of each position of
-        ``shapes``, shape (shapes, width) for the widest shape's width,
-        and the mask of the positions within each shape.  A position past
-        a shape's end repeats the shape's first one."""
-        used = np.arange(self.sizes.max()) < self.sizes[shapes, None]
-        start = (np.cumsum(self.sizes) - self.sizes)[shapes, None]
-        return np.where(used, start + np.arange(used.shape[1]), start), used
-
     def coordinates(self, groups):
         """(coordinates, used): each position's coordinates in ``groups``,
-        shape (groups, width, axes), and the mask of the used ones."""
-        at, used = self.positions(self.shape[groups])
+        shape (groups, width, axes) for the widest shape's width, and the
+        mask of the used ones; a position past a shape's end repeats the
+        shape's first one."""
+        sizes, width = self.sizes, np.arange(self.sizes.max())
+        used = width < sizes[self.shape[groups], None]
+        start = (sizes.cumsum() - sizes)[self.shape[groups], None]
+        at = np.where(used, start + width, start)
         return self.offsets[at] + self.origins[groups, None], used
+
+
+class Grid(NamedTuple):
+    """Groups placed at per-axis progressions of origins: entry ``i`` is
+    group ``i`` of ``cut`` moved by ``p * step`` for each ``p`` below
+    ``count[i]``.  The groups issue in row-major order over a ``grid`` of
+    tiles, entry ``i``'s at ``p`` in tile ``tile[i] + p``, and the groups
+    of one tile in entry order."""
+
+    cut: Cut  # each entry's group at p = 0
+    count: np.ndarray  # (entries, axes)
+    step: np.ndarray  # (axes,)
+    tile: np.ndarray  # (entries, axes)
+    grid: tuple[int, ...]
+
+    def expand(self) -> Cut:
+        """The groups in issue order, as a cut of ``cut``'s shapes."""
+        entry, p = self.issue()
+        return Cut(self.cut.offsets, self.cut.sizes,
+                   self.cut.origins[entry] + p * self.step,
+                   self.cut.shape[entry])
+
+    def issue(self):
+        """(entry, p): each group's entry and position along each axis,
+        in issue order."""
+        totals = self.count.prod(axis=1)
+        entry = np.repeat(np.arange(len(totals)), totals)
+        index = np.arange(len(entry)) - (totals.cumsum() - totals)[entry]
+        p = np.empty((len(entry), self.count.shape[1]), np.int64)
+        for axis in reversed(range(p.shape[1])):
+            index, p[:, axis] = np.divmod(index, self.count[entry, axis])
+        order = np.argsort(np.ravel_multi_index(
+            tuple((self.tile[entry] + p).T), self.grid), kind="stable")
+        return entry[order], p[order]
 
 
 @dataclass(frozen=True)
@@ -137,33 +139,22 @@ class MappingPlan:
 
     def batch_cut(self) -> Cut:
         """The schedule's batches of output coordinates (n, g, k, ox, oy),
-        in issue order, as a canonical cut.  Each tile splits into batches
-        of ``n_vns_mapped``, the last shorter, so batch ``j`` of a tile is
-        its origin plus slice ``j`` of its shape.  Each batch maps one
+        in issue order: ``batch_grid`` expanded.  Each batch maps one
         output per cluster slot and runs through every fold before the
         next batch starts."""
-        offsets, sizes, origins, shape = _cut(
-            *_axes(self.layer, self.tile, _OUTPUT_AXES))
-        n = self.n_vns_mapped
-        per_shape = -(-sizes // n)
-        ends = np.cumsum(per_shape)
-        lengths = np.full(ends[-1], n)
-        lengths[ends - 1] = sizes - (per_shape - 1) * n
-        # the tile shapes are numbered by first use, so are the slices
-        slices = Cut.flat(offsets, lengths)
-        per_tile = per_shape[shape]
-        tile_ends = np.cumsum(per_tile)
-        # a tile's first batch takes its shape's first slice
-        first = (ends - per_shape)[shape] - (tile_ends - per_tile)
-        at = np.repeat(first, per_tile) + np.arange(tile_ends[-1])
-        return Cut(slices.offsets, slices.sizes,
-                   np.repeat(origins, per_tile, axis=0) + slices.origins[at],
-                   slices.shape[at])
+        return self.batch_grid().expand()
+
+    def batch_grid(self) -> Grid:
+        """The batches: each tile splits into slices of ``n_vns_mapped``
+        outputs, the last shorter (``_grid``)."""
+        return _grid(*_axes(self.layer, self.tile, _OUTPUT_AXES),
+                     self.n_vns_mapped)
 
     def block_cut(self) -> Cut:
         """The fold blocks of (c, r, s) weight coordinates, in issue
-        order, as a canonical cut."""
-        return _cut(*_axes(self.layer, self.tile, _FOLD_AXES))
+        order, as a canonical cut: each tile whole."""
+        extents, steps = _axes(self.layer, self.tile, _FOLD_AXES)
+        return _grid(extents, steps, math.prod(steps)).expand()
 
     @property
     def schedule(self):
@@ -199,6 +190,24 @@ class MappingPlan:
                 for vn, (idx, t) in sorted(rn.egress.items())
             },
         }
+
+
+def _number(columns, radices):
+    """(ids, first): each row of the broadcast ``columns`` numbered among
+    the distinct rows, and each id's first flat index; column ``i`` holds
+    ints below ``radices[i]``, so a row is one mixed-radix int64."""
+    number = columns[0]
+    for column, radix in zip(columns[1:], radices[1:]):
+        number = number * radix + column
+    flat = number.ravel()
+    order = flat.argsort(kind="stable")
+    ranked = flat[order]
+    head = np.empty(len(flat), bool)
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    ids = np.empty_like(order)
+    ids[order] = head.cumsum() - 1
+    return ids.reshape(number.shape), order[head]
 
 
 def cluster_plan(num_ms: int, width: int, count: int) -> ReductionPlan:
@@ -241,28 +250,49 @@ def _axes(layer: LayerConfig, tile: TileConfig, names):
     return tuple(zip(*(pairs[name] for name in names)))
 
 
-def _cut(extents, steps) -> Cut:
-    """Cut the box ``extents`` into tiles of ``steps``, in row-major
-    order over the tile grid: each tile's origin and shape index, and
-    each distinct shape's offsets in product order.  Along each axis a
-    tile spans the step, or the remainder where the last tile is
-    clamped, so the shapes are the products of those sizes; the cut is
-    canonical, since each shape starts at 0 and the row-major grid uses
-    the shapes in product order."""
-    grid = tuple(-(-e // t) for e, t in zip(extents, steps))
-    sizes = [(t,) if e % t == 0 else (t, e % t)
+def _grid(extents, steps, n) -> Grid:
+    """Cut the box ``extents`` into tiles of ``steps``, issued in
+    row-major order, and each tile into slices of ``n`` positions in
+    row-major order, the last shorter, as a ``Grid`` of slices: a tile
+    shape is a product of per-axis sizes (the step, or the clamped
+    remainder), each slice of a shape is an entry, and the tiles of one
+    size have their origins on one progression (the full tiles from 0, or
+    the clamped last one).  A slice is the run ``start..start + length -
+    1`` of its shape's box, so (box, length, ``start`` less the flat index
+    of its least offset) fix its offsets less that offset: the slices are
+    numbered by those three values, then merged where equal up to a
+    shift."""
+    # per axis, per tile size: (size, first tile, tiles)
+    kinds = [[(t, 0, e // t)] + [(e % t, e // t, 1)] * (e % t > 0)
              for e, t in zip(extents, steps)]
-    # shape indices run row-major over the axes' sizes, as ``product``
-    # lists the shapes; a clamped last tile takes its axis's second size
-    shape = np.zeros(grid, dtype=np.int64)
-    for axis, kinds in enumerate(sizes):
-        shape *= len(kinds)
-        shape[(slice(None),) * axis + (-1,)] += len(kinds) - 1
-    boxes = [np.indices(box).reshape(len(box), -1).T
-             for box in product(*sizes)]
-    return Cut(np.concatenate(boxes), np.array([len(b) for b in boxes]),
-               np.indices(grid).reshape(len(grid), -1).T * np.array(steps),
-               shape.ravel())
+    box, tile, count = (np.array(column) for column in zip(
+        *(zip(*combo) for combo in product(*kinds))))
+    # a box's row-major strides, and their products with its sizes
+    span = np.multiply.accumulate(box[:, ::-1], axis=1)[:, ::-1]
+    stride = span // box
+    per_shape = -(-span[:, 0] // n)
+    shape = np.repeat(np.arange(len(box)), per_shape)
+    start = (np.arange(len(shape)) - np.repeat(
+        per_shape.cumsum() - per_shape, per_shape)) * n
+    span, stride, size = span[shape], stride[shape], box[shape]
+    length = np.minimum(n, span[:, 0] - start)
+    # along an axis the run's least offset is 0 where it wraps round the
+    # axis, else its first position's
+    first, last = start[:, None], (start + length - 1)[:, None]
+    low = np.where(first // span == last // span, first // stride % size, 0)
+    ids, at = _number([shape, length, start - (low * stride).sum(axis=1)],
+                      (len(box), n + 1, math.prod(steps)))
+    number = np.empty(len(at), np.int64)
+    merged: dict[bytes, tuple[int, np.ndarray]] = {}
+    for i, e in sorted(enumerate(at.tolist()), key=lambda ie: ie[1]):
+        rows = (np.arange(start[e], start[e] + length[e])[:, None]
+                // stride[e] % size[e] - low[e])
+        number[i] = merged.setdefault(rows.tobytes(), (len(merged), rows))[0]
+    kept = [rows for _, rows in merged.values()]
+    slices = Cut(np.concatenate(kept), np.array([len(k) for k in kept]),
+                 tile[shape] * steps + low, number[ids])
+    return Grid(slices, count[shape], np.array(steps), tile[shape],
+                tuple(-(-e // t) for e, t in zip(extents, steps)))
 
 
 def build_mapping(hw: HardwareConfig, layer: LayerConfig,

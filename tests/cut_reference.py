@@ -3,12 +3,44 @@
 Cuts the layer's output box and filter box into tiles with one stable
 argsort over every coordinate's tile number, as flat (coordinates,
 lengths) arrays: the independent statement that ``MappingPlan``'s
-factored cuts must expand to, byte for byte.
+factored cuts must expand to, byte for byte.  ``canonical`` states the
+canonical form that the mapper builds its cuts in.
 """
 
 import numpy as np
 
 from treefab.config import derive_output_dims
+from treefab.mapper import Cut
+
+
+def flat(coords, lengths) -> Cut:
+    """The canonical cut of groups given as flat coordinates and
+    lengths."""
+    return canonical(Cut(coords, lengths, np.zeros(
+        (len(lengths), coords.shape[1]), coords.dtype),
+        np.arange(len(lengths))))
+
+
+def canonical(cut: Cut) -> Cut:
+    """The same groups, each shape moved to least offset 0 with that
+    least added to its groups' origins, and shapes equal up to a shift
+    (the same size and offsets in position order) merged into one,
+    numbered by first use: a group's least coordinate is its origin."""
+    low, _ = cut.bounds()
+    offsets = cut.offsets - np.repeat(low, cut.sizes, axis=0)
+    ends = np.cumsum(cut.sizes)
+    first = np.sort(np.unique(cut.shape, return_index=True)[1])
+    number = np.zeros(len(cut.sizes), dtype=np.int64)
+    merged: dict[bytes, int] = {}
+    kept = []
+    for old in cut.shape[first].tolist():
+        rows = offsets[ends[old] - cut.sizes[old]:ends[old]]
+        number[old] = merged.setdefault(rows.tobytes(), len(merged))
+        if number[old] == len(kept):
+            kept.append(old)
+    return Cut(np.concatenate([offsets[ends[k] - cut.sizes[k]:ends[k]]
+                               for k in kept]), cut.sizes[kept],
+               cut.origins + low[cut.shape], number[cut.shape])
 
 
 def cut(extents, steps):

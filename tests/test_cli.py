@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from treefab import MappingPlan, cli
+from treefab.mapper import Grid
 
 from common import count_calls
 
@@ -479,3 +480,14 @@ class TestBenchmarkTraffic:
         assert cli.main(WORKLOADS[name] + ["--strategy", strategy]) \
             == cli.EXIT_OK
         assert tuple(map(len, calls)) == want
+
+    # the search counts on no data, so no tile walks its batches one by
+    # one; the run-layer workloads sum outputs, so each walks them once
+    # (a batch grid has the five output axes, a fold-block grid three)
+    @pytest.mark.parametrize("name, want", [
+        ("tile-search", 0), ("fold-roundtrip", 1), ("wide-ideal", 1)])
+    def test_batches_walked_only_for_outputs(self, name, want, monkeypatch,
+                                             capsys):
+        walks = count_calls(monkeypatch, "issue", Grid)
+        assert cli.main(WORKLOADS[name]) == cli.EXIT_OK
+        assert sum(len(grid.step) == 5 for grid, in walks) == want

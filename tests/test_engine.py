@@ -4,7 +4,7 @@ import hashlib
 import math
 import pathlib
 import random
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import product
 from unittest.mock import patch
@@ -40,7 +40,7 @@ from treefab.config import (
     parse_tile_config,
 )
 from treefab import mapper
-from treefab.mapper import Cut
+from treefab.mapper import Cut, Grid
 from treefab.memory import random_layer_data
 
 from common import (
@@ -61,6 +61,7 @@ from common import (
     tiles,
 )
 import cut_reference
+import key_reference
 from wave_reference import (Fabric, fold_blocks, simulate_per_wave,
                             wave_records)
 
@@ -272,18 +273,14 @@ class TestMatchesPerWaveReference:
         fabric.pb.load_layer_data(layer, *random_layer_data(
             layer, data.draw(st.integers(0, 999))))
         want = [record for _, _, record in wave_records(mapping, fabric)]
-        # the factored cuts, and the same groups cut one shape per group
+        # the batch grid and the factored block cut, and the same groups
+        # cut one shape per group, as a grid of a count of 1 each
         for batches, blocks in (
-                (mapping.batch_cut(), mapping.block_cut()),
-                (per_group(*mapping.batch_cut().expand()),
+                (mapping.batch_grid(), mapping.block_cut()),
+                (grid_of(per_group(*mapping.batch_cut().expand())),
                  per_group(*mapping.block_cut().expand()))):
-            batches = engine._batch_rows(layer, batches)
-            blocks = engine._block_rows(layer, blocks)
-            ids, records = engine._pair_table(mapping, batches, blocks, {})
-            # each wave's record, from its pair, in issue order
-            got = records[ids[batches.row[:, None], blocks.row]]
-            assert list(map(tuple, got.reshape(-1, got.shape[-1]).tolist())) \
-                == want
+            got, _ = grid_waves(mapping, batches, blocks, {})
+            assert list(map(tuple, got.tolist())) == want
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -299,10 +296,8 @@ class TestMatchesPerWaveReference:
         elems = elems[data.draw(st.permutations(range(len(elems))))]
         inputs, weights = random_layer_data(layer,
                                             data.draw(st.integers(0, 999)))
-        with patch.object(MappingPlan, "batch_cut",
-                          lambda _: Cut.flat(outs, batch_lengths)), \
-                patch.object(MappingPlan, "block_cut",
-                             lambda _: Cut.flat(elems, block_lengths)):
+        with inject(cut_reference.flat(outs, batch_lengths),
+                    cut_reference.flat(elems, block_lengths)):
             result = assert_matches_per_wave(hw, layer, tile, inputs,
                                              weights)
         assert compare(result.output,
@@ -420,10 +415,11 @@ class TestWaveKeys:
         layer = LayerConfig(LayerKind.CONV, r=2, s=1, c=4, g=1, k=1, n=1,
                             x=3, y=1)
         tile = TileConfig(2, 1, 1, t_x=2)
-        monkeypatch.setattr(MappingPlan, "block_cut", lambda plan: Cut.flat(
-            np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0],
-                      [2, 0, 0], [3, 1, 0], [3, 0, 0], [2, 1, 0]]),
-            np.array([2, 2, 2, 2])))
+        monkeypatch.setattr(
+            MappingPlan, "block_cut", lambda plan: cut_reference.flat(
+                np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0],
+                          [2, 0, 0], [3, 1, 0], [3, 0, 0], [2, 1, 0]]),
+                np.array([2, 2, 2, 2])))
         hw = replace(HW32, folding=strategy)
         inputs, weights = random_layer_data(layer, seed=13)
         assert_matches_per_wave(hw, layer, tile, inputs, weights)
@@ -752,24 +748,25 @@ class TestDataIndependence:
 
 
 class TestAddressesAndOverflow:
-    def test_out_of_range_address_raises(self, monkeypatch):
+    def test_out_of_range_address_raises(self):
         # a schedule that names output row 99 of a 3-row output
-        monkeypatch.setattr(MappingPlan, "batch_cut", lambda plan: Cut.flat(
-            np.array([[0, 0, 0, 99, 0]]), np.array([1])))
         inputs, weights = random_layer_data(TINY, seed=0)
-        with pytest.raises(AddressOutOfRange):
+        with inject(cut_reference.flat(np.array([[0, 0, 0, 99, 0]]),
+                                       np.array([1]))), \
+                pytest.raises(AddressOutOfRange):
             simulate_layer(HW32, TINY, VALIDATION_TILE, inputs, weights)
 
     def test_out_of_range_fold_block_raises(self, monkeypatch):
         # a fold block that names channel 6 of a 6-channel filter
-        monkeypatch.setattr(MappingPlan, "block_cut", lambda plan: Cut.flat(
-            np.array([[0, 0, 0], [6, 0, 0]]), np.array([2])))
+        monkeypatch.setattr(
+            MappingPlan, "block_cut", lambda plan: cut_reference.flat(
+                np.array([[0, 0, 0], [6, 0, 0]]), np.array([2])))
         inputs, weights = random_layer_data(TINY, seed=0)
         with pytest.raises(AddressOutOfRange):
             simulate_layer(HW32, TINY, VALIDATION_TILE, inputs, weights)
 
     @pytest.mark.parametrize("name", ["batch_cut", "block_cut"])
-    def test_sums_follow_the_schedule(self, name, monkeypatch):
+    def test_sums_follow_the_schedule(self, name):
         # the last output of the schedule (or element of the fold blocks)
         # is replaced by the first: every length and coordinate stays
         # valid, but one output (or tap) is summed twice and one never
@@ -777,9 +774,10 @@ class TestAddressesAndOverflow:
             build_mapping(HW32, PADDED_STRIDED, VALIDATION_TILE),
             name)().expand()
         coords[-1] = coords[0]
-        monkeypatch.setattr(MappingPlan, name,
-                            lambda plan: Cut.flat(coords, lengths))
-        result, inputs, weights = run(HW32, PADDED_STRIDED, VALIDATION_TILE)
+        with inject(**{{"batch_cut": "batches", "block_cut": "blocks"}[name]:
+                       cut_reference.flat(coords, lengths)}):
+            result, inputs, weights = run(HW32, PADDED_STRIDED,
+                                          VALIDATION_TILE)
         assert not compare(result.output, conv_reference(
             PADDED_STRIDED, inputs, weights)).ok
 
@@ -813,7 +811,7 @@ class TestRangeGuard:
         rng = np.random.default_rng(axis)
         coords = np.stack([rng.integers(0, d, 10) for d in self.DIMS], axis=1)
         coords[5, axis] = value
-        return Cut.flat(coords, np.array([4, 3, 3]))
+        return cut_reference.flat(coords, np.array([4, 3, 3]))
 
     def factored(self, axis, origin):
         # two shapes of offsets within half of each extent, placed at five
@@ -854,6 +852,28 @@ class TestRangeGuard:
         assert (inside >= 0).all() and (inside < self.DIMS).all()
         self.assert_names_the_axis_and_its_span(cut, axis)
 
+    @pytest.mark.parametrize("axis", range(5))
+    def test_the_last_position_carries_a_group_outside(self, axis):
+        # every group of the grid lies inside the dims at its first
+        # position; only the third entry's count along ``axis`` moves its
+        # last groups out, and the check reads that last position
+        grid = grid_of(self.factored(axis, 0))
+        count = grid.count.copy()
+        count[2, axis] = self.DIMS[axis] + 1
+        grid = grid._replace(count=count,
+                             grid=tuple(len(count) + d for d in self.DIMS))
+        entry, p = grid.issue()
+        coords = Cut(grid.cut.offsets, grid.cut.sizes,
+                     grid.cut.origins[entry] + p * grid.step,
+                     grid.cut.shape[entry]).expand()[0][:, axis]
+        with pytest.raises(AddressOutOfRange) as exc:
+            engine._check_range(grid.cut, self.DIMS, "output",
+                                (grid.count - 1) * grid.step)
+        assert str(exc.value) == (
+            f"output axis {axis} spans {coords.min()}..{coords.max()}, "
+            f"outside 0..{self.DIMS[axis] - 1}")
+        engine._check_range(grid.cut, self.DIMS, "output")
+
     @settings(max_examples=50, deadline=None)
     @given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
            seed=st.integers(0, 999))
@@ -865,7 +885,7 @@ class TestRangeGuard:
                                                       (sum(lengths), 3))
         lengths = np.array(lengths)
         low, spread = per_group(coords, lengths).bounds()
-        origins = Cut.flat(coords, lengths).origins
+        origins = cut_reference.flat(coords, lengths).origins
         starts = np.cumsum(lengths) - lengths
         for i, (start, length) in enumerate(zip(starts, lengths)):
             part = coords[start:start + length]
@@ -878,13 +898,36 @@ def run_on_cuts(hw, layer, tile, inputs, weights, cuts=None):
     """Stats, trace events, output and replays of one run; ``cuts``, if
     given, stand in for the mapping's batch and block cuts."""
     events, replays = [], {}
-    with ExitStack() as stack:
-        for name, cut in zip(("batch_cut", "block_cut"), cuts or ()):
-            stack.enter_context(
-                patch.object(MappingPlan, name, lambda _, cut=cut: cut))
+    with inject(*(cuts or ())):
         result = simulate_layer(hw, layer, tile, inputs, weights,
                                 trace=events.append, replays=replays)
     return result.stats, events, result.output, replays
+
+
+def grid_of(cut):
+    """``cut``'s groups in order as a grid, each an entry and a tile of
+    its own, a count of 1 along every axis."""
+    tile = np.zeros_like(cut.origins)
+    tile[:, 0] = np.arange(len(tile))
+    ones = np.ones_like(tile)
+    return Grid(cut, ones, ones[0], tile, tuple(tile.max(axis=0) + 1))
+
+
+@contextmanager
+def inject(batches=None, blocks=None):
+    """Within the block, a mapping's batch cut is ``batches``, and its
+    batch grid the same groups as a grid of a count of 1 each, and its
+    block cut is ``blocks``; either may be None, left as it is."""
+    with ExitStack() as stack:
+        if batches is not None:
+            stack.enter_context(patch.object(MappingPlan, "batch_cut",
+                                             lambda _: batches))
+            stack.enter_context(patch.object(MappingPlan, "batch_grid",
+                                             lambda _: grid_of(batches)))
+        if blocks is not None:
+            stack.enter_context(patch.object(MappingPlan, "block_cut",
+                                             lambda _: blocks))
+        yield
 
 
 def assert_same_cut(got, want):
@@ -892,6 +935,12 @@ def assert_same_cut(got, want):
     for a, b in zip(got, want, strict=True):
         assert (a.dtype, a.shape, a.tobytes()) \
             == (b.dtype, b.shape, b.tobytes())
+
+
+def tile_cut(layer, tile, axes):
+    """The cut of the layer's ``axes`` into whole tiles, in issue order."""
+    extents, steps = mapper._axes(layer, tile, axes)
+    return mapper._grid(extents, steps, math.prod(steps)).expand()
 
 
 def per_group(coords, lengths):
@@ -919,7 +968,8 @@ def assert_cuts_match_the_reference(hw, layer, tile, inputs, weights):
                 == (b.dtype, b.shape, b.tobytes())
     factored = run_on_cuts(hw, layer, tile, inputs, weights)
     flat = run_on_cuts(hw, layer, tile, inputs, weights,
-                       (Cut.flat(*batches), Cut.flat(*blocks)))
+                       (cut_reference.flat(*batches),
+                        cut_reference.flat(*blocks)))
     assert factored[:2] == flat[:2]
     assert (factored[2] == flat[2]).all()
     assert_same_replays(flat[3], factored[3])
@@ -965,11 +1015,11 @@ class TestFactoredCut:
         except MappingError:
             assume(False)
         for cut in (plan.batch_cut(), plan.block_cut()):
-            assert_same_cut(Cut.flat(*cut.expand()), cut)
+            assert_same_cut(cut_reference.flat(*cut.expand()), cut)
             assert (cut.bounds()[0] == 0).all()
         for axes in (mapper._OUTPUT_AXES, mapper._FOLD_AXES):
-            cut = mapper._cut(*mapper._axes(layer, tile, axes))
-            assert_same_cut(cut.canonical(), cut)
+            cut = tile_cut(layer, tile, axes)
+            assert_same_cut(cut_reference.canonical(cut), cut)
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     def test_clamped_on_every_axis(self, strategy):
@@ -981,7 +1031,7 @@ class TestFactoredCut:
         hw = replace(HardwareConfig(64, 4, 4), folding=strategy)
         plan = build_mapping(hw, layer, tile)
         assert len(plan.block_cut().sizes) == 8
-        tiles = mapper._cut(*mapper._axes(layer, tile, mapper._OUTPUT_AXES))
+        tiles = tile_cut(layer, tile, mapper._OUTPUT_AXES)
         low, spread = tiles.bounds()
         assert (low == 0).all()
         assert sorted(map(tuple, (spread + 1).tolist())) \
@@ -1016,41 +1066,171 @@ RESNET = (HardwareConfig(64, 8, 8),
           TileConfig(1, 3, 1, t_y=28))
 
 
-class TestPairTable:
-    @staticmethod
-    def pair_table(hw, layer, tile):
-        plan = build_mapping(hw, layer, tile)
-        batches = engine._batch_rows(layer, plan.batch_cut())
-        blocks = engine._block_rows(layer, plan.block_cut())
-        return (batches.row, blocks.row,
-                *engine._pair_table(plan, batches, blocks, {}))
+def grid_waves(mapping, grid, blocks, replays):
+    """(waves, records): the record of every wave of ``grid`` and the
+    ``blocks`` cut in issue order, shape (waves, record), looked up from
+    the engine's pair table, and each key's record."""
+    slices = engine._slice_rows(mapping.layer, grid)
+    blocks = engine._block_rows(mapping.layer, blocks)
+    ids, _, records, classes = engine._pair_table(mapping, grid, slices,
+                                                  blocks, replays)
+    _, keys = engine._wave_keys(grid, slices, classes, ids)
+    waves = records[keys[:, blocks.row]]
+    return waves.reshape(-1, records.shape[1]), records
 
+
+def assert_grid_matches_the_reference(hw, layer, tile, batches=None,
+                                      blocks=None):
+    """A run on the batch grid gives the stats, trace events, per-wave
+    records, key records and replays keys of the reference that keys
+    every batch of the batch cut; ``batches`` and ``blocks``, if given,
+    stand in for the mapping's cuts, the batches as a grid of a count of 1
+    each."""
+    mapping = build_mapping(hw, layer, tile)
+    events, replays = [], {}
+    with inject(batches, blocks):
+        got = simulate_layer(hw, layer, tile, trace=events.append,
+                             replays=replays)
+    grid = mapping.batch_grid() if batches is None else grid_of(batches)
+    batches = mapping.batch_cut() if batches is None else batches
+    blocks = mapping.block_cut() if blocks is None else blocks
+    want_replays = {}
+    want = key_reference.keyed(mapping, batches, blocks, want_replays)
+    assert got.stats == want.stats
+    assert events == want.events
+    waves, records = grid_waves(mapping, grid, blocks, {})
+    assert np.array_equal(waves, want.waves)
+    assert len(records) == len(want.records)
+    assert sorted(map(tuple, records.tolist())) \
+        == sorted(map(tuple, want.records.tolist()))
+    assert {key for key in replays if key[0] != "blocks"} \
+        == want_replays.keys()
+
+
+class TestPairTable:
     @pytest.mark.parametrize("case, want", [
-        ((HW32, EARLY_SYNTHETIC, TileConfig(3, 3, 1, t_x=3)), (108, 3, 3)),
-        (RESNET, (224, 5, 28))])
+        ((HW32, EARLY_SYNTHETIC, TileConfig(3, 3, 1, t_x=3)),
+         ((1, 3, 3, 3), (108, 3, 3))),
+        (RESNET, ((2, 5, 36, 28), (224, 5, 28)))])
     def test_keys_a_table_of_rows_not_of_waves(self, case, want):
-        # (batch rows, block rows, keys): EARLY_SYNTHETIC's 3,888 waves
-        # and the ResNet-scale tile's 2,752,512 are keyed on the pairs
-        batch_row, block_row, ids, records = self.pair_table(*case)
-        assert (*ids.shape, len(records)) == want
+        # (slice rows, block rows, class tuples, keys): EARLY_SYNTHETIC's
+        # 3,888 waves and the ResNet-scale tile's 2,752,512 are keyed on
+        # the border classes of their slice rows, where the reference
+        # keys (batch rows, block rows) pairs into the same number of keys
+        want, reference = want
         plan = build_mapping(*case)
-        assert (len(batch_row), len(block_row)) \
+        grid = plan.batch_grid()
+        slices = engine._slice_rows(plan.layer, grid)
+        blocks = engine._block_rows(plan.layer, plan.block_cut())
+        ids, counts, records, _ = engine._pair_table(plan, grid, slices,
+                                                     blocks, {})
+        assert (len(slices.first), len(blocks.first), len(ids),
+                len(records)) == want
+        assert counts.sum() == len(plan.batch_cut().shape) * plan.folds
+        batches = key_reference.batch_rows(plan.layer, plan.batch_cut())
+        blocks = engine._block_rows(plan.layer, plan.block_cut())
+        ids, records = key_reference.pair_table(plan, batches, blocks, {})
+        assert (*ids.shape, len(records)) == reference
+        assert (len(batches.row), len(blocks.row)) \
             == (len(plan.batch_cut().shape), plan.folds)
 
     def test_resnet_scale_counted_without_data(self):
-        # the factored cuts and the canonical cuts of their expanded
-        # groups count alike
+        # the batch grid and the canonical cuts of the expanded groups, as
+        # a grid of a count of 1 each, count alike
         hw, layer, tile = RESNET
         plan = build_mapping(hw, layer, tile)
         factored = simulate_layer(hw, layer, tile).stats
-        flat = (Cut.flat(*plan.batch_cut().expand()),
-                Cut.flat(*plan.block_cut().expand()))
-        with patch.object(MappingPlan, "batch_cut", lambda _: flat[0]), \
-                patch.object(MappingPlan, "block_cut", lambda _: flat[1]):
+        flat = (cut_reference.flat(*plan.batch_cut().expand()),
+                cut_reference.flat(*plan.block_cut().expand()))
+        with inject(*flat):
             trivial = simulate_layer(hw, layer, tile).stats
         assert factored == trivial
         assert (factored.total_cycles, factored.waves) \
             == (38_375_424, 2_752_512)
+
+
+class TestBatchGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_expands_to_the_reference(self, data):
+        # each entry's groups, at every position p of its counts, moved by
+        # p steps and issued tile by tile in row-major order over the grid,
+        # are the argsort reference's batches, in order
+        hw, layer, tile = draw_case(data)
+        plan = build_mapping(hw, layer, tile)
+        grid = plan.batch_grid()
+        coords, lengths = grid.cut.expand()
+        starts = np.cumsum(lengths) - lengths
+        issued = sorted(
+            (np.ravel_multi_index(tuple(grid.tile[i] + p), grid.grid), i,
+             coords[starts[i]:starts[i] + lengths[i]] + np.array(p)
+             * grid.step)
+            for i in range(len(lengths))
+            for p in product(*map(range, grid.count[i])))
+        want = cut_reference.batch_array(plan)
+        assert np.array_equal(np.concatenate([c for *_, c in issued]),
+                              want[0])
+        assert [len(c) for *_, c in issued] == want[1].tolist()
+        assert (grid.cut.bounds()[0] == 0).all()
+        assert_same_cut(grid.expand(), plan.batch_cut())
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference(self, data, strategy):
+        hw, layer, tile = draw_case(data)
+        hw = replace(hw, folding=strategy)
+        try:
+            plan = build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        assert_grid_matches_the_reference(hw, layer, tile)
+        # the same groups cut one shape per group, a count of 1 each
+        assert_grid_matches_the_reference(
+            hw, layer, tile, per_group(*plan.batch_cut().expand()),
+            per_group(*plan.block_cut().expand()))
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    def test_every_tile_of_a_padded_layer(self, strategy):
+        # all 528 feasible tiles of PADDED_10, whose batches straddle the
+        # padding on both sides along both axes
+        hw = replace(HW32, folding=strategy)
+        candidates = enumerate_tiles(hw, PADDED_10)
+        assert len(candidates) == 528
+        for candidate in candidates:
+            assert_grid_matches_the_reference(hw, PADDED_10, candidate.tile)
+
+    def test_an_edge_position_past_the_range(self):
+        # stride 2 and padding 3 on a 1x1 filter: of the 8 output
+        # columns, 0 and 1 read padding and 6 and 7 read past the input,
+        # so the X classes of the one slice row are two edges, the range
+        # of columns 2 to 5 and two edges
+        layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=1, g=1, k=1, n=1,
+                            x=9, y=1, stride=2, padding=3)
+        tile = TileConfig(1, 1, 1, t_y=derive_output_dims(layer)[1])
+        plan = build_mapping(HW32, layer, tile)
+        grid = plan.batch_grid()
+        slices = engine._slice_rows(layer, grid)
+        blocks = engine._block_rows(layer, plan.block_cut())
+        lo, hi, n = engine._pair_table(plan, grid, slices, blocks, {})[3]
+        assert (lo[0].item(), hi[0].item(), n[0].item(),
+                slices.count[0].item()) == (2, 5, 5, 8)
+        assert_grid_matches_the_reference(HW32, layer, tile)
+
+    @pytest.mark.parametrize("data", [False, True])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_batches_walked_only_for_data_or_a_trace(self, data, traced,
+                                                     monkeypatch):
+        # the counts read the batch grid's entries; only the output sum
+        # and the trace walk its batches one by one, once each, and no
+        # call re-cuts them (a batch grid has five axes, a block grid 3)
+        walks = count_calls(monkeypatch, "issue", Grid)
+        cuts = count_calls(monkeypatch, "batch_cut", MappingPlan)
+        args = random_layer_data(PADDED_STRIDED, seed=0) if data else ()
+        simulate_layer(HW32, PADDED_STRIDED, VALIDATION_TILE, *args,
+                       trace=[].append if traced else None)
+        assert sum(len(grid.step) == 5 for grid, in walks) == data + traced
+        assert cuts == []
 
 
 def random_cases(count, seed):
