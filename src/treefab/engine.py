@@ -82,20 +82,25 @@ depends, given the shapes, only on ``base``, which the border class
 gives wherever it matters.  So the keying is exact on any grid; one
 whose shapes are not canonical only yields more keys.
 
-No key needs a batch of its own.  A *slice row* (``_slice_rows``) holds
-the grid entries that agree in shape, least ``ox`` and ``oy`` and X and
-Y origin counts, weighted by their N, G and K origin counts; a block row
+No key needs a batch of its own.  One step (``_rows``) numbers the
+groups of either cut by rows.  A *slice row* (``_slice_rows``) holds the
+grid entries that agree in shape, least ``ox`` and ``oy`` and X and Y
+origin counts, weighted by their N, G and K origin counts; a block row
 (``_block_rows``) the blocks that agree in shape, fold flags and least
-``r`` and ``s``.  Along X, a (slice row, block row) pair's ``base`` at
-origin position ``p`` is ``base_0 + p*step*stride``, growing with ``p``,
-so its positions inside the input are one range ``lo..hi``, in closed
-form, and each other position is a border class of its own.
-``_pair_table`` keys the (slice row, block row, X class, Y class)
-tuples, counts each key's waves from the rows' weights and the classes'
-sizes, and builds one wave's signature per key and its record from the
-three parts, shared through ``replays`` (``simulate_layer``).  The range
-check reads each entry's first and last origin; only a trace or an
-output sum walks the batches one by one (``Grid.issue``).
+``r`` and ``s``, a count and a weight of 1 each.  Along X, a (slice row,
+block row) pair's ``base`` at origin position ``p`` is ``base_0 +
+p*step*stride``, growing with ``p``, so its positions inside the input
+are one range ``lo..hi``, in closed form, and each other position is a
+border class of its own.  ``_pair_table`` keys the (slice row, block
+row, X class, Y class) tuples, counts each key's waves from the rows'
+weights and the classes' sizes, and builds one wave's signature per key,
+on its slice row's first group moved to the class, and its record from
+the three parts, shared through ``replays`` (``simulate_layer``).  The
+range check reads each entry's first and last origin.  Only a trace or
+an output sum walks the batches one by one (``Grid.issue``), once for
+both.  A traced call counts on the walk as a grid (``Grid.of``), each
+batch an entry with a count of 1, so each (slice row, block row) pair is
+one key, and a batch's keys are its slice row's.
 
 None of this reads the data, so a call without inputs and weights
 counts the same stats and trace events and stops there; the tile search
@@ -211,10 +216,11 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     ``replays``, if given, is a dict the caller owns, from the keys
     tagged ``"dn"`` and ``"drain"`` to the parts of the waves' records
     (``_record``), and from the keys tagged ``"blocks"`` to a fold-block
-    cut and its rows (``_block_rows``); it is read and filled, so calls
-    that share it count each distribution and each batch geometry's drain
-    once, and cut and key each fold-block geometry once.  Without it the
-    call uses a dict of its own.
+    cut's rows (``_Rows``, the type of the slice rows too, which holds
+    the cut); it is read and filled, so calls that share it count each
+    distribution and each batch geometry's drain once, and cut and key
+    each fold-block geometry once.  Without it the call uses a dict of
+    its own.
     """
     mapping = build_mapping(hw, layer, tile)
     if (inputs is None) != (weights is None):
@@ -224,6 +230,10 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     if replays is None:
         replays = {}
     grid = mapping.batch_grid()
+    # the trace and the output sum read one walk of the batches
+    walk = None if trace is None and inputs is None else grid.expand()
+    if trace is not None:
+        grid = Grid.of(walk)  # each batch an entry of its own
     slices = _slice_rows(layer, grid)
     # the fold blocks read only these fields, so every call that agrees
     # in them shares one keying of the block cut
@@ -231,14 +241,15 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     if key not in replays:
         replays[key] = _block_rows(layer, mapping.block_cut())
     blocks = replays[key]
-    ids, counts, records, classes = _pair_table(mapping, grid, slices,
-                                                blocks, replays)
+    ids, counts, records = _pair_table(mapping, grid, slices, blocks,
+                                       replays)
     totals = counts @ records  # waves per key, times each key's record
     if trace is not None:
-        entry, keys = _wave_keys(grid, slices, classes, ids)
+        # a batch's entry has a count of 1, so each pair is one key
+        keys = ids.reshape(len(slices.first), -1)[slices.row]
         cycle = 0
         for b, (size, batch) in enumerate(zip(
-                grid.cut.sizes[grid.cut.shape[entry]].tolist(), keys)):
+                grid.cut.sizes[grid.cut.shape].tolist(), keys)):
             for f, (wc, ic, wave) in enumerate(
                     records[batch[blocks.row], :3].tolist()):
                 cycle += wave
@@ -251,28 +262,15 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                         totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
     output = None if inputs is None else _outputs(
-        layer, grid.expand().expand()[0], blocks.cut.expand()[0],
-        inputs, weights)
+        layer, walk.expand()[0], blocks.cut.expand()[0], inputs, weights)
     return SimResult(output=output, stats=stats, mapping=mapping)
 
 
-class _Slices(NamedTuple):
-    """Each grid entry's slice row, and per row its first entry, least
-    ``ox`` and ``oy``, their spreads and counts, shape (2, rows), and
-    weight: its entries' N, G and K counts, multiplied, summed."""
-
-    row: np.ndarray
-    first: np.ndarray
-    least: np.ndarray
-    spread: np.ndarray
-    count: np.ndarray
-    weight: np.ndarray
-
-
 class _Rows(NamedTuple):
-    """Each fold block's row, and per row its first block, shape with fold
-    flags, least ``r`` and ``s`` and their spreads, shape (2, rows), and
-    that block's ``Cut.coordinates``."""
+    """A cut's groups numbered by rows: each group's row, and per row its
+    first group, id, least coordinate, spread and origin count along the
+    last two axes, shape (2, rows), weight, and its first group's
+    ``Cut.coordinates``."""
 
     cut: Cut
     row: np.ndarray
@@ -280,51 +278,58 @@ class _Rows(NamedTuple):
     ids: np.ndarray
     least: np.ndarray
     spread: np.ndarray
-    elems: np.ndarray
-    taps: np.ndarray
+    count: np.ndarray
+    weight: np.ndarray
+    coords: np.ndarray
+    used: np.ndarray
 
 
-def _slice_rows(layer: LayerConfig, grid: Grid) -> _Slices:
-    """The batch grid's slice rows: (shape, least ``ox`` and ``oy``, X
-    and Y counts).  Raises ``AddressOutOfRange`` where a batch leaves the
-    output."""
-    dims = output_dims(layer)
-    spread, least = _check_range(grid.cut, dims, "output",
-                                 (grid.count - 1) * grid.step)
-    count = grid.count[:, 3:].T
+def _rows(cut: Cut, ids, count, weight, dims, what, reach=0) -> _Rows:
+    """``cut``'s rows: its groups keyed by (``ids``, least coordinate and
+    origin ``count`` along the last two axes), each row weighted by its
+    groups' ``weight`` summed.  Raises ``AddressOutOfRange`` unless every
+    group, moved on by up to its ``reach``, lies within ``dims``."""
+    spread, least = _check_range(cut, dims, what, reach)
+    least, count = least[-2:], count[:, -2:].T
     row, first = _number(
-        [grid.cut.shape, least[3], count[0], least[4], count[1]],
-        (len(grid.cut.sizes), dims[3], dims[3] + 1, dims[4], dims[4] + 1))
-    weight = np.zeros(len(first), np.int64)
-    np.add.at(weight, row, np.multiply.reduce(grid.count[:, :3], axis=1))
-    return _Slices(row, first, least[3:, first],
-                   spread[grid.cut.shape[first], 3:].T, count[:, first],
-                   weight)
+        [ids, least[0], count[0], least[1], count[1]],
+        (int(ids.max()) + 1, dims[-2], dims[-2] + 1, dims[-1],
+         dims[-1] + 1))
+    total = np.zeros(len(first), np.int64)
+    np.add.at(total, row, weight)
+    return _Rows(cut, row, first, ids[first], least[:, first],
+                 spread[cut.shape[first], -2:].T, count[:, first], total,
+                 *cut.coordinates(first))
+
+
+def _slice_rows(layer: LayerConfig, grid: Grid) -> _Rows:
+    """The batch grid's slice rows: (shape, least ``ox`` and ``oy``, X
+    and Y counts), weighted by their entries' N, G and K counts
+    multiplied.  Raises ``AddressOutOfRange`` where a batch leaves the
+    output."""
+    return _rows(grid.cut, grid.cut.shape, grid.count,
+                 np.multiply.reduce(grid.count[:, :3], axis=1),
+                 output_dims(layer), "output", (grid.count - 1) * grid.step)
 
 
 def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
     """The fold blocks' rows: a block's shape, whether its fold is the
-    first and the last, its least ``r`` and ``s``.  Raises
-    ``AddressOutOfRange`` where a block leaves the filter."""
-    spread, least = _check_range(blocks, weight_dims(layer)[2:],
-                                 "weight (c, r, s)")
+    first and the last, its least ``r`` and ``s``, a count of 1 and a
+    weight of 1 each.  Raises ``AddressOutOfRange`` where a block leaves
+    the filter."""
     fold = np.arange(len(blocks.shape))
     ids = (blocks.shape * 2 + (fold > 0)) * 2 + (fold == len(fold) - 1)
-    row, first = _number([ids, least[1], least[2]],
-                         (4 * len(blocks.sizes), layer.r, layer.s))
-    return _Rows(blocks, row, first, ids[first], least[1:, first],
-                 spread[blocks.shape[first], 1:].T,
-                 *blocks.coordinates(first))
+    return _rows(blocks, ids, np.ones_like(blocks.origins), 1,
+                 weight_dims(layer)[2:], "weight (c, r, s)")
 
 
-def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Slices,
+def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Rows,
                 blocks: _Rows, replays):
-    """(ids, counts, records, classes): the key id of each (slice row,
-    block row, X class, Y class), listed per (slice row, block row) pair,
-    X class outermost; per key its waves' count, and their weight, input
-    and wave cycles and ``COUNTED`` counters (``_record``); and each
-    pair's (lo, hi, classes) along X and Y, shape (2, slice rows, block
-    rows): class index ``q`` runs over the positions below ``lo``, then
+    """(ids, counts, records): the key id of each (slice row, block row,
+    X class, Y class), listed per (slice row, block row) pair, X class
+    outermost; and per key its waves' count, and their weight, input and
+    wave cycles and ``COUNTED`` counters (``_record``).  Along X and Y, a
+    pair's class index ``q`` runs over the positions below ``lo``, then
     the range ``lo..hi`` inside the input, at ``lo``, then those past."""
     layer = mapping.layer
     base = (slices.least[:, :, None] * layer.stride - layer.padding
@@ -335,7 +340,7 @@ def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Slices,
     last = np.array([layer.x - 1, layer.y - 1])[:, None, None] - span
     lo = np.maximum(-(base // step), 0)
     hi = np.minimum((last - base) // step, count - 1)
-    classes = lo, hi, n = lo, hi, count - np.maximum(hi - lo, 0)
+    n = count - np.maximum(hi - lo, 0)
     per = (n[0] * n[1]).ravel()
     pair = np.repeat(np.arange(len(per)), per)
     index = np.arange(len(pair)) - np.repeat(per.cumsum() - per, per)
@@ -348,49 +353,33 @@ def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Slices,
     value = np.where(inside, 0, base + p * step[:, 0] + layer.padding + 1)
     size = np.where(inside, width + 1, 1)
     r, j = np.divmod(pair, len(blocks.first))
-    at = slices.first[r]
     # an edge class is at most X + 2 padding (Y + 2 padding)
-    ids, first = _number([grid.cut.shape[at], blocks.ids[j], *value], (
-        len(grid.cut.sizes), 4 * len(blocks.cut.sizes),
+    ids, first = _number([slices.ids[r], blocks.ids[j], *value], (
+        len(slices.cut.sizes), 4 * len(blocks.cut.sizes),
         layer.x + 2 * layer.padding + 1, layer.y + 2 * layer.padding + 1))
     waves = np.zeros(len(first), np.int64)
     np.add.at(waves, ids, slices.weight[r] * size[0] * size[1]
-              * np.bincount(blocks.row)[j])
-    # one batch of each key: its row's first entry, moved to the class's
+              * blocks.weight[j])
+    # one batch of each key: its row's first group, moved to the class's
     # first positions
-    at, j = at[first], j[first]
-    origins = grid.cut.origins[at]
-    origins[:, 3:] += (p[:, first] * grid.step[3:, None]).T
-    batches = Cut(grid.cut.offsets, grid.cut.sizes, origins,
-                  grid.cut.shape[at])
+    r, j = r[first], j[first]
+    outs = slices.coords[r]
+    outs[:, :, 3:] += (p[:, first] * grid.step[3:, None]).T[:, None]
     records = [_record(mapping, signature, replays)
-               for signature in _signatures(mapping, batches,
-                                            np.arange(len(first)), blocks, j)]
-    return ids, waves, np.array(records, dtype=np.int64), classes
+               for signature in _signatures(mapping, outs, slices.used[r],
+                                            blocks, j)]
+    return ids, waves, np.array(records, dtype=np.int64)
 
 
-def _wave_keys(grid: Grid, slices: _Slices, classes, ids):
-    """(entry, keys): each batch's entry, in issue order, and the key id
-    of its waves with each block row, shape (batches, block rows)."""
-    entry, p = grid.issue()
-    r, at = slices.row[entry], p[:, 3:].T[:, :, None]
-    lo, hi, n = classes
-    # a position's class index: past lo, the range counts as one
-    q = at - np.maximum(np.minimum(at, hi[:, r]) - lo[:, r], 0)
-    pairs = (n[0] * n[1]).ravel()
-    start = (pairs.cumsum() - pairs).reshape(n.shape[1:])
-    return entry, ids[start[r] + q[0] * n[1, r] + q[1]]
-
-
-def _signatures(mapping: MappingPlan, batches: Cut, b, blocks: _Rows, j):
-    """The signature of each wave of batch ``b[i]`` and the first fold
-    block of block row ``j[i]``: whether its fold is the first and the
-    last, its batch size and block length, and its weight and its input
-    partition, each as the int32 bytes of its used positions' heads (-1
-    for a padding tap)."""
+def _signatures(mapping: MappingPlan, outs, slots, blocks: _Rows, j):
+    """The signature of each wave of batch ``i``, given as its outputs'
+    coordinates ``outs[i]`` and used ``slots[i]`` (``Cut.coordinates``),
+    and the first fold block of block row ``j[i]``: whether its fold is
+    the first and the last, its batch size and block length, and its
+    weight and its input partition, each as the int32 bytes of its used
+    positions' heads (-1 for a padding tap)."""
     layer = mapping.layer
-    outs, slots = batches.coordinates(b)
-    elems, taps, f = blocks.elems[j], blocks.taps[j], blocks.first[j]
+    elems, taps, f = blocks.coords[j], blocks.used[j], blocks.first[j]
     used = slots[:, :, None] & taps[:, None]
     # per used position (slot, e), in wave order and each wave's in
     # slot*length + e order: its weight address, input address and input
@@ -420,8 +409,7 @@ def _signatures(mapping: MappingPlan, batches: Cut, b, blocks: _Rows, j):
                       for h in np.where(addr < 0, -1, heads))
     ends = (4 * ends).tolist()
     flags = zip((f > 0).tolist(), (f == len(blocks.row) - 1).tolist(),
-                batches.sizes[batches.shape[b]].tolist(),
-                blocks.cut.sizes[blocks.cut.shape[f]].tolist())
+                slots.sum(axis=1).tolist(), taps.sum(axis=1).tolist())
     return [(*flag, w_data[start:end], i_data[start:end])
             for flag, start, end in zip(flags, [0] + ends, ends)]
 

@@ -107,6 +107,15 @@ class Grid(NamedTuple):
                    self.cut.origins[entry] + p * self.step,
                    self.cut.shape[entry])
 
+    @classmethod
+    def of(cls, cut: Cut) -> Grid:
+        """``cut``'s groups in order as a grid, each an entry and a tile of
+        its own, a count of 1 along every axis."""
+        tile = np.zeros_like(cut.origins)
+        tile[:, 0] = np.arange(len(tile))
+        ones = np.ones_like(tile)
+        return cls(cut, ones, ones[0], tile, tuple(tile.max(axis=0) + 1))
+
     def issue(self):
         """(entry, p): each group's entry and position along each axis,
         in issue order."""
@@ -175,7 +184,7 @@ class MappingPlan:
             "real_vn_size": self.real_vn_size,
             "folds": self.folds,
             "n_vns_mapped": self.n_vns_mapped,
-            "batches": len(self.batch_cut().shape),
+            "batches": int(self.batch_grid().count.prod(axis=1).sum()),
             "ms_assignment": [
                 {"leaf": i, "vn": vn, "role": "idle" if vn is None
                  else roles[i % self.real_vn_size]}

@@ -86,7 +86,8 @@ def pair_table(mapping, batches, blocks, replays):
     b, f = np.divmod(first, len(blocks.first))
     records = [engine._record(mapping, signature, replays)
                for signature in engine._signatures(
-                   mapping, batches.cut, batches.first[b], blocks, f)]
+                   mapping, *batches.cut.coordinates(batches.first[b]),
+                   blocks, f)]
     return ids, np.array(records, dtype=np.int64)
 
 

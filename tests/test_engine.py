@@ -4,6 +4,7 @@ import hashlib
 import math
 import pathlib
 import random
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import product
@@ -274,13 +275,17 @@ class TestMatchesPerWaveReference:
             layer, data.draw(st.integers(0, 999))))
         want = [record for _, _, record in wave_records(mapping, fabric)]
         # the batch grid and the factored block cut, and the same groups
-        # cut one shape per group, as a grid of a count of 1 each
+        # cut one shape per group, as a grid of a count of 1 each: wave by
+        # wave on the per-batch grid, and each record's waves as the pair
+        # table counts them from its classes
         for batches, blocks in (
                 (mapping.batch_grid(), mapping.block_cut()),
-                (grid_of(per_group(*mapping.batch_cut().expand())),
+                (Grid.of(per_group(*mapping.batch_cut().expand())),
                  per_group(*mapping.block_cut().expand()))):
             got, _ = grid_waves(mapping, batches, blocks, {})
             assert list(map(tuple, got.tolist())) == want
+            counts, records = pair_table(mapping, batches, blocks, {})[3:]
+            assert waves_per_record(counts, records) == Counter(want)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -857,7 +862,7 @@ class TestRangeGuard:
         # every group of the grid lies inside the dims at its first
         # position; only the third entry's count along ``axis`` moves its
         # last groups out, and the check reads that last position
-        grid = grid_of(self.factored(axis, 0))
+        grid = Grid.of(self.factored(axis, 0))
         count = grid.count.copy()
         count[2, axis] = self.DIMS[axis] + 1
         grid = grid._replace(count=count,
@@ -904,15 +909,6 @@ def run_on_cuts(hw, layer, tile, inputs, weights, cuts=None):
     return result.stats, events, result.output, replays
 
 
-def grid_of(cut):
-    """``cut``'s groups in order as a grid, each an entry and a tile of
-    its own, a count of 1 along every axis."""
-    tile = np.zeros_like(cut.origins)
-    tile[:, 0] = np.arange(len(tile))
-    ones = np.ones_like(tile)
-    return Grid(cut, ones, ones[0], tile, tuple(tile.max(axis=0) + 1))
-
-
 @contextmanager
 def inject(batches=None, blocks=None):
     """Within the block, a mapping's batch cut is ``batches``, and its
@@ -923,7 +919,7 @@ def inject(batches=None, blocks=None):
             stack.enter_context(patch.object(MappingPlan, "batch_cut",
                                              lambda _: batches))
             stack.enter_context(patch.object(MappingPlan, "batch_grid",
-                                             lambda _: grid_of(batches)))
+                                             lambda _: Grid.of(batches)))
         if blocks is not None:
             stack.enter_context(patch.object(MappingPlan, "block_cut",
                                              lambda _: blocks))
@@ -1066,43 +1062,64 @@ RESNET = (HardwareConfig(64, 8, 8),
           TileConfig(1, 3, 1, t_y=28))
 
 
+def pair_table(mapping, grid, blocks, replays):
+    """(slices, blocks, ids, counts, records): the engine's rows of
+    ``grid`` and the ``blocks`` cut, and its pair table."""
+    slices = engine._slice_rows(mapping.layer, grid)
+    blocks = engine._block_rows(mapping.layer, blocks)
+    return (slices, blocks,
+            *engine._pair_table(mapping, grid, slices, blocks, replays))
+
+
+def waves_per_record(counts, records):
+    """The number of waves of each distinct record, from a pair table's
+    counts and records."""
+    waves = Counter()
+    for count, record in zip(counts.tolist(), map(tuple, records.tolist())):
+        waves[record] += count
+    return waves
+
+
 def grid_waves(mapping, grid, blocks, replays):
     """(waves, records): the record of every wave of ``grid`` and the
     ``blocks`` cut in issue order, shape (waves, record), looked up from
-    the engine's pair table, and each key's record."""
-    slices = engine._slice_rows(mapping.layer, grid)
-    blocks = engine._block_rows(mapping.layer, blocks)
-    ids, _, records, classes = engine._pair_table(mapping, grid, slices,
-                                                  blocks, replays)
-    _, keys = engine._wave_keys(grid, slices, classes, ids)
-    waves = records[keys[:, blocks.row]]
-    return waves.reshape(-1, records.shape[1]), records
+    the engine's pair table on the per-batch grid, and each key's
+    record."""
+    slices, blocks, ids, _, records = pair_table(
+        mapping, Grid.of(grid.expand()), blocks, replays)
+    keys = ids.reshape(len(slices.first), -1)[slices.row]
+    return records[keys[:, blocks.row]].reshape(-1, records.shape[1]), records
 
 
 def assert_grid_matches_the_reference(hw, layer, tile, batches=None,
                                       blocks=None):
-    """A run on the batch grid gives the stats, trace events, per-wave
-    records, key records and replays keys of the reference that keys
-    every batch of the batch cut; ``batches`` and ``blocks``, if given,
-    stand in for the mapping's cuts, the batches as a grid of a count of 1
-    each."""
+    """A traced run and a count on the batch grid give the stats, trace
+    events, per-wave records, key records and replays keys of the
+    reference that keys every batch of the batch cut, and the pair table
+    on the batch grid counts each record's waves as the reference does;
+    ``batches`` and ``blocks``, if given, stand in for the mapping's cuts,
+    the batches as a grid of a count of 1 each."""
     mapping = build_mapping(hw, layer, tile)
     events, replays = [], {}
     with inject(batches, blocks):
         got = simulate_layer(hw, layer, tile, trace=events.append,
                              replays=replays)
-    grid = mapping.batch_grid() if batches is None else grid_of(batches)
+        counted = simulate_layer(hw, layer, tile).stats
+    grid = mapping.batch_grid() if batches is None else Grid.of(batches)
     batches = mapping.batch_cut() if batches is None else batches
     blocks = mapping.block_cut() if blocks is None else blocks
     want_replays = {}
     want = key_reference.keyed(mapping, batches, blocks, want_replays)
-    assert got.stats == want.stats
+    assert got.stats == counted == want.stats
     assert events == want.events
-    waves, records = grid_waves(mapping, grid, blocks, {})
+    waves, per_batch = grid_waves(mapping, grid, blocks, {})
     assert np.array_equal(waves, want.waves)
-    assert len(records) == len(want.records)
-    assert sorted(map(tuple, records.tolist())) \
-        == sorted(map(tuple, want.records.tolist()))
+    counts, records = pair_table(mapping, grid, blocks, {})[3:]
+    assert waves_per_record(counts, records) \
+        == Counter(map(tuple, want.waves.tolist()))
+    for got_records in (per_batch, records):
+        assert sorted(map(tuple, got_records.tolist())) \
+            == sorted(map(tuple, want.records.tolist()))
     assert {key for key in replays if key[0] != "blocks"} \
         == want_replays.keys()
 
@@ -1119,11 +1136,8 @@ class TestPairTable:
         # keys (batch rows, block rows) pairs into the same number of keys
         want, reference = want
         plan = build_mapping(*case)
-        grid = plan.batch_grid()
-        slices = engine._slice_rows(plan.layer, grid)
-        blocks = engine._block_rows(plan.layer, plan.block_cut())
-        ids, counts, records, _ = engine._pair_table(plan, grid, slices,
-                                                     blocks, {})
+        slices, blocks, ids, counts, records = pair_table(
+            plan, plan.batch_grid(), plan.block_cut(), {})
         assert (len(slices.first), len(blocks.first), len(ids),
                 len(records)) == want
         assert counts.sum() == len(plan.batch_cut().shape) * plan.folds
@@ -1203,33 +1217,59 @@ class TestBatchGrid:
     def test_an_edge_position_past_the_range(self):
         # stride 2 and padding 3 on a 1x1 filter: of the 8 output
         # columns, 0 and 1 read padding and 6 and 7 read past the input,
-        # so the X classes of the one slice row are two edges, the range
-        # of columns 2 to 5 and two edges
+        # so the one slice row's 8 X positions fall into five keys: the
+        # edges 0 and 1 of a wave each, the range of columns 2 to 5 as
+        # one key of four waves, and the edges 6 and 7
         layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=1, g=1, k=1, n=1,
                             x=9, y=1, stride=2, padding=3)
         tile = TileConfig(1, 1, 1, t_y=derive_output_dims(layer)[1])
         plan = build_mapping(HW32, layer, tile)
-        grid = plan.batch_grid()
-        slices = engine._slice_rows(layer, grid)
-        blocks = engine._block_rows(layer, plan.block_cut())
-        lo, hi, n = engine._pair_table(plan, grid, slices, blocks, {})[3]
-        assert (lo[0].item(), hi[0].item(), n[0].item(),
-                slices.count[0].item()) == (2, 5, 5, 8)
+        slices, _, ids, counts, _ = pair_table(
+            plan, plan.batch_grid(), plan.block_cut(), {})
+        assert (counts[ids].tolist(), slices.count[0].tolist()) \
+            == ([1, 1, 4, 1, 1], [8])
         assert_grid_matches_the_reference(HW32, layer, tile)
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_walk_for_the_trace_and_the_sum(self, data, strategy):
+        # a traced run with data counts and lists its waves on the walk
+        # its output sum reads: it gives the events and stats of a traced
+        # run without data, and both give the stats of an untraced count,
+        # with data or without
+        hw, layer, tile = draw_case(data)
+        hw = replace(hw, folding=strategy)
+        try:
+            build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        layer_data = random_layer_data(layer, data.draw(st.integers(0, 999)))
+        runs = []
+        for args in (layer_data, ()):
+            events = []
+            stats = simulate_layer(hw, layer, tile, *args,
+                                   trace=events.append).stats
+            runs.append((stats, events))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == simulate_layer(hw, layer, tile).stats \
+            == simulate_layer(hw, layer, tile, *layer_data).stats
 
     @pytest.mark.parametrize("data", [False, True])
     @pytest.mark.parametrize("traced", [False, True])
     def test_batches_walked_only_for_data_or_a_trace(self, data, traced,
                                                      monkeypatch):
         # the counts read the batch grid's entries; only the output sum
-        # and the trace walk its batches one by one, once each, and no
-        # call re-cuts them (a batch grid has five axes, a block grid 3)
+        # and the trace walk its batches one by one, in one walk that
+        # both read, and no call re-cuts them (a batch grid has five
+        # axes, a block grid 3)
         walks = count_calls(monkeypatch, "issue", Grid)
         cuts = count_calls(monkeypatch, "batch_cut", MappingPlan)
         args = random_layer_data(PADDED_STRIDED, seed=0) if data else ()
         simulate_layer(HW32, PADDED_STRIDED, VALIDATION_TILE, *args,
                        trace=[].append if traced else None)
-        assert sum(len(grid.step) == 5 for grid, in walks) == data + traced
+        assert sum(len(grid.step) == 5 for grid, in walks) \
+            == (data or traced)
         assert cuts == []
 
 
