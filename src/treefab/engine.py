@@ -95,7 +95,9 @@ border class of its own.  ``_pair_table`` keys the (slice row, block
 row, X class, Y class) tuples, counts each key's waves from the rows'
 weights and the classes' sizes, and builds one wave's signature per key,
 on its slice row's first group moved to the class, and its record from
-the three parts, shared through ``replays`` (``simulate_layer``).  The
+the three parts, shared through ``replays`` (``simulate_layer``).  Each
+numbering of rows (``mapper._number``) orders them lexicographically on
+their columns, which may hold any int64s, so no column needs a bound.  The
 range check reads each entry's first and last origin.  Only a trace or
 an output sum walks the batches one by one (``Grid.issue``), once for
 both.  A traced call counts on the walk as a grid (``Grid.of``), each
@@ -243,7 +245,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     blocks = replays[key]
     ids, counts, records = _pair_table(mapping, grid, slices, blocks,
                                        replays)
-    totals = counts @ records  # waves per key, times each key's record
+    totals = counts.astype(object) @ records  # in Python ints: no wrap
     if trace is not None:
         # a batch's entry has a count of 1, so each pair is one key
         keys = ids.reshape(len(slices.first), -1)[slices.row]
@@ -258,7 +260,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                     "batch_size": size, "cycle": cycle,
                     "weight_cycles": wc, "input_cycles": ic,
                 })
-    stats = layer_stats(mapping, int(totals[2]), int(counts.sum()),
+    stats = layer_stats(mapping, totals[2], sum(counts.tolist()),
                         totals[3:].tolist())
     assert stats.ms_multiplications == total_macs(layer)
     output = None if inputs is None else _outputs(
@@ -291,10 +293,7 @@ def _rows(cut: Cut, ids, count, weight, dims, what, reach=0) -> _Rows:
     group, moved on by up to its ``reach``, lies within ``dims``."""
     spread, least = _check_range(cut, dims, what, reach)
     least, count = least[-2:], count[:, -2:].T
-    row, first = _number(
-        [ids, least[0], count[0], least[1], count[1]],
-        (int(ids.max()) + 1, dims[-2], dims[-2] + 1, dims[-1],
-         dims[-1] + 1))
+    row, first = _number([ids, least[0], count[0], least[1], count[1]])
     total = np.zeros(len(first), np.int64)
     np.add.at(total, row, weight)
     return _Rows(cut, row, first, ids[first], least[:, first],
@@ -353,10 +352,7 @@ def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Rows,
     value = np.where(inside, 0, base + p * step[:, 0] + layer.padding + 1)
     size = np.where(inside, width + 1, 1)
     r, j = np.divmod(pair, len(blocks.first))
-    # an edge class is at most X + 2 padding (Y + 2 padding)
-    ids, first = _number([slices.ids[r], blocks.ids[j], *value], (
-        len(slices.cut.sizes), 4 * len(blocks.cut.sizes),
-        layer.x + 2 * layer.padding + 1, layer.y + 2 * layer.padding + 1))
+    ids, first = _number([slices.ids[r], blocks.ids[j], *value])
     waves = np.zeros(len(first), np.int64)
     np.add.at(waves, ids, slices.weight[r] * size[0] * size[1]
               * blocks.weight[j])
@@ -401,8 +397,7 @@ def _signatures(mapping: MappingPlan, outs, slots, blocks: _Rows, j):
     start = np.repeat(ends - counts, counts)
     addr = np.stack([w_addr, i_addr])
     span = [[0], [ends[-1]]]
-    ids, first = _number([start + span, addr + 1],
-                         (2 * ends[-1], int(addr.max()) + 2))
+    ids, first = _number([start + span, addr])
     heads = first[ids] - span - start
     # per wave, each partition's heads (-1 for a padding tap), 4 bytes each
     w_data, i_data = (h.astype(np.int32).tobytes()

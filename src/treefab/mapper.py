@@ -90,15 +90,14 @@ class Cut(NamedTuple):
 class Grid(NamedTuple):
     """Groups placed at per-axis progressions of origins: entry ``i`` is
     group ``i`` of ``cut`` moved by ``p * step`` for each ``p`` below
-    ``count[i]``.  The groups issue in row-major order over a ``grid`` of
-    tiles, entry ``i``'s at ``p`` in tile ``tile[i] + p``, and the groups
-    of one tile in entry order."""
+    ``count[i]``, in tile ``tile[i] + p``.  The groups issue in
+    lexicographic order of their tiles' coordinates, the first axis
+    outermost, and the groups of one tile in entry order."""
 
     cut: Cut  # each entry's group at p = 0
     count: np.ndarray  # (entries, axes)
     step: np.ndarray  # (axes,)
     tile: np.ndarray  # (entries, axes)
-    grid: tuple[int, ...]
 
     def expand(self) -> Cut:
         """The groups in issue order, as a cut of ``cut``'s shapes."""
@@ -114,7 +113,7 @@ class Grid(NamedTuple):
         tile = np.zeros_like(cut.origins)
         tile[:, 0] = np.arange(len(tile))
         ones = np.ones_like(tile)
-        return cls(cut, ones, ones[0], tile, tuple(tile.max(axis=0) + 1))
+        return cls(cut, ones, ones[0], tile)
 
     def issue(self):
         """(entry, p): each group's entry and position along each axis,
@@ -125,8 +124,7 @@ class Grid(NamedTuple):
         p = np.empty((len(entry), self.count.shape[1]), np.int64)
         for axis in reversed(range(p.shape[1])):
             index, p[:, axis] = np.divmod(index, self.count[entry, axis])
-        order = np.argsort(np.ravel_multi_index(
-            tuple((self.tile[entry] + p).T), self.grid), kind="stable")
+        order = np.lexsort((self.tile[entry] + p).T[::-1])
         return entry[order], p[order]
 
 
@@ -201,22 +199,20 @@ class MappingPlan:
         }
 
 
-def _number(columns, radices):
-    """(ids, first): each row of the broadcast ``columns`` numbered among
-    the distinct rows, and each id's first flat index; column ``i`` holds
-    ints below ``radices[i]``, so a row is one mixed-radix int64."""
-    number = columns[0]
-    for column, radix in zip(columns[1:], radices[1:]):
-        number = number * radix + column
-    flat = number.ravel()
-    order = flat.argsort(kind="stable")
-    ranked = flat[order]
-    head = np.empty(len(flat), bool)
+def _number(columns):
+    """(ids, first): each row of ``columns``, arrays of one shape that may
+    hold any int64s, numbered among the distinct rows in lexicographic
+    order, the first column outermost, and each id's first flat index."""
+    flat = [np.ravel(column) for column in columns]
+    order = np.lexsort(flat[::-1])  # stable: each id's first index leads
+    head = np.zeros(len(order), bool)
     head[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    for column in flat:
+        ranked = column[order]
+        head[1:] |= ranked[1:] != ranked[:-1]
     ids = np.empty_like(order)
     ids[order] = head.cumsum() - 1
-    return ids.reshape(number.shape), order[head]
+    return ids.reshape(np.shape(columns[0])), order[head]
 
 
 def cluster_plan(num_ms: int, width: int, count: int) -> ReductionPlan:
@@ -289,8 +285,7 @@ def _grid(extents, steps, n) -> Grid:
     # axis, else its first position's
     first, last = start[:, None], (start + length - 1)[:, None]
     low = np.where(first // span == last // span, first // stride % size, 0)
-    ids, at = _number([shape, length, start - (low * stride).sum(axis=1)],
-                      (len(box), n + 1, math.prod(steps)))
+    ids, at = _number([shape, length, start - (low * stride).sum(axis=1)])
     number = np.empty(len(at), np.int64)
     merged: dict[bytes, tuple[int, np.ndarray]] = {}
     for i, e in sorted(enumerate(at.tolist()), key=lambda ie: ie[1]):
@@ -300,8 +295,7 @@ def _grid(extents, steps, n) -> Grid:
     kept = [rows for _, rows in merged.values()]
     slices = Cut(np.concatenate(kept), np.array([len(k) for k in kept]),
                  tile[shape] * steps + low, number[ids])
-    return Grid(slices, count[shape], np.array(steps), tile[shape],
-                tuple(-(-e // t) for e, t in zip(extents, steps)))
+    return Grid(slices, count[shape], np.array(steps), tile[shape])
 
 
 def build_mapping(hw: HardwareConfig, layer: LayerConfig,

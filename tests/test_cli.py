@@ -217,6 +217,28 @@ layers:
         err = capsys.readouterr().err
         assert "first" in err and "second" in err
 
+    def test_no_layers(self, tmp_path, capsys):
+        hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        model = write(tmp_path, "model.yaml", "layers: []\n")
+        assert cli.main(["run-model", "--hw", hw, "--model", model]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == \
+            "configuration error: model has no layers"
+
+    def test_injected_fault_names_the_layer(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setenv(cli.FAULT_ENV, "1")
+        hw = write(tmp_path, "hw.yaml", HW32_DOC)
+        model = write(tmp_path, "model.yaml", MODEL_DOC)
+        out = tmp_path / "stats.yaml"
+        assert cli.main(["run-model", "--hw", hw, "--model", model,
+                         "--seed", "3", "--stats-out", str(out)]) == \
+            cli.EXIT_VERIFY
+        assert capsys.readouterr().err.startswith(
+            "layer 'conv1' verification failed: first mismatch at "
+            "(0, 0, 0, 0, 0): simulated ")
+        assert not out.exists()
+
     def test_duplicate_names_rejected(self, tmp_path):
         hw = write(tmp_path, "hw.yaml", HW32_DOC)
         model = write(tmp_path, "model.yaml", """\

@@ -89,6 +89,19 @@ class TestLayerConfig:
             LayerConfig(LayerKind.CONV, r=3, s=3, c=1, g=1, k=1, n=1,
                         x=6, y=5, stride=2)
 
+    def test_zero_stride_rejected(self):
+        with pytest.raises(ValidationError, match="^stride must be >= 1$"):
+            LayerConfig(LayerKind.CONV, r=1, s=1, c=1, g=1, k=1, n=1,
+                        x=2, y=2, stride=0)
+
+    def test_stride_fits_x_but_not_y(self):
+        # (5 - 3) / 2 along X, (6 - 3) / 2 along Y
+        with pytest.raises(ValidationError, match=(
+                r"^\(Y \+ 2\*padding - S\) = 3 is not a non-negative "
+                r"multiple of stride 2$")):
+            LayerConfig(LayerKind.CONV, r=3, s=3, c=1, g=1, k=1, n=1,
+                        x=5, y=6, stride=2)
+
     def test_total_macs_tiny(self):
         assert total_macs(TINY) == 2916
 
@@ -133,6 +146,14 @@ class TestTileValidation:
         layer = LayerConfig(LayerKind.FC, r=1, s=12, c=4, g=1, k=8, n=1,
                             x=1, y=12)
         validate_tile(layer, TileConfig(1, 12, 1, 1, 8, 1, 1, 1))
+
+    @pytest.mark.parametrize("name", ["t_r", "t_s", "t_c", "t_g", "t_k",
+                                      "t_n", "t_x", "t_y"])
+    def test_zero_field_rejected(self, name):
+        fields = {"t_r": 1, "t_s": 1, "t_c": 1, name: 0}
+        with pytest.raises(ValidationError,
+                           match=f"^tile dimension {name} must be >= 1$"):
+            TileConfig(**fields)
 
     def test_tile_counts(self):
         tile = TileConfig(3, 3, 2, 1, 4, 1, 2, 2)

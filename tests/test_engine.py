@@ -736,6 +736,52 @@ class TestEngineProperties:
         assert run(wide, layer, tile)[0].stats.total_cycles \
             <= run(hw, layer, tile)[0].stats.total_cycles
 
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_doubling_n_doubles_cycles_and_waves(self, data, strategy):
+        # with T_N = 1 every tile, and so every batch, holds one image, and
+        # the images' tiles issue alike, one image after the other.  A
+        # wave's cycles and counts do not depend on the absolute cycle or
+        # on the other batches, and the image moves every address of a
+        # wave alike and has no border, so the batches of 2N images are
+        # those of N twice over, and so are their waves and cycles
+        hw, layer, tile = draw_case(data)
+        hw, tile = replace(hw, folding=strategy), replace(tile, t_n=1)
+        try:
+            build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        one = simulate_layer(hw, layer, tile).stats
+        two = simulate_layer(hw, replace(layer, n=2 * layer.n), tile).stats
+        assert (two.total_cycles, two.waves) \
+            == (2 * one.total_cycles, 2 * one.waves)
+
+
+class TestHugeLayer:
+    # a 1x1 conv at X = Y = 2**31 - 1 cut by T_X = 3, T_Y = 7: the keys'
+    # columns and the totals run past what a packed int64 holds
+    SIDE = 2 ** 31 - 1
+    LAYER = LayerConfig(LayerKind.CONV, r=1, s=1, c=1, g=1, k=1, n=1,
+                        x=SIDE, y=SIDE)
+    TILE = TileConfig(1, 1, 1, t_x=3, t_y=7)
+
+    def test_counted_without_data(self):
+        stats = simulate_layer(HW32, self.LAYER, self.TILE).stats
+        # one batch of 21 outputs or fewer per tile, one fold each
+        assert stats.waves == 715_827_883 * 306_783_379 \
+            == 219_604_096_729_156_657
+        assert stats.ms_multiplications == self.SIDE ** 2
+
+    @pytest.mark.parametrize("num_ms, want", [
+        (4, 13_176_245_754_970_842_263),
+        (2, 16_470_307_194_557_207_117)])
+    def test_total_cycles_past_int64(self, num_ms, want):
+        stats = simulate_layer(HardwareConfig(num_ms, 1, 1), self.LAYER,
+                               self.TILE).stats
+        assert stats.total_cycles == want > 2 ** 63
+        assert type(stats.total_cycles) is int
+
 
 class TestDataIndependence:
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
@@ -865,8 +911,7 @@ class TestRangeGuard:
         grid = Grid.of(self.factored(axis, 0))
         count = grid.count.copy()
         count[2, axis] = self.DIMS[axis] + 1
-        grid = grid._replace(count=count,
-                             grid=tuple(len(count) + d for d in self.DIMS))
+        grid = grid._replace(count=count)
         entry, p = grid.issue()
         coords = Cut(grid.cut.offsets, grid.cut.sizes,
                      grid.cut.origins[entry] + p * grid.step,
@@ -1176,7 +1221,7 @@ class TestBatchGrid:
         coords, lengths = grid.cut.expand()
         starts = np.cumsum(lengths) - lengths
         issued = sorted(
-            (np.ravel_multi_index(tuple(grid.tile[i] + p), grid.grid), i,
+            (tuple(grid.tile[i] + p), i,
              coords[starts[i]:starts[i] + lengths[i]] + np.array(p)
              * grid.step)
             for i in range(len(lengths))

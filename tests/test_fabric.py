@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treefab import plan_reduction
+from treefab import ValidationError, plan_reduction
 from treefab.fabric import (
     BusEvent,
     CollectorBuses,
@@ -46,6 +46,11 @@ class TestDistribution:
         assert leaves == {i * 8: pb.peek(p.address)
                           for i, p in enumerate(payloads)}
         assert pb.counters.reads == 4
+
+    def test_dn_bw_must_divide_num_ms(self):
+        with pytest.raises(ValidationError,
+                           match="^dn_bw must divide num_ms$"):
+            DistributionNetwork(8, 3)
 
     def test_queueing_within_one_subtree(self):
         pb = tiny_pb()

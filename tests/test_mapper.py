@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pathlib
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import assume, given, settings
@@ -30,6 +31,7 @@ from treefab.config import (
     parse_tile_config,
 )
 from treefab.fabric import ReductionNetwork, generate_dn_routes
+from treefab.mapper import _number
 from treefab.memory import random_layer_data
 from treefab.reduction import clusters, plan_reduction
 
@@ -54,6 +56,42 @@ class TestFolds:
                             x=5, y=5)
         tile = TileConfig(2, 3, 3)
         assert compute_folds(layer, tile) == math.ceil(5 / 2) * math.ceil(7 / 3)
+
+
+def numbered(columns):
+    """(ids, first) by Python tuples: each row's rank among the distinct
+    rows, and each distinct row's first flat index."""
+    rows = list(zip(*(np.ravel(column).tolist() for column in columns)))
+    distinct = sorted(set(rows))
+    rank = {row: i for i, row in enumerate(distinct)}
+    return [rank[row] for row in rows], [rows.index(row) for row in distinct]
+
+
+class TestNumber:
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.sampled_from([(1,), (9,), (3, 4), (2, 1, 5)]),
+           width=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_ranks_rows_of_any_int64s(self, shape, width, seed):
+        # the columns draw from a few values, so rows repeat and differ
+        # in one column only, among them the int64 ends, negatives and
+        # values past 2**32
+        rng = np.random.default_rng(seed)
+        pool = np.array([-2 ** 63, -2 ** 33 - 1, -1, 0, 1, 2 ** 32,
+                         2 ** 63 - 1, *rng.integers(-2 ** 63, 2 ** 63 - 1,
+                                                    2)])
+        columns = [pool[rng.integers(0, len(pool) // (1 + i % 3), shape)]
+                   for i in range(width)]
+        ids, first = _number(columns)
+        want_ids, want_first = numbered(columns)
+        assert ids.shape == shape
+        assert ids.ravel().tolist() == want_ids
+        assert first.tolist() == want_first
+
+    def test_rows_that_differ_in_the_last_column_only(self):
+        ids, first = _number([np.array([5, 5, 5, -5]),
+                              np.array([2, -2 ** 40, 2, 2 ** 40])])
+        assert ids.tolist() == [2, 1, 2, 0]
+        assert first.tolist() == [3, 1, 0]
 
 
 class TestBuildMapping:

@@ -22,6 +22,7 @@ from treefab import (
 )
 from treefab.errors import ShapeMismatch
 from treefab.memory import random_layer_data
+from treefab.oracle import CompareResult
 
 from common import (
     DATA_KINDS,
@@ -255,6 +256,9 @@ class TestCompare:
     def test_identical(self):
         a = np.arange(12, dtype=np.int32).reshape(3, 4)
         assert compare(a, a.copy()).ok
+
+    def test_match_report(self):
+        assert CompareResult(ok=True).report() == "outputs match"
 
     def test_off_by_one_reports_coordinate(self):
         a = np.zeros((2, 2), dtype=np.int32)
