@@ -27,6 +27,7 @@ mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -250,6 +251,7 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first command, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treefab",

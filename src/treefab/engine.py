@@ -17,7 +17,7 @@ only the final fold of a batch pays the reduction latency and drain.
 With a single fold the two strategies execute identically.
 
 The engine moves no value through the fabric: it counts each distinct
-wave's cycles and counters once (``_record``).  Nothing in them depends
+wave's cycles and counters once (``_records``).  Nothing in them depends
 on the data or on the absolute cycle: the buffer has no ports, so it
 serves reads and writes whatever the cycle; the DN's cycles, reads and
 switch traversals depend only on each payload's set of destination
@@ -39,7 +39,7 @@ e``, a slot's forwarder (if clusters hold one) is its last leaf
 (``reduction.clusters``), and the batch's reduction plan and drain
 follow from the batch size and that width (``_drain``).  So a wave's
 record depends only on the hardware, the geometry (``real_vn_size`` and
-the forwarder flag) and the signature (``_record``).  It is a few sums
+the forwarder flag) and the signature (``_records``).  It is a few sums
 over three parts, each counted once per distinct key of the ints, bools
 and bytes it reads.  The weights and then the inputs are distributed in
 two phases, and each phase's PB reads, cycles and switch traversals
@@ -93,9 +93,10 @@ p*step*stride``, growing with ``p``, so its positions inside the input
 are one range ``lo..hi``, in closed form, and each other position is a
 border class of its own.  ``_pair_table`` keys the (slice row, block
 row, X class, Y class) tuples, counts each key's waves from the rows'
-weights and the classes' sizes, and builds one wave's signature per key,
-on its slice row's first group moved to the class, and its record from
-the three parts, shared through ``replays`` (``simulate_layer``).  Each
+weights and the classes' sizes, and counts one wave's record per key
+(``_records``), on its slice row's first group moved to the class and
+with the fold flags of its block row's id columns, from the three parts
+of its signature, shared through ``replays`` (``simulate_layer``).  Each
 numbering of rows (``mapper._number``) orders them lexicographically on
 their columns, which may hold any int64s, so no column needs a bound.  The
 range check reads each entry's first and last origin.  Only a trace or
@@ -217,7 +218,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
 
     ``replays``, if given, is a dict the caller owns, from the keys
     tagged ``"dn"`` and ``"drain"`` to the parts of the waves' records
-    (``_record``), and from the keys tagged ``"blocks"`` to a fold-block
+    (``_records``), and from the keys tagged ``"blocks"`` to a fold-block
     cut's rows (``_Rows``, the type of the slice rows too, which holds
     the cut); it is read and filled, so calls that share it count each
     distribution and each batch geometry's drain once, and cut and key
@@ -270,9 +271,9 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
 
 class _Rows(NamedTuple):
     """A cut's groups numbered by rows: each group's row, and per row its
-    first group, id, least coordinate, spread and origin count along the
-    last two axes, shape (2, rows), weight, and its first group's
-    ``Cut.coordinates``."""
+    first group, its id columns, shape (columns, rows), its least
+    coordinate, spread and origin count along the last two axes, shape (2,
+    rows), its weight, and its first group's ``Cut.coordinates``."""
 
     cut: Cut
     row: np.ndarray
@@ -287,16 +288,17 @@ class _Rows(NamedTuple):
 
 
 def _rows(cut: Cut, ids, count, weight, dims, what, reach=0) -> _Rows:
-    """``cut``'s rows: its groups keyed by (``ids``, least coordinate and
-    origin ``count`` along the last two axes), each row weighted by its
-    groups' ``weight`` summed.  Raises ``AddressOutOfRange`` unless every
-    group, moved on by up to its ``reach``, lies within ``dims``."""
+    """``cut``'s rows: its groups keyed by (the ``ids`` columns, least
+    coordinate and origin ``count`` along the last two axes), each row
+    weighted by its groups' ``weight`` summed.  Raises
+    ``AddressOutOfRange`` unless every group, moved on by up to its
+    ``reach``, lies within ``dims``."""
     spread, least = _check_range(cut, dims, what, reach)
     least, count = least[-2:], count[:, -2:].T
-    row, first = _number([ids, least[0], count[0], least[1], count[1]])
+    row, first = _number([*ids, least[0], count[0], least[1], count[1]])
     total = np.zeros(len(first), np.int64)
     np.add.at(total, row, weight)
-    return _Rows(cut, row, first, ids[first], least[:, first],
+    return _Rows(cut, row, first, np.array(ids)[:, first], least[:, first],
                  spread[cut.shape[first], -2:].T, count[:, first], total,
                  *cut.coordinates(first))
 
@@ -306,19 +308,19 @@ def _slice_rows(layer: LayerConfig, grid: Grid) -> _Rows:
     and Y counts), weighted by their entries' N, G and K counts
     multiplied.  Raises ``AddressOutOfRange`` where a batch leaves the
     output."""
-    return _rows(grid.cut, grid.cut.shape, grid.count,
+    return _rows(grid.cut, [grid.cut.shape], grid.count,
                  np.multiply.reduce(grid.count[:, :3], axis=1),
                  output_dims(layer), "output", (grid.count - 1) * grid.step)
 
 
 def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
-    """The fold blocks' rows: a block's shape, whether its fold is the
-    first and the last, its least ``r`` and ``s``, a count of 1 and a
-    weight of 1 each.  Raises ``AddressOutOfRange`` where a block leaves
-    the filter."""
+    """The fold blocks' rows: a block's shape and fold flags (whether its
+    fold follows the first, and whether it is the last) as id columns,
+    its least ``r`` and ``s``, a count of 1 and a weight of 1 each.
+    Raises ``AddressOutOfRange`` where a block leaves the filter."""
     fold = np.arange(len(blocks.shape))
-    ids = (blocks.shape * 2 + (fold > 0)) * 2 + (fold == len(fold) - 1)
-    return _rows(blocks, ids, np.ones_like(blocks.origins), 1,
+    return _rows(blocks, [blocks.shape, fold > 0, fold == len(fold) - 1],
+                 np.ones_like(blocks.origins), 1,
                  weight_dims(layer)[2:], "weight (c, r, s)")
 
 
@@ -327,7 +329,7 @@ def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Rows,
     """(ids, counts, records): the key id of each (slice row, block row,
     X class, Y class), listed per (slice row, block row) pair, X class
     outermost; and per key its waves' count, and their weight, input and
-    wave cycles and ``COUNTED`` counters (``_record``).  Along X and Y, a
+    wave cycles and ``COUNTED`` counters (``_records``).  Along X and Y, a
     pair's class index ``q`` runs over the positions below ``lo``, then
     the range ``lo..hi`` inside the input, at ``lo``, then those past."""
     layer = mapping.layer
@@ -352,7 +354,7 @@ def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Rows,
     value = np.where(inside, 0, base + p * step[:, 0] + layer.padding + 1)
     size = np.where(inside, width + 1, 1)
     r, j = np.divmod(pair, len(blocks.first))
-    ids, first = _number([slices.ids[r], blocks.ids[j], *value])
+    ids, first = _number([*slices.ids[:, r], *blocks.ids[:, j], *value])
     waves = np.zeros(len(first), np.int64)
     np.add.at(waves, ids, slices.weight[r] * size[0] * size[1]
               * blocks.weight[j])
@@ -361,21 +363,29 @@ def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Rows,
     r, j = r[first], j[first]
     outs = slices.coords[r]
     outs[:, :, 3:] += (p[:, first] * grid.step[3:, None]).T[:, None]
-    records = [_record(mapping, signature, replays)
-               for signature in _signatures(mapping, outs, slices.used[r],
-                                            blocks, j)]
-    return ids, waves, np.array(records, dtype=np.int64)
+    return ids, waves, _records(mapping, outs, slices.used[r], blocks, j,
+                                replays)
 
 
-def _signatures(mapping: MappingPlan, outs, slots, blocks: _Rows, j):
-    """The signature of each wave of batch ``i``, given as its outputs'
-    coordinates ``outs[i]`` and used ``slots[i]`` (``Cut.coordinates``),
-    and the first fold block of block row ``j[i]``: whether its fold is
-    the first and the last, its batch size and block length, and its
-    weight and its input partition, each as the int32 bytes of its used
-    positions' heads (-1 for a padding tap)."""
-    layer = mapping.layer
-    elems, taps, f = blocks.coords[j], blocks.used[j], blocks.first[j]
+def _records(mapping: MappingPlan, outs, slots, blocks: _Rows, j, replays):
+    """Per wave ``i``, given as its outputs' coordinates ``outs[i]`` and
+    used ``slots[i]`` (``Cut.coordinates``) and block row ``j[i]``, its
+    weight, input and wave cycles, then its ``COUNTED`` counters, shape
+    (waves, 12), assembled from the three parts of its signature on the
+    mapping's hardware and cluster geometry.
+
+    The weight and the input distribution (``_distribute``, tagged
+    ``"dn"``) and the drain (``_drain``) are kept in ``replays`` under
+    keys that hold just the values each part reads, and counted when
+    missing, so waves and calls that agree in a key share its part, even
+    on hardware that differs in a field the part does not read.  The fold
+    flags, read off the block row's ids, then pick which counts apply: a
+    forwarding fold injects one partial sum per slot, an ideal fold after
+    the first adds it at the egress, and only a draining fold (every
+    roundtrip fold, the last ideal one) pays the drain and writes its sums.
+    """
+    layer, hw, width = mapping.layer, mapping.hw, mapping.real_vn_size
+    elems, taps = blocks.coords[j], blocks.used[j]
     used = slots[:, :, None] & taps[:, None]
     # per used position (slot, e), in wave order and each wave's in
     # slot*length + e order: its weight address, input address and input
@@ -403,47 +413,32 @@ def _signatures(mapping: MappingPlan, outs, slots, blocks: _Rows, j):
     w_data, i_data = (h.astype(np.int32).tobytes()
                       for h in np.where(addr < 0, -1, heads))
     ends = (4 * ends).tolist()
-    flags = zip((f > 0).tolist(), (f == len(blocks.row) - 1).tolist(),
-                slots.sum(axis=1).tolist(), taps.sum(axis=1).tolist())
-    return [(*flag, w_data[start:end], i_data[start:end])
-            for flag, start, end in zip(flags, [0] + ends, ends)]
-
-
-def _record(mapping: MappingPlan, signature, replays) -> tuple[int, ...]:
-    """A wave's weight, input and wave cycles, then its ``COUNTED``
-    counters, assembled from the three parts of its signature on the
-    mapping's hardware and cluster geometry.
-
-    The weight and the input distribution (``_distribute``, tagged
-    ``"dn"``) and the drain (``_drain``) are kept in ``replays`` under
-    keys that hold just the values each part reads, and counted when
-    missing, so records and calls that agree in a key share its part,
-    even on hardware that differs in a field the part does not read.
-    The fold flags then pick which counts apply: a forwarding fold
-    injects one partial sum per slot, an ideal fold after the first adds
-    it at the egress, and only a draining fold (every roundtrip fold, the
-    last ideal one) pays the drain and writes its sums.
-    """
-    hw, width = mapping.hw, mapping.real_vn_size
-    later, last, size, length, w_data, i_data = signature
-    forward = mapping.has_forwarder and later
-    dn = ("dn", hw.num_ms, hw.dn_bw, width, length)
-    parts = ((*dn, False, w_data), (*dn, forward, i_data),
-             ("drain", hw.num_ms, hw.rn_bw, width, size))
-    for key, count in zip(parts, (_distribute, _distribute, _drain)):
-        if key not in replays:
-            replays[key] = count(*key[1:])
-    (w_reads, wc, w_hops), (i_reads, ic, i_hops), \
-        (adds, pushes, drain, conflicts) = (replays[key] for key in parts)
     roundtrip = hw.folding is FoldingStrategy.ROUNDTRIP
-    drained = roundtrip or last
-    if not drained:
-        drain = conflicts = 0
-    writes = size if drained else 0
-    return (wc, ic, wc + ic + 1 + drain, size * length,
+    dn = ("dn", hw.num_ms, hw.dn_bw, width)
+    records = []
+    for later, last, size, length, start, end in zip(
+            *blocks.ids[1:, j].astype(bool).tolist(),
+            slots.sum(axis=1).tolist(), taps.sum(axis=1).tolist(),
+            [0] + ends, ends):
+        forward = mapping.has_forwarder and later
+        parts = ((*dn, length, False, w_data[start:end]),
+                 (*dn, length, forward, i_data[start:end]),
+                 ("drain", hw.num_ms, hw.rn_bw, width, size))
+        for key, count in zip(parts, (_distribute, _distribute, _drain)):
+            if key not in replays:
+                replays[key] = count(*key[1:])
+        (w_reads, wc, w_hops), (i_reads, ic, i_hops), \
+            (adds, pushes, drain, conflicts) = (replays[key] for key in parts)
+        drained = roundtrip or last
+        if not drained:
+            drain = conflicts = 0
+        writes = size if drained else 0
+        records.append((
+            wc, ic, wc + ic + 1 + drain, size * length,
             size if forward else 0, w_reads + i_reads, writes,
             w_hops + i_hops, adds + (size if later and not roundtrip else 0),
-            pushes, writes, conflicts)
+            pushes, writes, conflicts))
+    return np.array(records, dtype=np.int64)
 
 
 def _distribute(num_ms: int, dn_bw: int, width: int, length: int,

@@ -40,6 +40,22 @@ def count_calls(monkeypatch, name, owner=engine):
     return calls
 
 
+def count_records(monkeypatch):
+    """Wrap ``treefab.engine._records`` through ``monkeypatch``; returns
+    the list that each call extends with the records it returns, one
+    tuple per key."""
+    records = []
+    original = engine._records
+
+    def counted(*args):
+        got = original(*args)
+        records.extend(map(tuple, got.tolist()))
+        return got
+
+    monkeypatch.setattr(engine, "_records", counted)
+    return records
+
+
 def assert_same_replays(got, want):
     """Two ``replays`` dicts hold the same keys and equal entries; an
     entry that holds arrays (the fold blocks' rows) is compared array by

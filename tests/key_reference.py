@@ -5,9 +5,9 @@ its least ``ox`` and ``oy``), and every (batch row, block row) pair on
 its shape, block and the two border classes, each computed from the
 pair's least coordinates and spreads: the per-batch statement that the
 engine's closed-form classes on the batch grid must reproduce, wave for
-wave.  The fold blocks' rows (``_block_rows``) and each key's record
-(``_signatures`` and ``_record``) come from the engine, which keys the
-blocks the same way on both paths.
+wave.  The fold blocks' rows (``_block_rows``), whose id columns carry
+the fold flags, and each key's record (``_records``) come from the
+engine, which keys the blocks the same way on both paths.
 """
 
 from typing import NamedTuple
@@ -82,13 +82,11 @@ def pair_table(mapping, batches, blocks, replays):
                       + blocks.spread[axis])
         borders.append(np.where((base >= 0) & (end < extent), 0,
                                 base + layer.padding + 1))
-    ids, first = number([batches.ids[:, None], blocks.ids, *borders])
+    ids, first = number([batches.ids[:, None], *blocks.ids, *borders])
     b, f = np.divmod(first, len(blocks.first))
-    records = [engine._record(mapping, signature, replays)
-               for signature in engine._signatures(
-                   mapping, *batches.cut.coordinates(batches.first[b]),
-                   blocks, f)]
-    return ids, np.array(records, dtype=np.int64)
+    return ids, engine._records(
+        mapping, *batches.cut.coordinates(batches.first[b]), blocks, f,
+        replays)
 
 
 class Keyed(NamedTuple):

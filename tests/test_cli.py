@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, documents, chaining."""
 
+import argparse
 import pathlib
 
 import pytest
@@ -8,7 +9,7 @@ import yaml
 from treefab import MappingPlan, cli
 from treefab.mapper import Grid
 
-from common import count_calls
+from common import count_calls, count_records
 
 HW32_DOC = "num_ms: 32\ndn_bw: 4\nrn_bw: 4\nfolding: roundtrip\n"
 TINY_DOC = "kind: conv\nR: 3\nS: 3\nC: 6\nK: 6\nX: 5\nY: 5\n"
@@ -497,8 +498,8 @@ class TestBenchmarkTraffic:
     ])
     def test_parts_counted_once(self, name, strategy, want, monkeypatch,
                                 capsys):
-        calls = [count_calls(monkeypatch, part)
-                 for part in ("_record", "_distribute", "_drain")]
+        calls = [count_records(monkeypatch)] + [
+            count_calls(monkeypatch, part) for part in ("_distribute", "_drain")]
         assert cli.main(WORKLOADS[name] + ["--strategy", strategy]) \
             == cli.EXIT_OK
         assert tuple(map(len, calls)) == want
@@ -513,3 +514,17 @@ class TestBenchmarkTraffic:
         walks = count_calls(monkeypatch, "issue", Grid)
         assert cli.main(WORKLOADS[name]) == cli.EXIT_OK
         assert sum(len(grid.step) == 5 for grid, in walks) == want
+
+
+def test_two_commands_build_one_parser(tmp_path, monkeypatch, capsys):
+    # the parser is built on a process's first command and reused: both
+    # commands parse their arguments with one parser object
+    parsers = []
+    original = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: parsers.append(self)
+                        or original(self, *args))
+    hw, layer, tile = standard_files(tmp_path)
+    command = ["run-layer", "--hw", hw, "--layer", layer, "--tile", tile]
+    assert [cli.main(command) for _ in range(2)] == [cli.EXIT_OK] * 2
+    assert len(parsers) == 2 and parsers[0] is parsers[1]

@@ -54,6 +54,7 @@ from common import (
     assert_same_outcome,
     assert_same_replays,
     count_calls,
+    count_records,
     ints,
     kind_data,
     layers,
@@ -366,10 +367,10 @@ class TestMatchesOracle:
 
 class TestWaveKeys:
     def count_timed_waves(self, monkeypatch, hw, layer, tile):
-        calls = count_calls(monkeypatch, "_record")
+        records = count_records(monkeypatch)
         inputs, weights = random_layer_data(layer, seed=0)
         simulate_layer(hw, layer, tile, inputs, weights)
-        return len(calls)
+        return len(records)
 
     def test_early_times_three_waves(self, monkeypatch):
         assert self.count_timed_waves(
@@ -395,15 +396,8 @@ class TestWaveKeys:
         tile = TileConfig(1, 1, 2, t_k=4, t_x=6, t_y=6)
         hw = replace(HW32, folding=strategy)
         inputs, weights = random_layer_data(layer, seed=5)
-        records = []
-        original = engine._record
-
-        def counted(*args):
-            records.append(original(*args))
-            return records[-1]
-
         with monkeypatch.context() as m:
-            m.setattr(engine, "_record", counted)
+            records = count_records(m)
             parts = count_calls(m, "_distribute")
             simulate_layer(hw, layer, tile, inputs, weights)
         assert (len(records), len(parts), len(set(records))) == (6, 5, 2)
@@ -463,6 +457,19 @@ def workload(parse, name):
 POINTWISE = workload(parse_layer_config, "pointwise.yaml")
 PADDED_10 = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
                         x=10, y=10, padding=1)
+
+
+class LoggedReplays(dict):
+    """A ``replays`` dict that logs the key of every entry read, in
+    order."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
 
 
 class TestSharedReplays:
@@ -578,24 +585,23 @@ class TestSharedReplays:
         # inputs, counted by one fabric.distribution call; so a weight
         # distribution is shared by waves whose inputs differ
         tiles_ = [c.tile for c in enumerate_tiles(HW32, PADDED_10)[:12]]
-        replays = {}
-        inputs_by_weights = {}
-        original = engine._record
-
-        def record(mapping, signature, memo):
-            *_, length, w_data, i_data = signature
-            inputs_by_weights.setdefault(
-                (mapping.real_vn_size, length, w_data), set()).add(i_data)
-            return original(mapping, signature, memo)
-
+        replays = LoggedReplays()
         with monkeypatch.context() as m:
-            m.setattr(engine, "_record", record)
             calls = count_calls(m, "distribution")
             for strategy in FoldingStrategy:
                 for tile in tiles_:
                     simulate_layer(replace(HW32, folding=strategy),
                                    PADDED_10, tile, replays=replays)
         assert len(calls) == sum(key[0] == "dn" for key in replays) > 0
+        # a record reads its weight, input and drain parts in turn, so
+        # each weight key pairs with the input key read after it; the
+        # weight key holds the cluster width and the block length
+        parts = [key for key in replays.read if key[0] != "blocks"]
+        inputs_by_weights = {}
+        for weight, data, drain in zip(*[iter(parts)] * 3):
+            assert (weight[0], data[0], drain[0]) == ("dn", "dn", "drain")
+            assert weight[:5] == data[:5] and weight[5] is False
+            inputs_by_weights.setdefault(weight, set()).add(data[-1])
         assert max(map(len, inputs_by_weights.values())) > 1
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
@@ -731,10 +737,66 @@ class TestEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_doubling_dn_bw_never_adds_cycles(self, data):
+        # a distribution takes as many cycles as the most payloads that
+        # one sub-tree injects.  Doubling dn_bw splits each sub-tree in
+        # two, and a payload injected on a half was injected on the whole,
+        # so no half injects more than its whole did.  The drain reads no
+        # dn_bw, so no wave, and no layer, takes more cycles.  Checked
+        # under both strategies, on data and counted without it
         hw, layer, tile = draw_case(data, dn_headroom=2)
-        wide = replace(hw, dn_bw=2 * hw.dn_bw)
-        assert run(wide, layer, tile)[0].stats.total_cycles \
-            <= run(hw, layer, tile)[0].stats.total_cycles
+        for strategy in FoldingStrategy:
+            hw = replace(hw, folding=strategy)
+            try:
+                build_mapping(hw, layer, tile)
+            except MappingError:
+                continue
+            wide = replace(hw, dn_bw=2 * hw.dn_bw)
+            assert run(wide, layer, tile)[0].stats.total_cycles \
+                <= run(hw, layer, tile)[0].stats.total_cycles
+            assert simulate_layer(wide, layer, tile).stats.total_cycles \
+                <= simulate_layer(hw, layer, tile).stats.total_cycles
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_doubling_rn_bw_never_adds_cycles(self, data, strategy):
+        # egress switch i drains on bus i mod rn_bw, and each bus grants
+        # one value per cycle, oldest first.  Doubling rn_bw gives each
+        # new bus a subset of one old bus's values, in the same order, so
+        # by induction along that order no value is granted later, and the
+        # drain, one past the last grant, never grows.  The distributions
+        # read no rn_bw, so no wave, and no layer, takes more cycles
+        hw, layer, tile = draw_case(data)
+        hw = replace(hw, folding=strategy,
+                     rn_bw=data.draw(st.integers(1, hw.num_ms // 2)))
+        try:
+            build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        wide = replace(hw, rn_bw=2 * hw.rn_bw)
+        assert simulate_layer(wide, layer, tile).stats.total_cycles \
+            <= simulate_layer(hw, layer, tile).stats.total_cycles
+
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_tripling_g_triples_cycles_and_waves(self, data, strategy):
+        # with T_G = 1 every tile, and so every batch, holds one group, and
+        # the groups' tiles issue alike.  A wave's cycles and counts do not
+        # depend on the absolute cycle or on the other batches, and the
+        # group moves every weight and input address of a wave alike and
+        # has no border, so the batches of 3G groups are those of G three
+        # times over, and so are their waves and cycles
+        hw, layer, tile = draw_case(data)
+        hw, tile = replace(hw, folding=strategy), replace(tile, t_g=1)
+        try:
+            build_mapping(hw, layer, tile)
+        except MappingError:
+            assume(False)
+        one = simulate_layer(hw, layer, tile).stats
+        three = simulate_layer(hw, replace(layer, g=3 * layer.g), tile).stats
+        assert (three.total_cycles, three.waves) \
+            == (3 * one.total_cycles, 3 * one.waves)
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     @settings(max_examples=40, deadline=None)
