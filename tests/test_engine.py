@@ -741,8 +741,7 @@ class TestEngineProperties:
         # one sub-tree injects.  Doubling dn_bw splits each sub-tree in
         # two, and a payload injected on a half was injected on the whole,
         # so no half injects more than its whole did.  The drain reads no
-        # dn_bw, so no wave, and no layer, takes more cycles.  Checked
-        # under both strategies, on data and counted without it
+        # dn_bw, so no wave, and no layer, takes more cycles
         hw, layer, tile = draw_case(data, dn_headroom=2)
         for strategy in FoldingStrategy:
             hw = replace(hw, folding=strategy)
@@ -753,8 +752,6 @@ class TestEngineProperties:
             wide = replace(hw, dn_bw=2 * hw.dn_bw)
             assert run(wide, layer, tile)[0].stats.total_cycles \
                 <= run(hw, layer, tile)[0].stats.total_cycles
-            assert simulate_layer(wide, layer, tile).stats.total_cycles \
-                <= simulate_layer(hw, layer, tile).stats.total_cycles
 
     @pytest.mark.parametrize("strategy", list(FoldingStrategy))
     @settings(max_examples=40, deadline=None)
