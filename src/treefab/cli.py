@@ -99,12 +99,6 @@ def _emit(doc: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _stats_doc(stats) -> dict:
-    doc = {"version": cfg.SCHEMA_VERSION}
-    doc.update(stats.as_dict())
-    return doc
-
-
 def _trace_printer(enabled: bool):
     if not enabled:
         return None
@@ -126,7 +120,8 @@ def _cmd_run_layer(args) -> int:
     inputs, weights = random_layer_data(layer, args.seed)
     result = simulate_layer(hw, layer, tile, inputs, weights,
                             trace=_trace_printer(args.trace))
-    _emit(_stats_doc(result.stats), args.stats_out)
+    _emit({"version": cfg.SCHEMA_VERSION, **result.stats.as_dict()},
+          args.stats_out)
     if not args.no_verify:
         outcome = _check(layer, result.output, inputs, weights)
         if not outcome.ok:
@@ -160,15 +155,13 @@ def _cmd_run_model(args) -> int:
     current = None
     prev_name = None
     for name, layer, tile in entries:
-        if current is None:
-            current, weights = random_layer_data(layer, rng)
-        else:
-            current = _chain_input(prev_name, current, name, layer)
-            _, weights = random_layer_data(layer, rng)
+        inputs, weights = random_layer_data(layer, rng)
+        if current is not None:
+            inputs = _chain_input(prev_name, current, name, layer)
         if tile is None:
             tile = enumerate_tiles(hw, layer)[0].tile
         try:
-            result = simulate_layer(hw, layer, tile, current, weights,
+            result = simulate_layer(hw, layer, tile, inputs, weights,
                                     replays=replays)
         except MappingError as exc:
             print(f"mapping error in layer {name!r}: {exc}", file=sys.stderr)
@@ -176,7 +169,7 @@ def _cmd_run_model(args) -> int:
         except TreefabError as exc:
             print(f"error in layer {name!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        outcome = _check(layer, result.output, current, weights)
+        outcome = _check(layer, result.output, inputs, weights)
         if not outcome.ok:
             print(f"layer {name!r} verification failed: {outcome.report()}",
                   file=sys.stderr)

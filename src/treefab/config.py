@@ -163,19 +163,14 @@ class LayerConfig:
 
 def derive_output_dims(layer: LayerConfig) -> tuple[int, int]:
     """Output rows/cols of the layer; rejects non-divisible strides."""
-    ox, rem_x = divmod(layer.x + 2 * layer.padding - layer.r, layer.stride)
-    oy, rem_y = divmod(layer.y + 2 * layer.padding - layer.s, layer.stride)
-    if rem_x or ox < 0:
-        raise ValidationError(
-            f"(X + 2*padding - R) = {layer.x + 2 * layer.padding - layer.r} "
-            f"is not a non-negative multiple of stride {layer.stride}"
-        )
-    if rem_y or oy < 0:
-        raise ValidationError(
-            f"(Y + 2*padding - S) = {layer.y + 2 * layer.padding - layer.s} "
-            f"is not a non-negative multiple of stride {layer.stride}"
-        )
-    return ox + 1, oy + 1
+    spans = (layer.x + 2 * layer.padding - layer.r,
+             layer.y + 2 * layer.padding - layer.s)
+    for axis, window, span in zip("XY", "RS", spans):
+        if span < 0 or span % layer.stride:
+            raise ValidationError(
+                f"({axis} + 2*padding - {window}) = {span} is not a "
+                f"non-negative multiple of stride {layer.stride}")
+    return tuple(span // layer.stride + 1 for span in spans)
 
 
 def total_macs(layer: LayerConfig) -> int:

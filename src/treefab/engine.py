@@ -118,6 +118,7 @@ occurrence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,8 +135,8 @@ from .errors import AddressOutOfRange, ValidationError
 from .fabric import bus_grants, distribution
 from .mapper import (Cut, Grid, MappingPlan, _number, build_mapping,
                      cluster_plan)
-from .memory import (check_layer_data, fit_outputs, output_dims,
-                     padded_inputs, weight_dims)
+from .memory import (check_layer_data, fit_outputs, input_dims,
+                     output_dims, padded_inputs, weight_dims)
 
 @dataclass
 class SimStats:
@@ -210,7 +211,8 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     The cycles and counters do not depend on the data, so ``inputs`` and
     ``weights`` are optional: with both, the result holds the output
     sums; with neither, the call only counts, and ``output`` is None.
-    Passing one without the other raises ``ValidationError``.
+    Passing one without the other raises ``ValidationError``, as does a
+    layer with more MACs or input elements than an int64 holds.
 
     ``trace``, if given, is called once per wave, in order, with the
     wave's number, fold, batch size, weight and input distribution
@@ -226,6 +228,11 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     its own.
     """
     mapping = build_mapping(hw, layer, tile)
+    # the two bound every int64 the count holds: addresses, waves, weights
+    macs, elements = total_macs(layer), math.prod(input_dims(layer))
+    if max(macs, elements) >= 2 ** 63:
+        raise ValidationError(f"layer has {macs} MACs and {elements} input "
+                              "elements; int64 holds 2**63 - 1 at most")
     if (inputs is None) != (weights is None):
         raise ValidationError("give both inputs and weights, or neither")
     if inputs is not None:
@@ -263,7 +270,7 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                 })
     stats = layer_stats(mapping, totals[2], sum(counts.tolist()),
                         totals[3:].tolist())
-    assert stats.ms_multiplications == total_macs(layer)
+    assert stats.ms_multiplications == macs
     output = None if inputs is None else _outputs(
         layer, walk.expand()[0], blocks.cut.expand()[0], inputs, weights)
     return SimResult(output=output, stats=stats, mapping=mapping)

@@ -11,6 +11,7 @@ fastest tile can fall outside the prefix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,7 +36,9 @@ class TileCandidate:
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """n's divisors in ascending order: each d <= sqrt(n), then cofactors."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def enumerate_tiles(hw: HardwareConfig,

@@ -2,6 +2,9 @@
 hypothesis strategies for random layers and tiles, and the data kinds
 that outputs are checked on."""
 
+import pathlib
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from treefab import (
     derive_output_dims,
     engine,
 )
+from treefab.config import dump, parse_layer_config, to_doc
 
 TINY = LayerConfig(LayerKind.CONV, r=3, s=3, c=6, g=1, k=6, n=1, x=5, y=5)
 LATE_SYNTHETIC = LayerConfig(LayerKind.CONV, r=3, s=3, c=20, g=1, k=20, n=1,
@@ -26,6 +30,41 @@ PADDED_STRIDED = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
                              x=7, y=7, stride=2, padding=1)
 VALIDATION_TILE = TileConfig(3, 3, 1, 1, 1, 1, 3, 1)
 HW32 = HardwareConfig(num_ms=32, dn_bw=4, rn_bw=4)
+
+
+def workload(parse, name):
+    """A document of the benchmark's workloads, parsed."""
+    return parse((pathlib.Path(__file__).parents[1] / "perfbench"
+                  / "workloads" / name).read_text(encoding="utf-8"))
+
+
+# the layer of the benchmark's tile-search workload
+POINTWISE = workload(parse_layer_config, "pointwise.yaml")
+# a padded layer whose first candidate tiles all fold: 528 feasible tiles
+# on HW32
+PADDED_10 = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
+                        x=10, y=10, padding=1)
+# the ResNet-scale case: 3x3 C=K=64 56x56 padding 1, about 1.2e8 MACs, on
+# HW 64/8/8, cut by T_S = 3, T_Y = 28 into 2,752,512 waves
+RESNET = (HardwareConfig(64, 8, 8),
+          LayerConfig(LayerKind.CONV, r=3, s=3, c=64, g=1, k=64, n=1,
+                      x=56, y=56, padding=1),
+          TileConfig(1, 3, 1, t_y=28))
+# its depthwise form, G = 64, on the same fabric and tile: 43,008 waves
+DEPTHWISE = replace(RESNET[1], c=1, g=64, k=1)
+
+
+def write_documents(directory, *configs):
+    """Write each hardware, layer or tile config into ``directory`` as its
+    YAML document, ``hardware.yaml``, ``layer.yaml`` or ``tile.yaml``;
+    returns their paths as strings, in order."""
+    paths = []
+    for config in configs:
+        kind = type(config).__name__.removesuffix("Config").lower()
+        path = pathlib.Path(directory) / f"{kind}.yaml"
+        path.write_text(dump(to_doc(config)), encoding="utf-8")
+        paths.append(str(path))
+    return paths
 
 
 def count_calls(monkeypatch, name, owner=engine):

@@ -1,15 +1,20 @@
 """Command-line behavior: exit codes, documents, chaining."""
 
 import argparse
+import hashlib
 import pathlib
+import time
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from treefab import MappingPlan, cli
+from treefab import (FoldingStrategy, LayerConfig, LayerKind, MappingPlan,
+                     cli, enumerate_tiles, simulate_layer)
 from treefab.mapper import Grid
 
-from common import count_calls, count_records
+from common import (DEPTHWISE, HW32, PADDED_10, POINTWISE, RESNET,
+                    count_calls, count_records, write_documents)
 
 HW32_DOC = "num_ms: 32\ndn_bw: 4\nrn_bw: 4\nfolding: roundtrip\n"
 TINY_DOC = "kind: conv\nR: 3\nS: 3\nC: 6\nK: 6\nX: 5\nY: 5\n"
@@ -482,6 +487,159 @@ WORKLOADS = {
     "tile-search": workload("search-tile", "hw32-roundtrip.yaml",
                             "pointwise.yaml") + ["--top-k", "5"],
 }
+
+
+EXPECTED = TESTS.parent / "perfbench" / "expected"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def options(directory, *configs):
+    """The ``--hw``, ``--layer`` and ``--tile`` options that name the
+    configs' documents, written into ``directory``."""
+    paths = write_documents(directory, *configs)
+    return [arg for pair in zip(("--hw", "--layer", "--tile"), paths)
+            for arg in pair]
+
+
+TRACE_DIGESTS = {
+    "fold-roundtrip": "10861d6f59e348236c3c1f5fbed10632"
+                      "fc5e31151cae1884054e17a5f2ca5abb",
+    "wide-ideal": "31b46852223ce06c466d9907640e6dc1"
+                  "6ef2fb5d180c32c8c553056fae1900c9",
+}
+
+
+@pytest.mark.parametrize("name", TRACE_DIGESTS)
+def test_trace_lines_unchanged(name, tmp_path, capsys):
+    # the per-wave trace lines of the two run-layer workloads keep the
+    # bytes recorded before the engine counted each wave's record from its
+    # signature; a traced run counts on a grid of one entry per batch, so
+    # its stats equal the untraced documents
+    out = tmp_path / "stats.yaml"
+    assert cli.main(WORKLOADS[name] + ["--trace", "--seed", "3",
+                                       "--stats-out", str(out)]) \
+        == cli.EXIT_OK
+    assert out.read_bytes() == (EXPECTED / f"{name}.yaml").read_bytes()
+    lines = capsys.readouterr().err.splitlines(keepends=True)
+    assert sha256("".join(line for line in lines
+                          if line.startswith("trace:")).encode()) \
+        == TRACE_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def search(tmp_path_factory):
+    """``search(layer, strategy, top_k)``: the stats document of
+    ``search-tile`` on HW32 and the layer, and how many ``_distribute``,
+    ``_drain`` and ``distribution`` calls it made; each command runs once
+    per module."""
+    runs = {}
+
+    def run(layer, strategy, top_k):
+        if (layer, strategy, top_k) not in runs:
+            directory = tmp_path_factory.mktemp("search")
+            out = directory / "ranking.yaml"
+            with pytest.MonkeyPatch.context() as m:
+                calls = [count_calls(m, name) for name in (
+                    "_distribute", "_drain", "distribution")]
+                assert cli.main([
+                    "search-tile", *options(directory, HW32, layer),
+                    "--top-k", str(top_k), "--strategy", strategy,
+                    "--stats-out", str(out)]) == cli.EXIT_OK
+            runs[layer, strategy, top_k] = (out.read_bytes(),
+                                            tuple(map(len, calls)))
+        return runs[layer, strategy, top_k]
+
+    return run
+
+
+class TestRankEveryTile:
+    @pytest.mark.parametrize("strategy, want", [
+        ("roundtrip", ("c94d07dce89dff36465229fe9da30efb"
+                       "ec301dfb59e5881b40826681adaf3559", (1947, 34))),
+        ("ideal", ("7268ec04b814f87edbb6ba8d0e4e1b7b"
+                   "5359b62e244bc64a9a19bba8957040c9", (1299, 42))),
+    ])
+    def test_documents_and_parts_unchanged(self, strategy, want, search):
+        # --top-k 132 ranks all 528 feasible tiles of PADDED_10; the
+        # documents keep the bytes recorded before the tiles shared wave
+        # replays, and the ranking counts each distribution (of weights or
+        # of inputs) and each batch geometry's drain once, with one
+        # fabric.distribution call per distribution
+        hw = replace(HW32, folding=FoldingStrategy(strategy))
+        assert len(enumerate_tiles(hw, PADDED_10)) == 528
+        document, (distributions, drains, rule) = search(PADDED_10,
+                                                         strategy, 132)
+        assert (sha256(document), (distributions, drains)) == want
+        assert rule == distributions
+
+    @pytest.mark.parametrize("layer, strategy, want", [
+        (POINTWISE, "roundtrip", (2880, 2304, 2304)),
+        (POINTWISE, "ideal", (2880, 2304, 2088)),
+        (PADDED_10, "roundtrip", (12096, 8060, 7916)),
+        (PADDED_10, "ideal", (8808, 5810, 3952)),
+    ])
+    def test_first_pick_window_and_every_tile(self, layer, strategy, want,
+                                              search):
+        # the cycles of enumerate_tiles' first pick (run-model's "tile:
+        # search"), of the best of search-tile's window of 4 * top_k = 20
+        # candidates, and of the best of every candidate, which a window
+        # of 4 * top_k at least the candidate count ranks: each is never
+        # beaten by the one before, and the window misses the best tile
+        # in three of the four cases
+        hw = replace(HW32, folding=FoldingStrategy(strategy))
+        candidates = enumerate_tiles(hw, layer)
+        first = simulate_layer(hw, layer, candidates[0].tile).stats
+        window, every = (
+            yaml.safe_load(search(layer, strategy, top_k)[0])
+            ["candidates"][0]["predicted"]["estimated_cycles"]
+            for top_k in (5, -(-len(candidates) // 4)))
+        assert first.total_cycles >= window >= every
+        assert (first.total_cycles, window, every) == want
+
+
+class TestAtScale:
+    @pytest.mark.parametrize("layer, cycles", [
+        (RESNET[1], 38375424), (DEPTHWISE, 571392)])
+    def test_run_layer_verified(self, layer, cycles, tmp_path, capsys):
+        # the ResNet-scale layer has about 1.2e8 MACs, so a path that paid
+        # per MAC in Python would take about 18 minutes; the depthwise
+        # layer's output sum contracts its 64 groups at once.  run-layer
+        # checks the outputs against the oracle
+        hw, _, tile = RESNET
+        assert cli.main(["run-layer", *options(tmp_path, hw, layer, tile),
+                         "--seed", "3"]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert f"total_cycles: {cycles}" in captured.out.splitlines()
+        assert captured.err == "verification passed\n"
+
+    def test_search_document_unchanged(self, tmp_path):
+        # search-tile counts cycles on no data over the 4 * top_k tiles
+        # that enumerate_tiles orders first; the best of that window, not
+        # of all 8,512 tiles, is T_S=3 T_X=2 T_Y=8 at 33,693,184 cycles,
+        # and the document keeps the bytes recorded before ranking went
+        # data-free
+        out = tmp_path / "search.yaml"
+        assert cli.main(["search-tile", *options(tmp_path, *RESNET[:2]),
+                         "--top-k", "1", "--stats-out", str(out)]) \
+            == cli.EXIT_OK
+        assert sha256(out.read_bytes()) == (
+            "38d7b45b991e40c95c9c61baea3d5044"
+            "00abf9702a0776b308251efaa25ff2d1")
+
+    def test_search_refuses_a_layer_past_int64(self, tmp_path, capsys):
+        # 1x1, C = 2, K = 3, X = Y = 2**31 - 1: 2.8e19 MACs.  Listing each
+        # axis's divisors takes one pass to the square root, and the first
+        # simulated tile raises before any grid is built
+        layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=2, g=1, k=3, n=1,
+                            x=2 ** 31 - 1, y=2 ** 31 - 1)
+        start = time.perf_counter()
+        code = cli.main(["search-tile", *options(tmp_path, HW32, layer)])
+        assert time.perf_counter() - start < 2
+        assert code == cli.EXIT_CONFIG
+        assert "2**63 - 1 at most" in capsys.readouterr().err
 
 
 class TestBenchmarkTraffic:

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import pathlib
 import random
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -48,7 +47,10 @@ from common import (
     DATA_KINDS,
     EARLY_SYNTHETIC,
     HW32,
+    PADDED_10,
     PADDED_STRIDED,
+    POINTWISE,
+    RESNET,
     TINY,
     VALIDATION_TILE,
     assert_same_outcome,
@@ -61,6 +63,7 @@ from common import (
     outcome,
     random_layer,
     tiles,
+    workload,
 )
 import cut_reference
 import key_reference
@@ -446,19 +449,6 @@ class TestWaveKeys:
         assert_matches_per_wave(hw, layer, tile, inputs, weights)
 
 
-def workload(parse, name):
-    """A document of the benchmark's workloads, parsed."""
-    return parse((pathlib.Path(__file__).parents[1] / "perfbench"
-                  / "workloads" / name).read_text(encoding="utf-8"))
-
-
-# the layer of the benchmark's tile-search workload, and a padded layer
-# whose first candidate tiles all fold
-POINTWISE = workload(parse_layer_config, "pointwise.yaml")
-PADDED_10 = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
-                        x=10, y=10, padding=1)
-
-
 class LoggedReplays(dict):
     """A ``replays`` dict that logs the key of every entry read, in
     order."""
@@ -817,6 +807,43 @@ class TestEngineProperties:
             == (2 * one.total_cycles, 2 * one.waves)
 
 
+class TestRelationsAtScale:
+    # the relations of TestEngineProperties, counted without data on the
+    # ResNet-scale tile, at the values recorded when they were added
+
+    @staticmethod
+    def count(hw, layer):
+        stats = simulate_layer(hw, layer, RESNET[2]).stats
+        return stats.total_cycles, stats.waves
+
+    def test_images_and_groups_multiply_cycles_and_waves(self):
+        hw, layer, _ = RESNET
+        assert [self.count(hw, replace(layer, **field)) for field in (
+            {"n": 1}, {"n": 2}, {"g": 2}, {"g": 3})] == [
+            (38375424, 2752512), (76750848, 5505024), (76750848, 5505024),
+            (115126272, 8257536)]
+
+    @pytest.mark.parametrize("field, strategy, want", [
+        ("dn_bw", "roundtrip", [102510592, 71122944, 49291264, 38375424,
+                                32917504, 24739584, 19267328]),
+        ("dn_bw", "ideal", [53244928, 38966272, 30127104, 21967872,
+                            19248128, 13775872, 8303616]),
+        ("rn_bw", "roundtrip", [71405568, 52137984, 42504192, 38375424,
+                                35622912, 35622912, 35622912]),
+        ("rn_bw", "ideal", [22118400, 22032384, 21982208, 21967872,
+                            21953536, 21946368, 21939200]),
+    ])
+    def test_doubling_a_bandwidth_never_adds_cycles(self, field, strategy,
+                                                    want):
+        # the field from 1 to 64, doubling
+        hw, layer, _ = RESNET
+        hw = replace(hw, folding=FoldingStrategy(strategy))
+        got = [self.count(replace(hw, **{field: 2 ** i}), layer)[0]
+               for i in range(7)]
+        assert all(a >= b for a, b in zip(got, got[1:]))
+        assert got == want
+
+
 class TestHugeLayer:
     # a 1x1 conv at X = Y = 2**31 - 1 cut by T_X = 3, T_Y = 7: the keys'
     # columns and the totals run past what a packed int64 holds
@@ -840,6 +867,24 @@ class TestHugeLayer:
                                self.TILE).stats
         assert stats.total_cycles == want > 2 ** 63
         assert type(stats.total_cycles) is int
+
+    # each int64 of the count (an address, a key's waves, a row's weight)
+    # is bounded by the layer's MACs or its N*G*C*X*Y input elements, so a
+    # layer with more than 2**63 - 1 of either is refused, not miscounted
+    @pytest.mark.parametrize("layer, tile", [
+        # 3 * SIDE**2 MACs: it counted 5,522,100,804 cycles short of three
+        # times this layer's, though T_G = 1 makes that relation exact
+        (replace(LAYER, g=3), TILE),
+        # 9.0e18 MACs, under 2**63, but 1.6e19 input elements: it counted
+        # 7,666,666,686,666,666,676 cycles, not 7,666,666,688,000,000,012
+        (LayerConfig(LayerKind.CONV, r=3, s=3, c=1, g=1, k=1, n=1,
+                     x=4_000_000_001, y=4_000_000_001, stride=4, padding=1),
+         TileConfig(3, 3, 1, t_y=3)),
+        # 64 * SIDE**2 MACs: it stopped on the MAC check's AssertionError
+        (replace(LAYER, n=64), TILE)])
+    def test_refused_past_int64(self, layer, tile):
+        with pytest.raises(ValidationError, match=r"2\*\*63 - 1 at most"):
+            simulate_layer(HW32, layer, tile)
 
 
 class TestDataIndependence:
@@ -1157,13 +1202,6 @@ class TestFactoredCut:
             == [648, 64, 3472]
         assert [sum(len(cut.sizes) for cut in run) for run in cuts] \
             == [1, 2, 41]
-
-
-# CI's ResNet-scale layer and tile: 2,752,512 waves on HW 64/8/8
-RESNET = (HardwareConfig(64, 8, 8),
-          LayerConfig(LayerKind.CONV, r=3, s=3, c=64, g=1, k=64, n=1,
-                      x=56, y=56, padding=1),
-          TileConfig(1, 3, 1, t_y=28))
 
 
 def pair_table(mapping, grid, blocks, replays):

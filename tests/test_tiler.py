@@ -1,9 +1,11 @@
 """Tile enumeration and ranking."""
 
+import hashlib
 import inspect
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,16 +24,21 @@ from treefab import (
     rank_by_simulation,
 )
 from treefab.config import tile_extents
+from treefab.tiler import _divisors
 
-from common import HW32, TINY, VALIDATION_TILE, layers
+from common import HW32, PADDED_10, RESNET, TINY, VALIDATION_TILE, layers
 
-HW64 = HardwareConfig(64, 8, 8)
+HW64 = RESNET[0]
 
 
 def resnet_layer(size):
-    """3x3, C=K=64, ``size`` x ``size``, padding 1."""
-    return LayerConfig(LayerKind.CONV, r=3, s=3, c=64, g=1, k=64, n=1,
-                       x=size, y=size, padding=1)
+    """The ResNet-scale layer at ``size`` x ``size``."""
+    return replace(RESNET[1], x=size, y=size)
+
+
+def test_divisors_in_ascending_order():
+    for n in range(1, 2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_validation_tile_among_candidates():
@@ -80,6 +87,27 @@ class TestExhaustive:
         # first 4,096 feasible tiles in product order
         first = enumerate_tiles(HW64, resnet_layer(112))[0]
         assert first.predicted["folds"] == 192
+
+    @pytest.mark.parametrize("size, strategy, want", [
+        (56, "roundtrip", (8512, "e04f9ad3c3135cfa1c7d209777fbed8c"
+                                 "f0f1001e5e5253cc90f4f5cc8cb96f02")),
+        (56, "ideal", (8960, "e1606394f5424bd585100b71a227cf43"
+                             "0fe9733103b54ff55f58d4d1822e5106")),
+        (112, "roundtrip", (13300, "16cc2f3668ee04a8889cd4f9d29a986e"
+                                   "dee48a0cda4b2839a5db03ab3fcba325")),
+        (112, "ideal", (14000, "3711d438277b61c2e13ce3e1fdfbbca1"
+                               "827f8f107404b16addd7bd8fd34ef147")),
+    ])
+    def test_resnet_scale_lists_unchanged(self, size, strategy, want):
+        # the ordered list (each tile's fields and predicted dict) of the
+        # ResNet-scale layer and of its 112x112 version, and its length,
+        # keep the sha256 recorded when every tile was enumerated by
+        # building its mapping
+        found = enumerate_tiles(replace(HW64, folding=FoldingStrategy(
+            strategy)), resnet_layer(size))
+        listed = [(astuple(c.tile), c.predicted) for c in found]
+        assert (len(found), hashlib.sha256(repr(listed).encode())
+                .hexdigest()) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,8 +198,7 @@ class TestRankBySimulation:
         # the benchmark counts simulated MACs and waves by wrapping
         # treefab.engine.simulate_layer, so every ranked tile must go
         # through it; none may draw data or sum outputs
-        layer = LayerConfig(LayerKind.CONV, r=3, s=3, c=4, g=1, k=4, n=1,
-                            x=10, y=10, padding=1)
+        layer = PADDED_10
         candidates = enumerate_tiles(HW32, layer)[:12]
         want = rank_by_simulation(candidates, HW32, layer, top_k=12)
         inputs, weights = memory.random_layer_data(layer, 0)
