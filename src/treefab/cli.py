@@ -155,9 +155,10 @@ def _cmd_run_model(args) -> int:
     current = None
     prev_name = None
     for name, layer, tile in entries:
-        inputs, weights = random_layer_data(layer, rng)
         if current is not None:
-            inputs = _chain_input(prev_name, current, name, layer)
+            current = _chain_input(prev_name, current, name, layer)
+        inputs, weights = random_layer_data(layer, rng)
+        inputs = inputs if current is None else current
         if tile is None:
             tile = enumerate_tiles(hw, layer)[0].tile
         try:

@@ -3,6 +3,8 @@ hypothesis strategies for random layers and tiles, and the data kinds
 that outputs are checked on."""
 
 import pathlib
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +67,17 @@ def write_documents(directory, *configs):
         path.write_text(dump(to_doc(config)), encoding="utf-8")
         paths.append(str(path))
     return paths
+
+
+@contextmanager
+def within(seconds):
+    """Fail unless the block finishes in under ``seconds`` of wall time:
+    the limit of a check at a scale where a path that paid per MAC, or
+    per element, in Python would take minutes."""
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.1f} s, limit {seconds} s"
 
 
 def count_calls(monkeypatch, name, owner=engine):

@@ -63,6 +63,7 @@ from common import (
     outcome,
     random_layer,
     tiles,
+    within,
     workload,
 )
 import cut_reference
@@ -809,7 +810,9 @@ class TestEngineProperties:
 
 class TestRelationsAtScale:
     # the relations of TestEngineProperties, counted without data on the
-    # ResNet-scale tile, at the values recorded when they were added
+    # ResNet-scale tile, at the values recorded when they were added; the
+    # N and G counts have five minutes, and the four bandwidth sequences
+    # share five more
 
     @staticmethod
     def count(hw, layer):
@@ -818,8 +821,10 @@ class TestRelationsAtScale:
 
     def test_images_and_groups_multiply_cycles_and_waves(self):
         hw, layer, _ = RESNET
-        assert [self.count(hw, replace(layer, **field)) for field in (
-            {"n": 1}, {"n": 2}, {"g": 2}, {"g": 3})] == [
+        with within(300):
+            counts = [self.count(hw, replace(layer, **field)) for field in (
+                {"n": 1}, {"n": 2}, {"g": 2}, {"g": 3})]
+        assert counts == [
             (38375424, 2752512), (76750848, 5505024), (76750848, 5505024),
             (115126272, 8257536)]
 
@@ -838,8 +843,9 @@ class TestRelationsAtScale:
         # the field from 1 to 64, doubling
         hw, layer, _ = RESNET
         hw = replace(hw, folding=FoldingStrategy(strategy))
-        got = [self.count(replace(hw, **{field: 2 ** i}), layer)[0]
-               for i in range(7)]
+        with within(75):
+            got = [self.count(replace(hw, **{field: 2 ** i}), layer)[0]
+                   for i in range(7)]
         assert all(a >= b for a, b in zip(got, got[1:]))
         assert got == want
 
