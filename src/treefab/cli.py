@@ -35,7 +35,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfg
-from .engine import COUNTED, simulate_layer
+from .engine import COUNTED, check_size, simulate_layer
 from .errors import (
     MappingError,
     ParseError,
@@ -117,6 +117,7 @@ def _cmd_run_layer(args) -> int:
     hw = _hardware(args)
     layer = cfg.parse_layer_config(_read(args.layer))
     tile = cfg.parse_tile_config(_read(args.tile))
+    check_size(layer)
     inputs, weights = random_layer_data(layer, args.seed)
     result = simulate_layer(hw, layer, tile, inputs, weights,
                             trace=_trace_printer(args.trace))
@@ -157,11 +158,12 @@ def _cmd_run_model(args) -> int:
     for name, layer, tile in entries:
         if current is not None:
             current = _chain_input(prev_name, current, name, layer)
-        inputs, weights = random_layer_data(layer, rng)
-        inputs = inputs if current is None else current
-        if tile is None:
-            tile = enumerate_tiles(hw, layer)[0].tile
         try:
+            check_size(layer)
+            inputs, weights = random_layer_data(layer, rng)
+            inputs = inputs if current is None else current
+            if tile is None:
+                tile = enumerate_tiles(hw, layer)[0].tile
             result = simulate_layer(hw, layer, tile, inputs, weights,
                                     replays=replays)
         except MappingError as exc:
@@ -213,7 +215,9 @@ def _cmd_verify(args) -> int:
     hw = _hardware(args)
     layer = cfg.parse_layer_config(_read(args.layer))
     tile = cfg.parse_tile_config(_read(args.tile))
-    build_mapping(hw, layer, tile)  # an unmappable tile fails at any --trials
+    # an unmappable tile or a layer past int64 fails at any --trials
+    build_mapping(hw, layer, tile)
+    check_size(layer)
     if args.trials == 0:
         print("warning: 0 trials requested, vacuous pass", file=sys.stderr)
         return EXIT_OK

@@ -83,27 +83,44 @@ gives wherever it matters.  So the keying is exact on any grid; one
 whose shapes are not canonical only yields more keys.
 
 No key needs a batch of its own.  One step (``_rows``) numbers the
-groups of either cut by rows.  A *slice row* (``_slice_rows``) holds the
-grid entries that agree in shape, least ``ox`` and ``oy`` and X and Y
-origin counts, weighted by their N, G and K origin counts; a block row
-(``_block_rows``) the blocks that agree in shape, fold flags and least
-``r`` and ``s``, a count and a weight of 1 each.  Along X, a (slice row,
-block row) pair's ``base`` at origin position ``p`` is ``base_0 +
-p*step*stride``, growing with ``p``, so its positions inside the input
-are one range ``lo..hi``, in closed form, and each other position is a
-border class of its own.  ``_pair_table`` keys the (slice row, block
-row, X class, Y class) tuples, counts each key's waves from the rows'
-weights and the classes' sizes, and counts one wave's record per key
-(``_records``), on its slice row's first group moved to the class and
-with the fold flags of its block row's id columns, from the three parts
-of its signature, shared through ``replays`` (``simulate_layer``).  Each
-numbering of rows (``mapper._number``) orders them lexicographically on
-their columns, which may hold any int64s, so no column needs a bound.  The
-range check reads each entry's first and last origin.  Only a trace or
-an output sum walks the batches one by one (``Grid.issue``), once for
-both.  A traced call counts on the walk as a grid (``Grid.of``), each
-batch an entry with a count of 1, so each (slice row, block row) pair is
-one key, and a batch's keys are its slice row's.
+groups of either cut by rows.  A *slice row* holds the grid entries that
+agree in shape, least ``ox`` and ``oy`` and X and Y origin counts,
+weighted by their N, G and K origin counts; a block row (``_block_rows``)
+the blocks that agree in shape, fold flags and least ``r`` and ``s``, a
+count and a weight of 1 each.  Along X, a (slice row, block row) pair's
+``base`` at origin position ``p`` is ``base_0 + p*step*stride``, growing
+with ``p``, so its positions inside the input are one range ``lo..hi``,
+in closed form, and each other position is a border class of its own.
+The pass (``_count``) keys the (slice row, block row, X class, Y class)
+tuples, counts each key's waves from the rows' weights and the classes'
+sizes, and counts one wave's record per key (``_records``), on its slice
+row's first group moved to the class and with the fold flags of its
+block row's id columns, from the three parts of its signature, shared
+through ``replays`` (``simulate_layer``).  Each numbering of rows
+(``mapper._number``) orders them lexicographically on their columns,
+which may hold any int64s, so no column needs a bound.  The range check
+reads each entry's first and last origin.
+
+The pass counts a list of tiles of one layer on one fabric at once, and
+it is the only counting code: ``simulate_layer`` runs it on one tile,
+``count_tiles`` on a search's candidates, as many at a time as hold
+``PASS_PAIRS`` (grid entry, block row) pairs.  It numbers the slice rows
+of every tile's grid in one ``_rows`` call, each grid's shape ids
+offset past the last grid's, so no row and no key spans two tiles and
+each tile's keys are consecutive.  It pairs each slice row only with its
+own tile's block rows, which ``replays`` keeps per fold geometry under
+``"blocks"``: the pairs are listed ragged, slice row by slice row, so a
+list of one tile gives the pairs and key ids of a tile counted alone.
+Each key's record reads its own tile's ``real_vn_size`` and forwarder
+flag, and each tile's totals are summed over its keys in Python ints.
+``count_tiles`` keeps them in ``replays`` under ``"counts"``, keyed by
+the plain fields of the hardware, the layer and the tile, and an
+untraced ``simulate_layer`` reads them there: a search calls it once per
+candidate still, so a wrapper on it sees every simulated layer.  Only a
+trace or an output sum walks the batches one by one (``Grid.issue``),
+once for both.  A traced call counts on the walk as a grid (``Grid.of``),
+each batch an entry with a count of 1, so each (slice row, block row)
+pair is one key, and a batch's keys are its slice row's.
 
 None of this reads the data, so a call without inputs and weights
 counts the same stats and trace events and stops there; the tile search
@@ -129,6 +146,7 @@ from .config import (
     HardwareConfig,
     LayerConfig,
     TileConfig,
+    field_values,
     total_macs,
 )
 from .errors import AddressOutOfRange, ValidationError
@@ -202,6 +220,23 @@ def layer_stats(mapping: MappingPlan, cycles: int, waves: int,
     )
 
 
+# the (grid entry, block row) pairs that one pass of ``count_tiles`` takes
+# past its first tile: the bound on a pass's tables, and so on its memory
+PASS_PAIRS = 2048
+
+
+def check_size(layer: LayerConfig) -> int:
+    """The layer's MACs; raises ``ValidationError`` when they or its
+    input elements reach 2**63, since the two bound every int64 that a
+    count holds (addresses, waves, weights).  Called before any data is
+    drawn or any grid built."""
+    macs, elements = total_macs(layer), math.prod(input_dims(layer))
+    if max(macs, elements) >= 2 ** 63:
+        raise ValidationError(f"layer has {macs} MACs and {elements} input "
+                              "elements; int64 holds 2**63 - 1 at most")
+    return macs
+
+
 def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                    inputs: np.ndarray | None = None,
                    weights: np.ndarray | None = None,
@@ -212,7 +247,8 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     ``weights`` are optional: with both, the result holds the output
     sums; with neither, the call only counts, and ``output`` is None.
     Passing one without the other raises ``ValidationError``, as does a
-    layer with more MACs or input elements than an int64 holds.
+    layer with more MACs or input elements than an int64 holds
+    (``check_size``).
 
     ``trace``, if given, is called once per wave, in order, with the
     wave's number, fold, batch size, weight and input distribution
@@ -225,41 +261,38 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
     the cut); it is read and filled, so calls that share it count each
     distribution and each batch geometry's drain once, and cut and key
     each fold-block geometry once.  Without it the call uses a dict of
-    its own.
+    its own.  An untraced call reads its tile's totals from the entry
+    tagged ``"counts"`` when ``count_tiles`` left one there, and
+    otherwise counts the tile as a list of one; so a search counts its
+    candidates in a few passes and still runs this once per tile, which
+    is where a caller that wraps it sees every simulated layer.
     """
     mapping = build_mapping(hw, layer, tile)
-    # the two bound every int64 the count holds: addresses, waves, weights
-    macs, elements = total_macs(layer), math.prod(input_dims(layer))
-    if max(macs, elements) >= 2 ** 63:
-        raise ValidationError(f"layer has {macs} MACs and {elements} input "
-                              "elements; int64 holds 2**63 - 1 at most")
+    macs = check_size(layer)
     if (inputs is None) != (weights is None):
         raise ValidationError("give both inputs and weights, or neither")
     if inputs is not None:
         inputs, weights = check_layer_data(layer, inputs, weights)
     if replays is None:
         replays = {}
-    grid = mapping.batch_grid()
+    counted = None if trace is not None else replays.get(
+        _counts_key(hw, layer, tile))
+    grid = (mapping.batch_grid() if counted is None or inputs is not None
+            else None)
     # the trace and the output sum read one walk of the batches
     walk = None if trace is None and inputs is None else grid.expand()
-    if trace is not None:
-        grid = Grid.of(walk)  # each batch an entry of its own
-    slices = _slice_rows(layer, grid)
-    # the fold blocks read only these fields, so every call that agrees
-    # in them shares one keying of the block cut
-    key = ("blocks", layer.c, layer.r, layer.s, tile.t_c, tile.t_r, tile.t_s)
-    if key not in replays:
-        replays[key] = _block_rows(layer, mapping.block_cut())
-    blocks = replays[key]
-    ids, counts, records = _pair_table(mapping, grid, slices, blocks,
-                                       replays)
-    totals = counts.astype(object) @ records  # in Python ints: no wrap
+    blocks = _blocks(layer, mapping, replays)
+    if counted is None:
+        # a traced call counts each batch as an entry of its own
+        slices, ids, _, records, (counted,) = _count(
+            hw, layer, [(mapping, grid if trace is None else Grid.of(walk))],
+            replays)
     if trace is not None:
         # a batch's entry has a count of 1, so each pair is one key
         keys = ids.reshape(len(slices.first), -1)[slices.row]
         cycle = 0
         for b, (size, batch) in enumerate(zip(
-                grid.cut.sizes[grid.cut.shape].tolist(), keys)):
+                walk.sizes[walk.shape].tolist(), keys)):
             for f, (wc, ic, wave) in enumerate(
                     records[batch[blocks.row], :3].tolist()):
                 cycle += wave
@@ -268,12 +301,52 @@ def simulate_layer(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig,
                     "batch_size": size, "cycle": cycle,
                     "weight_cycles": wc, "input_cycles": ic,
                 })
-    stats = layer_stats(mapping, totals[2], sum(counts.tolist()),
-                        totals[3:].tolist())
+    stats = layer_stats(mapping, *counted)
     assert stats.ms_multiplications == macs
     output = None if inputs is None else _outputs(
         layer, walk.expand()[0], blocks.cut.expand()[0], inputs, weights)
     return SimResult(output=output, stats=stats, mapping=mapping)
+
+
+def count_tiles(hw: HardwareConfig, layer: LayerConfig, tiles,
+                replays) -> None:
+    """Count ``tiles`` of ``layer`` on ``hw`` and keep each tile's totals
+    in ``replays`` under its ``"counts"`` key, which ``simulate_layer``
+    reads.  The tiles go through ``_count`` in turn, as many in one pass
+    as hold ``PASS_PAIRS`` (grid entry, block row) pairs, and at least
+    one."""
+    check_size(layer)
+    runs, pairs = [], 0
+    for i, tile in enumerate(tiles, 1):
+        mapping = build_mapping(hw, layer, tile)
+        grid = mapping.batch_grid()
+        runs.append((mapping, grid))
+        pairs += len(grid.cut.shape) * len(
+            _blocks(layer, mapping, replays).first)
+        if pairs >= PASS_PAIRS or i == len(tiles):
+            for (mapping, _), totals in zip(
+                    runs, _count(hw, layer, runs, replays)[-1]):
+                replays[_counts_key(hw, layer, mapping.tile)] = totals
+            runs, pairs = [], 0
+
+
+def _counts_key(hw: HardwareConfig, layer: LayerConfig, tile: TileConfig):
+    """The ``replays`` key of a tile's totals: the fields of the three
+    configs as plain values."""
+    return ("counts", *(getattr(value, "value", value)
+                        for config in (hw, layer, tile)
+                        for value in field_values(config)))
+
+
+def _blocks(layer: LayerConfig, mapping: MappingPlan, replays) -> _Rows:
+    """The mapping's fold-block rows, kept in ``replays``: the fold blocks
+    read only these fields, so every call that agrees in them shares one
+    keying of the block cut."""
+    tile = mapping.tile
+    key = ("blocks", layer.c, layer.r, layer.s, tile.t_c, tile.t_r, tile.t_s)
+    if key not in replays:
+        replays[key] = _block_rows(layer, mapping.block_cut())
+    return replays[key]
 
 
 class _Rows(NamedTuple):
@@ -310,16 +383,6 @@ def _rows(cut: Cut, ids, count, weight, dims, what, reach=0) -> _Rows:
                  *cut.coordinates(first))
 
 
-def _slice_rows(layer: LayerConfig, grid: Grid) -> _Rows:
-    """The batch grid's slice rows: (shape, least ``ox`` and ``oy``, X
-    and Y counts), weighted by their entries' N, G and K counts
-    multiplied.  Raises ``AddressOutOfRange`` where a batch leaves the
-    output."""
-    return _rows(grid.cut, [grid.cut.shape], grid.count,
-                 np.multiply.reduce(grid.count[:, :3], axis=1),
-                 output_dims(layer), "output", (grid.count - 1) * grid.step)
-
-
 def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
     """The fold blocks' rows: a block's shape and fold flags (whether its
     fold follows the first, and whether it is the last) as id columns,
@@ -331,55 +394,130 @@ def _block_rows(layer: LayerConfig, blocks: Cut) -> _Rows:
                  weight_dims(layer)[2:], "weight (c, r, s)")
 
 
-def _pair_table(mapping: MappingPlan, grid: Grid, slices: _Rows,
-                blocks: _Rows, replays):
-    """(ids, counts, records): the key id of each (slice row, block row,
-    X class, Y class), listed per (slice row, block row) pair, X class
-    outermost; and per key its waves' count, and their weight, input and
-    wave cycles and ``COUNTED`` counters (``_records``).  Along X and Y, a
-    pair's class index ``q`` runs over the positions below ``lo``, then
-    the range ``lo..hi`` inside the input, at ``lo``, then those past."""
-    layer = mapping.layer
-    base = (slices.least[:, :, None] * layer.stride - layer.padding
-            + blocks.least[:, None])
-    span = slices.spread[:, :, None] * layer.stride + blocks.spread[:, None]
-    count = slices.count[:, :, None]
-    step = grid.step[3:, None, None] * layer.stride
-    last = np.array([layer.x - 1, layer.y - 1])[:, None, None] - span
-    lo = np.maximum(-(base // step), 0)
-    hi = np.minimum((last - base) // step, count - 1)
+
+def _count(hw: HardwareConfig, layer: LayerConfig, runs, replays):
+    """One counting pass over ``runs``, each a tile's (mapping, batch
+    grid) for ``layer`` on ``hw``: (slices, ids, waves, records, totals),
+    the slice rows of every grid, the key id of each (slice row, block
+    row, X class, Y class), listed per (slice row, block row) pair, X
+    class outermost, each key's count of waves and their weight, input
+    and wave cycles and ``COUNTED`` counters (``_records``), and per run
+    its (cycles, waves, ``COUNTED`` sums) in Python ints.
+
+    The grids' slice rows are numbered in one ``_rows`` call, each grid's
+    shape ids after the last grid's, so no row and no key spans two
+    tiles, and a tile's keys are consecutive.  Each slice row pairs with
+    its own tile's fold-block rows (``_blocks``), the pairs listed
+    ragged, slice row by slice row.  Along X and Y, a pair's class index
+    ``q`` runs over the positions below ``lo``, then the range ``lo..hi``
+    inside the input, at ``lo``, then those past."""
+    grids = [grid for _, grid in runs]
+    sets = [_blocks(layer, mapping, replays) for mapping, _ in runs]
+    if len(runs) == 1:
+        cut, count, blocks, start = grids[0].cut, grids[0].count, sets[0], [0]
+        reach = (count - 1) * grids[0].step
+    else:
+        cut = _join([grid.cut for grid in grids])
+        count = np.concatenate([grid.count for grid in grids])
+        reach = np.concatenate([(g.count - 1) * g.step for g in grids])
+        blocks, start = _join_blocks(sets)
+    slices = _rows(cut, [cut.shape], count,
+                   np.multiply.reduce(count[:, :3], axis=1),
+                   output_dims(layer), "output", reach)
+    # each slice row's tile, from its shape, and its X and Y steps; each
+    # pair's slice row and its block row among its tile's
+    shapes = np.cumsum([len(grid.cut.sizes) for grid in grids])
+    tile = np.searchsorted(shapes, slices.ids[0], "right")
+    step = np.array([grid.step[3:] for grid in grids])[tile].T
+    folds = np.array([len(rows.first) for rows in sets])
+    r, j = _ragged(folds[tile])
+    j += np.array(start)[tile[r]]
+    base = (slices.least[:, r] * layer.stride - layer.padding
+            + blocks.least[:, j])
+    span = slices.spread[:, r] * layer.stride + blocks.spread[:, j]
+    count, stride = slices.count[:, r], step[:, r] * layer.stride
+    last = np.array([[layer.x - 1], [layer.y - 1]]) - span
+    lo = np.maximum(-(base // stride), 0)
+    hi = np.minimum((last - base) // stride, count - 1)
     n = count - np.maximum(hi - lo, 0)
-    per = (n[0] * n[1]).ravel()
-    pair = np.repeat(np.arange(len(per)), per)
-    index = np.arange(len(pair)) - np.repeat(per.cumsum() - per, per)
-    q = np.array(np.divmod(index, n[1].ravel()[pair]))
-    base, lo, hi = (a.reshape(2, -1)[:, pair] for a in (base, lo, hi))
+    pair, index = _ragged(n[0] * n[1])
+    q = np.array(np.divmod(index, n[1][pair]))
+    base, lo, hi, stride = (a[:, pair] for a in (base, lo, hi, stride))
     # each class's first position; the range's is lo
-    width = hi - lo
-    p = q + (q > lo) * np.maximum(width, 0)
+    inner = hi - lo
+    p = q + (q > lo) * np.maximum(inner, 0)
     inside = (lo <= p) & (p <= hi)
-    value = np.where(inside, 0, base + p * step[:, 0] + layer.padding + 1)
-    size = np.where(inside, width + 1, 1)
-    r, j = np.divmod(pair, len(blocks.first))
+    value = np.where(inside, 0, base + p * stride + layer.padding + 1)
+    size = np.where(inside, inner + 1, 1)
+    r, j = r[pair], j[pair]
     ids, first = _number([*slices.ids[:, r], *blocks.ids[:, j], *value])
     waves = np.zeros(len(first), np.int64)
     np.add.at(waves, ids, slices.weight[r] * size[0] * size[1]
               * blocks.weight[j])
     # one batch of each key: its row's first group, moved to the class's
-    # first positions
+    # first positions, on its tile's cluster geometry
     r, j = r[first], j[first]
     outs = slices.coords[r]
-    outs[:, :, 3:] += (p[:, first] * grid.step[3:, None]).T[:, None]
-    return ids, waves, _records(mapping, outs, slices.used[r], blocks, j,
-                                replays)
+    outs[:, :, 3:] += (p[:, first] * step[:, r]).T[:, None]
+    keyed = tile[r]
+    records = _records(hw, layer, outs, slices.used[r], blocks, j,
+                       [mapping for mapping, _ in runs], keyed, replays)
+    totals, ends = [], np.searchsorted(keyed, np.arange(len(runs)), "right")
+    for a, b in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        total = waves[a:b].astype(object) @ records[a:b]  # no int64 wrap
+        totals.append((total[2], sum(waves[a:b].tolist()),
+                       total[3:].tolist()))
+    return slices, ids, waves, records, totals
 
 
-def _records(mapping: MappingPlan, outs, slots, blocks: _Rows, j, replays):
+def _ragged(counts):
+    """(owner, index): for ``counts.sum()`` items listed owner by owner,
+    ``counts[i]`` of owner ``i``, each item's owner and its index among
+    its owner's items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (counts.cumsum() - counts)[owner]
+
+
+def _join(cuts) -> Cut:
+    """The groups of ``cuts`` in turn as one cut, each cut's shapes
+    numbered after the last one's."""
+    shapes = np.cumsum([0] + [len(cut.sizes) for cut in cuts[:-1]])
+    return Cut(np.concatenate([cut.offsets for cut in cuts]),
+               np.concatenate([cut.sizes for cut in cuts]),
+               np.concatenate([cut.origins for cut in cuts]),
+               np.concatenate([cut.shape + s
+                               for cut, s in zip(cuts, shapes.tolist())]))
+
+
+def _join_blocks(sets):
+    """(blocks, start): the distinct fold-block rows among ``sets`` as
+    one table, its coordinates padded to the widest block, and the index
+    of each set's first row there."""
+    kept = list({id(rows): rows for rows in sets}.values())
+    at = np.cumsum([0] + [len(rows.first) for rows in kept])
+    start = {id(rows): s for rows, s in zip(kept, at.tolist())}
+    wide = max(rows.used.shape[1] for rows in kept)
+
+    def padded(a):
+        return np.pad(a, [(0, 0), (0, wide - a.shape[1])]
+                      + [(0, 0)] * (a.ndim - 2))
+
+    blocks = _Rows(None, None, None, *(
+        np.concatenate(column, axis=-1)
+        for column in zip(*(rows[3:8] for rows in kept))), *(
+        np.concatenate(list(map(padded, column)))
+        for column in zip(*(rows[8:] for rows in kept))))
+    return blocks, [start[id(rows)] for rows in sets]
+
+
+def _records(hw: HardwareConfig, layer: LayerConfig, outs, slots,
+             blocks: _Rows, j, plans, tile, replays):
     """Per wave ``i``, given as its outputs' coordinates ``outs[i]`` and
-    used ``slots[i]`` (``Cut.coordinates``) and block row ``j[i]``, its
-    weight, input and wave cycles, then its ``COUNTED`` counters, shape
-    (waves, 12), assembled from the three parts of its signature on the
-    mapping's hardware and cluster geometry.
+    used ``slots[i]`` (``Cut.coordinates``), its block row ``j[i]`` and
+    its mapping ``plans[tile[i]]``, its weight, input and wave cycles,
+    then its ``COUNTED`` counters, shape (waves, 12), assembled from the
+    three parts of its signature on ``hw`` and the mapping's cluster
+    geometry.
 
     The weight and the input distribution (``_distribute``, tagged
     ``"dn"``) and the drain (``_drain``) are kept in ``replays`` under
@@ -391,46 +529,45 @@ def _records(mapping: MappingPlan, outs, slots, blocks: _Rows, j, replays):
     the first adds it at the egress, and only a draining fold (every
     roundtrip fold, the last ideal one) pays the drain and writes its sums.
     """
-    layer, hw, width = mapping.layer, mapping.hw, mapping.real_vn_size
-    elems, taps = blocks.coords[j], blocks.used[j]
-    used = slots[:, :, None] & taps[:, None]
     # per used position (slot, e), in wave order and each wave's in
     # slot*length + e order: its weight address, input address and input
     # row and column, each an output part plus an element part
+    sizes, lengths = slots.sum(axis=1), blocks.used[j].sum(axis=1)
+    wave, local = _ragged(sizes * lengths)
+    slot, e = np.divmod(local, lengths[wave])
+    start = np.arange(len(wave)) - local
     c, r, s, x, y, u, pad = (layer.c, layer.r, layer.s, layer.x, layer.y,
                              layer.stride, layer.padding)
     outs = outs @ np.array([
         [0, layer.g * c * x * y, 0, 0], [layer.k * c * r * s, c * x * y, 0, 0],
         [c * r * s, 0, 0, 0], [0, u * y, u, 0], [0, u, 0, u]])
-    elems = elems @ np.array([[r * s, x * y, 0, 0], [s, y, 1, 0],
-                              [1, 1, 0, 1]])
-    w_addr, i_addr, ix, iy = (outs[:, :, None] + elems[:, None]
-                              - [0, pad * (y + 1), pad, pad])[used].T
+    elems = blocks.coords @ np.array([[r * s, x * y, 0, 0], [s, y, 1, 0],
+                                      [1, 1, 0, 1]])
+    addr = outs[wave, slot]
+    addr += elems[j[wave], e] - [0, pad * (y + 1), pad, pad]
+    w_addr, i_addr, ix, iy = addr.T
     i_addr = np.where((ix >= 0) & (ix < x) & (iy >= 0) & (iy < y), i_addr, -1)
     # each position's head, the first position of its wave with its
     # address, numbered from the wave's first position
-    counts = np.count_nonzero(used, axis=(1, 2))
-    ends = np.cumsum(counts)
-    start = np.repeat(ends - counts, counts)
     addr = np.stack([w_addr, i_addr])
-    span = [[0], [ends[-1]]]
+    span = [[0], [len(wave)]]
     ids, first = _number([start + span, addr])
     heads = first[ids] - span - start
     # per wave, each partition's heads (-1 for a padding tap), 4 bytes each
     w_data, i_data = (h.astype(np.int32).tobytes()
                       for h in np.where(addr < 0, -1, heads))
-    ends = (4 * ends).tolist()
+    ends = (4 * np.cumsum(sizes * lengths)).tolist()
     roundtrip = hw.folding is FoldingStrategy.ROUNDTRIP
-    dn = ("dn", hw.num_ms, hw.dn_bw, width)
     records = []
-    for later, last, size, length, start, end in zip(
+    for later, last, plan, size, length, start, end in zip(
             *blocks.ids[1:, j].astype(bool).tolist(),
-            slots.sum(axis=1).tolist(), taps.sum(axis=1).tolist(),
-            [0] + ends, ends):
-        forward = mapping.has_forwarder and later
-        parts = ((*dn, length, False, w_data[start:end]),
-                 (*dn, length, forward, i_data[start:end]),
-                 ("drain", hw.num_ms, hw.rn_bw, width, size))
+            map(plans.__getitem__, tile.tolist()), sizes.tolist(),
+            lengths.tolist(), [0] + ends, ends):
+        forward = plan.has_forwarder and later
+        dn = ("dn", hw.num_ms, hw.dn_bw, plan.real_vn_size, length)
+        parts = ((*dn, False, w_data[start:end]),
+                 (*dn, forward, i_data[start:end]),
+                 ("drain", hw.num_ms, hw.rn_bw, plan.real_vn_size, size))
         for key, count in zip(parts, (_distribute, _distribute, _drain)):
             if key not in replays:
                 replays[key] = count(*key[1:])

@@ -6,7 +6,9 @@ worked out from each tile's steps by arithmetic: enumeration builds no
 mapping.  A second pass re-ranks a prefix of that order by simulated
 cycle count (``search-tile`` passes its ``4 * top_k`` best), counting
 cycles only, on no data.  Only that second pass is not exhaustive: the
-fastest tile can fall outside the prefix.
+fastest tile can fall outside the prefix.  It counts the candidates in a
+few array passes (``engine.count_tiles``), not one by one, and then reads
+each candidate's stats through ``engine.simulate_layer``.
 """
 
 from __future__ import annotations
@@ -71,19 +73,25 @@ def rank_by_simulation(candidates: list[TileCandidate], hw: HardwareConfig,
     Ties break by utilization (desc) then lexicographic tile order, so
     the result is a total deterministic order.  Cycle counts do not depend
     on the data, so every simulation runs without any: it counts cycles
-    and sums no output.  The simulations share one dict of the waves'
-    DN and drain parts and of the fold blocks' rows, so each
-    distribution, each batch geometry's reduction plan and each fold-block
-    cut is counted once per call.
+    and sums no output.  ``engine.count_tiles`` counts all the candidates,
+    as many in one array pass as its bound on a pass's table allows, into
+    one dict of the waves' DN and drain parts, the fold blocks' rows and
+    each tile's totals, so each distribution, each batch geometry's
+    reduction plan and each fold-block cut is counted once per call.
+    ``engine.simulate_layer`` then runs once per candidate and reads its
+    totals from that dict: a caller that wraps it (perfbench counts the
+    simulated MACs and waves so) sees every candidate.
     """
     if top_k <= 0:
         return []
     replays: dict = {}
+    engine.count_tiles(hw, layer, [cand.tile for cand in candidates],
+                       replays)
     ranked = []
     for cand in candidates:
         # looked up at call time, so a wrapper installed on
         # treefab.engine.simulate_layer (perfbench counts MACs this way)
-        # sees every simulation
+        # sees every simulation; each reads its tile's totals from replays
         result = engine.simulate_layer(hw, layer, cand.tile, replays=replays)
         predicted = dict(cand.predicted)
         predicted["estimated_cycles"] = result.stats.total_cycles

@@ -85,8 +85,8 @@ def pair_table(mapping, batches, blocks, replays):
     ids, first = number([batches.ids[:, None], *blocks.ids, *borders])
     b, f = np.divmod(first, len(blocks.first))
     return ids, engine._records(
-        mapping, *batches.cut.coordinates(batches.first[b]), blocks, f,
-        replays)
+        mapping.hw, layer, *batches.cut.coordinates(batches.first[b]),
+        blocks, f, [mapping], np.zeros_like(f), replays)
 
 
 class Keyed(NamedTuple):

@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from treefab import (FoldingStrategy, LayerConfig, LayerKind, MappingPlan,
-                     cli, enumerate_tiles, simulate_layer)
+                     TileConfig, cli, engine, enumerate_tiles, simulate_layer,
+                     total_macs)
 from treefab.mapper import Grid
 
 from common import (DEPTHWISE, HW32, PADDED_10, POINTWISE, RESNET,
@@ -661,6 +662,35 @@ class TestAtScale:
         assert "2**63 - 1 at most" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["run-layer", "verify", "run-model"])
+    def test_commands_refuse_a_layer_past_int64_before_the_draw(
+            self, command, tmp_path, monkeypatch, capsys):
+        # 1x1, G = 3, X = Y = 2**31 - 1: 1.4e19 MACs and input elements.
+        # Each command refuses the layer with simulate_layer's message and
+        # draws no data; drawing first stopped on numpy's "array is too
+        # big" with a traceback and exit 1
+        side = 2 ** 31 - 1
+        layer = LayerConfig(LayerKind.CONV, r=1, s=1, c=1, g=3, k=1, n=1,
+                            x=side, y=side)
+        tile = TileConfig(1, 1, 1, t_x=3, t_y=7)
+        args = options(tmp_path, HW32, layer, tile)
+        if command == "run-model":
+            args = args[:2] + ["--model", write(tmp_path, "model.yaml", f"""\
+layers:
+  - name: huge
+    layer: {{kind: conv, R: 1, S: 1, C: 1, G: 3, K: 1, X: {side}, Y: {side}}}
+    tile: {{T_R: 1, T_S: 1, T_C: 1, T_X: 3, T_Y: 7}}
+""")]
+        draws = count_calls(monkeypatch, "random_layer_data", cli)
+        with within(2):
+            code = cli.main([command, *args]
+                            + ["--trials", "1"] * (command == "verify"))
+        assert (code, draws) == (cli.EXIT_CONFIG, [])
+        err = capsys.readouterr().err
+        assert err.endswith(f"layer has {total_macs(layer)} MACs and "
+                            f"{total_macs(layer)} input elements; int64 "
+                            "holds 2**63 - 1 at most\n")
+
 class TestBenchmarkTraffic:
     # the records, distributions and drains that the benchmark's three
     # workloads count, under each strategy: one record per key, each
@@ -680,6 +710,23 @@ class TestBenchmarkTraffic:
         assert cli.main(WORKLOADS[name] + ["--strategy", strategy]) \
             == cli.EXIT_OK
         assert tuple(map(len, calls)) == want
+
+    def test_search_simulates_every_counted_tile(self, monkeypatch, capsys):
+        # perfbench counts simulated MACs and waves by wrapping
+        # treefab.engine.simulate_layer.  The search counts its 4 * top_k =
+        # 20 candidates in one pass, then calls simulate_layer once per
+        # candidate, which reads its tile's totals: each call returns the
+        # layer's MACs and that tile's waves, as a fresh run counts them
+        original, calls = engine.simulate_layer, []
+        monkeypatch.setattr(engine, "simulate_layer", lambda *args, **kw: (
+            calls.append((args[2], original(*args, **kw))) or calls[-1][1]))
+        assert cli.main(WORKLOADS["tile-search"]) == cli.EXIT_OK
+        tiles = [c.tile for c in enumerate_tiles(HW32, POINTWISE)[:20]]
+        assert [tile for tile, _ in calls] == tiles
+        for tile, result in calls:
+            fresh = original(HW32, POINTWISE, tile).stats
+            assert result.stats.ms_multiplications == total_macs(POINTWISE)
+            assert result.stats == fresh
 
     # the search counts on no data, so no tile walks its batches one by
     # one; the run-layer workloads sum outputs, so each walks them once

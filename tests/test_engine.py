@@ -1212,11 +1212,13 @@ class TestFactoredCut:
 
 def pair_table(mapping, grid, blocks, replays):
     """(slices, blocks, ids, counts, records): the engine's rows of
-    ``grid`` and the ``blocks`` cut, and its pair table."""
-    slices = engine._slice_rows(mapping.layer, grid)
-    blocks = engine._block_rows(mapping.layer, blocks)
-    return (slices, blocks,
-            *engine._pair_table(mapping, grid, slices, blocks, replays))
+    ``grid`` and the ``blocks`` cut, and its pair table, counted as a
+    list of one tile."""
+    with inject(blocks=blocks):
+        slices, ids, counts, records, _ = engine._count(
+            mapping.hw, mapping.layer, [(mapping, grid)], replays)
+        blocks = engine._blocks(mapping.layer, mapping, replays)
+    return slices, blocks, ids, counts, records
 
 
 def waves_per_record(counts, records):
@@ -1310,6 +1312,59 @@ class TestPairTable:
         assert (factored.total_cycles, factored.waves) \
             == (38_375_424, 2_752_512)
 
+
+class TestOnePass:
+    @pytest.mark.parametrize("strategy", list(FoldingStrategy))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_list_counts_as_its_tiles(self, data, strategy):
+        # 1-12 feasible tiles of one layer, mixing fold tiles, widths and
+        # steps, repeats allowed, counted in one pass: each tile's totals
+        # give the stats of a fresh run, simulate_layer reads them back,
+        # and the pass leaves the parts and fold-block rows that the runs
+        # tile by tile leave
+        hw, layer, _ = draw_case(data)
+        hw = replace(hw, folding=strategy)
+        tiles_ = data.draw(st.lists(st.sampled_from(
+            [c.tile for c in enumerate_tiles(hw, layer)]),
+            min_size=1, max_size=12))
+        plans = [build_mapping(hw, layer, tile) for tile in tiles_]
+        replays, want_replays = {}, {}
+        totals = engine._count(hw, layer, [
+            (plan, plan.batch_grid()) for plan in plans], replays)[-1]
+        want = [simulate_layer(hw, layer, tile, replays=want_replays).stats
+                for tile in tiles_]
+        assert [engine.layer_stats(plan, *total)
+                for plan, total in zip(plans, totals)] == want
+        assert_same_replays(replays, want_replays)
+        engine.count_tiles(hw, layer, tiles_, replays)
+        assert [simulate_layer(hw, layer, tile, replays=replays).stats
+                for tile in tiles_] == want
+        assert {key[0] for key in replays} \
+            == {"dn", "drain", "blocks", "counts"}
+
+    def test_each_pass_bounded_by_its_pairs(self, monkeypatch):
+        # count_tiles takes tiles into a pass until their (grid entry,
+        # block row) pairs reach PASS_PAIRS: PADDED_10's 528 tiles under
+        # roundtrip go through the pass in a few passes of many tiles, and
+        # with a bound of 1 in one pass each, alike
+        tiles_ = [c.tile for c in enumerate_tiles(HW32, PADDED_10)]
+        counted = []
+        for bound in (engine.PASS_PAIRS, 1):
+            replays = {}
+            with monkeypatch.context() as m:
+                m.setattr(engine, "PASS_PAIRS", bound)
+                passes = count_calls(m, "_count")
+                engine.count_tiles(HW32, PADDED_10, tiles_, replays)
+            counted.append([replays[engine._counts_key(HW32, PADDED_10, t)]
+                            for t in tiles_])
+            sizes = [len(runs) for _, _, runs, _ in passes]
+            assert sum(sizes) == len(tiles_)
+            if bound == 1:
+                assert set(sizes) == {1}
+            else:
+                assert 1 < len(sizes) < 40
+        assert counted[0] == counted[1]
 
 class TestBatchGrid:
     @settings(max_examples=60, deadline=None)
